@@ -105,9 +105,14 @@ graph object is never touched), enables tombstone masks on the state
   time together with self-loops and failed channels, so survivors keep their
   stub-count degree (the draw arithmetic never changes shape mid-round);
 * **joins** splice each joiner into ``max(1, target_degree // 2)`` uniformly
-  chosen live stubs by batched CSR edits — replace stub ``(u, v)`` with
-  ``(u, J)``/``(v, J)`` in place and append ``[u, v, …]`` as ``J``'s tail
-  row — so existing nodes keep their degree and id growth is append-only;
+  chosen live stubs — replace stub ``(u, v)`` with ``(u, J)``/``(v, J)`` in
+  place and append ``[u, v, …]`` as ``J``'s tail row — so existing nodes keep
+  their degree, a joiner gets degree ``2·max(1, target_degree // 2)`` minus
+  two per skipped draw, and id growth is append-only.  A splice touches only
+  the stubs of its own unordered pair ``{u, v}``, so the kernel applies every
+  draw whose pair is unique in the call in one array pass and replays only
+  the draws that share a pair (parallel edges, one edge drawn twice) in draw
+  order — the same result as splicing draw by draw;
 * when a quarter of the id space is dead, **node compaction** renumbers it
   away (the node-axis mirror of batch row compaction): the state planes are
   sliced via :meth:`VectorState.compact_nodes`, the CSR is rebuilt through
@@ -617,6 +622,8 @@ class VectorizedRoundEngine(_BulkEngineBase):
         self._departures_total = 0
         self._arrivals_total = 0
         self._node_compactions = 0
+        self._splices_made = 0
+        self._splices_skipped = 0
         self._init_failure_probabilities()
         self._init_bulk_state(graph)
 
@@ -683,6 +690,8 @@ class VectorizedRoundEngine(_BulkEngineBase):
                 "departures": self._departures_total,
                 "arrivals": self._arrivals_total,
                 "node_compactions": self._node_compactions,
+                "splices": self._splices_made,
+                "splices_skipped": self._splices_skipped,
             }
             self._state = None
         return RunResult(
@@ -723,6 +732,8 @@ class VectorizedRoundEngine(_BulkEngineBase):
         self._departures_total = 0
         self._arrivals_total = 0
         self._node_compactions = 0
+        self._splices_made = 0
+        self._splices_skipped = 0
 
     def _invalidate_topology_caches(self) -> None:
         self._degrees_array = None
@@ -781,7 +792,8 @@ class VectorizedRoundEngine(_BulkEngineBase):
         new_ids = state.grow_nodes(count)
         indptr = self._indptr
         indices = self._indices
-        rows: List[List[int]] = [[] for _ in range(count)]
+        made = np.zeros(count * splices, dtype=bool)
+        tail = np.empty(0, dtype=indices.dtype)
         if total_stubs > 0:
             uniforms = generator.random(count * splices)
             positions = (uniforms * total_stubs).astype(np.int64)
@@ -790,47 +802,106 @@ class VectorizedRoundEngine(_BulkEngineBase):
             owners = alive_nodes[owner_rank]
             offsets = positions - (cum[owner_rank] - live_degrees[owner_rank])
             stub_pos = indptr[owners].astype(np.int64) + offsets
-            alive = state.alive
-            draw = 0
-            for j in range(count):
-                joiner = int(new_ids[j])
-                row = rows[j]
-                for _ in range(splices):
-                    u = int(owners[draw])
-                    pos = int(stub_pos[draw])
-                    draw += 1
-                    v = int(indices[pos])
-                    # Skip tombstones (dead or -1 targets), self-loop stubs,
-                    # and targets without a CSR row yet (same-round joiners)
-                    # — the bulk analog of the scalar path's has_edge check.
-                    if v < 0 or v >= base_n or v == u or not alive[v]:
-                        continue
-                    back = np.flatnonzero(
-                        indices[indptr[v] : indptr[v + 1]] == u
-                    )
-                    if back.size == 0:
-                        continue
-                    indices[pos] = joiner
-                    indices[int(indptr[v]) + int(back[0])] = joiner
-                    row.append(u)
-                    row.append(v)
+            partners = indices[stub_pos].astype(np.int64)
+            joiners = (base_n + np.arange(made.size) // splices).astype(indices.dtype)
+            made = self._splice_draws(owners, stub_pos, partners, joiners, base_n, state)
+            made_count = int(np.count_nonzero(made))
+            self._splices_made += made_count
+            self._splices_skipped += made.size - made_count
+            # Draw order is joiner-major, so the successful (u, v) pairs in
+            # draw order are exactly the joiners' tail rows back to back.
+            tail = np.stack([owners, partners], axis=1)[made].astype(
+                indices.dtype
+            ).reshape(-1)
 
-        lengths = np.fromiter(
-            (len(row) for row in rows), count=count, dtype=indptr.dtype
-        )
+        lengths = 2 * np.count_nonzero(made.reshape(count, splices), axis=1)
         new_indptr = np.empty(indptr.size + count, dtype=indptr.dtype)
         new_indptr[: indptr.size] = indptr
         np.cumsum(lengths, out=new_indptr[indptr.size :])
         new_indptr[indptr.size :] += indptr[-1]
-        tail_parts = [
-            np.asarray(row, dtype=indices.dtype) for row in rows if row
-        ]
-        if tail_parts:
-            self._indices = np.concatenate([indices] + tail_parts)
+        if tail.size:
+            self._indices = np.concatenate([indices, tail])
         self._indptr = new_indptr
         self._n = new_indptr.size - 1
         self._invalidate_topology_caches()
-        return [int(node) for node in new_ids]
+        return new_ids.tolist()
+
+    def _splice_draws(
+        self,
+        owners: np.ndarray,
+        stub_pos: np.ndarray,
+        partners: np.ndarray,
+        joiners: np.ndarray,
+        base_n: int,
+        state: VectorState,
+    ) -> np.ndarray:
+        """Apply the splice draws to the CSR in place; return which ones took.
+
+        Draw ``i`` replaces stub ``stub_pos[i]`` of row ``u = owners[i]``
+        (value ``v = partners[i]``) and the first stub of row ``v`` valued
+        ``u`` with ``joiners[i]``.  It skips tombstones (dead or ``-1``
+        targets), self-loop stubs, and stubs a same-round joiner already took
+        — the bulk analog of the scalar path's ``has_edge`` check.
+
+        A splice only reads and writes stubs of its own unordered pair
+        ``{u, v}``, so draws on distinct pairs commute: every draw whose pair
+        is unique this call is applied in one array pass, and only the draws
+        sharing a pair (parallel edges, or one edge drawn twice) replay one at
+        a time in draw order.  The result equals applying all draws
+        sequentially in draw order.
+        """
+        indptr = self._indptr
+        indices = self._indices
+        alive = state.alive
+        made = np.zeros(owners.size, dtype=bool)
+        valid = (partners >= 0) & (partners < base_n) & (partners != owners)
+        valid[valid] = alive[partners[valid]]
+        draws = np.flatnonzero(valid)
+        if draws.size == 0:
+            return made
+        us = owners[draws]
+        vs = partners[draws]
+        keys = np.minimum(us, vs) * base_n + np.maximum(us, vs)
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        shared = counts[inverse.reshape(-1)] > 1
+
+        # Unique pairs: gather row v of every draw as one flat segment array
+        # and take the first stub valued u in each segment.
+        bulk = draws[~shared]
+        rows = partners[bulk]
+        starts = indptr[rows].astype(np.int64)
+        lengths = indptr[rows + 1].astype(np.int64) - starts
+        segment = np.repeat(np.arange(bulk.size), lengths)
+        flat = np.arange(segment.size, dtype=np.int64) + np.repeat(
+            starts - (np.cumsum(lengths) - lengths), lengths
+        )
+        hit = np.flatnonzero(indices[flat] == owners[bulk][segment])
+        if hit.size:
+            hit_segment = segment[hit]
+            first = np.ones(hit.size, dtype=bool)
+            first[1:] = hit_segment[1:] != hit_segment[:-1]
+            took = bulk[hit_segment[first]]
+            indices[stub_pos[took]] = joiners[took]
+            indices[flat[hit[first]]] = joiners[took]
+            made[took] = True
+
+        # Shared pairs replay in draw order against the live CSR.  Their
+        # stubs started valid, so a changed value means an earlier draw of
+        # the same pair already stole the stub.
+        for draw in draws[shared].tolist():
+            pos = int(stub_pos[draw])
+            if indices[pos] >= base_n:
+                continue
+            u = owners[draw]
+            v = int(partners[draw])
+            row_start = int(indptr[v])
+            back = np.flatnonzero(indices[row_start : int(indptr[v + 1])] == u)
+            if back.size == 0:
+                continue
+            indices[pos] = joiners[draw]
+            indices[row_start + int(back[0])] = joiners[draw]
+            made[draw] = True
+        return made
 
     def _compact_nodes(self, state: VectorState) -> None:
         """Renumber dead ids away: state planes, CSR, and protocol pools.

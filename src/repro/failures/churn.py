@@ -6,12 +6,15 @@ size of the network"; experiment E8 quantifies that by running Algorithm 1
 while a :class:`ChurnModel` removes and adds nodes every round.
 
 Joining nodes are wired into the overlay by *stub stealing*: a joiner of
-target degree ``d`` picks ``d`` random existing edges and splices itself into
-the middle of each (replacing edge ``(u, v)`` with ``(u, joiner)`` and
-``(joiner, v)``), which keeps every existing node's degree unchanged and gives
-the joiner degree ``2·⌈d/2⌉``.  Leaving nodes simply disappear with their
-edges; the overlay maintenance layer (:mod:`repro.p2p.overlay`) is responsible
-for longer-term repair, while this module models the transient disruption.
+target degree ``d`` picks ``max(1, ⌊d/2⌋)`` random existing edges and splices
+itself into the middle of each (replacing edge ``(u, v)`` with
+``(u, joiner)`` and ``(joiner, v)``), which keeps every existing node's degree
+unchanged and gives the joiner degree ``2·max(1, ⌊d/2⌋)`` — less when a drawn
+edge is unusable (a self-loop, a departed endpoint, or an edge another joiner
+already split) and its splice is skipped.  Leaving nodes simply disappear
+with their edges; the overlay maintenance layer (:mod:`repro.p2p.overlay`) is
+responsible for longer-term repair, while this module models the transient
+disruption.
 
 Two execution surfaces
 ----------------------
