@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Compare current hot-path timings *and memory* against BENCH_micro.json.
 
-Re-measures the micro-benchmark medians (graph generation and one broadcast
+Re-measures the micro-benchmark medians (graph generation, including the
+connected n = 32768 build with its connectivity check, and one broadcast
 per engine/protocol at n = 4096, plus the 20-seed batched push sweep) and the
 tracemalloc peak of the headline allocations (million-node push broadcast,
 batched sweep), and fails — exit code 1 — if any of them regressed beyond the
@@ -39,6 +40,7 @@ from repro.core.engine import run_broadcast, run_broadcast_batch  # noqa: E402
 from repro.core.rng import RandomSource  # noqa: E402
 from repro.failures.churn import UniformChurn  # noqa: E402
 from repro.graphs.configuration_model import (  # noqa: E402
+    connected_random_regular_graph,
     pairing_multigraph,
     random_regular_graph,
 )
@@ -81,6 +83,11 @@ def measure_current() -> dict:
         ),
         "pairing_multigraph_1e6_d8": median_ms(
             lambda: pairing_multigraph(1_000_000, 8, RandomSource(seed=1)),
+            repetitions=3,
+        ),
+        # The experiment default family: draw plus connectivity check.
+        "connected_regular_graph_32768": median_ms(
+            lambda: connected_random_regular_graph(32768, 8, RandomSource(seed=1)),
             repetitions=3,
         ),
         "push_vectorized_4096": median_ms(
@@ -172,6 +179,7 @@ def baseline_map(recorded: dict) -> dict:
     return {
         "generate_regular_graph_4096": baselines["generate_regular_graph_4096"],
         "pairing_multigraph_1e6_d8": baselines["pairing_multigraph_1e6_d8"]["ms"],
+        "connected_regular_graph_32768": baselines["connected_regular_graph_32768"]["ms"],
         "push_vectorized_4096": baselines["push_broadcast_4096"]["vectorized"],
         "algorithm1_vectorized_4096": baselines["algorithm1_broadcast_4096"]["vectorized"],
         "algorithm2_vectorized_4096": baselines["algorithm2_broadcast_4096"]["vectorized"],

@@ -6,15 +6,18 @@ explicitly analyses the process on such graphs), and cheap node insertion and
 removal for churn experiments.  ``networkx`` is great for analysis but its
 per-call overhead dominates at the scale of millions of neighbour lookups, so
 the core simulator uses this dedicated structure and converts to ``networkx``
-only for structural property computations.
+only for exact distance computations; ``networkx`` is imported by the
+conversions themselves, never by ``import repro``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Graph"]
 
@@ -405,18 +408,20 @@ class Graph:
 
     def to_networkx(self) -> "nx.Graph":
         """Convert to a networkx ``Graph`` (parallel edges collapse)."""
+        import networkx as nx
+
         nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(self._adjacency)
-        for u, v in self.edges():
-            nx_graph.add_edge(u, v)
+        nx_graph.add_nodes_from(self.nodes())
+        nx_graph.add_edges_from(self.edges())
         return nx_graph
 
     def to_networkx_multigraph(self) -> "nx.MultiGraph":
         """Convert to a networkx ``MultiGraph`` preserving multiplicity."""
+        import networkx as nx
+
         nx_graph = nx.MultiGraph()
-        nx_graph.add_nodes_from(self._adjacency)
-        for u, v in self.edges():
-            nx_graph.add_edge(u, v)
+        nx_graph.add_nodes_from(self.nodes())
+        nx_graph.add_edges_from(self.edges())
         return nx_graph
 
     def copy(self) -> "Graph":

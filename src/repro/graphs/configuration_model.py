@@ -22,19 +22,23 @@ Three ways of obtaining a *simple* graph are provided, selectable through the
 
 ``strategy="auto"`` (default) picks rejection when the expected acceptance
 probability is reasonable and repair otherwise.
+
+:func:`connected_random_regular_graph` redraws until the outcome is
+connected.  The check is :func:`repro.graphs.properties.component_labels`,
+a few array passes over the CSR view: it consumes no randomness and leaves
+the graph lazy (no adjacency lists), so only ``strategy="networkx"`` ever
+imports ``networkx``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import networkx as nx
 import numpy as np
 
 from ..core.errors import GraphGenerationError
 from ..core.rng import RandomSource
 from .base import Graph
+from .properties import component_labels
 
 __all__ = [
     "pairing_multigraph",
@@ -264,6 +268,8 @@ def random_regular_graph(
         return Graph.from_edge_array(n, edges)
 
     if strategy == "networkx":
+        import networkx as nx
+
         nx_graph = nx.random_regular_graph(d, n, seed=rng.randint(0, 2**31 - 1))
         return Graph.from_networkx(nx_graph)
 
@@ -285,16 +291,20 @@ def connected_random_regular_graph(
 
     For ``d >= 3`` a random regular graph is connected with high probability,
     so this almost never retries; it exists so experiments can assume a single
-    component without sprinkling connectivity checks everywhere.
+    component without sprinkling connectivity checks everywhere.  Each draw
+    is accepted iff :func:`~repro.graphs.properties.component_labels` counts
+    one component.  That check is array passes over the CSR view; it draws
+    no randomness, so the accepted graph and the generator state afterwards
+    depend only on the draws, and the returned graph is still CSR-only.
     """
-    last: Optional[Graph] = None
+    components = 0
     for _ in range(max_attempts):
         candidate = random_regular_graph(n, d, rng, simple=simple, strategy=strategy)
-        last = candidate
-        if nx.is_connected(candidate.to_networkx()):
+        components, _ = component_labels(candidate)
+        if components == 1:
             return candidate
     raise GraphGenerationError(
         f"could not generate a connected {d}-regular graph on {n} nodes "
         f"after {max_attempts} attempts (last attempt had "
-        f"{nx.number_connected_components(last.to_networkx())} components)"
+        f"{components} components)"
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 
-import networkx as nx
 import numpy as np
 
 from ..core.errors import GraphGenerationError
@@ -48,6 +47,8 @@ def gnp_graph(n: int, p: float, rng: RandomSource) -> Graph:
         raise GraphGenerationError(f"G(n,p) needs n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise GraphGenerationError(f"edge probability must be in [0, 1], got {p}")
+    import networkx as nx
+
     nx_graph = nx.fast_gnp_random_graph(n, p, seed=rng.randint(0, 2**31 - 1))
     graph = Graph(range(n))
     for u, v in nx_graph.edges():

@@ -6,21 +6,27 @@ expansion via the expander mixing lemma with second eigenvalue at most
 ``2·sqrt(d-1)·(1+o(1))`` (Friedman's theorem).  This module computes those
 quantities for concrete graphs so experiments and tests can verify that the
 generated substrates actually have the properties the theory assumes.
+
+Connectivity is answered by :func:`component_labels` with array passes over
+the CSR stub view, so checking a million-node graph costs NumPy time and
+never builds Python adjacency lists.  ``networkx`` is left only for the
+exact distance computations (:func:`diameter`,
+:func:`average_shortest_path_length`) and is imported when they run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .base import Graph
 
 __all__ = [
     "GraphProfile",
+    "component_labels",
     "is_connected",
     "connected_components",
     "diameter",
@@ -54,25 +60,106 @@ class GraphProfile:
         return self.second_eigenvalue <= slack * self.friedman_bound
 
 
+def _csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """The graph's stubs as CSR arrays over positions in ``graph.nodes()``.
+
+    Graphs with contiguous ids ``0..n-1`` (every bulk-built graph) hand over
+    their cached CSR view.  Sparse id spaces — materialised graphs after
+    :meth:`Graph.remove_node`, e.g. a churned p2p overlay — are relabelled
+    through ``graph.nodes()`` first.
+    """
+    if graph.has_contiguous_ids():
+        return graph.csr()
+    nodes = graph.nodes()
+    position = {node: index for index, node in enumerate(nodes)}
+    lists = [graph.neighbors(node) for node in nodes]
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([len(adjacency) for adjacency in lists], out=indptr[1:])
+    indices = np.fromiter(
+        (position[other] for adjacency in lists for other in adjacency),
+        dtype=np.int64,
+        count=int(indptr[-1]),
+    )
+    return indptr, indices
+
+
+def component_labels(graph: Graph) -> Tuple[int, np.ndarray]:
+    """``(count, labels)``: the connected components as an integer labelling.
+
+    ``labels[i]`` is the component of ``graph.nodes()[i]``; components are
+    numbered ``0..count-1`` in order of their smallest node.  Self-loops and
+    parallel edges are irrelevant to connectivity and an isolated node is a
+    component of its own.
+
+    The labeller is hook-and-shortcut label propagation over the CSR stub
+    pairs, with no Python loop per node or per component.  Every node starts
+    as its own root.  Each pass hooks the larger root of every edge that
+    still joins two roots onto the smallest root it is joined to
+    (``np.minimum.at``), then pointer-jumps ``labels = labels[labels]`` until
+    every node points at a root again.  Hooks only ever point to smaller
+    ids, so the forest stays acyclic; a root survives a pass only if it is a
+    local minimum among its neighbouring roots, and edges inside one
+    component drop out of the working set as soon as they stop crossing.
+    The surviving roots are the component minima.  Random regular graphs
+    settle in a handful of passes.
+    """
+    indptr, indices = _csr_arrays(graph)
+    n = indptr.size - 1
+    dtype = indices.dtype
+    labels = np.arange(n, dtype=dtype)
+    owners = np.repeat(labels, np.diff(indptr))
+    # Every edge appears once per endpoint; one orientation suffices, and
+    # self-loops never join two components.
+    forward = owners < indices
+    src, dst = owners[forward], indices[forward]
+    while src.size:
+        lo, hi = labels[src], labels[dst]
+        crossing = lo != hi
+        if not crossing.any():
+            break
+        src, dst = src[crossing], dst[crossing]
+        lo, hi = lo[crossing], hi[crossing]
+        np.minimum.at(labels, np.maximum(lo, hi), np.minimum(lo, hi))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    roots = labels == np.arange(n, dtype=dtype)
+    component_of_root = np.cumsum(roots, dtype=dtype) - 1
+    return int(np.count_nonzero(roots)), component_of_root[labels]
+
+
 def is_connected(graph: Graph) -> bool:
-    """True if the graph has a single connected component."""
+    """True if the graph has a single connected component (the empty graph is)."""
     if graph.node_count == 0:
         return True
-    return nx.is_connected(graph.to_networkx())
+    count, _ = component_labels(graph)
+    return count == 1
 
 
-def connected_components(graph: Graph) -> list:
-    """The connected components as a list of node-id sets."""
-    return [set(c) for c in nx.connected_components(graph.to_networkx())]
+def connected_components(graph: Graph) -> List[Set[int]]:
+    """The connected components as node-id sets, ordered by smallest node."""
+    count, labels = component_labels(graph)
+    if count == 0:
+        return []
+    nodes = np.asarray(graph.nodes(), dtype=np.int64)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=count))[:-1]
+    return [set(part.tolist()) for part in np.split(nodes[order], bounds)]
 
 
 def diameter(graph: Graph) -> int:
     """Exact diameter (raises ``networkx.NetworkXError`` if disconnected)."""
+    import networkx as nx
+
     return nx.diameter(graph.to_networkx())
 
 
 def average_shortest_path_length(graph: Graph) -> float:
     """Average hop distance over all node pairs."""
+    import networkx as nx
+
     return nx.average_shortest_path_length(graph.to_networkx())
 
 

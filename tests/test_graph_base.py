@@ -131,6 +131,20 @@ class TestConversionsAndCopy:
         graph.add_edge(0, 1)
         assert graph.to_networkx_multigraph().number_of_edges() == 2
 
+    @pytest.mark.parametrize("build", ["from_edge_array", "from_csr"])
+    @pytest.mark.parametrize("convert", ["to_networkx", "to_networkx_multigraph"])
+    def test_conversions_keep_isolated_nodes_of_bulk_graphs(self, build, convert):
+        import numpy as np
+
+        if build == "from_edge_array":
+            graph = Graph.from_edge_array(5, np.array([[0, 1], [1, 2]]))
+        else:
+            graph = Graph.from_csr(5, np.array([0, 1, 3, 4, 4, 4]), np.array([1, 0, 2, 1]))
+        nx_graph = getattr(graph, convert)()
+        assert sorted(nx_graph.nodes()) == [0, 1, 2, 3, 4]
+        assert nx_graph.number_of_edges() == 2
+        assert nx.number_connected_components(nx_graph) == 3
+
     def test_copy_is_independent(self):
         graph = Graph.from_edges(3, [(0, 1)])
         clone = graph.copy()
