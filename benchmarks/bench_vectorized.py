@@ -39,6 +39,11 @@ MILLION_NODE_BUDGET_SECONDS = 30.0
 #: headroom for allocator jitter while still catching a structural
 #: regression (e.g. an accidental int64 state array) long before 2×.
 MILLION_NODE_PEAK_BUDGET_MB = 55.0
+#: Traced-allocation ceiling for one million-node Algorithm 1 broadcast.  Its
+#: four-choice rounds run the chunked k-distinct sampler, which measures
+#: ~66 MB; the ceiling sits far below the ~167 MB a sampler with full-size
+#: temporaries measures (see BENCH_micro.json "memory_mb").
+ALGORITHM1_MILLION_NODE_PEAK_BUDGET_MB = 80.0
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +137,28 @@ def test_push_million_nodes_peak_memory():
     peak_mb = traced_peak_mb(broadcast)
     print(f"\npush n=1e6 peak traced allocations: {peak_mb:.1f} MB")
     assert peak_mb < MILLION_NODE_PEAK_BUDGET_MB
+
+
+@pytest.mark.perf
+def test_algorithm1_million_nodes_peak_memory():
+    # The k-distinct sampler's bound: chunks fill preallocated channel
+    # arrays, so the peak stays near the engine state plus one round's
+    # channels.  Measured like the push test above (warm graph caches).
+    graph = pairing_multigraph(10**6, 8, RandomSource(seed=7))
+    graph.csr()
+    graph.csr_stats()
+    config = SimulationConfig(engine="vectorized", collect_round_history=False)
+
+    def broadcast():
+        result = run_broadcast(
+            graph, Algorithm1(n_estimate=10**6), seed=11, config=config
+        )
+        assert result.success
+
+    broadcast()
+    peak_mb = traced_peak_mb(broadcast)
+    print(f"\nalgorithm1 n=1e6 peak traced allocations: {peak_mb:.1f} MB")
+    assert peak_mb < ALGORITHM1_MILLION_NODE_PEAK_BUDGET_MB
 
 
 @pytest.mark.perf

@@ -9,9 +9,13 @@ bulk operations over the graph's CSR adjacency view:
    sorted *index pool* (``vector_push_samplers``, maintained incrementally by
    the engine) when it opts into index tracking, or as boolean masks;
 2. every node that needs to sample does so in one batch — a single
-   ``Generator.integers`` gather for fanout 1, a chunked random-key top-``k``
-   selection for larger fanouts — yielding flat ``callers`` / ``callees``
-   channel arrays;
+   ``Generator.random`` draw mapped to stub offsets for fanout 1, a chunked
+   random-key top-``k`` selection for larger fanouts — yielding flat
+   ``callers`` / ``callees`` channel arrays.  The top-``k`` chunks fill
+   preallocated outputs, so their scratch is bounded by the chunk size, and
+   each sampler's ``k`` stubs come out in ascending key order (a full row
+   sort, not ``argpartition``, whose order within the ``k`` depends on
+   NumPy's SIMD dispatch) so loss draws line up on every machine;
 3. failure injection is a Bernoulli array over the channels and transmissions;
 4. deliveries commit sparsely (:meth:`VectorState.commit_delivered`): only the
    uninformed hits are sorted and promoted, so "received in round ``t``,
@@ -158,8 +162,10 @@ __all__ = [
 ]
 
 #: Upper bound on random keys materialised per sampling chunk (rows × max
-#: degree); keeps the k-distinct path's peak memory flat on dense graphs.
-_CHUNK_ENTRIES = 1 << 22
+#: degree): 2¹⁹ float64 keys, 4 MiB.  Each chunk fills its rows of the
+#: preallocated ``callers``/``callees`` outputs, so the k-distinct path's
+#: scratch stays a few chunk-sized arrays whatever the sampler count.
+_CHUNK_ENTRIES = 1 << 19
 
 
 def vectorization_unsupported_reason(
@@ -238,7 +244,7 @@ def vectorization_unsupported_reason(
 
 
 def _fanout1_offsets(
-    uniforms: np.ndarray, sampler_degrees
+    uniforms: np.ndarray, sampler_degrees, dtype: np.dtype
 ) -> np.ndarray:
     """Uniform stub offsets from pre-drawn uniforms (``floor(U · d)``).
 
@@ -249,9 +255,10 @@ def _fanout1_offsets(
     per-sampler array or a scalar (regular graphs).  Both engines draw
     exactly one ``generator.random(k)`` per (replication, round) and map it
     through this function, which is what keeps a batch row's stream identical
-    to a single run's.
+    to a single run's.  ``dtype`` is the CSR index dtype: an offset never
+    exceeds a degree, so it fits wherever the stub positions do.
     """
-    offsets = (uniforms * sampler_degrees).astype(np.int64)
+    offsets = (uniforms * sampler_degrees).astype(dtype)
     np.minimum(offsets, np.asarray(sampler_degrees) - 1, out=offsets)
     return offsets
 
@@ -274,6 +281,12 @@ def _sample_stub_targets(
     and batched engines share one draw sequence per generator by
     construction.  ``uniform_degree`` short-circuits the per-sampler degree
     gathers on regular graphs (it never changes the draw sequence).
+
+    For ``fanout > 1`` each deep sampler's channels are its ``fanout``
+    smallest keys in ascending key order, so the loss and channel-failure
+    draws that follow see the same channel order on every machine.  Only
+    exact float ties between keys remain platform-dependent; their
+    probability is about 3·10⁻¹⁵ per row of 8 keys.
     """
     empty = np.empty(0, dtype=np.int64)
     if samplers.size == 0 or fanout <= 0:
@@ -283,50 +296,62 @@ def _sample_stub_targets(
         # Hot path of the standard model: one uniform stub per node.
         uniforms = generator.random(samplers.size)
         if uniform_degree is not None:
-            offsets = _fanout1_offsets(uniforms, uniform_degree)
+            offsets = _fanout1_offsets(uniforms, uniform_degree, indices.dtype)
             return samplers, indices[samplers * uniform_degree + offsets]
-        offsets = _fanout1_offsets(uniforms, degrees[samplers])
+        offsets = _fanout1_offsets(uniforms, degrees[samplers], indices.dtype)
         return samplers, indices[indptr[samplers] + offsets]
 
     sampler_degrees = degrees[samplers]
     saturated = sampler_degrees <= fanout
+    if saturated.any():
+        full_nodes = samplers[saturated]
+        lengths = sampler_degrees[saturated]
+        deep_nodes = samplers[~saturated]
+        deep_degrees = sampler_degrees[~saturated]
+    else:
+        # Every sampler is deep (e.g. a regular graph of degree > fanout):
+        # use the inputs as they are instead of masked copies.
+        full_nodes = lengths = samplers[:0]
+        deep_nodes, deep_degrees = samplers, sampler_degrees
+    full_total = int(lengths.sum())
+    callers = np.empty(full_total + deep_nodes.size * fanout, dtype=samplers.dtype)
+    callees = np.empty(callers.size, dtype=indices.dtype)
 
     # Saturated nodes (degree <= fanout) call every neighbour.
-    callers_parts = []
-    callees_parts = []
-    full_nodes = samplers[saturated]
     if full_nodes.size:
-        lengths = sampler_degrees[saturated]
-        total = int(lengths.sum())
         starts = np.repeat(indptr[full_nodes], lengths)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
+        within = np.arange(full_total, dtype=np.int64) - np.repeat(
             np.cumsum(lengths) - lengths, lengths
         )
-        callers_parts.append(np.repeat(full_nodes, lengths))
-        callees_parts.append(indices[starts + within])
+        callers[:full_total] = np.repeat(full_nodes, lengths)
+        callees[:full_total] = indices[starts + within]
 
     # Remaining nodes draw a uniform k-subset of stubs via random keys:
     # the k smallest of d iid uniforms index a uniformly random distinct
-    # sample.  Chunked so rows × max-degree stays within a flat budget.
-    deep_nodes = samplers[~saturated]
+    # sample.  Chunked so rows × max-degree stays within a flat budget; each
+    # chunk writes its rows of the preallocated outputs.  The key width is
+    # the global max degree, so the draws do not depend on the chunk size.
     if deep_nodes.size:
-        deep_degrees = sampler_degrees[~saturated]
         max_degree = int(deep_degrees.max())
+        padded = bool((deep_degrees != max_degree).any())
+        column = np.arange(max_degree, dtype=deep_degrees.dtype)
         rows_per_chunk = max(1, _CHUNK_ENTRIES // max_degree)
-        column = np.arange(max_degree, dtype=np.int64)
+        deep_callers = callers[full_total:].reshape(-1, fanout)
+        deep_callees = callees[full_total:].reshape(-1, fanout)
         for start in range(0, deep_nodes.size, rows_per_chunk):
-            nodes = deep_nodes[start : start + rows_per_chunk]
-            node_degrees = deep_degrees[start : start + rows_per_chunk]
+            stop = start + rows_per_chunk
+            nodes = deep_nodes[start:stop]
             keys = generator.random((nodes.size, max_degree))
-            keys[column[None, :] >= node_degrees[:, None]] = np.inf
-            chosen = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
-            positions = indptr[nodes][:, None] + chosen
-            callers_parts.append(np.repeat(nodes, fanout))
-            callees_parts.append(indices[positions.ravel()])
-
-    if not callers_parts:
-        return empty, empty
-    return np.concatenate(callers_parts), np.concatenate(callees_parts)
+            if padded:
+                keys[column >= deep_degrees[start:stop, None]] = np.inf
+            # A full row sort puts the chosen stubs in ascending key order
+            # on every platform; argpartition leaves their order to the
+            # SIMD dispatch, and the loss draws follow that order.
+            chosen = np.argsort(keys, axis=1)[:, :fanout]
+            chosen += indptr[nodes][:, None]
+            deep_callers[start:stop] = nodes[:, None]
+            deep_callees[start:stop] = indices[chosen]
+    return callers, callees
 
 
 def _resolve_failure_model(
@@ -548,9 +573,13 @@ class _BulkEngineBase:
         if k < self._SCRATCH_MIN_SAMPLERS:
             uniforms = generator.random(k)
             if self._uniform_degree is not None:
-                offsets = _fanout1_offsets(uniforms, self._uniform_degree)
+                offsets = _fanout1_offsets(
+                    uniforms, self._uniform_degree, self._indices.dtype
+                )
                 return self._indices[samplers * self._uniform_degree + offsets]
-            offsets = _fanout1_offsets(uniforms, self._degrees[samplers])
+            offsets = _fanout1_offsets(
+                uniforms, self._degrees[samplers], self._indices.dtype
+            )
             return self._indices[self._indptr[samplers] + offsets]
         self._ensure_scratch(k)
         uniforms = self._scratch_uniform[:k]
@@ -1449,10 +1478,12 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         # over the concatenated channel arrays.  ``cols`` holds caller node
         # ids, ``bases`` the ``row * n`` flattening offsets, and ``row_of``
         # the replication of each channel, in ascending-row order throughout
-        # (the per-replication counting and loss draws rely on it).
-        cols = np.empty(0, dtype=np.int64)
-        bases = np.empty(0, dtype=np.int64)
-        callees = np.empty(0, dtype=np.int64)
+        # (the per-replication counting and loss draws rely on it).  The
+        # flat channel arrays use the state's index dtype (int32 below 2³¹
+        # state entries), which can address every ``row * n + node``.
+        index_dtype = state.index_dtype
+        cols = np.empty(0, dtype=index_dtype)
+        callees = np.empty(0, dtype=self._indices.dtype)
         part_rows: List[int] = []
         part_lengths: List[int] = []
         if (push_active or pull_active) and fanout > 0:
@@ -1476,23 +1507,27 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
                         round_index, state, active_rows
                     )
                 if part_rows:
-                    if not pull_active:
-                        bases = np.repeat(
-                            np.asarray(part_rows, dtype=np.int64) * n,
-                            np.asarray(part_lengths, dtype=np.int64),
+                    if not pull_active and uniform is None:
+                        sampler_degrees = self._degrees[cols]
+                    # One draw per replication, each straight into its slice
+                    # of the shared uniforms array (same stream as a fresh
+                    # ``random(size)``).
+                    uniforms = np.empty(cols.size, dtype=np.float64)
+                    position = 0
+                    for row, size in zip(part_rows, part_lengths):
+                        self._live_protocol_gens[row].random(
+                            out=uniforms[position : position + size]
                         )
-                        if uniform is None:
-                            sampler_degrees = self._degrees[cols]
-                    draws = [
-                        self._live_protocol_gens[row].random(size)
-                        for row, size in zip(part_rows, part_lengths)
-                    ]
-                    uniforms = draws[0] if len(draws) == 1 else np.concatenate(draws)
+                        position += size
                     if uniform is not None:
-                        offsets = _fanout1_offsets(uniforms, uniform)
+                        offsets = _fanout1_offsets(
+                            uniforms, uniform, self._indices.dtype
+                        )
                         callees = self._indices[cols * uniform + offsets]
                     else:
-                        offsets = _fanout1_offsets(uniforms, sampler_degrees)
+                        offsets = _fanout1_offsets(
+                            uniforms, sampler_degrees, self._indices.dtype
+                        )
                         callees = self._indices[self._indptr[cols] + offsets]
             else:
                 cols, callees, part_rows, part_lengths = self._per_row_targets(
@@ -1504,12 +1539,11 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         lost = np.zeros(batch, dtype=np.int64)
 
         if cols.size:
-            row_array = np.asarray(part_rows, dtype=np.int64)
+            row_array = np.asarray(part_rows, dtype=index_dtype)
             length_array = np.asarray(part_lengths, dtype=np.int64)
-            if bases.size != cols.size:
-                bases = np.repeat(row_array * n, length_array)
-            callers_flat = cols + bases
-            callees_flat = callees + bases
+            bases = np.repeat(row_array * n, length_array)
+            callers_flat = np.add(cols, bases, dtype=index_dtype)
+            callees_flat = np.add(callees, bases, out=bases)
             row_of: Optional[np.ndarray] = None
             filtered = False
 
@@ -1737,7 +1771,9 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         lost = np.zeros(batch, dtype=np.int64)
         if self._loss_p <= 0.0 or receivers.size == 0:
             return receivers, lost
-        bounds = np.searchsorted(receiver_rows, np.arange(batch + 1))
+        bounds = np.searchsorted(
+            receiver_rows, np.arange(batch + 1, dtype=receiver_rows.dtype)
+        )
         kept_parts: List[np.ndarray] = []
         for row in range(batch):
             start, end = int(bounds[row]), int(bounds[row + 1])

@@ -295,8 +295,7 @@ class Graph:
     def has_self_loop(self) -> bool:
         """True if any node has an edge to itself."""
         if self._lazy_n is not None:
-            _, indices = self._csr_cache
-            return bool((indices == self._stub_owners()).any())
+            return self.csr_stats()[0]
         return any(node in adj for node, adj in self._adjacency.items())
 
     def has_parallel_edges(self) -> bool:
@@ -379,6 +378,9 @@ class Graph:
         indptr, _ = self.csr()
         return np.diff(indptr)
 
+    #: Nodes per block of :meth:`csr_stats`'s self-loop scan.
+    _STATS_BLOCK_NODES = 1 << 16
+
     def csr_stats(self) -> Tuple[bool, Optional[int]]:
         """``(has_self_loops, uniform_degree)`` for the CSR view, cached with it.
 
@@ -388,14 +390,25 @@ class Graph:
         derive, so they live here next to the CSR cache — computed once per
         graph, invalidated together with it on mutation — instead of being
         recomputed by every engine construction in a per-seed loop.
+
+        The self-loop check walks the nodes in blocks of
+        :attr:`_STATS_BLOCK_NODES`, comparing each block's stubs against
+        their owners, and stops at the first loop.  Its scratch is one
+        block's owner array, not one entry per stub.
         """
         if self._csr_stats is None:
             indptr, indices = self.csr()
             degrees = np.diff(indptr)
-            owners = np.repeat(
-                np.arange(indptr.size - 1, dtype=np.int64), degrees
-            )
-            has_loops = bool((indices == owners).any())
+            n = degrees.size
+            has_loops = False
+            for start in range(0, n, self._STATS_BLOCK_NODES):
+                stop = min(start + self._STATS_BLOCK_NODES, n)
+                owners = np.repeat(
+                    np.arange(start, stop, dtype=indices.dtype), degrees[start:stop]
+                )
+                if (indices[indptr[start] : indptr[stop]] == owners).any():
+                    has_loops = True
+                    break
             uniform = (
                 int(degrees[0])
                 if degrees.size and (degrees == degrees[0]).all()

@@ -48,6 +48,10 @@ __all__ = [
     "repair_to_simple",
 ]
 
+#: Stub entries per pass of the pairing build's scatter and gather loops;
+#: bounds their scratch at a few MiB whatever the graph size.
+_BUILD_CHUNK = 1 << 20
+
 
 def validate_regular_parameters(n: int, d: int) -> None:
     """Validate that an ``n``-node ``d``-regular graph can exist.
@@ -97,6 +101,14 @@ def pairing_multigraph(n: int, d: int, rng: RandomSource) -> Graph:
     sort reproduces the stable-argsort stub order exactly, so this build
     returns the identical graph (same CSR arrays, same generator state) as
     the edge-array path, about 3x faster at ``n = 10^6``.
+
+    Memory: besides the permutation, the build owns one work buffer of
+    ``2m`` index-dtype entries.  The inverse scatter fills it chunk by chunk,
+    the row sort runs in place, and the partner gather overwrites it chunk
+    by chunk, so the buffer itself becomes ``indices``.  Scratch beyond the
+    two arrays is bounded by :data:`_BUILD_CHUNK` entries.  The traced peak
+    at ``n = 10^6, d = 8`` is ~96 MB, set by the int64 permutation and its
+    int32 copy.  Draws are unchanged.
     """
     validate_regular_parameters(n, d)
     two_m = n * d
@@ -107,14 +119,23 @@ def pairing_multigraph(n: int, d: int, rng: RandomSource) -> Graph:
     # original positions v*d .. v*d+d-1, and shuffled positions p and p^1 are
     # matched (consecutive entries pair up).
     pi = rng.generator.permutation(two_m).astype(dtype, copy=False)
-    inverse = np.empty(two_m, dtype=dtype)
-    inverse[pi] = np.arange(two_m, dtype=dtype)
+    # The inverse permutation: buffer[s] = shuffled position of stub s.
+    buffer = np.empty(two_m, dtype=dtype)
+    for start in range(0, two_m, _BUILD_CHUNK):
+        stop = min(start + _BUILD_CHUNK, two_m)
+        buffer[pi[start:stop]] = np.arange(start, stop, dtype=dtype)
     # Each row holds one node's d shuffled positions; ascending order matches
     # the stable grouping sort of the edge-array build.
-    positions = np.sort(inverse.reshape(n, d), axis=1)
-    partners = pi[positions.ravel() ^ 1] // d
-    indptr = np.arange(n + 1, dtype=np.int64) * d
-    return Graph.from_csr(n, indptr, partners)
+    buffer.reshape(n, d).sort(axis=1)
+    # Position p is matched with p ^ 1, whose stub belongs to node
+    # pi[p ^ 1] // d: overwrite each position with that partner node.
+    for start in range(0, two_m, _BUILD_CHUNK):
+        block = buffer[start : start + _BUILD_CHUNK]
+        np.bitwise_xor(block, 1, out=block)
+        block[...] = pi[block]
+        np.floor_divide(block, d, out=block)
+    indptr = np.arange(0, two_m + 1, d, dtype=dtype)
+    return Graph.from_csr(n, indptr, buffer)
 
 
 def _pairing_edge_array(n: int, d: int, rng: RandomSource) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.errors import GraphGenerationError
 from repro.core.rng import RandomSource
+from repro.graphs import configuration_model
 from repro.graphs.base import Graph
 from repro.graphs.configuration_model import (
     _random_pairing,
@@ -23,9 +24,8 @@ class TestPairingDirectCsrBuild:
     """The permutation-inverse CSR build must match the edge-array build bit
     for bit: same CSR arrays, same generator stream afterwards."""
 
-    @pytest.mark.parametrize("seed", [1, 7, 2008])
-    @pytest.mark.parametrize("n,d", [(2, 1), (64, 3), (100, 4), (501, 6), (256, 16)])
-    def test_bit_identical_to_edge_array_build(self, seed, n, d):
+    @staticmethod
+    def _assert_matches_edge_array_build(seed, n, d):
         direct_rng = RandomSource(seed=seed)
         direct = pairing_multigraph(n, d, direct_rng)
 
@@ -35,10 +35,24 @@ class TestPairingDirectCsrBuild:
 
         assert np.array_equal(direct.csr()[0], reference.csr()[0])
         assert np.array_equal(direct.csr()[1], reference.csr()[1])
+        assert direct.csr()[1].dtype == reference.csr()[1].dtype
         assert direct.edge_count == reference.edge_count
         # Both paths must consume the identical amount of randomness.
         probe = 2**31
         assert direct_rng.generator.integers(0, probe) == reference_rng.generator.integers(0, probe)
+
+    @pytest.mark.parametrize("seed", [1, 7, 2008])
+    @pytest.mark.parametrize("n,d", [(2, 1), (64, 3), (100, 4), (501, 6), (256, 16)])
+    def test_bit_identical_to_edge_array_build(self, seed, n, d):
+        self._assert_matches_edge_array_build(seed, n, d)
+
+    # 400 and 3006 stubs: one exact chunk, full chunks plus a partial last
+    # one, and one stub per chunk.
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 400])
+    @pytest.mark.parametrize("n,d", [(100, 4), (501, 6)])
+    def test_bit_identical_across_build_chunks(self, monkeypatch, chunk, n, d):
+        monkeypatch.setattr(configuration_model, "_BUILD_CHUNK", chunk)
+        self._assert_matches_edge_array_build(2008, n, d)
 
     def test_materialised_adjacency_matches_csr(self):
         graph = pairing_multigraph(50, 4, RandomSource(seed=5))
