@@ -6,7 +6,7 @@ serial one (per-round history included — parallelism must never change a
 number), and measures the speedup.  The speedup floor is only asserted when
 the machine actually has more than one usable core: on a single-core
 container the parallel run cannot beat serial, so there the test instead
-bounds the orchestration overhead (wire serialisation, checkpoint-format
+bounds the orchestration overhead (wire serialisation, result-payload
 round trip, pool management) to at most 2x.
 
 Recorded numbers live in ``BENCH_micro.json`` under ``parallel_sweep_e1``.

@@ -6,14 +6,18 @@ processes — and fails (exit code 1) unless the merged table is identical to
 the serial one: same rows, columns, notes, title, and recorded scenario
 spec.  Only ``metadata["distributed"]`` (worker count, wall-clock, shard
 layout) may differ, because that block records *how* the table was produced,
-never *what* it contains.
+never *what* it contains.  A shard-reassembly phase follows: two
+``shard=(i, 2)`` runs stream into one directory, and an unsharded
+``resume=True`` run over it must run no point and produce the serial table.
 
 ``--chaos`` additionally replays every bundled fault plan
-(:func:`repro.faultinject.bundled_plans`) against the parallel run: worker
-kills, double transient errors, timeout stalls, and torn checkpoint writes
-must all be survived **bit-identically** to the serial table, and the
-poison-point plan must quarantine exactly its designed point while every
-other row still matches the serial run.  The chaos phase finishes with a
+(:func:`repro.faultinject.bundled_plans`) against the parallel run, each
+streaming into a fsync'd temporary stream directory: worker kills, double
+transient errors and timeout stalls must all be survived
+**bit-identically** to the serial table, and the poison-point plan must
+quarantine exactly its designed point while every other row still matches
+the serial run.  The streaming sink's disk-fault plans follow (torn writes,
+ENOSPC, fsync failures).  The chaos phase finishes with a
 churn-under-worker-faults plan: the bundled dynamic-membership sweep
 (``examples/specs/e8_churn.json``) run under the worker-kill plan must also
 recover bit-identically — vectorized churn state (tombstones, joins, node
@@ -96,8 +100,48 @@ def main(argv=None) -> int:
         f"({len(serial_table.rows)} rows, "
         f"{parallel_table.metadata['distributed']['points_total']} points)"
     )
+    if run_reassembly(spec, args.workers, serial_table):
+        return 1
     if args.chaos:
         return run_chaos(spec, point_count, args.workers, serial_table)
+    return 0
+
+
+def run_reassembly(spec, workers, serial_table) -> int:
+    """Two shards stream into one directory; an unsharded resume merges them.
+
+    This is the multi-host pattern: each host runs ``--shard i/k`` into a
+    shared (or later combined) stream directory, and one ``--resume`` pass
+    without ``--shard`` must rebuild the serial table without re-running a
+    single point.
+    """
+    import tempfile
+
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as stream_dir:
+        for index in range(2):
+            run_spec(spec, workers=workers, shard=(index, 2), stream_dir=stream_dir)
+        run = run_spec(spec, workers=workers, stream_dir=stream_dir, resume=True)
+    elapsed = time.perf_counter() - start
+    table = run.to_table()
+    mismatched = [
+        attribute
+        for attribute in ("title", "columns", "rows", "notes")
+        if getattr(serial_table, attribute) != getattr(table, attribute)
+    ]
+    if run.provenance["points_run"] != 0:
+        mismatched.append(f"points_run={run.provenance['points_run']} (expected 0)")
+    if mismatched:
+        print(
+            f"REASSEMBLY FAILURE: differs from serial in {', '.join(mismatched)}",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"shard reassembly {elapsed:.2f}s: 2 shards streamed into one "
+        f"directory, unsharded resume ran 0 points and resumed "
+        f"{run.provenance['points_resumed']}; table identical to serial"
+    )
     return 0
 
 
@@ -118,13 +162,13 @@ def run_chaos(spec, point_count, workers, serial_table) -> int:
     exit_code = 0
     for name, plan in bundled_plans(point_count, stall_duration=8.0).items():
         start = time.perf_counter()
-        with tempfile.TemporaryDirectory() as checkpoint_dir:
+        with tempfile.TemporaryDirectory() as stream_dir:
             chaos_table = run_spec(
                 spec,
                 workers=workers,
                 retry=retry,
                 fault_plan=plan,
-                checkpoint_dir=checkpoint_dir,
+                stream_dir=stream_dir,
             ).to_table()
         elapsed = time.perf_counter() - start
         provenance = chaos_table.metadata["distributed"]
@@ -204,13 +248,13 @@ def run_churn_chaos(workers) -> int:
         timeout_seconds=30.0,
     )
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as checkpoint_dir:
+    with tempfile.TemporaryDirectory() as stream_dir:
         chaos_table = run_spec(
             spec,
             workers=workers,
             retry=retry,
             fault_plan=plan,
-            checkpoint_dir=checkpoint_dir,
+            stream_dir=stream_dir,
         ).to_table()
     elapsed = time.perf_counter() - start
     provenance = chaos_table.metadata["distributed"]

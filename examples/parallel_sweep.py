@@ -7,7 +7,7 @@ Runs one protocol x size grid four ways and shows they are bit-identical:
 2. fanned out over two worker processes (`run_spec(spec, workers=2)`),
 3. as two independent shard runs merged with `repro.merge_runs` — the
    pattern for spreading one sweep across several hosts,
-4. interrupted after half the grid and resumed from its checkpoints.
+4. interrupted after half the grid and resumed from its stream directory.
 
 The label-keyed seed derivation makes every grid point's randomness
 independent of where (and in which order) it executes, so parallelism never
@@ -72,18 +72,18 @@ def main() -> None:
         f"{len(merged.points)} points, bit-identical to serial\n"
     )
 
-    print("4. Interrupt after half the grid, then resume from checkpoints:")
-    with tempfile.TemporaryDirectory() as checkpoint_dir:
-        run_spec(spec, points=slice(0, 3), checkpoint_dir=checkpoint_dir)
+    print("4. Interrupt after half the grid, then resume from the stream:")
+    with tempfile.TemporaryDirectory() as stream_dir:
+        run_spec(spec, points=slice(0, 3), stream_dir=stream_dir)
         print("   ...pretend the machine died here...")
-        resumed = run_spec(spec, workers=2, checkpoint_dir=checkpoint_dir, resume=True)
+        resumed = run_spec(spec, workers=2, stream_dir=stream_dir, resume=True)
         assert resumed.results() == serial.results()
         print(
             "   resumed run re-executed only "
             f"{resumed.provenance['points_run']} of "
             f"{resumed.provenance['points_total']} points "
-            f"({resumed.provenance['points_resumed']} from checkpoints), "
-            "still bit-identical\n"
+            f"({resumed.provenance['points_resumed']} from the stream "
+            "directory), still bit-identical\n"
         )
 
     print(merged.to_table().render())

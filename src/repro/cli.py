@@ -133,17 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I/K",
         help=(
             "run only shard I of K (zero-based contiguous slice of the grid); "
-            "for multi-host sweeps give every shard a --checkpoint-dir, "
-            "combine the directories, and reassemble with --resume"
-        ),
-    )
-    run_spec_cmd.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write one checkpoint file per completed grid point to DIR so an "
-            "interrupted sweep can be resumed"
+            "for multi-host sweeps give every shard a --stream-dir, combine "
+            "the directories, and reassemble with an unsharded --resume"
         ),
     )
     run_spec_cmd.add_argument(
@@ -172,8 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help=(
-            "skip grid points already durable in --checkpoint-dir and/or "
-            "--stream-dir (the directory must belong to this exact spec)"
+            "skip grid points already durable in --stream-dir, including "
+            "every shard's when run unsharded (the directory must belong to "
+            "this exact spec)"
         ),
     )
     run_spec_cmd.add_argument(
@@ -488,12 +480,12 @@ def _run_run_spec(args: argparse.Namespace) -> int:
     from .dist.resilience import RetryPolicy, SweepInterrupted
     from .dist.sink import SinkFullError
 
-    if args.resume and args.checkpoint_dir is None and args.stream_dir is None:
+    if args.resume and args.stream_dir is None:
         # Fail before any work (or spec parsing) happens: a typo'd resume
         # would otherwise silently re-run the whole sweep from scratch.
         raise ConfigurationError(
-            "--resume requires --checkpoint-dir or --stream-dir: resuming "
-            "needs the directory that holds the earlier run's durable points"
+            "--resume requires --stream-dir: resuming needs the directory "
+            "that holds the earlier run's durable points"
         )
 
     spec = load_spec(args.spec_file)
@@ -520,7 +512,6 @@ def _run_run_spec(args: argparse.Namespace) -> int:
             spec,
             workers=args.workers,
             shard=args.shard,
-            checkpoint_dir=args.checkpoint_dir,
             stream_dir=args.stream_dir,
             fsync_every=args.fsync_every,
             resume=args.resume,

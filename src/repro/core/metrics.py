@@ -166,7 +166,7 @@ class RunResult:
 
         All counters are coerced to plain Python scalars and ``metadata`` is
         deep-copied, so the payload survives ``json.dumps`` untouched.  The
-        distributed sweep executor uses this as the wire/checkpoint format;
+        distributed sweep executor uses this as the wire and stream format;
         :meth:`from_dict` reconstructs a result that compares equal to the
         original down to per-round history.
         """

@@ -3,28 +3,28 @@
 ``repro.dist`` scales :func:`repro.spec.run_spec` horizontally: it splits a
 scenario's row-major sweep grid into deterministic shards
 (:mod:`~repro.dist.partition`), fans the points out over worker processes
-(:class:`~repro.dist.executor.ParallelScenarioExecutor`), checkpoints each
-completed point so interrupted sweeps resume where they stopped
-(:mod:`~repro.dist.checkpoint`), and merges worker outputs back into one
-:class:`~repro.spec.ScenarioRun` that is **bit-identical** to the serial
-run — the label-keyed seed derivation makes every point's randomness
-independent of where (and in which order) it executes.
+(:class:`~repro.dist.executor.ParallelScenarioExecutor`), and merges worker
+outputs back into one :class:`~repro.spec.ScenarioRun` that is
+**bit-identical** to the serial run — the label-keyed seed derivation makes
+every point's randomness independent of where (and in which order) it
+executes.
 
 The executor is fault-tolerant (:mod:`~repro.dist.resilience`): failing
 points are isolated, retried with deterministic backoff, and quarantined
 after exhausting their budget; dead workers are detected and their in-flight
 points resubmitted; per-point wall-clock budgets catch stalls; a pool that
 keeps dying degrades gracefully to in-process serial execution; and
-SIGINT/SIGTERM shut the sweep down cleanly into a resumable checkpoint
+SIGINT/SIGTERM shut the sweep down cleanly into a resumable stream
 directory (:class:`SweepInterrupted`).  Deterministic fault injection for
 all of it lives in :mod:`repro.faultinject`.
 
-For grids too large to hold in memory, the **streaming result sink**
-(:mod:`~repro.dist.sink`) appends every completed point to checksummed,
-fsync'd segment files behind a write-ahead manifest: a sweep killed with
+The one durable store is the **streaming result sink**
+(:mod:`~repro.dist.sink`): it appends every completed point to checksummed,
+fsync'd segment files behind a write-ahead manifest.  A sweep killed with
 ``kill -9`` at any byte offset resumes from exactly what reached the disk
-(torn tails are quarantined, never guessed at), and the merged table is
-produced by a k-way streaming merge in O(segments) memory
+(torn tails are quarantined, never guessed at); shards streaming into one
+directory are reassembled by a single unsharded resume; and the merged
+table is produced by a k-way streaming merge in O(segments) memory
 (:func:`merge_streams`, :func:`streamed_table`).  ``ENOSPC`` degrades
 gracefully into a resumable :class:`SinkFullError`.
 
@@ -33,7 +33,6 @@ the machinery behind it, exposed for callers that need shard-level control
 (e.g. running one shard per host and merging with :func:`merge_runs`).
 """
 
-from .checkpoint import CHECKPOINT_SCHEMA, CheckpointStore, spec_fingerprint
 from .executor import ParallelScenarioExecutor, merge_runs
 from .resilience import (
     PointFailure,
@@ -63,13 +62,12 @@ from .sink import (
     StreamingResultSink,
     merge_streams,
     point_run_from_payload,
+    spec_fingerprint,
     stream_payloads,
     streamed_table,
 )
 
 __all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CheckpointStore",
     "spec_fingerprint",
     "ParallelScenarioExecutor",
     "merge_runs",

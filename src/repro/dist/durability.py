@@ -1,4 +1,4 @@
-"""Durable filesystem primitives shared by the checkpoint and sink layers.
+"""Durable filesystem primitives for the streaming result sink.
 
 POSIX gives three separate durability obligations for "this file now exists
 with these bytes, even after a power loss":
@@ -11,9 +11,9 @@ with these bytes, even after a power loss":
    the directory's dirty metadata.
 
 Skipping (1) can leave a zero-length or torn file under the final name after
-a crash; skipping (3) can lose the file entirely.  Both checkpoint files and
-the streaming sink's manifest use :func:`atomic_write_text`, which performs
-all three; segment appends fsync their own descriptor on the sink's cadence.
+a crash; skipping (3) can lose the file entirely.  The streaming sink's
+manifest goes through :func:`atomic_write_text`, which performs all three;
+segment appends fsync their own descriptor on the sink's cadence.
 
 Directory fsync is not supported everywhere (notably some network and
 Windows filesystems return ``EINVAL``/``EBADF``); :func:`fsync_dir` treats

@@ -42,21 +42,21 @@ The executor is **fault-tolerant** (see :mod:`repro.dist.resilience`):
   degrades gracefully to in-process serial execution of the remaining
   points;
 * SIGINT/SIGTERM trigger a clean shutdown: ready results are flushed to
-  their checkpoints, the pool is terminated, stale temp files are swept,
-  and :class:`SweepInterrupted` reports how to resume.
+  the stream directory, the pool is terminated, and
+  :class:`SweepInterrupted` reports how to resume.
 
-Checkpoints (optional) are written by the parent as points complete, so an
-interrupted sweep resumes where it stopped; sharded runs
+With ``stream_dir`` set, every completed point is **streamed** to a
+crash-safe on-disk sink (:class:`~repro.dist.sink.StreamingResultSink`) —
+the one durable store a sweep has: records are appended as checksummed,
+fsync'd segment entries instead of being held in memory, a ``kill -9`` at
+any byte offset resumes from exactly what reached the disk, and the final
+run is materialised by a k-way streaming merge.  Sharded runs
 (:func:`~repro.dist.partition.select_indices`) execute a deterministic
-subset of the grid, and :func:`merge_runs` reassembles shard outputs into
-the one full-grid run.  With ``stream_dir`` set, every completed point is
-additionally **streamed** to a crash-safe on-disk sink
-(:class:`~repro.dist.sink.StreamingResultSink`): records are appended as
-checksummed, fsync'd segment entries instead of being held in memory, a
-``kill -9`` at any byte offset resumes from exactly what reached the disk,
-and the final run is materialised by a k-way streaming merge.
-Deterministic fault injection for all of the above lives in
-:mod:`repro.faultinject` (``run_spec(fault_plan=...)``).
+subset of the grid and tag their segments; :func:`merge_runs` reassembles
+in-memory shard outputs, and an unsharded resume over a shared stream
+directory reassembles streamed ones.  Deterministic fault injection for
+all of the above lives in :mod:`repro.faultinject`
+(``run_spec(fault_plan=...)``).
 """
 
 from __future__ import annotations
@@ -80,14 +80,13 @@ from typing import (
 )
 
 from ..core.errors import ConfigurationError
-from ..core.metrics import RunResult
 from ..faultinject.plan import FaultInjector, FaultPlan
 from ..spec.run import PointRun, ScenarioRun
 from ..spec.scenario import ScenarioSpec
-from .checkpoint import CheckpointStore, PathLike
+from .durability import PathLike
 from .partition import ExpandedPoint, ShardLike, expand_points, parse_shard, select_indices
 from .progress import PointProgress, ProgressCallback
-from .sink import SinkError, StreamingResultSink, point_run_from_payload
+from .sink import StreamingResultSink, point_run_from_payload
 from .resilience import (
     PointFailure,
     RetryPolicy,
@@ -146,7 +145,7 @@ def _init_worker(
 def _execute_task(
     runner, task, injector: Optional[FaultInjector] = None
 ) -> Dict[str, object]:
-    """Run one grid point and return its checkpoint/wire payload."""
+    """Run one grid point and return its wire payload."""
     index, values, label, spec_dict, dispatch = task
     started = time.perf_counter()
     if injector is not None:
@@ -205,7 +204,7 @@ def _group_by_graph(
 
     Group order follows first appearance in the (row-major) grid and tasks
     keep their grid order within a group; grouping only affects which
-    *worker* a point lands on (and hence checkpoint/progress completion
+    *worker* a point lands on (and hence stream/progress completion
     order), never its seeds or results — points merge by grid index.  With
     one worker every point is its own group, preserving exact grid order.
 
@@ -301,9 +300,6 @@ class ParallelScenarioExecutor:
         Worker process count.  ``1`` executes in-process (no pool) but still
         routes every point through the serialised wire format, so the output
         is byte-for-byte what a multi-process run produces.
-    checkpoint_dir:
-        When set, one checkpoint file per completed point is written there
-        (see :class:`CheckpointStore`); an interrupted sweep keeps them.
     stream_dir:
         When set, every completed point is appended to a crash-safe
         streaming sink there (:class:`~repro.dist.sink.StreamingResultSink`)
@@ -313,7 +309,7 @@ class ParallelScenarioExecutor:
         offset costs at most the records inside the durability window.
         The returned run is materialised from the sink by a streaming
         merge; sharded runs tag their segments so one collection directory
-        can serve every shard.
+        can serve every shard, and an unsharded resume reassembles them.
     fsync_every:
         Sink fsync cadence (default 1: every record durable before the
         sweep proceeds).  Ignored without ``stream_dir``.
@@ -321,12 +317,10 @@ class ParallelScenarioExecutor:
         ``False`` disables the sink's fsync calls entirely (tests,
         throwaway sweeps on tmpfs).  Ignored without ``stream_dir``.
     resume:
-        Skip points that are already durable — in the stream directory
-        and/or the checkpoint directory (requires at least one of them).
-        The scenario fingerprint is verified, so a directory from a
-        different spec fails loudly.  With both directories set,
-        checkpointed points missing from the stream are replayed into it
-        without re-execution.
+        Skip points that are already durable in the stream directory
+        (requires ``stream_dir``), including every shard's records when
+        the run itself is unsharded.  The scenario fingerprint is
+        verified, so a directory from a different spec fails loudly.
     progress:
         Optional per-point callback (see :mod:`repro.dist.progress`).
     mp_context:
@@ -343,7 +337,6 @@ class ParallelScenarioExecutor:
     """
 
     workers: int = 1
-    checkpoint_dir: Optional[PathLike] = None
     stream_dir: Optional[PathLike] = None
     fsync_every: int = 1
     stream_durable: bool = True
@@ -358,10 +351,10 @@ class ParallelScenarioExecutor:
             raise ConfigurationError(
                 f"workers must be a positive int, got {self.workers!r}"
             )
-        if self.resume and self.checkpoint_dir is None and self.stream_dir is None:
+        if self.resume and self.stream_dir is None:
             raise ConfigurationError(
-                "resume=True requires a checkpoint directory (checkpoint_dir) "
-                "or a stream directory (stream_dir)"
+                "resume=True requires a stream directory (stream_dir): "
+                "resuming reads the durable records of the earlier run"
             )
         self._interrupt_requested = False
 
@@ -378,7 +371,7 @@ class ParallelScenarioExecutor:
         worker count, shard layout, resume statistics, wall-clock, and the
         recovery ledger (retries, pool restarts, quarantined points under
         ``"failures"``).  Raises :class:`SweepInterrupted` on SIGINT /
-        SIGTERM after flushing completed checkpoints.
+        SIGTERM after flushing completed points to the stream directory.
         """
         started = time.perf_counter()
         all_points = expand_points(spec)
@@ -391,13 +384,6 @@ class ParallelScenarioExecutor:
             if self.fault_plan is not None
             else None
         )
-
-        store: Optional[CheckpointStore] = None
-        completed_payloads: Dict[int, Dict[str, object]] = {}
-        if self.checkpoint_dir is not None:
-            store = CheckpointStore(self.checkpoint_dir, spec)
-            if self.resume:
-                completed_payloads = store.load()
 
         sink: Optional[StreamingResultSink] = None
         if self.stream_dir is not None:
@@ -423,32 +409,15 @@ class ParallelScenarioExecutor:
         state = _RunState(total=total, total_selected=len(selected))
         point_runs: Dict[int, PointRun] = {}
         streamed = sink.recovered_indices if sink is not None else frozenset()
-        skipped: set = set()
-        resumed = 0
+        pending = [p for p in selected if p.index not in streamed]
+        resumed = len(selected) - len(pending)
+        state.completed = resumed
         for point in selected:
             if point.index in streamed:
-                skipped.add(point.index)
-                resumed += 1
-                state.completed += 1
                 self._emit(point.index, total, point.label, 0.0, source="stream")
-                continue
-            payload = completed_payloads.get(point.index)
-            if payload is None:
-                continue
-            if sink is not None:
-                # Checkpoint -> stream replay: the point is already computed,
-                # it only needs to reach the sink's durable record format.
-                sink.append(payload)
-            else:
-                point_runs[point.index] = point_run_from_payload(payload)
-            skipped.add(point.index)
-            resumed += 1
-            state.completed += 1
-            self._emit(point.index, total, point.label, 0.0, source="checkpoint")
 
         from ..experiments.runner import ExperimentRunner
 
-        pending = [p for p in selected if p.index not in skipped]
         graphs_distinct = len(
             {ExperimentRunner.graph_cache_key(p.spec.graph) for p in pending}
         )
@@ -462,13 +431,6 @@ class ParallelScenarioExecutor:
 
         def handle_payload(payload: Dict[str, object]) -> None:
             index = int(payload["index"])
-            if store is not None:
-                path = store.save(payload)
-                if parent_injector is not None:
-                    # Deliberately torn write: this run's in-memory result is
-                    # intact; a later resume quarantines the file and re-runs
-                    # the point (asserted in the chaos suite).
-                    parent_injector.corrupt_checkpoint(index, path)
             if sink is not None:
                 segment, start, end = sink.append(payload)
                 if parent_injector is not None:
@@ -502,13 +464,9 @@ class ParallelScenarioExecutor:
                     self._run_inline(groups, runner_kwargs, state, handle_payload)
                 else:
                     self._run_pool(groups, runner_kwargs, state, handle_payload)
-        except SweepInterrupted:
-            if store is not None:
-                store.discard_stale_temps()
-            if sink is not None:
-                sink.close(strict=False)
-            raise
-        except SinkError:
+        except BaseException:
+            # Whatever stopped the sweep, fsync what was appended and release
+            # the segment handle; the original exception still propagates.
             if sink is not None:
                 sink.close(strict=False)
             raise
@@ -556,9 +514,6 @@ class ParallelScenarioExecutor:
                 self.fault_plan.to_dict() if self.fault_plan is not None else None
             ),
             "wall_clock_seconds": round(time.perf_counter() - started, 6),
-            "checkpoint_dir": (
-                str(self.checkpoint_dir) if self.checkpoint_dir is not None else None
-            ),
             "stream": sink.stats() if sink is not None else None,
         }
         return run
@@ -615,9 +570,6 @@ class ParallelScenarioExecutor:
         return SweepInterrupted(
             completed=state.completed,
             total=state.total_selected,
-            checkpoint_dir=(
-                str(self.checkpoint_dir) if self.checkpoint_dir is not None else None
-            ),
             stream_dir=(
                 str(self.stream_dir) if self.stream_dir is not None else None
             ),
@@ -796,7 +748,7 @@ class ParallelScenarioExecutor:
             while pending or delayed or in_flight:
                 if self._interrupt_requested:
                     # Flush whatever already finished so completed points
-                    # reach their checkpoints before the pool dies.
+                    # reach the stream directory before the pool dies.
                     for future in [f for f in list(in_flight) if f.done()]:
                         group, _ = in_flight.pop(future)
                         collect(future, group)

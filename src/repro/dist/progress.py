@@ -42,15 +42,13 @@ class PointProgress:
     elapsed_seconds:
         Wall-clock spent executing the point (as measured where it ran —
         inside the worker process for parallel runs).  ``0.0`` for points
-        restored from a checkpoint.
+        a resume skipped.
     source:
-        ``"run"`` for freshly executed points, ``"checkpoint"`` for points
-        skipped because a resume found their checkpoint file, ``"stream"``
-        for points skipped because a resume found them durably recorded in
-        the stream directory (:class:`~repro.dist.sink.StreamingResultSink`),
-        and ``"quarantined"`` for points the resilience layer gave up on
-        after exhausting their retry budget (the sweep continues without
-        them).
+        ``"run"`` for freshly executed points, ``"stream"`` for points
+        skipped because a resume found them durably recorded in the stream
+        directory (:class:`~repro.dist.sink.StreamingResultSink`), and
+        ``"quarantined"`` for points the resilience layer gave up on after
+        exhausting their retry budget (the sweep continues without them).
     attempt:
         Which execution attempt produced this event (1 = first try; > 1
         means the resilience layer retried the point after failures).
@@ -74,9 +72,7 @@ def _format(progress: PointProgress) -> str:
             f"point {progress.index + 1}/{progress.total} {progress.label} "
             f"quarantined after {progress.attempt} failed attempt(s)"
         )
-    origin = (
-        f" ({progress.source})" if progress.source in ("checkpoint", "stream") else ""
-    )
+    origin = " (stream)" if progress.source == "stream" else ""
     retried = f" (attempt {progress.attempt})" if progress.attempt > 1 else ""
     return (
         f"point {progress.index + 1}/{progress.total} {progress.label} "

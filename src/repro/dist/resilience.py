@@ -17,8 +17,8 @@ Three pieces live here:
 * :class:`PointFailure` — the JSON-safe record of one quarantined point
   (every failed attempt's error is kept, so post-mortems need no logs).
 * :class:`SweepInterrupted` — raised on SIGINT/SIGTERM after the executor
-  has terminated the pool and flushed every completed checkpoint; the
-  message states how to resume.
+  has terminated the pool and flushed every completed point to the stream
+  directory; the message states how to resume.
 
 None of this changes any result bit: recovery only re-executes points, and
 the seed = f(master, label) discipline makes a re-executed point
@@ -173,47 +173,32 @@ class SweepInterrupted(ReproError):
 
     Raised by :class:`~repro.dist.executor.ParallelScenarioExecutor` once the
     worker pool has been terminated and every already-completed point has
-    been flushed to its checkpoint file — the checkpoint directory is left
-    in a resumable state (no stray ``.json.tmp`` files, no lost finished
-    points).
+    been appended to the stream directory, which is left resumable.
 
     Attributes
     ----------
     completed / total:
-        Points finished (checkpointed when a directory was given) versus
-        points selected for this run.
-    checkpoint_dir:
-        Where the completed points were flushed, or ``None``.
+        Points finished versus points selected for this run.
     stream_dir:
         The streaming-sink directory holding the durable records, or
-        ``None``.  Either directory makes the interrupt resumable.
+        ``None`` (then the interrupt is not resumable).
     """
 
     def __init__(
-        self,
-        completed: int,
-        total: int,
-        checkpoint_dir: Optional[str] = None,
-        stream_dir: Optional[str] = None,
+        self, completed: int, total: int, stream_dir: Optional[str] = None
     ) -> None:
         self.completed = completed
         self.total = total
-        self.checkpoint_dir = checkpoint_dir
         self.stream_dir = stream_dir
-        if checkpoint_dir:
-            resume_hint = (
-                "; resume with the same checkpoint directory "
-                f"({checkpoint_dir}) and resume=True (CLI: --resume)"
-            )
-        elif stream_dir:
+        if stream_dir:
             resume_hint = (
                 f"; resume with the same stream directory ({stream_dir}) "
                 "and resume=True (CLI: --resume)"
             )
         else:
             resume_hint = (
-                "; re-run with a checkpoint or stream directory to make "
-                "interrupts resumable"
+                "; re-run with a stream directory (stream_dir, CLI: "
+                "--stream-dir) to make interrupts resumable"
             )
         super().__init__(
             f"sweep interrupted: {completed} of {total} selected point(s) "

@@ -1,13 +1,12 @@
-"""Crash-safe streaming result sink for scenario sweeps.
+"""Crash-safe streaming result sink: the one durable store of a sweep.
 
-``repro.dist`` holds merged sweep results in memory and (optionally) writes
-one checkpoint file per point.  For 10⁴–10⁶-point grids that is the wrong
-shape twice over: memory grows with the grid, and a crash between
-checkpoint writes can still lose completed work.  This module provides the
-third result path: every completed grid point is **appended** to an
-on-disk segment file as one self-validating record, durable up to a
-configurable fsync cadence, and the merged table is produced by a
-**streaming** k-way merge whose memory is O(segments), not O(points).
+A sweep run with a stream directory **appends** every completed grid point
+to an on-disk segment file as one self-validating record, durable up to a
+configurable fsync cadence.  The directory is the only thing a resume reads
+— a ``kill -9`` at any byte offset resumes from exactly what reached the
+disk — and the merged table is produced by a **streaming** k-way merge
+whose memory is O(segments), not O(points), so 10⁴–10⁶-point grids never
+have to fit in memory.
 
 Record format (one per line, "length-prefixed-and-checksummed JSONL")::
 
@@ -36,10 +35,21 @@ record per segment.  Each new segment is registered in the sink's
 **manifest** (``manifest.json``) *before* its first byte is written; the
 manifest commit is an atomic rename followed by a directory fsync
 (:func:`~repro.dist.durability.atomic_write_text`), and it carries the
-scenario's :func:`~repro.dist.checkpoint.spec_fingerprint` so a stream
-directory can only ever be resumed by the exact scenario that produced it.
-Sharded sweeps write disjoint manifests (``manifest-<tag>.json``) so
-multiple hosts can share one collection directory.
+scenario's :func:`spec_fingerprint` so a stream directory can only ever be
+resumed by the exact scenario that produced it.
+
+Shards and reassembly
+---------------------
+
+Sharded sweeps write disjoint manifests (``manifest-<tag>.json`` with
+``segment-<tag>-*.jsonl``), so hosts can share one collection directory or
+combine theirs with ``rsync``.  An untagged sink opened with ``resume=True``
+**adopts** every tagged manifest it finds: their records count as
+recovered and their segments join the merge, so one unsharded resume pass
+reassembles the whole grid without re-running anything.  Adoption is
+read-only — a shard on a shared filesystem may still be writing — so a
+torn tail in another tag's segment is an error naming the shard resume
+that repairs it, never something this sink truncates.
 
 Durability and degradation
 --------------------------
@@ -57,6 +67,7 @@ far durable and resumable.
 from __future__ import annotations
 
 import errno
+import hashlib
 import heapq
 import json
 import logging
@@ -67,27 +78,25 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..core.errors import ConfigurationError, ReproError
 from ..core.metrics import RunResult
 from ..spec.run import PointRun
 from ..spec.scenario import ScenarioSpec
-from .checkpoint import spec_fingerprint
-from .durability import atomic_write_text, fsync_dir, fsync_fileobj
+from .durability import PathLike, atomic_write_text, fsync_dir, fsync_fileobj
 
 __all__ = [
     "SINK_SCHEMA",
     "SinkError",
     "SinkFullError",
     "SinkWriteError",
+    "spec_fingerprint",
     "encode_record",
     "iter_records",
     "scan_segment",
@@ -106,8 +115,6 @@ SINK_SCHEMA = 1
 #: ``{length:08x} {crc32:08x} `` — 8 hex digits, space, 8 hex digits, space.
 _HEADER_BYTES = 18
 _HEADER_RE = re.compile(rb"^[0-9a-f]{8} [0-9a-f]{8} $")
-
-PathLike = Union[str, Path]
 
 
 class SinkError(ReproError):
@@ -137,6 +144,17 @@ class SinkFullError(SinkError):
             "space and resume with the same directory (resume=True, "
             "CLI: --resume)"
         )
+
+
+def spec_fingerprint(spec: ScenarioSpec) -> str:
+    """A stable content hash of the full-grid scenario spec.
+
+    Key-sorted canonical JSON hashed with SHA-256: two specs fingerprint
+    equal iff their serialised forms are identical, so a stream directory
+    can only be resumed by the exact scenario that produced it.
+    """
+    canonical = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # -- record framing --------------------------------------------------------------
@@ -239,6 +257,39 @@ def scan_segment(path: PathLike) -> Tuple[List[int], int, bool]:
     return indices, valid_end, torn
 
 
+def _segment_seq(tag: str, name: str) -> Optional[int]:
+    """The sequence number of segment file ``name`` under ``tag``, if it is one."""
+    middle = re.escape(f"{tag}-") if tag else ""
+    match = re.fullmatch(rf"segment-{middle}(\d{{4,}})\.jsonl", name)
+    return int(match.group(1)) if match else None
+
+
+def _read_manifest(path: Path, fingerprint: Optional[str]) -> Dict[str, object]:
+    """Load one manifest, checking its schema and, if given, its fingerprint."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as error:
+        # Manifests are only ever replaced atomically, so damage here means
+        # external interference, not a crash — fail loudly.
+        raise SinkError(
+            f"stream manifest {path} is unreadable ({error}); the "
+            "directory cannot be trusted"
+        ) from error
+    version = manifest.get("schema_version")
+    if not isinstance(version, int) or version > SINK_SCHEMA:
+        raise SinkError(
+            f"stream manifest {path} was written by sink schema "
+            f"{version!r}; this build reads up to {SINK_SCHEMA}"
+        )
+    if fingerprint is not None and manifest.get("fingerprint") != fingerprint:
+        raise ConfigurationError(
+            f"stream manifest {path} belongs to a different scenario (spec "
+            "fingerprint mismatch); point the run at a fresh directory or "
+            "delete the stale stream"
+        )
+    return manifest
+
+
 # -- the sink --------------------------------------------------------------------
 
 
@@ -251,7 +302,8 @@ class StreamingResultSink:
         The stream directory; created (with parents) on demand.
     spec:
         The full-grid scenario.  Its fingerprint is committed into the
-        manifest and verified on resume, exactly like checkpoints.
+        manifest and verified on resume (and on every adopted shard
+        manifest).
     fsync_every:
         Fsync the active segment after every N appended records (default 1
         — every record durable before the sweep proceeds).  Larger values
@@ -266,9 +318,11 @@ class StreamingResultSink:
         directory (``manifest-<tag>.json`` + ``segment-<tag>-*.jsonl``).
     resume:
         Recover the directory's existing records (repairing torn tails)
-        and continue after them.  Without ``resume``, a directory that
-        already holds records for this scenario is refused — silently
-        appending would duplicate grid points.
+        and continue after them.  An untagged sink also adopts every
+        tagged shard manifest, read-only, so one resume reassembles a
+        sharded sweep.  Without ``resume``, a directory that already holds
+        records for this scenario is refused — silently appending would
+        duplicate grid points.
     append_hook / fsync_hook:
         Fault-injection seams (:mod:`repro.faultinject`): called with the
         record's grid index just before the write / just before each fsync.
@@ -318,17 +372,26 @@ class StreamingResultSink:
         self.torn_quarantined: List[str] = []
 
         self._segments: List[str] = []
+        self._adopted: List[Path] = []  # other tags' segments, read-only
         self._next_seq = 0
         recovered: List[int] = []
-        manifest = self._load_manifest()
-        if manifest is not None or self._existing_segment_names():
+        manifest = (
+            _read_manifest(self.manifest_path, self.fingerprint)
+            if self.manifest_path.exists()
+            else None
+        )
+        shards = {} if tag else {
+            path.stem[len("manifest-") :]: _read_manifest(path, self.fingerprint)
+            for path in sorted(self.directory.glob("manifest-*.json"))
+        }
+        if manifest is not None or shards or self._existing_segment_names():
             if not resume:
                 raise ConfigurationError(
                     f"stream directory {self.directory} already holds "
                     "records for this scenario; pass resume=True to "
                     "continue it, or use a fresh directory"
                 )
-            recovered = self._recover(manifest)
+            recovered = self._recover(manifest, shards)
         self.recovered_indices = frozenset(recovered)
         self.records_recovered = len(recovered)
 
@@ -343,47 +406,15 @@ class StreamingResultSink:
         middle = f"{self.tag}-" if self.tag else ""
         return f"segment-{middle}{seq:04d}.jsonl"
 
-    def _segment_seq(self, name: str) -> Optional[int]:
-        middle = re.escape(f"{self.tag}-") if self.tag else ""
-        match = re.fullmatch(rf"segment-{middle}(\d{{4,}})\.jsonl", name)
-        return int(match.group(1)) if match else None
-
     def _existing_segment_names(self) -> List[str]:
         names = [
             path.name
             for path in self.directory.glob("segment-*.jsonl")
-            if self._segment_seq(path.name) is not None
+            if _segment_seq(self.tag, path.name) is not None
         ]
         return sorted(names)
 
     # -- manifest ----------------------------------------------------------------
-
-    def _load_manifest(self) -> Optional[Dict[str, object]]:
-        path = self.manifest_path
-        if not path.exists():
-            return None
-        try:
-            manifest = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            # The manifest is only ever replaced atomically, so damage here
-            # means external interference, not a crash — fail loudly.
-            raise SinkError(
-                f"stream manifest {path} is unreadable ({error}); the "
-                "directory cannot be trusted"
-            ) from error
-        version = manifest.get("schema_version")
-        if not isinstance(version, int) or version > SINK_SCHEMA:
-            raise SinkError(
-                f"stream manifest {path} was written by sink schema "
-                f"{version!r}; this build reads up to {SINK_SCHEMA}"
-            )
-        if manifest.get("fingerprint") != self.fingerprint:
-            raise ConfigurationError(
-                f"stream directory {self.directory} belongs to a different "
-                "scenario (spec fingerprint mismatch); point it at a fresh "
-                "directory or delete the stale stream"
-            )
-        return manifest
 
     def _commit_manifest(self) -> None:
         manifest = {
@@ -401,8 +432,12 @@ class StreamingResultSink:
 
     # -- recovery ----------------------------------------------------------------
 
-    def _recover(self, manifest: Optional[Dict[str, object]]) -> List[int]:
-        """Adopt the directory's segments, repairing torn tails.
+    def _recover(
+        self,
+        manifest: Optional[Dict[str, object]],
+        shards: Dict[str, Dict[str, object]],
+    ) -> List[int]:
+        """Adopt the directory's segments, repairing this sink's torn tails.
 
         The manifest's segment list is authoritative; segment files it does
         not know about (possible only when a non-durable manifest commit was
@@ -410,10 +445,16 @@ class StreamingResultSink:
         orphaned.  Every segment is scanned record-by-record; the torn tail
         — if any — is moved to ``<segment>.torn`` and the segment truncated
         to its last valid record boundary.
+
+        ``shards`` maps the tag of every tagged manifest in the directory to
+        that manifest (untagged sinks only).  Their segments are scanned but
+        never written: a torn tail there raises, naming the shard resume
+        that repairs it.  Across all segments, a grid index may be recorded
+        once.
         """
         listed = list(manifest.get("segments", [])) if manifest else []
         for name in listed:
-            if self._segment_seq(name) is None:
+            if _segment_seq(self.tag, name) is None:
                 raise SinkError(
                     f"stream manifest {self.manifest_path} lists a foreign "
                     f"segment name {name!r}"
@@ -430,14 +471,36 @@ class StreamingResultSink:
         self._segments = listed + orphans
         if orphans:
             self._commit_manifest()
-        recovered: List[int] = []
-        for name in self._segments:
+        segments = [(self.tag, name) for name in self._segments]
+        for tag, shard_manifest in shards.items():
+            for name in shard_manifest.get("segments", []):
+                if _segment_seq(tag, name) is None:
+                    raise SinkError(
+                        f"stream manifest of shard {tag!r} in {self.directory} "
+                        f"lists a foreign segment name {name!r}"
+                    )
+                segments.append((tag, name))
+        owners: Dict[int, str] = {}  # grid index -> segment that records it
+        for tag, name in segments:
             path = self.directory / name
             if not path.exists():
                 # Write-ahead commit without a first byte: the crash landed
                 # between the manifest rename and the segment creation.
                 continue
             indices, valid_end, torn = scan_segment(path)
+            if torn and tag != self.tag:
+                shard = re.fullmatch(r"(\d+)of(\d+)", tag)
+                repair = (
+                    f"run-spec --shard {shard[1]}/{shard[2]} --stream-dir "
+                    f"{self.directory} --resume"
+                    if shard is not None
+                    else f"a sink with tag={tag!r} and resume=True"
+                )
+                raise SinkError(
+                    f"segment {path} of shard {tag!r} ends in a torn record; "
+                    "an unsharded resume only reads other shards' files — "
+                    f"repair it with {repair}, then resume again"
+                )
             if torn:
                 self._quarantine_tail(path, valid_end)
             previous = None
@@ -450,21 +513,21 @@ class StreamingResultSink:
                         "modified externally"
                     )
                 previous = index
-            duplicates = set(indices) & set(recovered)
-            if duplicates:
-                raise SinkError(
-                    f"grid point(s) {sorted(duplicates)[:10]} appear in more "
-                    f"than one segment of {self.directory}; the directory "
-                    "was written by overlapping sweeps and cannot be merged"
-                )
-            recovered.extend(indices)
-        known = [
-            seq
-            for seq in (self._segment_seq(name) for name in self._segments)
-            if seq is not None
-        ]
-        self._next_seq = max(known, default=-1) + 1
-        return recovered
+                if index in owners:
+                    raise SinkError(
+                        f"grid point {index} is recorded in both "
+                        f"{owners[index]} and {name} of {self.directory}; "
+                        "the directory was written by overlapping sweeps "
+                        "and cannot be merged"
+                    )
+                owners[index] = name
+            if tag != self.tag:
+                self._adopted.append(path)
+        self._next_seq = (
+            max((_segment_seq(self.tag, name) for name in self._segments), default=-1)
+            + 1
+        )
+        return list(owners)
 
     def _quarantine_tail(self, path: Path, valid_end: int) -> None:
         size = path.stat().st_size
@@ -637,26 +700,17 @@ class StreamingResultSink:
 
     # -- reading -----------------------------------------------------------------
 
-    def completed_indices(self) -> frozenset:
-        """Grid indices durably recorded by this sink (recovered + appended)."""
-        appended: set = set()
-        for name in self._segments:
-            path = self.directory / name
-            if path.exists():
-                indices, _, _ = scan_segment(path)
-                appended.update(indices)
-        return frozenset(appended) | self.recovered_indices
-
     def segment_paths(self) -> List[Path]:
-        """This sink's segment files, in creation order."""
-        return [
+        """This sink's segment files in creation order, then adopted shards'."""
+        own = [
             self.directory / name
             for name in self._segments
             if (self.directory / name).exists()
         ]
+        return own + self._adopted
 
     def iter_merged(self) -> Iterator[Dict[str, object]]:
-        """All of this sink's records, merged by ascending grid index."""
+        """All of this sink's records (adopted ones too), by grid index."""
         return merge_streams(self.segment_paths())
 
     def stats(self) -> Dict[str, object]:
@@ -738,15 +792,7 @@ def stream_payloads(
     expected = spec_fingerprint(spec) if spec is not None else None
     segments: List[Path] = []
     for path in manifests:
-        try:
-            manifest = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise SinkError(f"stream manifest {path} is unreadable: {error}")
-        if expected is not None and manifest.get("fingerprint") != expected:
-            raise ConfigurationError(
-                f"stream manifest {path} belongs to a different scenario "
-                "(spec fingerprint mismatch)"
-            )
+        manifest = _read_manifest(path, expected)
         for name in manifest.get("segments", []):
             segment = base / name
             if segment.exists():
@@ -755,9 +801,9 @@ def stream_payloads(
 
 
 def point_run_from_payload(payload: Dict[str, object]) -> PointRun:
-    """Rebuild a :class:`PointRun` from the wire/checkpoint/stream payload.
+    """Rebuild a :class:`PointRun` from the wire/stream payload.
 
-    Fresh, checkpointed, and streamed points all pass through this single
+    Fresh and streamed points both pass through this single
     deserialisation path, so a resumed or streamed sweep is bit-identical
     to an uninterrupted in-memory one.
     """

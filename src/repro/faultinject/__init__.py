@@ -3,9 +3,9 @@
 ``repro.faultinject`` proves the resilience layer of :mod:`repro.dist`: a
 :class:`FaultPlan` describes — as plain, seed-derivable, JSON-serialisable
 data — exactly which faults strike which grid points (transient exceptions,
-worker kills, timeout stalls, torn checkpoint writes, interrupts) and which
-disk faults strike the streaming result sink (torn segment writes, ENOSPC,
-fsync failures, SIGKILL after N records), and the executor replays it
+worker kills, timeout stalls, interrupts) and which disk faults strike the
+streaming result sink (torn segment writes, ENOSPC, fsync failures, SIGKILL
+after N records), and the executor replays it
 deterministically via ``run_spec(fault_plan=...)`` or the CLI's hidden
 ``run-spec --fault-plan`` flag.
 

@@ -16,11 +16,11 @@ The injector has two halves:
   process outright (``os._exit``).  In ``"inline"`` mode (the executor's
   serial and fallback paths) kill and stall rules are skipped: they model
   worker-process faults, and the in-process path has no worker to lose.
-* **parent side** — :meth:`FaultInjector.corrupt_checkpoint` truncates a
-  just-written checkpoint file mid-record (simulating a torn write), and
-  :meth:`FaultInjector.wants_interrupt` triggers the executor's clean
-  SIGINT path after a chosen point completes (so interrupt handling has a
-  deterministic regression test that sends no real signal).
+* **parent side** — :meth:`FaultInjector.wants_interrupt` triggers the
+  executor's clean SIGINT path after a chosen point completes (so interrupt
+  handling has a deterministic regression test that sends no real signal),
+  and the ``sink_*`` / :meth:`FaultInjector.tear_stream` hooks strike the
+  streaming result sink with disk faults.
 
 Plans are either hand-built or sampled reproducibly from a seed with
 :meth:`FaultPlan.sample`, which derives all of its randomness through
@@ -59,7 +59,6 @@ FAULT_KINDS = (
     "transient-error",
     "kill-worker",
     "stall",
-    "truncate-checkpoint",
     "interrupt",
     # Disk-fault rules for the streaming result sink (repro.dist.sink):
     "torn-write",
@@ -96,8 +95,6 @@ class FaultRule:
           inline);
         * ``"stall"`` — sleep ``duration`` seconds before the point runs,
           pushing it past its timeout budget (skipped inline);
-        * ``"truncate-checkpoint"`` — after the parent writes the point's
-          checkpoint, truncate the file to half its bytes (fires once);
         * ``"interrupt"`` — request the executor's clean-interrupt path
           after the point completes (parent side);
         * ``"torn-write"`` — after the streaming sink appends the point's
@@ -395,7 +392,6 @@ class FaultInjector:
         self.plan = plan if isinstance(plan, FaultPlan) else FaultPlan.from_dict(plan)
         self.mode = mode
         self._points_started = 0
-        self._fired_truncations: set = set()
         self._fired_sink_rules: set = set()
 
     # -- worker side -----------------------------------------------------------
@@ -429,24 +425,6 @@ class FaultInjector:
                 )
 
     # -- parent side -----------------------------------------------------------
-
-    def corrupt_checkpoint(self, index: int, path: PathLike) -> bool:
-        """Truncate the just-written checkpoint for ``index`` (once per rule).
-
-        Returns ``True`` when a truncation fired, so callers can log it.
-        """
-        for position, rule in enumerate(self.plan.rules):
-            if (
-                rule.kind == "truncate-checkpoint"
-                and rule.index == index
-                and position not in self._fired_truncations
-            ):
-                self._fired_truncations.add(position)
-                target = Path(path)
-                data = target.read_bytes()
-                target.write_bytes(data[: len(data) // 2])
-                return True
-        return False
 
     def wants_interrupt(self, index: int) -> bool:
         """Should the executor's clean-interrupt path fire after ``index``?"""
@@ -539,9 +517,11 @@ def bundled_plans(
 ) -> Dict[str, FaultPlan]:
     """The canonical chaos plans used by tests and CI's ``--chaos`` parity run.
 
-    One plan per failure mode, each targeting deterministic points of a
-    ``point_count``-sized grid; all but ``"poison-point"`` are survivable,
-    and ``"poison-point"`` is the *only* plan designed to quarantine.
+    One plan per worker-side failure mode, each targeting deterministic
+    points of a ``point_count``-sized grid; all but ``"poison-point"`` are
+    survivable, and ``"poison-point"`` is the *only* plan designed to
+    quarantine.  Torn durable writes are :func:`bundled_stream_plans`'
+    ``"torn-write"``.
     ``stall_duration`` must exceed the group timeout deadline in force, or
     the stalled point finishes before detection and nothing is exercised.
     """
@@ -567,9 +547,6 @@ def bundled_plans(
                     duration=stall_duration,
                 ),
             )
-        ),
-        "checkpoint-truncate": FaultPlan(
-            rules=(FaultRule(kind="truncate-checkpoint", index=mid),)
         ),
         "poison-point": FaultPlan(
             rules=(FaultRule(kind="transient-error", index=last, dispatches=()),)

@@ -1,8 +1,8 @@
 """DUR001 — writes under ``repro.dist`` go through the durability helpers.
 
 Invariant: the crash-safety story (kill -9 at any byte offset resumes
-bit-identically) holds because every durable artefact — checkpoints, sink
-manifests — reaches disk via ``dist/durability.py``'s
+bit-identically) holds because every durable artefact (the stream sink's
+manifests) reaches disk via ``dist/durability.py``'s
 ``atomic_write_text`` / ``fsync_fileobj`` / ``fsync_dir`` triple: temp-file
 fsync, atomic rename, directory fsync.  A stray ``open(path, "w")`` or bare
 ``os.replace`` in the subsystem can leave a torn or vanished file after a

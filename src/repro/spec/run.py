@@ -23,7 +23,7 @@ from ..core.metrics import RunAggregate, RunResult, aggregate_runs
 from .scenario import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments use specs)
-    from ..dist.checkpoint import PathLike
+    from ..dist.durability import PathLike
     from ..dist.partition import ShardLike
     from ..dist.progress import ProgressCallback
     from ..dist.resilience import RetryPolicy
@@ -161,7 +161,6 @@ def run_spec(
     workers: Optional[int] = None,
     shard: Optional["ShardLike"] = None,
     points: Optional[Union[slice, Iterable[int]]] = None,
-    checkpoint_dir: Optional["PathLike"] = None,
     stream_dir: Optional["PathLike"] = None,
     fsync_every: int = 1,
     stream_durable: bool = True,
@@ -186,16 +185,16 @@ def run_spec(
     * ``shard`` — ``"i/k"`` (or ``(i, k)``): run only shard ``i`` of ``k``
       of the grid; merge shard runs with :func:`repro.dist.merge_runs`.
     * ``points`` — a :class:`slice` or collection of grid indices to run.
-    * ``checkpoint_dir`` / ``resume`` — write one checkpoint file per
-      completed point / skip points already checkpointed there.
     * ``stream_dir`` / ``fsync_every`` / ``stream_durable`` — append every
       completed point to a crash-safe streaming sink
       (:class:`repro.dist.StreamingResultSink`) instead of holding results
       in memory: records are checksummed and fsync'd every ``fsync_every``
-      appends, a ``kill -9`` resumes (``resume=True``) from exactly what
-      reached the disk, and ``ENOSPC`` raises a resumable
+      appends, and ``ENOSPC`` raises a resumable
       :class:`repro.dist.SinkFullError`.  ``stream_durable=False`` skips
       fsyncs (tests, tmpfs).
+    * ``resume`` — skip the points already durable in ``stream_dir`` (a
+      ``kill -9`` resumes from exactly what reached the disk); an unsharded
+      resume also adopts every shard that streamed into the directory.
     * ``progress`` — per-point completion callback
       (:class:`repro.dist.PointProgress`), honoured by both paths.
     * ``retry`` — recovery semantics (:class:`repro.dist.RetryPolicy`):
@@ -211,7 +210,6 @@ def run_spec(
         workers is None
         and shard is None
         and points is None
-        and checkpoint_dir is None
         and stream_dir is None
         and not resume
         and retry is None
@@ -224,7 +222,6 @@ def run_spec(
 
     executor = ParallelScenarioExecutor(
         workers=workers if workers is not None else 1,
-        checkpoint_dir=checkpoint_dir,
         stream_dir=stream_dir,
         fsync_every=fsync_every,
         stream_durable=stream_durable,

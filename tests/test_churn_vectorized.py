@@ -6,7 +6,8 @@ The vectorized engine's churn mode promises three robustness contracts:
    churn model, seed) produces byte-for-byte identical results whether node
    compaction is on or off, whether ``repeat_broadcast`` is asked to batch
    or not, and whether a ScenarioSpec runs serially, across worker
-   processes, resumed from checkpoints, or under an injected worker kill;
+   processes, resumed from a stream directory, or under an injected worker
+   kill;
 2. **statistical parity with the scalar engine** — membership is
    represented differently (tombstoned CSR rows vs real graph surgery), so
    scalar and vectorized runs only agree in distribution on the E8
@@ -358,14 +359,14 @@ class TestChurnSpecParity:
         ).to_table()
         assert self._tables_equal(serial_table, parallel)
 
-    def test_checkpoint_resume_matches_serial(self, serial_table):
+    def test_stream_resume_matches_serial(self, serial_table):
         spec = ScenarioSpec.from_dict(SPEC_DATA)
-        with tempfile.TemporaryDirectory() as checkpoint_dir:
+        with tempfile.TemporaryDirectory() as stream_dir:
             # First pass runs only the first point, then a resumed full run
-            # must pick up the checkpoint and finish identically.
-            run_spec(spec, points=[0], checkpoint_dir=checkpoint_dir)
+            # must pick up the streamed record and finish identically.
+            run_spec(spec, points=[0], stream_dir=stream_dir)
             resumed = run_spec(
-                spec, checkpoint_dir=checkpoint_dir, resume=True
+                spec, stream_dir=stream_dir, resume=True
             ).to_table()
         assert self._tables_equal(serial_table, resumed)
 
@@ -382,13 +383,13 @@ class TestChurnSpecParity:
             backoff_max_seconds=0.1,
             timeout_seconds=30.0,
         )
-        with tempfile.TemporaryDirectory() as checkpoint_dir:
+        with tempfile.TemporaryDirectory() as stream_dir:
             chaos = run_spec(
                 spec,
                 workers=2,
                 retry=retry,
                 fault_plan=plan,
-                checkpoint_dir=checkpoint_dir,
+                stream_dir=stream_dir,
             )
         table = chaos.to_table()
         assert table.metadata["distributed"]["failures"] == []

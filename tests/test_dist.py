@@ -2,9 +2,9 @@
 
 Covers the partition invariants (every grid point assigned exactly once for
 any shard count), bit-identical serial/parallel parity down to per-round
-history, merge independence of shard/completion order, checkpoint/resume
-semantics, the RunResult wire format, and the CLI surface
-(``run-spec --workers/--shard/--resume/--dry-run``).
+history, merge independence of shard/completion order, resume and shard
+reassembly from a stream directory, the RunResult wire format, and the CLI
+surface (``run-spec --workers/--shard/--stream-dir/--resume/--dry-run``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.dist import (
-    CheckpointStore,
     ParallelScenarioExecutor,
     PointProgress,
     expand_points,
@@ -26,6 +25,7 @@ from repro.dist import (
     select_indices,
     shard_indices,
     spec_fingerprint,
+    stream_payloads,
 )
 from repro.experiments.registry import run_experiment_by_id
 from repro.experiments.results_io import load_table_json, save_table_json
@@ -246,88 +246,53 @@ class TestShardingAndMerge:
         serial = run_spec(spec)
         assert partial.points[0].results == serial.points[1].results
 
-    def test_cross_host_reassembly_via_shared_checkpoint_dir(self, tmp_path):
+    def test_cross_host_reassembly_via_shared_stream_dir(self, tmp_path):
         # The documented multi-host pattern (docs/API.md §9): every shard
-        # checkpoints into (what ends up as) one directory, and a final
-        # resume pass reassembles the full grid without re-running anything.
+        # streams into (what ends up as) one directory, and a final
+        # unsharded resume reassembles the full grid without re-running
+        # anything.
         spec = sweep_spec()
         serial = run_spec(spec)
         for i in range(2):
-            run_spec(spec, shard=(i, 2), checkpoint_dir=tmp_path)
-        full = run_spec(spec, checkpoint_dir=tmp_path, resume=True)
+            run_spec(spec, shard=(i, 2), stream_dir=tmp_path)
+        full = run_spec(spec, stream_dir=tmp_path, resume=True)
         assert_bit_identical(serial, full)
         assert full.provenance["points_run"] == 0
         assert full.provenance["points_resumed"] == 4
 
 
-class TestCheckpointResume:
-    def test_resume_skips_exactly_the_checkpointed_points(self, tmp_path):
+class TestStreamResume:
+    def test_resume_skips_exactly_the_streamed_points(self, tmp_path):
         spec = sweep_spec()
         serial = run_spec(spec)
-        run_spec(spec, points=slice(0, 2), checkpoint_dir=tmp_path)
-        assert len(list(tmp_path.glob("point-*.json"))) == 2
+        run_spec(spec, points=slice(0, 2), stream_dir=tmp_path)
+        assert [r["index"] for r in stream_payloads(tmp_path, spec)] == [0, 1]
 
         events = []
         resumed = run_spec(
-            spec, workers=2, checkpoint_dir=tmp_path, resume=True,
+            spec, workers=2, stream_dir=tmp_path, resume=True,
             progress=events.append,
         )
         assert_bit_identical(serial, resumed)
         by_source = {e.index: e.source for e in events}
-        assert by_source == {0: "checkpoint", 1: "checkpoint", 2: "run", 3: "run"}
+        assert by_source == {0: "stream", 1: "stream", 2: "run", 3: "run"}
         assert resumed.provenance["points_resumed"] == 2
         assert resumed.provenance["points_run"] == 2
-        # The resumed run checkpointed the remaining points too.
-        assert len(list(tmp_path.glob("point-*.json"))) == 4
+        # The resumed run streamed the remaining points too.
+        assert [r["index"] for r in stream_payloads(tmp_path, spec)] == [
+            0, 1, 2, 3
+        ]
 
-    def test_full_resume_runs_nothing(self, tmp_path):
-        spec = sweep_spec()
-        first = run_spec(spec, checkpoint_dir=tmp_path)
-        again = run_spec(spec, checkpoint_dir=tmp_path, resume=True)
-        assert_bit_identical(first, again)
-        assert again.provenance["points_run"] == 0
-        assert again.provenance["points_resumed"] == 4
-
-    def test_resume_requires_checkpoint_dir(self):
-        with pytest.raises(ConfigurationError, match="checkpoint"):
+    def test_resume_requires_stream_dir(self):
+        with pytest.raises(ConfigurationError, match="stream_dir"):
             run_spec(sweep_spec(), resume=True)
 
     def test_mismatched_spec_fingerprint_rejected(self, tmp_path):
-        run_spec(sweep_spec(), checkpoint_dir=tmp_path)
+        run_spec(sweep_spec(), stream_dir=tmp_path)
         with pytest.raises(ConfigurationError, match="fingerprint"):
             run_spec(
-                sweep_spec(master_seed=8), checkpoint_dir=tmp_path, resume=True
+                sweep_spec(master_seed=8), stream_dir=tmp_path, resume=True
             )
-
-    def test_corrupt_checkpoint_quarantined_and_point_rerun(self, tmp_path):
-        spec = sweep_spec()
-        serial = run_spec(spec)
-        run_spec(spec, checkpoint_dir=tmp_path)
-        path = tmp_path / "point-000000.json"
-        path.write_text("{truncated")  # torn write / external damage
-        resumed = run_spec(spec, checkpoint_dir=tmp_path, resume=True)
-        # The corrupt file is renamed aside, the point re-runs, and the
-        # resumed sweep is still bit-identical to the serial run.
-        assert (tmp_path / "point-000000.json.corrupt").exists()
-        assert_bit_identical(serial, resumed)
-        assert resumed.provenance["points_resumed"] == 3
-        assert resumed.provenance["points_run"] == 1
-        # The re-run rewrote a clean checkpoint in the quarantined one's place.
-        assert json.loads(path.read_text())["index"] == 0
-
-    def test_truncated_mid_write_checkpoint_recovers(self, tmp_path):
-        spec = sweep_spec()
-        serial = run_spec(spec)
-        run_spec(spec, checkpoint_dir=tmp_path)
-        path = tmp_path / "point-000001.json"
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])  # torn at a byte boundary
-        # A stale temp from a killed writer is swept, not mistaken for data.
-        (tmp_path / "point-000002.json.tmp").write_text("{half")
-        resumed = run_spec(spec, checkpoint_dir=tmp_path, resume=True)
-        assert_bit_identical(serial, resumed)
-        assert not list(tmp_path.glob("*.json.tmp"))
-        assert (tmp_path / "point-000001.json.corrupt").exists()
 
     def test_fingerprint_is_content_addressed(self):
         assert spec_fingerprint(sweep_spec()) == spec_fingerprint(sweep_spec())
@@ -335,14 +300,14 @@ class TestCheckpointResume:
             sweep_spec(master_seed=8)
         )
 
-    def test_checkpoint_files_are_plain_json(self, tmp_path):
+    def test_stream_files_are_plain_json(self, tmp_path):
         spec = sweep_spec()
-        store = CheckpointStore(tmp_path, spec)
-        run_spec(spec, checkpoint_dir=tmp_path)
-        loaded = store.load()
-        assert sorted(loaded) == [0, 1, 2, 3]
-        record = loaded[0]
-        assert record["fingerprint"] == spec_fingerprint(spec)
+        run_spec(spec, stream_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["fingerprint"] == spec_fingerprint(spec)
+        records = list(stream_payloads(tmp_path, spec))
+        assert [r["index"] for r in records] == [0, 1, 2, 3]
+        record = records[0]
         assert record["label"] == "d-push"
         assert isinstance(record["results"], list)
 
@@ -446,19 +411,6 @@ class TestCLI:
         assert parallel.metadata["spec"] == serial.metadata["spec"]
         assert parallel.metadata["distributed"]["workers"] == 2
 
-    def test_resume_flag_round_trip(self, tmp_path, capsys):
-        path = self._write_spec(tmp_path)
-        checkpoints = tmp_path / "ckpt"
-        assert main(
-            ["run-spec", str(path), "--checkpoint-dir", str(checkpoints)]
-        ) == 0
-        first = capsys.readouterr().out
-        assert main(
-            ["run-spec", str(path), "--checkpoint-dir", str(checkpoints), "--resume"]
-        ) == 0
-        second = capsys.readouterr().out
-        assert first == second  # fully resumed run prints the identical table
-
     def test_progress_flag_prints_to_stderr(self, tmp_path, capsys):
         path = self._write_spec(tmp_path)
         assert main(["run-spec", str(path), "--progress"]) == 0
@@ -492,10 +444,10 @@ class TestGraphCachePriming:
         assert run.provenance["graph_builds"] == 2
         assert run.provenance["graphs_distinct"] == 2
 
-    def test_resume_skips_builds_for_checkpointed_points(self, tmp_path):
+    def test_resume_skips_builds_for_streamed_points(self, tmp_path):
         spec = sweep_spec()
-        run_spec(spec, workers=1, checkpoint_dir=tmp_path)
-        resumed = run_spec(spec, workers=1, checkpoint_dir=tmp_path, resume=True)
+        run_spec(spec, workers=1, stream_dir=tmp_path)
+        resumed = run_spec(spec, workers=1, stream_dir=tmp_path, resume=True)
         assert resumed.provenance["points_resumed"] == 4
         assert resumed.provenance["graph_builds"] == 0
         assert resumed.provenance["graphs_distinct"] == 0
@@ -541,11 +493,11 @@ class TestInterruptShutdown:
     A real signal cannot land at a reproducible moment, so the executor's
     interrupt path is driven by an ``interrupt`` fault rule: the flag the
     signal handler would set is raised after a chosen point completes, and
-    everything downstream (pool teardown, checkpoint flush, temp sweep,
-    resumability) is the production code path.
+    everything downstream (pool teardown, stream flush, resumability) is the
+    production code path.
     """
 
-    def test_interrupt_flushes_checkpoints_and_resumes(self, tmp_path):
+    def test_interrupt_flushes_the_stream_and_resumes(self, tmp_path):
         from repro.dist import SweepInterrupted
         from repro.faultinject import FaultPlan, FaultRule
 
@@ -553,12 +505,12 @@ class TestInterruptShutdown:
         serial = run_spec(spec)
         plan = FaultPlan(rules=(FaultRule(kind="interrupt", index=0),))
         with pytest.raises(SweepInterrupted, match="resume"):
-            run_spec(spec, workers=2, checkpoint_dir=tmp_path, fault_plan=plan)
-        # Completed points reached their checkpoints; no half-written temps.
-        flushed = sorted(tmp_path.glob("point-*.json"))
+            run_spec(spec, workers=2, stream_dir=tmp_path, fault_plan=plan)
+        # Completed points reached the stream; no half-written temps.
+        flushed = list(stream_payloads(tmp_path, spec))
         assert flushed  # at least the interrupting point itself
-        assert not list(tmp_path.glob("*.json.tmp"))
-        resumed = run_spec(spec, workers=2, checkpoint_dir=tmp_path, resume=True)
+        assert not list(tmp_path.glob("*.tmp"))
+        resumed = run_spec(spec, workers=2, stream_dir=tmp_path, resume=True)
         assert_bit_identical(serial, resumed)
         assert resumed.provenance["points_resumed"] >= 1
 
@@ -569,7 +521,7 @@ class TestInterruptShutdown:
         spec = sweep_spec()
         plan = FaultPlan(rules=(FaultRule(kind="interrupt", index=1),))
         with pytest.raises(SweepInterrupted) as excinfo:
-            run_spec(spec, checkpoint_dir=tmp_path, fault_plan=plan)
+            run_spec(spec, stream_dir=tmp_path, fault_plan=plan)
         interrupted = excinfo.value
         # The inline path stops right after the interrupting point, so the
         # counts are exact: points 0 and 1 completed, 2 and 3 did not.
@@ -577,25 +529,34 @@ class TestInterruptShutdown:
         assert interrupted.total == 4
         assert str(tmp_path) in str(interrupted)
 
-    def test_interrupt_without_checkpoint_dir_still_clean(self):
+    def test_interrupt_without_stream_dir_still_clean(self):
         from repro.dist import SweepInterrupted
         from repro.faultinject import FaultPlan, FaultRule
 
         plan = FaultPlan(rules=(FaultRule(kind="interrupt", index=0),))
         with pytest.raises(
-            SweepInterrupted, match="checkpoint or stream directory"
+            SweepInterrupted, match="re-run with a stream directory"
         ):
             run_spec(sweep_spec(), workers=2, fault_plan=plan)
 
 
 class TestCLIEagerResumeValidation:
-    def test_resume_without_checkpoint_dir_fails_before_running(self, tmp_path):
+    def test_resume_without_stream_dir_fails_before_running(self, tmp_path):
         path = save_spec(sweep_spec(), tmp_path / "spec.json")
-        with pytest.raises(ConfigurationError, match="--checkpoint-dir"):
+        with pytest.raises(ConfigurationError, match="--stream-dir"):
             main(["run-spec", str(path), "--resume"])
 
-    def test_resume_without_checkpoint_dir_fails_even_for_missing_spec(self):
+    def test_resume_without_stream_dir_fails_even_for_missing_spec(self):
         # Eager: the flag combination is rejected before the spec file is
         # even opened, so a long sweep is never silently restarted.
-        with pytest.raises(ConfigurationError, match="--checkpoint-dir"):
+        with pytest.raises(ConfigurationError, match="--stream-dir"):
             main(["run-spec", "/nonexistent/spec.json", "--resume"])
+
+    def test_checkpoint_dir_flag_is_gone(self, tmp_path, capsys):
+        # Per-point checkpoints were folded into the stream directory; the
+        # old flag is rejected by argparse rather than silently ignored.
+        path = save_spec(sweep_spec(), tmp_path / "spec.json")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-spec", str(path), "--checkpoint-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Chaos suite: deterministic fault injection against the resilient executor.
 
 The cardinal invariant under test: a sweep that survives injected faults —
-worker kills, transient exceptions, timeout stalls, torn checkpoint writes —
-is **bit-identical, down to per-round history, to the clean serial run**.
+worker kills, transient exceptions, timeout stalls — is **bit-identical,
+down to per-round history, to the clean serial run**.  (Torn durable writes
+are the streaming sink's ``torn-write`` plan, covered in
+``tests/test_sink.py``.)
 Recovery only re-executes points, and the seed = f(master, label) discipline
 makes re-execution invisible.
 
@@ -35,14 +37,7 @@ from repro.faultinject import (
     load_plan,
     save_plan,
 )
-from repro.spec import (
-    GraphSpec,
-    ProtocolSpec,
-    ScenarioSpec,
-    SweepAxis,
-    SweepSpec,
-    run_spec,
-)
+from repro.spec import run_spec
 
 from test_dist import assert_bit_identical, sweep_spec
 
@@ -95,22 +90,6 @@ class TestChaosParity:
         assert chaos.provenance["pool_restarts"] >= 1
         assert chaos.provenance["retries"] >= 1
         assert chaos.provenance["failures"] == []
-
-    def test_checkpoint_truncation_recovers_on_resume(self, spec, serial, tmp_path):
-        # The torn write corrupts the checkpoint *file*; this run's
-        # in-memory results are intact, and the resume quarantines the file
-        # and re-runs the point — bit-identically.
-        plan = bundled_plans(4)["checkpoint-truncate"]
-        chaos = run_spec(
-            spec, workers=2, checkpoint_dir=tmp_path,
-            retry=CHAOS_RETRY, fault_plan=plan,
-        )
-        assert_bit_identical(serial, chaos)
-        resumed = run_spec(spec, workers=2, checkpoint_dir=tmp_path, resume=True)
-        assert_bit_identical(serial, resumed)
-        assert list(tmp_path.glob("*.corrupt"))
-        assert resumed.provenance["points_resumed"] == 3
-        assert resumed.provenance["points_run"] == 1
 
     def test_inline_path_survives_transient_faults(self, spec, serial):
         # workers=1 exercises the in-process recovery loop.
@@ -215,7 +194,7 @@ class TestFaultPlanModel:
                 FaultRule(kind="transient-error", index=2, dispatches=(1, 2)),
                 FaultRule(kind="stall", index=0, duration=3.5),
                 FaultRule(kind="kill-worker", worker_point=2),
-                FaultRule(kind="truncate-checkpoint", index=1),
+                FaultRule(kind="interrupt", index=1),
             ),
             seed=99,
         )
@@ -259,13 +238,10 @@ class TestFaultPlanModel:
             "worker-kill",
             "transient-double",
             "timeout-stall",
-            "checkpoint-truncate",
             "poison-point",
         }
         kinds = {kind for plan in plans.values() for kind in plan.kinds()}
-        assert kinds == {
-            "kill-worker", "transient-error", "stall", "truncate-checkpoint"
-        }
+        assert kinds == {"kill-worker", "transient-error", "stall"}
 
     def test_disk_fault_rules_round_trip_through_json(self, tmp_path):
         plan = FaultPlan(
@@ -316,7 +292,6 @@ class TestFaultPlanModel:
             "transient-error",
             "kill-worker",
             "stall",
-            "truncate-checkpoint",
             "interrupt",
             "torn-write",
             "enospc",
@@ -343,16 +318,19 @@ class TestInjectorModes:
             injector.before_point(0, 1)
         injector.before_point(0, 2)  # second dispatch: rule spent
 
-    def test_truncation_fires_once_per_rule(self, tmp_path):
-        path = tmp_path / "point-000001.json"
-        path.write_text('{"index": 1, "payload": "0123456789"}')
-        plan = FaultPlan(rules=(FaultRule(kind="truncate-checkpoint", index=1),))
+    def test_torn_write_fires_once_per_rule(self, tmp_path):
+        record = b'{"index": 1, "payload": "0123456789"}\n'
+        path = tmp_path / "segment-0000.jsonl"
+        path.write_bytes(record)
+        plan = FaultPlan(rules=(FaultRule(kind="torn-write", index=1),))
         injector = FaultInjector(plan)
-        assert injector.corrupt_checkpoint(1, path) is True
-        damaged = path.read_text()
-        path.write_text('{"index": 1, "payload": "0123456789"}')
-        assert injector.corrupt_checkpoint(1, path) is False  # spent
-        assert len(damaged) < len(path.read_text())
+        assert injector.tear_stream(0, path, 0, len(record)) is False
+        assert injector.tear_stream(1, path, 0, len(record)) is True
+        damaged = path.read_bytes()
+        assert damaged == record[: len(record) // 2]  # mid-record tear
+        path.write_bytes(record)
+        assert injector.tear_stream(1, path, 0, len(record)) is False  # spent
+        assert path.read_bytes() == record
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="mode"):

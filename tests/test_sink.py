@@ -23,7 +23,6 @@ import pytest
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.dist import (
-    CheckpointStore,
     SINK_SCHEMA,
     SinkError,
     SinkFullError,
@@ -240,6 +239,116 @@ class TestSinkBasics:
         assert stats["segments"] == 1
 
 
+class TestShardReassembly:
+    """An untagged resume adopts every tagged shard manifest, read-only."""
+
+    @staticmethod
+    def shard_files(directory) -> dict:
+        return {
+            path.name: path.read_bytes()
+            for path in sorted(Path(directory).iterdir())
+        }
+
+    def test_unsharded_resume_over_two_shards_runs_nothing(self, tmp_path):
+        spec = sweep_spec()
+        serial = run_spec(spec)
+        for i in range(2):
+            run_spec(spec, shard=(i, 2), stream_dir=tmp_path, workers=2)
+        before = self.shard_files(tmp_path)
+        events = []
+        full = run_spec(
+            spec, stream_dir=tmp_path, resume=True, progress=events.append
+        )
+        assert_bit_identical(serial, full)
+        assert full.provenance["points_run"] == 0
+        assert full.provenance["points_resumed"] == 4
+        assert {e.source for e in events} == {"stream"}
+        # Adoption never wrote to, truncated or quarantined a shard's files.
+        assert self.shard_files(tmp_path) == before
+        # Without resume the shards' records are refused, not duplicated.
+        with pytest.raises(ConfigurationError, match="resume"):
+            run_spec(spec, stream_dir=tmp_path)
+
+    def test_unsharded_resume_finishes_a_half_run_sweep(self, tmp_path):
+        spec = sweep_spec()
+        serial = run_spec(spec)
+        run_spec(spec, shard=(0, 2), stream_dir=tmp_path)
+        full = run_spec(spec, stream_dir=tmp_path, resume=True)
+        assert_bit_identical(serial, full)
+        assert full.provenance["points_resumed"] == 2
+        assert full.provenance["points_run"] == 2
+        # A tagged resume still reads only its own tag.
+        shard = run_spec(spec, shard=(1, 2), stream_dir=tmp_path, resume=True)
+        assert shard.provenance["points_resumed"] == 0
+
+    def test_torn_shard_segment_raises_and_is_left_alone(self, tmp_path):
+        spec = sweep_spec()
+        for i in range(2):
+            run_spec(spec, shard=(i, 2), stream_dir=tmp_path)
+        (segment,) = sorted(tmp_path.glob("segment-1of2-*.jsonl"))
+        with segment.open("rb+") as handle:
+            handle.truncate(segment.stat().st_size - 5)  # torn last record
+        before = self.shard_files(tmp_path)
+        with pytest.raises(SinkError, match="1of2") as excinfo:
+            run_spec(spec, stream_dir=tmp_path, resume=True)
+        assert "--shard 1/2" in str(excinfo.value)
+        assert "--resume" in str(excinfo.value)
+        assert self.shard_files(tmp_path) == before
+        # The named repair works, and then the unsharded resume does too.
+        run_spec(spec, shard=(1, 2), stream_dir=tmp_path, resume=True)
+        full = run_spec(spec, stream_dir=tmp_path, resume=True)
+        assert_bit_identical(run_spec(spec), full)
+
+    def test_index_recorded_under_two_tags_raises_at_open(self, tmp_path):
+        spec = sweep_spec()
+        for tag, indices in [("0of2", [0, 1, 2]), ("1of2", [2, 3])]:
+            sink = StreamingResultSink(tmp_path, spec, durable=False, tag=tag)
+            for index in indices:
+                sink.append(fake_payload(index))
+            sink.close()
+        with pytest.raises(SinkError, match="grid point 2") as excinfo:
+            StreamingResultSink(tmp_path, spec, durable=False, resume=True)
+        assert "0of2" in str(excinfo.value) and "1of2" in str(excinfo.value)
+
+
+class TestSinkLifecycle:
+    def test_failed_sweep_closes_the_sink(self, tmp_path, monkeypatch):
+        # A worker pool that dies past its restart budget raises
+        # WorkerPoolError mid-sweep; the sink must still be closed once, so
+        # the records appended since the last fsync get one and the segment
+        # handle is released.
+        from repro.dist import RetryPolicy, WorkerPoolError
+        from repro.spec import load_spec
+
+        closed = []
+        real_close = StreamingResultSink.close
+
+        def spy(self, strict=True):
+            closed.append(strict)
+            return real_close(self, strict)
+
+        monkeypatch.setattr(StreamingResultSink, "close", spy)
+        spec = load_spec(
+            Path(__file__).resolve().parents[1]
+            / "examples"
+            / "specs"
+            / "e1_round_complexity.json"
+        )
+        plan = FaultPlan(
+            rules=(FaultRule(kind="kill-worker", index=11, dispatches=()),)
+        )
+        with pytest.raises(WorkerPoolError):
+            run_spec(
+                spec,
+                workers=2,
+                stream_dir=tmp_path,
+                fsync_every=1000,
+                retry=RetryPolicy(max_pool_restarts=0, serial_fallback=False),
+                fault_plan=plan,
+            )
+        assert closed == [False]
+
+
 class TestMergeStreams:
     def test_duplicate_index_across_segments_rejected(self, tmp_path):
         for name in ("a.jsonl", "b.jsonl"):
@@ -342,29 +451,6 @@ class TestStreamingExecution:
         assert resumed.provenance["points_resumed"] == cut_record
         assert resumed.provenance["points_run"] == 4 - cut_record
         assert segment.with_name(segment.name + ".torn").exists()
-
-    def test_checkpointed_points_replay_into_the_stream(self, tmp_path):
-        # Points that reached the checkpoint store but not the stream are
-        # replayed into the sink without re-execution.
-        spec = sweep_spec()
-        serial = run_spec(spec)
-        checkpoints = tmp_path / "ckpt"
-        stream = tmp_path / "stream"
-        run_spec(spec, points=slice(0, 2), checkpoint_dir=checkpoints)
-        events = []
-        resumed = run_spec(
-            spec,
-            checkpoint_dir=checkpoints,
-            stream_dir=stream,
-            stream_durable=False,
-            resume=True,
-            progress=events.append,
-        )
-        assert_bit_identical(serial, resumed)
-        by_source = {e.index: e.source for e in events}
-        assert by_source == {0: "checkpoint", 1: "checkpoint", 2: "run", 3: "run"}
-        # The replayed points are durable stream records now.
-        assert [r["index"] for r in stream_payloads(stream, spec)] == [0, 1, 2, 3]
 
     def test_streamed_table_matches_in_memory_table(self, tmp_path):
         spec = sweep_spec()
@@ -488,27 +574,30 @@ class TestKill9Survival:
         assert resumed.provenance["points_resumed"] == 2
 
 
-class TestDurableCheckpoints:
-    def test_save_fsyncs_file_and_directory_by_default(self, tmp_path, monkeypatch):
+class TestDurableWrites:
+    """``atomic_write_text`` commits the sink's manifest: fsync the temp
+    file, rename it into place, fsync the directory entry."""
+
+    def test_atomic_write_fsyncs_file_and_directory_by_default(
+        self, tmp_path, monkeypatch
+    ):
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(
             os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
         )
-        store = CheckpointStore(tmp_path, sweep_spec())
-        store.save({"index": 0, "results": []})
+        atomic_write_text(tmp_path / "manifest.json", '{"segments": []}')
         assert len(synced) == 2  # temp file + directory entry
-        assert json.loads((tmp_path / "point-000000.json").read_text())[
-            "index"
-        ] == 0
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {
+            "segments": []
+        }
 
     def test_durable_false_skips_fsync(self, tmp_path, monkeypatch):
         synced = []
         monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-        store = CheckpointStore(tmp_path, sweep_spec(), durable=False)
-        store.save({"index": 0, "results": []})
+        atomic_write_text(tmp_path / "manifest.json", "{}", durable=False)
         assert synced == []
-        assert (tmp_path / "point-000000.json").exists()
+        assert (tmp_path / "manifest.json").exists()
 
     def test_atomic_write_removes_temp_on_failure(self, tmp_path, monkeypatch):
         def explode(src, dst):
@@ -519,17 +608,17 @@ class TestDurableCheckpoints:
             atomic_write_text(tmp_path / "out.json", "{}", durable=False)
         assert list(tmp_path.iterdir()) == []
 
-    def test_save_leaves_no_temp_behind_a_failed_rename(
+    def test_failed_manifest_commit_leaves_no_temp_behind(
         self, tmp_path, monkeypatch
     ):
-        store = CheckpointStore(tmp_path, sweep_spec(), durable=False)
+        sink = StreamingResultSink(tmp_path, sweep_spec(), durable=False)
 
         def explode(src, dst):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(os, "replace", explode)
-        with pytest.raises(OSError):
-            store.save({"index": 0, "results": []})
+        with pytest.raises(SinkFullError):
+            sink.append(fake_payload(0))
         assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -591,6 +680,40 @@ class TestStreamCLI:
         )
         second = capsys.readouterr().out
         assert first == second
+
+    def test_multi_host_round_trip(self, tmp_path, capsys):
+        # Two "hosts" stream their shards into one directory; an unsharded
+        # --resume reassembles and saves the full table without re-running.
+        path = self._write_spec(tmp_path)
+        stream = str(tmp_path / "stream")
+        serial_out = tmp_path / "serial.json"
+        full_out = tmp_path / "full.json"
+        assert main(["run-spec", str(path), "--save", str(serial_out)]) == 0
+        for shard in ("0/2", "1/2"):
+            assert main(
+                ["run-spec", str(path), "--shard", shard, "--stream-dir", stream]
+            ) == 0
+        assert main(
+            [
+                "run-spec",
+                str(path),
+                "--stream-dir",
+                stream,
+                "--resume",
+                "--save",
+                str(full_out),
+            ]
+        ) == 0
+        capsys.readouterr()
+        from repro.experiments.results_io import load_table_json
+
+        serial = load_table_json(serial_out)
+        full = load_table_json(full_out)
+        assert full.title == serial.title
+        assert full.columns == serial.columns
+        assert full.rows == serial.rows
+        assert full.notes == serial.notes
+        assert full.metadata["distributed"]["points_run"] == 0
 
     def test_resume_requires_a_durable_directory(self, tmp_path):
         path = self._write_spec(tmp_path)
