@@ -1,13 +1,15 @@
 """Benchmarks for the parallel sweep executor (repro.dist).
 
 The smoke test runs an E1-scale round-complexity sweep serially and with two
-worker processes, asserts the merged result is **bit-identical** to the
-serial one (per-round history included — parallelism must never change a
-number), and measures the speedup.  The speedup floor is only asserted when
-the machine actually has more than one usable core: on a single-core
-container the parallel run cannot beat serial, so there the test instead
-bounds the orchestration overhead (wire serialisation, result-payload
-round trip, pool management) to at most 2x.
+worker processes, alternating, five times each; it asserts every merged
+result is **bit-identical** to the serial one (per-round history included —
+parallelism must never change a number) and compares the median times.  A
+single pair of runs on a shared 2-vCPU machine spreads from about 1.05x to
+1.5x, so one pair cannot hold a 1.2x floor; the median of five can.  The
+speedup floor is only asserted when the machine actually has more than one
+usable core: on a single-core container the parallel run cannot beat
+serial, so there the test instead bounds the orchestration overhead (wire
+serialisation, result-payload round trip, pool management) to at most 2x.
 
 Recorded numbers live in ``BENCH_micro.json`` under ``parallel_sweep_e1``.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -29,6 +32,10 @@ from repro.spec import run_spec
 #: workers' duplicate graph builds.
 BENCH_SIZES = SweepSizes(sizes=[2048, 4096, 8192], repetitions=20)
 
+#: Serial / two-worker run pairs timed, alternating; the floor compares
+#: their medians.
+TIMED_PAIRS = 5
+
 
 def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
@@ -40,22 +47,27 @@ def usable_cpus() -> int:
 def test_parallel_e1_sweep_parity_and_speedup(capsys):
     spec = e1_scenario(sizes=BENCH_SIZES)
 
-    start = time.perf_counter()
-    serial = run_spec(spec)
-    serial_seconds = time.perf_counter() - start
+    serial_times = []
+    parallel_times = []
+    for _ in range(TIMED_PAIRS):
+        start = time.perf_counter()
+        serial = run_spec(spec)
+        serial_times.append(time.perf_counter() - start)
 
-    start = time.perf_counter()
-    parallel = run_spec(spec, workers=2)
-    parallel_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        parallel = run_spec(spec, workers=2)
+        parallel_times.append(time.perf_counter() - start)
 
-    # Bit-identical merging: the whole point of the label-keyed seeding.
-    serial_results = serial.results()
-    parallel_results = parallel.results()
-    assert len(serial_results) == len(parallel_results) == 180
-    for ours, theirs in zip(serial_results, parallel_results):
-        assert ours.history == theirs.history
-        assert ours == theirs
+        # Bit-identical merging: the whole point of the label-keyed seeding.
+        serial_results = serial.results()
+        parallel_results = parallel.results()
+        assert len(serial_results) == len(parallel_results) == 180
+        for ours, theirs in zip(serial_results, parallel_results):
+            assert ours.history == theirs.history
+            assert ours == theirs
 
+    serial_seconds = statistics.median(serial_times)
+    parallel_seconds = statistics.median(parallel_times)
     speedup = serial_seconds / parallel_seconds
     cpus = usable_cpus()
     with capsys.disabled():
@@ -67,6 +79,7 @@ def test_parallel_e1_sweep_parity_and_speedup(capsys):
                     "grid_points": len(serial.points),
                     "runs": len(serial_results),
                     "cpus": cpus,
+                    "pairs": TIMED_PAIRS,
                     "serial_seconds": round(serial_seconds, 3),
                     "workers2_seconds": round(parallel_seconds, 3),
                     "speedup": round(speedup, 3),

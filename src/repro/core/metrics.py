@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence
 
 __all__ = ["RoundRecord", "RunResult", "RunAggregate", "aggregate_runs"]
@@ -68,32 +69,14 @@ class RoundRecord:
         """Transmissions that arrived this round (total minus losses)."""
         return self.transmissions - self.lost_transmissions
 
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe dict (numpy scalars coerced to plain Python)."""
-        return {
-            "round_index": int(self.round_index),
-            "informed_before": int(self.informed_before),
-            "informed_after": int(self.informed_after),
-            "push_transmissions": int(self.push_transmissions),
-            "pull_transmissions": int(self.pull_transmissions),
-            "channels_opened": int(self.channels_opened),
-            "lost_transmissions": int(self.lost_transmissions),
-            "phase": str(self.phase),
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RoundRecord":
-        """Inverse of :meth:`to_dict`; round-trips bit-exactly."""
-        return cls(
-            round_index=data["round_index"],
-            informed_before=data["informed_before"],
-            informed_after=data["informed_after"],
-            push_transmissions=data["push_transmissions"],
-            pull_transmissions=data["pull_transmissions"],
-            channels_opened=data["channels_opened"],
-            lost_transmissions=data.get("lost_transmissions", 0),
-            phase=data.get("phase", ""),
-        )
+#: How :meth:`RunResult.to_dict` writes ``history``: one column per
+#: :class:`RoundRecord` field, in field order, with the plain Python type
+#: each column holds.
+_HISTORY_COLUMNS = tuple(
+    (attrgetter(item.name), str if item.name == "phase" else int)
+    for item in fields(RoundRecord)
+)
 
 
 @dataclass
@@ -165,10 +148,12 @@ class RunResult:
         """A JSON-safe dict of the whole run, including per-round history.
 
         All counters are coerced to plain Python scalars and ``metadata`` is
-        deep-copied, so the payload survives ``json.dumps`` untouched.  The
-        distributed sweep executor uses this as the wire and stream format;
-        :meth:`from_dict` reconstructs a result that compares equal to the
-        original down to per-round history.
+        deep-copied, so the payload survives ``json.dumps`` untouched.
+        ``history`` is written as columns: one list per :class:`RoundRecord`
+        field, in field order, so the keys are not repeated every round.
+        The distributed sweep executor uses this as the wire and stream
+        format; :meth:`from_dict` reconstructs a result that compares equal
+        to the original down to per-round history.
         """
         return {
             "n": int(self.n),
@@ -186,7 +171,10 @@ class RunResult:
             "total_channels_opened": int(self.total_channels_opened),
             "total_lost_transmissions": int(self.total_lost_transmissions),
             "final_informed": int(self.final_informed),
-            "history": [record.to_dict() for record in self.history],
+            "history": [
+                list(map(kind, map(column, self.history)))
+                for column, kind in _HISTORY_COLUMNS
+            ],
             "phase_transmissions": {
                 str(phase): int(count)
                 for phase, count in self.phase_transmissions.items()
@@ -209,9 +197,7 @@ class RunResult:
             total_channels_opened=data["total_channels_opened"],
             total_lost_transmissions=data["total_lost_transmissions"],
             final_informed=data["final_informed"],
-            history=[
-                RoundRecord.from_dict(record) for record in data.get("history", [])
-            ],
+            history=[RoundRecord(*row) for row in zip(*data.get("history", ()))],
             phase_transmissions=dict(data.get("phase_transmissions", {})),
             metadata=copy.deepcopy(dict(data.get("metadata", {}))),
         )

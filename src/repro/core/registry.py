@@ -8,15 +8,16 @@ declarative data instead of imports, and so the CLI ``list-*`` commands and
 :mod:`repro.spec` validation can all be driven from one place.
 
 A registry entry knows which keyword arguments its builder accepts (derived
-from the builder's signature), which lets callers validate a kwargs dict
-*before* spending any compute and raise a :class:`ConfigurationError` that
-names the offending key.
+from the builder's signature, once per entry), which lets callers validate a
+kwargs dict *before* spending any compute and raise a
+:class:`ConfigurationError` that names the offending key.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError
@@ -47,14 +48,25 @@ class RegistryEntry:
     summary: str = ""
     params: Mapping[str, str] = field(default_factory=dict)
 
-    def accepted_kwargs(self) -> Optional[frozenset]:
-        """Keyword names the builder accepts, or ``None`` if it takes ``**kwargs``."""
+    @cached_property
+    def _parameters(self) -> Optional[Tuple[inspect.Parameter, ...]]:
+        """The builder's parameters, derived on first use and kept.
+
+        ``None`` for builtins without an introspectable signature.  Every
+        spec validates against its entries, so deriving the signature per
+        call would dominate a sweep's per-point bookkeeping.
+        """
         try:
-            signature = inspect.signature(self.builder)
+            return tuple(inspect.signature(self.builder).parameters.values())
         except (TypeError, ValueError):  # builtins without introspectable signatures
             return None
+
+    def accepted_kwargs(self) -> Optional[frozenset]:
+        """Keyword names the builder accepts, or ``None`` if it takes ``**kwargs``."""
+        if self._parameters is None:
+            return None
         names = set()
-        for parameter in signature.parameters.values():
+        for parameter in self._parameters:
             if parameter.kind is inspect.Parameter.VAR_KEYWORD:
                 return None
             if parameter.kind in (
@@ -169,13 +181,8 @@ class Registry:
         Parameters with defaults, ``reserved`` (runner-supplied) names, and
         positional-only parameters are not required of ``kwargs``.
         """
-        entry = self.entry(name)
-        try:
-            signature = inspect.signature(entry.builder)
-        except (TypeError, ValueError):
-            return []
         missing = []
-        for parameter in signature.parameters.values():
+        for parameter in self.entry(name)._parameters or ():
             if parameter.kind not in (
                 inspect.Parameter.POSITIONAL_OR_KEYWORD,
                 inspect.Parameter.KEYWORD_ONLY,

@@ -3,14 +3,15 @@
 :class:`ParallelScenarioExecutor` fans the grid points of one
 :class:`~repro.spec.ScenarioSpec` out over a process pool.  Nothing
 unpicklable crosses the process boundary: each task is the point's index,
-axis values, baked label, its **serialised single-point spec**, and its
-dispatch count; the worker rebuilds the graph, protocol, and failure model
-from the spec through the registries and returns the results as JSON-safe
-dicts (:meth:`RunResult.to_dict`).  Because the seeding discipline keys
-every random stream off the master seed and the point's label — never off
-execution order, worker identity, or *how many times the point had to be
-attempted* — a point produces bit-identical results no matter which process
-runs it (or re-runs it), which makes the merged
+axis values, baked label, its **resolved single-point spec** (a frozen
+dataclass, validated once by the parent), and its dispatch count; the
+worker rebuilds the graph, protocol, and failure model from the spec
+through the registries and returns the point as a JSON-safe payload
+(:func:`~repro.dist.sink.point_run_to_payload`).  Because the seeding
+discipline keys every random stream off the master seed and the point's
+label — never off execution order, worker identity, or *how many times the
+point had to be attempted* — a point produces bit-identical results no
+matter which process runs it (or re-runs it), which makes the merged
 :class:`~repro.spec.ScenarioRun` **bit-identical to the serial**
 ``run_spec`` result (asserted down to per-round history in
 ``tests/test_dist.py``, and under injected faults in
@@ -86,7 +87,7 @@ from ..spec.scenario import ScenarioSpec
 from .durability import PathLike
 from .partition import ExpandedPoint, ShardLike, expand_points, parse_shard, select_indices
 from .progress import PointProgress, ProgressCallback
-from .sink import StreamingResultSink, point_run_from_payload
+from .sink import StreamingResultSink, point_run_from_payload, point_run_to_payload
 from .resilience import (
     PointFailure,
     RetryPolicy,
@@ -100,9 +101,12 @@ __all__ = ["ParallelScenarioExecutor", "merge_runs"]
 
 
 #: Wire format of one *queued* task: (index, values, label, single-point
-#: spec dict).  At submit time a 1-based dispatch count is appended (the
-#: fault-injection hook and failure records key off it).
-_Task = Tuple[int, Dict[str, object], str, Dict[str, object]]
+#: spec).  The spec travels as the frozen dataclass the parent validated in
+#: ``expand_points``; pickle restores it without re-running its validation,
+#: and workers only ever unpickle tasks this process wrote.  At submit time
+#: a 1-based dispatch count is appended (the fault-injection hook and
+#: failure records key off it).
+_Task = Tuple[int, Dict[str, object], str, ScenarioSpec]
 
 #: Tasks are dispatched to the pool in *graph groups*: every task in a group
 #: materialises the same graph (equal ``ExperimentRunner.graph_cache_key``),
@@ -146,26 +150,14 @@ def _execute_task(
     runner, task, injector: Optional[FaultInjector] = None
 ) -> Dict[str, object]:
     """Run one grid point and return its wire payload."""
-    index, values, label, spec_dict, dispatch = task
+    index, values, label, spec, dispatch = task
     started = time.perf_counter()
     if injector is not None:
         injector.before_point(index, dispatch)
-    point = ExpandedPoint(
-        index=index,
-        values=values,
-        label=label,
-        spec=ScenarioSpec.from_dict(spec_dict),
+    point_run = runner.run_point(
+        ExpandedPoint(index=index, values=values, label=label, spec=spec)
     )
-    point_run = runner.run_point(point)
-    elapsed = time.perf_counter() - started
-    return {
-        "index": index,
-        "values": values,
-        "label": label,
-        "spec": spec_dict,
-        "elapsed_seconds": elapsed,
-        "results": [result.to_dict() for result in point_run.results],
-    }
+    return point_run_to_payload(point_run, time.perf_counter() - started)
 
 
 def _run_group_in_worker(group: List[tuple]) -> Dict[str, object]:
@@ -218,9 +210,7 @@ def _group_by_graph(
     from ..experiments.runner import ExperimentRunner
 
     if workers <= 1:
-        return [
-            [(p.index, p.values, p.label, p.spec.to_dict())] for p in pending
-        ]
+        return [[(p.index, p.values, p.label, p.spec)] for p in pending]
     groups: Dict[tuple, List[_TaskGroup]] = {}
     order: List[tuple] = []
     cap = -(-len(pending) // workers)  # ceil division
@@ -232,9 +222,7 @@ def _group_by_graph(
         chunks = groups[key]
         if len(chunks[-1]) >= cap:
             chunks.append([])
-        chunks[-1].append(
-            (point.index, point.values, point.label, point.spec.to_dict())
-        )
+        chunks[-1].append((point.index, point.values, point.label, point.spec))
     return [chunk for key in order for chunk in groups[key]]
 
 

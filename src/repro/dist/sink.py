@@ -10,10 +10,21 @@ have to fit in memory.
 
 Record format (one per line, "length-prefixed-and-checksummed JSONL")::
 
-    llllllll cccccccc {"schema_version":1,"index":4,...}\n
+    llllllll cccccccc {"schema_version":2,"index":4,...}\n
     ^8-hex   ^8-hex   ^payload: compact JSON, CRC32 = cccccccc,
     payload          exactly llllllll bytes, newline-terminated
     length
+
+A record's payload (:func:`point_run_to_payload`) holds the point's
+``index``, axis ``values``, ``label``, ``elapsed_seconds``, its resolved
+single-point ``spec`` — once — and one :meth:`RunResult.to_dict` per
+repetition.  Each result leaves out ``metadata["spec"]`` and writes its
+``history`` as columns: one list per
+:class:`~repro.core.metrics.RoundRecord` field, in field order.
+:func:`point_run_from_payload` re-attaches the spec to every result, so a
+decoded point equals the one the runner produced.  A sink reads only its
+own :data:`SINK_SCHEMA`; a directory written under another schema raises
+:class:`SinkError` and must be re-run into a fresh directory.
 
 The fixed-width header makes every record self-delimiting, and the CRC
 makes torn tails *detectable at the exact byte*: on open, a sink scans each
@@ -74,6 +85,7 @@ import logging
 import os
 import re
 import zlib
+from dataclasses import replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -103,6 +115,7 @@ __all__ = [
     "StreamingResultSink",
     "merge_streams",
     "stream_payloads",
+    "point_run_to_payload",
     "point_run_from_payload",
     "streamed_table",
 ]
@@ -110,7 +123,8 @@ __all__ = [
 logger = logging.getLogger("repro.dist")
 
 #: Version stamped into every record and manifest; bumped on breaking changes.
-SINK_SCHEMA = 1
+#: A sink reads exactly this version: there is one decoder.
+SINK_SCHEMA = 2
 
 #: ``{length:08x} {crc32:08x} `` — 8 hex digits, space, 8 hex digits, space.
 _HEADER_BYTES = 18
@@ -168,6 +182,16 @@ def encode_record(payload: Dict[str, object]) -> bytes:
     return header + body + b"\n"
 
 
+def _check_schema(version: object, what: str) -> None:
+    """Refuse a record or manifest of any schema but :data:`SINK_SCHEMA`."""
+    if version != SINK_SCHEMA:
+        raise SinkError(
+            f"{what} was written by sink schema {version!r}; this build reads "
+            f"schema {SINK_SCHEMA} only — re-run the sweep into a fresh "
+            "stream directory"
+        )
+
+
 def _read_record(handle) -> Optional[Dict[str, object]]:
     """Read and validate one record; ``None`` = invalid/torn from here on.
 
@@ -195,12 +219,7 @@ def _read_record(handle) -> Optional[Dict[str, object]]:
         return None
     if not isinstance(record, dict) or "index" not in record:
         return None
-    version = record.get("schema_version")
-    if not isinstance(version, int) or version > SINK_SCHEMA:
-        raise SinkError(
-            f"stream record was written by sink schema {version!r}; this "
-            f"build reads up to {SINK_SCHEMA}"
-        )
+    _check_schema(record.get("schema_version"), "stream record")
     return record
 
 
@@ -275,12 +294,7 @@ def _read_manifest(path: Path, fingerprint: Optional[str]) -> Dict[str, object]:
             f"stream manifest {path} is unreadable ({error}); the "
             "directory cannot be trusted"
         ) from error
-    version = manifest.get("schema_version")
-    if not isinstance(version, int) or version > SINK_SCHEMA:
-        raise SinkError(
-            f"stream manifest {path} was written by sink schema "
-            f"{version!r}; this build reads up to {SINK_SCHEMA}"
-        )
+    _check_schema(manifest.get("schema_version"), f"stream manifest {path}")
     if fingerprint is not None and manifest.get("fingerprint") != fingerprint:
         raise ConfigurationError(
             f"stream manifest {path} belongs to a different scenario (spec "
@@ -800,19 +814,50 @@ def stream_payloads(
     return merge_streams(segments)
 
 
+def point_run_to_payload(
+    point_run: PointRun, elapsed_seconds: float
+) -> Dict[str, object]:
+    """The wire/stream payload of one completed point.
+
+    The point spec is written once.  Each result is encoded by
+    :meth:`RunResult.to_dict` without ``metadata["spec"]``, which repeats
+    that spec; :func:`point_run_from_payload` re-attaches it.
+    """
+    results = []
+    for result in point_run.results:
+        metadata = {k: v for k, v in result.metadata.items() if k != "spec"}
+        results.append(replace(result, metadata=metadata).to_dict())
+    return {
+        "index": point_run.index,
+        "values": point_run.values,
+        "label": point_run.label,
+        "spec": point_run.spec.to_dict(),
+        "elapsed_seconds": elapsed_seconds,
+        "results": results,
+    }
+
+
 def point_run_from_payload(payload: Dict[str, object]) -> PointRun:
     """Rebuild a :class:`PointRun` from the wire/stream payload.
 
     Fresh and streamed points both pass through this single
     deserialisation path, so a resumed or streamed sweep is bit-identical
-    to an uninterrupted in-memory one.
+    to an uninterrupted in-memory one.  Every result gets its own
+    ``spec.to_dict()`` back as ``metadata["spec"]``, as the runner recorded
+    it.
     """
+    spec = ScenarioSpec.from_dict(payload["spec"])
+    results = []
+    for encoded in payload["results"]:
+        result = RunResult.from_dict(encoded)
+        result.metadata["spec"] = spec.to_dict()
+        results.append(result)
     return PointRun(
         index=int(payload["index"]),
         values=dict(payload["values"]),
         label=payload["label"],
-        spec=ScenarioSpec.from_dict(payload["spec"]),
-        results=[RunResult.from_dict(result) for result in payload["results"]],
+        spec=spec,
+        results=results,
     )
 
 

@@ -10,12 +10,17 @@ surface (``run-spec --workers/--shard/--stream-dir/--resume/--dry-run``).
 from __future__ import annotations
 
 import json
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import repro.core.registry as registry_module
 from repro.cli import main
 from repro.core.errors import ConfigurationError
+from repro.core.metrics import RoundRecord, RunResult
+from repro.core.registry import Registry
 from repro.dist import (
     ParallelScenarioExecutor,
     PointProgress,
@@ -28,6 +33,10 @@ from repro.dist import (
     stream_payloads,
 )
 from repro.experiments.registry import run_experiment_by_id
+from repro.failures.churn_registry import CHURN_MODELS
+from repro.failures.registry import FAILURE_MODELS
+from repro.graphs.registry import GRAPH_FAMILIES
+from repro.protocols.registry import PROTOCOLS
 from repro.experiments.results_io import load_table_json, save_table_json
 from repro.spec import (
     FailureSpec,
@@ -126,16 +135,50 @@ class TestPartition:
 
 class TestWireFormat:
     def test_run_result_round_trips_bit_exactly(self):
-        spec = sweep_spec(
-            failure=FailureSpec(
-                model="independent-loss",
-                params={"transmission_loss_probability": 0.1},
-            )
+        lossy = FailureSpec(
+            model="independent-loss",
+            params={"transmission_loss_probability": 0.1},
         )
-        for result in run_spec(spec).results():
-            restored = type(result).from_dict(
-                json.loads(json.dumps(result.to_dict()))
+        algorithm1 = run_spec(
+            sweep_spec(
+                graph=GraphSpec(
+                    family="connected-random-regular", params={"n": 256, "d": 8}
+                ),
+                protocol=ProtocolSpec(name="algorithm1"),
+                failure=FailureSpec(
+                    model="independent-loss",
+                    params={"transmission_loss_probability": 0.3},
+                ),
+                sweep=None,
             )
+        ).results()
+        assert len({record.phase for record in algorithm1[0].history}) > 1
+        assert any(record.lost_transmissions for record in algorithm1[0].history)
+        empty = RunResult(
+            n=1,
+            protocol="push",
+            source=0,
+            success=True,
+            rounds_executed=0,
+            rounds_to_completion=0,
+            total_push_transmissions=0,
+            total_pull_transmissions=0,
+            total_channels_opened=0,
+            total_lost_transmissions=0,
+            final_informed=1,
+        )
+        results = [*run_spec(sweep_spec(failure=lossy)).results(), *algorithm1, empty]
+        for result in results:
+            encoded = result.to_dict()
+            history = encoded["history"]
+            assert len(history) == len(fields(RoundRecord)) == 8
+            assert {len(column) for column in history} == {len(result.history)}
+            for column in history[:-1]:
+                assert all(type(value) is int for value in column)
+            assert all(type(value) is str for value in history[-1])
+            wire = json.loads(json.dumps(encoded))
+            assert wire == encoded
+            restored = type(result).from_dict(wire)
             assert restored == result
             assert restored.history == result.history
             assert restored.metadata == result.metadata
@@ -143,6 +186,98 @@ class TestWireFormat:
     def test_to_dict_is_json_safe(self):
         result = run_spec(sweep_spec()).results()[0]
         json.dumps(result.to_dict())  # must not raise
+
+
+def twelve_point_grid() -> ScenarioSpec:
+    """A lossy 3 protocols x 2 sizes x 2 loss rates grid, 2 seeds per point."""
+    return sweep_spec(
+        failure=FailureSpec(
+            model="independent-loss", params={"transmission_loss_probability": 0.0}
+        ),
+        sweep=SweepSpec(
+            axes=(
+                SweepAxis(
+                    path="protocol.name",
+                    values=("push", "pull", "push-pull"),
+                    key="protocol",
+                ),
+                SweepAxis(path="graph.params.n", values=(64, 128)),
+                SweepAxis(
+                    path="failure.params.transmission_loss_probability",
+                    values=(0.0, 0.1),
+                    key="loss",
+                ),
+            )
+        ),
+    )
+
+
+class TestPerPointBookkeeping:
+    """One grid point costs one validation, one shipment and one record.
+
+    ``workers=1`` runs the worker code in-process, so every count below
+    includes the worker's side of the wire.
+    """
+
+    def run_streamed(self, directory):
+        return run_spec(
+            twelve_point_grid(), workers=1, stream_dir=directory, stream_durable=False
+        )
+
+    def test_spec_parsed_twice_per_point(self, tmp_path, monkeypatch):
+        parse = ScenarioSpec.from_dict.__func__
+        calls = []
+
+        def counting(cls, data):
+            calls.append(data)
+            return parse(cls, data)
+
+        monkeypatch.setattr(ScenarioSpec, "from_dict", classmethod(counting))
+        run = self.run_streamed(tmp_path)
+        # Once to resolve the point while expanding the grid, once to decode
+        # its record; the worker runs the spec object it was shipped.
+        assert len(run.points) == 12
+        assert len(calls) == 2 * 12
+
+    def test_builder_signature_derived_once_per_entry(self, tmp_path, monkeypatch):
+        derived = Counter()
+        signature = registry_module.inspect.signature
+
+        def counting(target, *args, **kwargs):
+            derived[id(target)] += 1
+            return signature(target, *args, **kwargs)
+
+        monkeypatch.setattr(registry_module.inspect, "signature", counting)
+        self.run_streamed(tmp_path)
+        for registry in (PROTOCOLS, GRAPH_FAMILIES, FAILURE_MODELS, CHURN_MODELS):
+            for entry in registry:
+                assert derived[id(entry.builder)] <= 1, entry.name
+
+        def build_widget(size, colour="red"):
+            return (size, colour)
+
+        widgets = Registry("widget")
+        widgets.register("box", build_widget)
+        for _ in range(3):
+            widgets.validate_kwargs("box", {"size": 1})
+            assert widgets.missing_required("box", {}) == ["size"]
+            assert widgets.entry("box").accepted_kwargs() == {"size", "colour"}
+        assert derived[id(build_widget)] == 1
+
+    def test_record_holds_point_spec_once(self, tmp_path):
+        run = self.run_streamed(tmp_path)
+        records = [
+            line
+            for segment in sorted(tmp_path.glob("segment-*.jsonl"))
+            for line in segment.read_bytes().splitlines()
+        ]
+        assert len(records) == 12
+        for record in records:
+            assert record.count(b'"master_seed"') == 1
+        for point in run.points:
+            for result in point.results:
+                assert result.metadata["spec"] == point.spec.to_dict()
+        assert_bit_identical(run_spec(twelve_point_grid()), run)
 
 
 class TestParallelParity:

@@ -27,8 +27,10 @@ from repro.dist import (
     SinkError,
     SinkFullError,
     StreamingResultSink,
+    expand_points,
     merge_streams,
     point_run_from_payload,
+    spec_fingerprint,
     stream_payloads,
     streamed_table,
 )
@@ -103,6 +105,53 @@ class TestRecordFraming:
         path.write_bytes(header + body + b"\n")
         with pytest.raises(SinkError, match="schema"):
             list(iter_records(path))
+
+
+class TestSchemaRefusal:
+    """A directory written under another sink schema is refused, untouched."""
+
+    def write_schema1_dir(self, directory: Path, spec) -> None:
+        directory.mkdir()
+        manifest = {
+            "schema_version": 1,
+            "fingerprint": spec_fingerprint(spec),
+            "tag": "",
+            "segments": ["segment-0000.jsonl"],
+            "fsync_every": 1,
+        }
+        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        point = expand_points(spec)[0]
+        body = json.dumps(
+            {
+                "schema_version": 1,
+                "index": 0,
+                "values": point.values,
+                "label": point.label,
+                "spec": point.spec.to_dict(),
+                "elapsed_seconds": 0.0,
+                "results": [],
+            },
+            separators=(",", ":"),
+        ).encode()
+        import zlib
+
+        header = b"%08x %08x " % (len(body), zlib.crc32(body) & 0xFFFFFFFF)
+        (directory / "segment-0000.jsonl").write_bytes(header + body + b"\n")
+
+    def test_schema_1_directory_is_refused_untouched(self, tmp_path):
+        spec = sweep_spec()
+        directory = tmp_path / "old"
+        self.write_schema1_dir(directory, spec)
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        names_both = r"schema 1\b.*schema 2\b"
+        with pytest.raises(SinkError, match=names_both):
+            run_spec(spec, stream_dir=directory, resume=True)
+        with pytest.raises(SinkError, match=names_both):
+            list(stream_payloads(directory, spec))
+        with pytest.raises(SinkError, match=names_both):
+            list(iter_records(directory / "segment-0000.jsonl"))
+        after = {path.name: path.read_bytes() for path in directory.iterdir()}
+        assert after == before
 
 
 class TestTruncationSweep:
