@@ -30,6 +30,7 @@ from .core import (
     RoundEngine,
     RoundRecord,
     RunAggregate,
+    RunPlan,
     RunResult,
     SimulationConfig,
     SimulationError,
@@ -38,6 +39,7 @@ from .core import (
     BatchedVectorizedRoundEngine,
     VectorizedRoundEngine,
     aggregate_runs,
+    plan_run,
     run_broadcast,
     run_broadcast_batch,
     vectorization_unsupported_reason,
@@ -109,6 +111,8 @@ __all__ = [
     "VectorizedRoundEngine",
     "BatchedVectorizedRoundEngine",
     "vectorization_unsupported_reason",
+    "RunPlan",
+    "plan_run",
     "run_broadcast",
     "run_broadcast_batch",
     "RunResult",

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .core.errors import ConfigurationError
+from .core.engine import RunPlan
+from .core.errors import ConfigurationError, SimulationError
 from .core.metrics import aggregate_runs
 from .core.registry import Registry
 from .core.rng import RandomSource, derive_seed
@@ -173,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print the expanded grid (point index, axis values, label, run "
-            "seeds) without running anything; honours --shard"
+            "seeds, and the engine plan each point will execute) without "
+            "running anything; honours --shard; exits 1 if a point is refused"
         ),
     )
     run_spec_cmd.add_argument(
@@ -362,50 +364,22 @@ def _point_node_count(point_spec: ScenarioSpec) -> Optional[int]:
     return None
 
 
-def _predict_point_engine(point_spec: ScenarioSpec, n: Optional[int]) -> str:
-    """Predicted engine (and batching) of one grid point, without any compute.
+def _plan_engine(plan: RunPlan) -> str:
+    """A plan's engine column: ``scalar (<reason>)`` or ``vectorized (...)``."""
+    if plan.engine == "scalar":
+        return f"scalar ({plan.reason})"
+    return "vectorized (batched)" if plan.batched else "vectorized (per-seed)"
 
-    Replays the protocol/failure-model parts of the vectorized dispatch
-    rules on a stub graph; the graph-side requirement (contiguous node ids)
-    holds for every registry family, so the prediction matches what
-    ``run_spec`` will select unless a custom graph breaks it.
+
+def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Tuple[Table, int]:
+    """The expanded grid as a table, and how many of its points are refused.
+
+    Each row shows the point index, axis values, label, run seeds, and the
+    plan ``run_point`` will execute (:meth:`ExperimentRunner.plan_point`):
+    its engine and the state shape (R, n) with its estimated resident size
+    — enough to predict memory before a million-node launch.  A point whose
+    ``engine="vectorized"`` cannot be honoured shows ``refused (<error>)``.
     """
-    from .core.engine_vectorized import vectorization_unsupported_reason
-    from .graphs.base import Graph
-
-    config = point_spec.simulation_config()
-    engine = config.engine if config is not None else point_spec.engine
-    if engine == "scalar":
-        return "scalar (forced)"
-    try:
-        protocol = point_spec.protocol.factory()(
-            point_spec.protocol.n_estimate or n or 1024
-        )
-        failure = point_spec.failure.build()
-        churn = point_spec.churn.build()
-    except Exception as error:  # pragma: no cover - defensive
-        return f"unknown ({error})"
-    stub = Graph.from_edges(2, [(0, 1)])
-    from .core.config import SimulationConfig
-
-    reason = vectorization_unsupported_reason(
-        stub,
-        protocol,
-        config if config is not None else SimulationConfig(),
-        failure,
-        churn,
-    )
-    if reason is not None:
-        return f"scalar ({reason})"
-    if point_spec.repetitions > 1 and point_spec.batch and churn is None:
-        return "vectorized (batched)"
-    return "vectorized (per-seed)"
-
-
-def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Table:
-    """The expanded grid as a table: index, axis values, label, run seeds,
-    predicted engine, and the batch state shape (R, n) with its estimated
-    resident size — enough to predict memory before a million-node launch."""
     from .dist.partition import expand_points, select_indices
     from .experiments.runner import ExperimentRunner
 
@@ -422,9 +396,7 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Table:
         + axis_keys
         + ["label", "seeds", "batch_shape", "est_state_mb", "engine"],
     )
-    #: Bytes per (replication, node) state entry: informed flag (1) +
-    #: informed round (int32) + sorted informed-index vector (int32).
-    state_bytes = 9
+    refused = 0
     for index in indices:
         point = points[index]
         seed_label = runner.seed_label_for(point.spec, point.label)
@@ -435,15 +407,18 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Table:
             # count; a dry run never builds graphs, so show the rule instead.
             else f"derive_seed({spec.master_seed}, 'run', '{point.label}-<node_count>', i)"
         )
-        n = _point_node_count(point.spec)
-        engine = _predict_point_engine(point.spec, n)
-        rows = point.spec.repetitions if engine == "vectorized (batched)" else 1
-        if n is None:
-            shape = f"({rows}, ?)"
-            est_mb = "?"
+        try:
+            plan = runner.plan_point(point.spec, _point_node_count(point.spec))
+        except SimulationError as error:
+            refused += 1
+            engine, shape, est_mb = f"refused ({error})", "-", "-"
         else:
-            shape = f"({rows}, {n})"
-            est_mb = f"{rows * n * state_bytes / 1e6:.1f}"
+            engine = _plan_engine(plan)
+            if plan.n is None:
+                shape, est_mb = f"({plan.rows}, ?)", "?"
+            else:
+                shape = f"({plan.rows}, {plan.n})"
+                est_mb = f"{plan.state_mb:.1f}"
         table.add_row(
             **point.values,
             point=index,
@@ -455,9 +430,13 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Table:
         )
     table.add_note(
         "batch_shape is the (R, n) engine state of one point; est_state_mb "
-        f"≈ R·n·{state_bytes} bytes (flags + informed rounds + index pools), "
-        "sampling scratch adds ~16 bytes per pushing node at peak"
+        f"≈ R·n·{RunPlan.STATE_BYTES} bytes (flags + informed rounds + index "
+        "pools), sampling scratch adds ~16 bytes per pushing node at peak"
     )
+    if refused:
+        table.add_note(
+            f"{refused} point(s) refused: run-spec raises SimulationError on them"
+        )
     if shard is not None:
         if indices:
             table.add_note(
@@ -472,7 +451,7 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Table:
         f"master seed {spec.master_seed}; run seeds are "
         "derive_seed(master, 'run', seed_label, i) for i in 0..repetitions-1"
     )
-    return table
+    return table, refused
 
 
 def _run_run_spec(args: argparse.Namespace) -> int:
@@ -490,8 +469,9 @@ def _run_run_spec(args: argparse.Namespace) -> int:
 
     spec = load_spec(args.spec_file)
     if args.dry_run:
-        print(_dry_run_table(spec, args.shard).render())
-        return 0
+        table, refused = _dry_run_table(spec, args.shard)
+        print(table.render())
+        return 1 if refused else 0
 
     retry = None
     if args.max_attempts is not None or args.point_timeout is not None:

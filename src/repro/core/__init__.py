@@ -2,7 +2,7 @@
 
 from .channels import Channel, ChannelSet
 from .config import SimulationConfig
-from .engine import RoundEngine, run_broadcast, run_broadcast_batch
+from .engine import RoundEngine, RunPlan, plan_run, run_broadcast, run_broadcast_batch
 from .engine_vectorized import (
     BatchedVectorizedRoundEngine,
     VectorizedRoundEngine,
@@ -20,7 +20,6 @@ from .message import Message, Payload
 from .metrics import RoundRecord, RunAggregate, RunResult, aggregate_runs
 from .node import NodeState, StateTable, VectorState
 from .rng import RandomSource, derive_seed
-from .trace import NullTracer, RecordingTracer, TraceEvent, Tracer
 
 __all__ = [
     "RandomSource",
@@ -37,16 +36,14 @@ __all__ = [
     "VectorizedRoundEngine",
     "BatchedVectorizedRoundEngine",
     "vectorization_unsupported_reason",
+    "RunPlan",
+    "plan_run",
     "run_broadcast",
     "run_broadcast_batch",
     "RoundRecord",
     "RunResult",
     "RunAggregate",
     "aggregate_runs",
-    "Tracer",
-    "NullTracer",
-    "RecordingTracer",
-    "TraceEvent",
     "ReproError",
     "ConfigurationError",
     "GraphGenerationError",

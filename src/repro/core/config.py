@@ -1,15 +1,15 @@
 """Simulation configuration.
 
 One :class:`SimulationConfig` object captures every knob of a broadcast run
-that is not part of the graph or the protocol themselves: failure injection,
-churn, round limits, and trace verbosity.  Keeping these in a frozen dataclass
-means an experiment's full parameterisation can be logged and reproduced from
-a single record.
+that is not part of the graph, the protocol or the churn model themselves:
+failure injection, round limits, history recording and engine selection.
+Keeping these in a frozen dataclass means an experiment's full
+parameterisation can be logged and reproduced from a single record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigurationError
@@ -35,9 +35,6 @@ class SimulationConfig:
     channel_failure_probability:
         Probability that an opened channel fails entirely for the round
         (neither push nor pull can use it).
-    churn_rate:
-        Expected fraction of nodes replaced per round (see
-        :mod:`repro.failures.churn`).  ``0`` disables churn.
     collect_round_history:
         Whether to record the per-round informed counts and transmission
         counts.  Experiments that only need totals can disable it to save
@@ -49,13 +46,14 @@ class SimulationConfig:
         measure *completion time* enable early stopping instead.
     engine:
         Which round engine executes the run.  ``"auto"`` (default) picks the
-        bulk NumPy engine whenever the protocol and run configuration support
-        it (no tracer, no churn, no exchange hook, bulk protocol hooks
-        available) and silently falls back to the scalar engine otherwise;
-        ``"scalar"`` forces the per-node object engine; ``"vectorized"``
-        forces the bulk engine and raises :class:`SimulationError` if the
-        combination cannot be vectorized.  See
-        :mod:`repro.core.engine_vectorized` for the dispatch rules.
+        bulk NumPy engine whenever the protocol, failure model and any churn
+        model support it (bulk protocol hooks available, no exchange hook,
+        no contact memory) and silently falls back to the scalar engine
+        otherwise; ``"scalar"`` forces the per-node object engine;
+        ``"vectorized"`` forces the bulk engine and raises
+        :class:`SimulationError` if the combination cannot be vectorized.
+        :func:`repro.core.engine.plan_run` makes the decision; see
+        :mod:`repro.core.engine_vectorized` for the rules.
     batch_row_compaction:
         Whether the batched vectorized engine remaps completed replications
         out of its ``(R, n)`` state as they finish (only meaningful together
@@ -74,7 +72,6 @@ class SimulationConfig:
     max_rounds: Optional[int] = None
     message_loss_probability: float = 0.0
     channel_failure_probability: float = 0.0
-    churn_rate: float = 0.0
     collect_round_history: bool = True
     stop_when_informed: bool = True
     engine: str = "auto"
@@ -90,27 +87,11 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"engine must be 'auto', 'scalar', or 'vectorized', got {self.engine!r}"
             )
-        for name in (
-            "message_loss_probability",
-            "channel_failure_probability",
-            "churn_rate",
-        ):
+        for name in ("message_loss_probability", "channel_failure_probability"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
 
     def with_overrides(self, **overrides) -> "SimulationConfig":
         """A copy of this configuration with selected fields replaced."""
-        data = {
-            "max_rounds": self.max_rounds,
-            "message_loss_probability": self.message_loss_probability,
-            "channel_failure_probability": self.channel_failure_probability,
-            "churn_rate": self.churn_rate,
-            "collect_round_history": self.collect_round_history,
-            "stop_when_informed": self.stop_when_informed,
-            "engine": self.engine,
-            "batch_row_compaction": self.batch_row_compaction,
-            "churn_node_compaction": self.churn_node_compaction,
-        }
-        data.update(overrides)
-        return SimulationConfig(**data)
+        return replace(self, **overrides)

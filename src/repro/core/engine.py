@@ -25,16 +25,19 @@ Beyond that scale, :func:`run_broadcast` transparently dispatches to the bulk
 NumPy engine (:mod:`repro.core.engine_vectorized`) whenever the protocol and
 run configuration allow it — see ``SimulationConfig.engine`` for the
 ``"auto" | "scalar" | "vectorized"`` knob and the vectorized module docstring
-for the dispatch rules.  Instantiating :class:`RoundEngine` directly always
-runs the scalar path.
+for the rules.  The decision is made in one place, :func:`plan_run`, whose
+:class:`RunPlan` (engine, batching, graph copies, the ``(R, n)`` state
+shape) every entry point executes and ``run-spec --dry-run`` prints.
+Instantiating :class:`RoundEngine` directly always runs the scalar path.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Sequence
 
 from ..failures.churn import ChurnModel, NoChurn
-from ..failures.message_loss import FailureModel, IndependentLoss, ReliableDelivery
+from ..failures.message_loss import FailureModel
 from ..graphs.base import Graph
 from ..protocols.base import BroadcastProtocol
 from .channels import ChannelSet
@@ -42,15 +45,15 @@ from .config import SimulationConfig
 from .engine_vectorized import (
     BatchedVectorizedRoundEngine,
     VectorizedRoundEngine,
+    _resolve_failure_model,
     vectorization_unsupported_reason,
 )
 from .errors import SimulationError
 from .metrics import RoundRecord, RunResult
 from .node import StateTable
 from .rng import RandomSource
-from .trace import NullTracer, Tracer
 
-__all__ = ["RoundEngine", "run_broadcast", "run_broadcast_batch"]
+__all__ = ["RoundEngine", "RunPlan", "plan_run", "run_broadcast", "run_broadcast_batch"]
 
 
 class RoundEngine:
@@ -73,8 +76,6 @@ class RoundEngine:
         Overrides the loss probabilities in ``config`` when supplied.
     churn_model:
         Membership changes applied at the start of every round.
-    tracer:
-        Optional event observer (defaults to a no-op tracer).
     """
 
     def __init__(
@@ -85,7 +86,6 @@ class RoundEngine:
         seed: int = 0,
         failure_model: Optional[FailureModel] = None,
         churn_model: Optional[ChurnModel] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.graph = graph
         self.protocol = protocol
@@ -94,20 +94,8 @@ class RoundEngine:
         self._protocol_rng = self.rng.spawn("protocol")
         self._failure_rng = self.rng.spawn("failures")
         self._churn_rng = self.rng.spawn("churn")
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.churn_model = churn_model if churn_model is not None else NoChurn()
-        if failure_model is not None:
-            self.failure_model = failure_model
-        elif (
-            self.config.message_loss_probability > 0
-            or self.config.channel_failure_probability > 0
-        ):
-            self.failure_model = IndependentLoss(
-                transmission_loss_probability=self.config.message_loss_probability,
-                channel_failure_probability=self.config.channel_failure_probability,
-            )
-        else:
-            self.failure_model = ReliableDelivery()
+        self.failure_model = _resolve_failure_model(self.config, failure_model)
 
     # -- public API ---------------------------------------------------------------
 
@@ -190,7 +178,6 @@ class RoundEngine:
             self.churn_model.apply(round_index, graph, states, self._churn_rng)
 
         informed_before = states.informed_count
-        self.tracer.on_round_start(round_index, informed_before)
         protocol.on_round_start(round_index, states)
 
         push_active = protocol.push_round(round_index)
@@ -212,11 +199,7 @@ class RoundEngine:
                 ):
                     continue
                 push_transmissions += 1
-                lost = self.failure_model.transmission_lost(self._failure_rng)
-                self.tracer.on_transmission(
-                    round_index, channel.caller, channel.callee, "push", lost
-                )
-                if lost:
+                if self.failure_model.transmission_lost(self._failure_rng):
                     lost_transmissions += 1
                 elif states.contains(channel.callee):
                     states[channel.callee].deliver(round_index)
@@ -229,11 +212,7 @@ class RoundEngine:
                 ):
                     continue
                 pull_transmissions += 1
-                lost = self.failure_model.transmission_lost(self._failure_rng)
-                self.tracer.on_transmission(
-                    round_index, channel.callee, channel.caller, "pull", lost
-                )
-                if lost:
+                if self.failure_model.transmission_lost(self._failure_rng):
                     lost_transmissions += 1
                 elif states.contains(channel.caller):
                     states[channel.caller].deliver(round_index)
@@ -245,10 +224,7 @@ class RoundEngine:
                 )
 
         newly_informed = states.commit_round()
-        for node_id in newly_informed:
-            self.tracer.on_node_informed(round_index, node_id)
         protocol.on_round_committed(round_index, states, newly_informed)
-        self.tracer.on_round_end(round_index, states.informed_count)
 
         return RoundRecord(
             round_index=round_index,
@@ -314,9 +290,94 @@ class RoundEngine:
                 if self.failure_model.channel_fails(self._failure_rng):
                     continue
                 channels.open(node, target)
-                self.tracer.on_channel_open(round_index, node, target)
 
         return channels, channels_opened
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """How one set of seeds runs: the single dispatch decision, by :func:`plan_run`.
+
+    Attributes
+    ----------
+    engine:
+        ``"vectorized"`` (the bulk NumPy engines) or ``"scalar"``.
+    batched:
+        Whether all seeds run as one ``(R, n)`` program on
+        :class:`~repro.core.engine_vectorized.BatchedVectorizedRoundEngine`;
+        otherwise each seed runs on its own.
+    rows, n:
+        The engine state shape ``(R, n)``: ``rows`` is the seed count of a
+        batched plan and 1 otherwise.  ``n`` is ``None`` when the graph is
+        not built yet (a dry run).
+    copy_graph:
+        Whether each seed runs on its own copy of the graph: a churn run on
+        the scalar engine mutates it, while the vectorized engine churns a
+        private CSR copy.
+    reason:
+        Why a scalar plan was refused the bulk engine (``"forced"`` under
+        ``engine="scalar"``); ``None`` for vectorized plans.
+    """
+
+    #: Bytes per (replication, node) state entry: informed flag (1) +
+    #: informed round (int32) + sorted informed-index vector (int32).
+    STATE_BYTES: ClassVar[int] = 9
+
+    engine: str
+    batched: bool
+    rows: int
+    n: Optional[int]
+    copy_graph: bool
+    reason: Optional[str] = None
+
+    @property
+    def state_mb(self) -> Optional[float]:
+        """Estimated resident size of the ``(R, n)`` state in MB, if ``n`` is known."""
+        if self.n is None:
+            return None
+        return self.rows * self.n * self.STATE_BYTES / 1e6
+
+
+def plan_run(
+    graph: Optional[Graph],
+    protocol: BroadcastProtocol,
+    config: Optional[SimulationConfig],
+    failure_model: Optional[FailureModel],
+    churn_model: Optional[ChurnModel],
+    seeds: Sequence[int],
+    batch: bool,
+) -> RunPlan:
+    """Decide how ``seeds`` run; every entry point executes the returned plan.
+
+    * Scalar when ``config.engine`` forces it (``reason == "forced"``), or
+      when :func:`vectorization_unsupported_reason` refuses under
+      ``"auto"``.  Under ``"vectorized"`` a refusal raises
+      :class:`SimulationError` naming the obstacle for a per-seed run.
+    * Batched iff vectorized, ``batch`` is on, there is more than one seed
+      and there is no churn (membership diverges per replication).
+    * ``copy_graph`` iff a churn run lands on the scalar engine.
+
+    ``graph`` is ``None`` when it is not built yet (``run-spec --dry-run``):
+    the plan's ``n`` is then ``None`` too.  Pure: builds and draws nothing.
+    """
+    cfg = config if config is not None else SimulationConfig()
+    churn = churn_model is not None and not isinstance(churn_model, NoChurn)
+    reason: Optional[str] = "forced"
+    if cfg.engine != "scalar":
+        reason = vectorization_unsupported_reason(
+            graph, protocol, cfg, failure_model, churn_model
+        )
+        if reason is not None and cfg.engine == "vectorized":
+            raise SimulationError(f"engine='vectorized' requested but {reason}")
+    batched = reason is None and batch and len(seeds) > 1 and not churn
+    return RunPlan(
+        engine="scalar" if reason is not None else "vectorized",
+        batched=batched,
+        rows=len(seeds) if batched else 1,
+        n=graph.node_count if graph is not None else None,
+        copy_graph=churn and reason is not None,
+        reason=reason,
+    )
 
 
 def run_broadcast(
@@ -327,9 +388,8 @@ def run_broadcast(
     config: Optional[SimulationConfig] = None,
     failure_model: Optional[FailureModel] = None,
     churn_model: Optional[ChurnModel] = None,
-    tracer: Optional[Tracer] = None,
 ) -> RunResult:
-    """Run one broadcast, dispatching to the fastest engine that applies.
+    """Run one broadcast on the engine :func:`plan_run` picks for one seed.
 
     ``config.engine`` selects the execution strategy: ``"auto"`` (default)
     uses the bulk NumPy engine when the protocol and configuration support it
@@ -337,41 +397,28 @@ def run_broadcast(
     ``"vectorized"`` force one path (the latter raises
     :class:`SimulationError`, naming the obstacle, if vectorization is
     impossible).  Both engines produce the same :class:`RunResult` shape;
-    ``result.metadata["engine"]`` records which one ran.
+    ``result.metadata["engine"]`` records which one ran.  The run uses
+    ``graph`` itself, so a scalar churn run mutates it (the plan's
+    ``copy_graph``); the per-seed loops pass each seed its own copy.
     """
-    cfg = config if config is not None else SimulationConfig()
-    if cfg.engine != "scalar":
-        reason = vectorization_unsupported_reason(
-            graph, protocol, cfg, failure_model, churn_model, tracer
-        )
-        if reason is None:
-            return VectorizedRoundEngine(
-                graph=graph,
-                protocol=protocol,
-                config=cfg,
-                seed=seed,
-                failure_model=failure_model,
-                churn_model=churn_model,
-                tracer=tracer,
-            ).run(source=source)
-        if cfg.engine == "vectorized":
-            raise SimulationError(f"engine='vectorized' requested but {reason}")
-    engine = RoundEngine(
+    plan = plan_run(
+        graph, protocol, config, failure_model, churn_model, [seed], batch=False
+    )
+    engine_class = VectorizedRoundEngine if plan.engine == "vectorized" else RoundEngine
+    return engine_class(
         graph=graph,
         protocol=protocol,
         config=config,
         seed=seed,
         failure_model=failure_model,
         churn_model=churn_model,
-        tracer=tracer,
-    )
-    return engine.run(source=source)
+    ).run(source=source)
 
 
 def run_broadcast_batch(
     graph: Graph,
     protocol: BroadcastProtocol,
-    seeds,
+    seeds: Sequence[int],
     source: int = 0,
     config: Optional[SimulationConfig] = None,
     failure_model: Optional[FailureModel] = None,
@@ -386,44 +433,31 @@ def run_broadcast_batch(
     vectorized engine (the batch only adds ``metadata["batch_size"]``).
 
     One ``protocol`` instance drives all replications (it is reset at the
-    start of the batch).  When the combination cannot be batched the function
-    falls back to a per-seed :func:`run_broadcast` loop — churn in particular
-    always takes this path (membership diverges per replication), running
-    each seed on the single-run vectorized engine when admissible.  With
-    ``config.engine == "vectorized"`` the function raises, like the
-    single-run dispatcher, only when the per-seed path cannot vectorize
-    either.
+    start of each run).  When :func:`plan_run` does not batch — one seed,
+    churn (membership diverges per replication), or a scalar plan — the
+    seeds run one by one through :func:`run_broadcast`, each on its own
+    graph copy when the plan says so.  With ``config.engine ==
+    "vectorized"`` the function raises only when the per-seed path cannot
+    vectorize either, naming that obstacle.
     """
-    cfg = config if config is not None else SimulationConfig()
-    single_reason: Optional[str] = "scalar engine forced"
-    if cfg.engine != "scalar":
-        reason = vectorization_unsupported_reason(
-            graph, protocol, cfg, failure_model, churn_model, None, batched=True
-        )
-        if reason is None:
-            return BatchedVectorizedRoundEngine(
-                graph=graph,
-                protocol=protocol,
-                seeds=seeds,
-                config=cfg,
-                failure_model=failure_model,
-            ).run(source=source)
-        single_reason = vectorization_unsupported_reason(
-            graph, protocol, cfg, failure_model, churn_model, None
-        )
-        if cfg.engine == "vectorized" and single_reason is not None:
-            raise SimulationError(f"engine='vectorized' requested but {reason}")
-    # Scalar churn runs mutate the graph, so each seed gets its own copy;
-    # the vectorized engine works on a private CSR copy and needs none.
-    dynamic = churn_model is not None and not isinstance(churn_model, NoChurn)
-    copy_per_seed = dynamic and single_reason is not None
+    plan = plan_run(
+        graph, protocol, config, failure_model, churn_model, seeds, batch=True
+    )
+    if plan.batched:
+        return BatchedVectorizedRoundEngine(
+            graph=graph,
+            protocol=protocol,
+            seeds=seeds,
+            config=config,
+            failure_model=failure_model,
+        ).run(source=source)
     return [
         run_broadcast(
-            graph=graph.copy() if copy_per_seed else graph,
+            graph=graph.copy() if plan.copy_graph else graph,
             protocol=protocol,
             source=source,
             seed=seed,
-            config=cfg,
+            config=config,
             failure_model=failure_model,
             churn_model=churn_model,
         )

@@ -71,28 +71,28 @@ Dispatch rules
 The fast path reproduces the scalar engine's *aggregate* semantics (success,
 rounds-to-completion distribution, transmission and channel accounting
 identities) but not its per-call draw order, so runs with the same seed agree
-statistically, not bit-for-bit.  ``run_broadcast`` therefore selects it only
-when nothing the scalar engine offers beyond aggregates is requested:
+statistically, not bit-for-bit.  The bulk engines therefore run only when
+nothing the scalar engine offers beyond aggregates is requested:
 
 * the protocol opts in (``supports_vectorized``) and needs neither the
   per-channel exchange hook nor the contact-memory mechanism;
-* no tracer is attached (tracing is inherently per-event);
 * churn, when present, is a model that opted into the bulk membership hook
   (``ChurnModel.supports_vectorized`` / ``vector_apply``) driving a protocol
   that opted into dynamic membership
-  (``BroadcastProtocol.supports_dynamic_membership``) — and the run is
-  single-seed (the batched engine rejects churn outright: replications'
-  graphs diverge, so there is no shared CSR to batch over);
+  (``BroadcastProtocol.supports_dynamic_membership``);
 * the failure model is ``ReliableDelivery`` or ``IndependentLoss`` (arbitrary
   strategy objects cannot be batched);
 * the graph's node ids are contiguous ``0..n-1``.
 
-:func:`vectorization_unsupported_reason` centralises these checks and returns
-a human-readable reason (or ``None``) so the dispatcher and error messages
-stay in sync.  The batched engine accepts exactly the combinations the
-single-run engine accepts except churn (``batched=True`` names that reason;
-``repro.core.engine.run_broadcast_batch`` owns the fallback to a per-seed
-loop).
+:func:`vectorization_unsupported_reason` holds these checks and returns a
+human-readable reason (or ``None``).  The dispatch decision itself is made
+once, by :func:`repro.core.engine.plan_run`: every entry point
+(``run_broadcast``, ``run_broadcast_batch``, the experiment runner and
+``run-spec --dry-run``) executes the :class:`~repro.core.engine.RunPlan` it
+returns, and only the two constructors below re-check the predicate as a
+guard.  The batched engine accepts exactly the combinations the single-run
+engine accepts except churn, which it refuses itself: replications' graphs
+diverge, so there is no shared CSR to batch over, and churn runs per seed.
 
 Dynamic membership (vectorized churn)
 -------------------------------------
@@ -152,7 +152,6 @@ from .errors import SimulationError
 from .metrics import RoundRecord, RunResult
 from .node import VectorState
 from .rng import RandomSource
-from .trace import NullTracer, Tracer
 
 __all__ = [
     "VectorizedRoundEngine",
@@ -169,20 +168,18 @@ _CHUNK_ENTRIES = 1 << 19
 
 
 def vectorization_unsupported_reason(
-    graph: Graph,
+    graph: Optional[Graph],
     protocol: BroadcastProtocol,
     config: SimulationConfig,
     failure_model: Optional[FailureModel] = None,
     churn_model: Optional[ChurnModel] = None,
-    tracer: Optional[Tracer] = None,
-    batched: bool = False,
 ) -> Optional[str]:
-    """Why this run cannot use the bulk engine, or ``None`` if it can.
+    """Why one seed of this run cannot use the bulk engine, or ``None``.
 
-    ``batched=True`` asks about the batched multi-seed engine, which rejects
-    all churn (replications' graphs diverge); the default asks about the
-    single-run engine, where churn is admissible for models and protocols
-    that opted into the dynamic-membership hooks.
+    Churn is admissible for models and protocols that opted into the
+    dynamic-membership hooks.  ``graph`` is ``None`` when it is not built
+    yet (a dry run); the contiguous-ids check, which every registry family
+    passes, is then skipped.
     """
     if not protocol.supports_vectorized:
         return f"protocol {protocol.name!r} does not implement the bulk hooks"
@@ -213,14 +210,7 @@ def vectorization_unsupported_reason(
             f"protocol {protocol.name!r} overrides select_call_targets without "
             "a bulk counterpart"
         )
-    if tracer is not None and not isinstance(tracer, NullTracer):
-        return "a tracer is attached (tracing is per-event)"
     if churn_model is not None and not isinstance(churn_model, NoChurn):
-        if batched:
-            return (
-                "churn cannot run on the batched engine (membership diverges "
-                "per replication; run per-seed vectorized instead)"
-            )
         if not getattr(churn_model, "supports_vectorized", False):
             return (
                 f"churn model {type(churn_model).__name__} does not implement "
@@ -238,7 +228,7 @@ def vectorization_unsupported_reason(
             f"failure model {type(failure_model).__name__} cannot be batched "
             "(only ReliableDelivery / IndependentLoss are vectorizable)"
         )
-    if not graph.has_contiguous_ids():
+    if graph is not None and not graph.has_contiguous_ids():
         return "graph node ids are not contiguous 0..n-1 (CSR export impossible)"
     return None
 
@@ -626,7 +616,6 @@ class VectorizedRoundEngine(_BulkEngineBase):
         seed: int = 0,
         failure_model: Optional[FailureModel] = None,
         churn_model: Optional[ChurnModel] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.graph = graph
         self.protocol = protocol
@@ -635,7 +624,7 @@ class VectorizedRoundEngine(_BulkEngineBase):
         self.churn_model = churn_model if churn_model is not None else NoChurn()
 
         reason = vectorization_unsupported_reason(
-            graph, protocol, self.config, self.failure_model, self.churn_model, tracer
+            graph, protocol, self.config, self.failure_model, self.churn_model
         )
         if reason is not None:
             raise SimulationError(f"run cannot be vectorized: {reason}")
@@ -1202,7 +1191,6 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         config: Optional[SimulationConfig] = None,
         failure_model: Optional[FailureModel] = None,
         churn_model: Optional[ChurnModel] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if len(seeds) == 0:
             raise SimulationError("batched run requires at least one seed")
@@ -1213,14 +1201,11 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         self.churn_model = churn_model if churn_model is not None else NoChurn()
         self.seeds = [int(seed) for seed in seeds]
 
-        reason = vectorization_unsupported_reason(
-            graph,
-            protocol,
-            self.config,
-            self.failure_model,
-            self.churn_model,
-            tracer,
-            batched=True,
+        reason = (
+            vectorization_unsupported_reason(graph, protocol, self.config, self.failure_model)
+            if isinstance(self.churn_model, NoChurn)
+            else "churn cannot run on the batched engine (membership diverges "
+            "per replication; run per seed instead)"
         )
         if reason is not None:
             raise SimulationError(f"run cannot be vectorized: {reason}")

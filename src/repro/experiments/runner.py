@@ -8,22 +8,21 @@ discipline, and repetition so the individual experiment modules stay short and
 declarative.
 
 Multi-seed sweeps dispatch to the batched vectorized engine
-(:func:`repro.core.engine.run_broadcast_batch`) whenever the single-run
-vectorized-eligibility rules hold, which collapses the per-seed Python loop
-into one ``(R, n)`` NumPy program without changing any result bit (each batch
-row is bit-identical to the corresponding per-seed run).
+(:func:`repro.core.engine.run_broadcast_batch`) whenever
+:func:`repro.core.engine.plan_run` batches them, which collapses the per-seed
+Python loop into one ``(R, n)`` NumPy program without changing any result bit
+(each batch row is bit-identical to the corresponding per-seed run).
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..core.config import SimulationConfig
-from ..core.engine import run_broadcast, run_broadcast_batch
-from ..core.engine_vectorized import vectorization_unsupported_reason
+from ..core.engine import RunPlan, plan_run, run_broadcast, run_broadcast_batch
 from ..core.errors import ConfigurationError
 from ..core.metrics import RunAggregate, RunResult, aggregate_runs
 from ..core.rng import RandomSource, derive_seed
@@ -60,59 +59,41 @@ def repeat_broadcast(
 ) -> List[RunResult]:
     """Run the same protocol over the same graph once per seed.
 
-    Multi-seed sweeps route through :func:`run_broadcast_batch` whenever the
-    vectorized-eligibility rules hold (``batch=False`` disables this), which
-    runs all repetitions as one ``(R, n)`` NumPy program; each returned
-    result is bit-identical to the corresponding per-seed run.  Otherwise a
-    fresh protocol instance is built per run (protocols may hold per-run
-    state) and engine selection goes through :func:`run_broadcast`, so sweeps
-    still pick up the vectorized fast path whenever the protocol and
-    configuration allow it.  Churn sweeps never batch (membership diverges
-    per replication) but do run per-seed on the single-run vectorized engine
-    when the model and protocol opt in; the graph is copied per run only when
-    a churn run lands on the scalar engine, which mutates it (the vectorized
-    engine works on a private CSR copy).
+    Executes the :func:`plan_run` plan for ``seeds``: a batched plan runs all
+    repetitions as one ``(R, n)`` NumPy program through
+    :func:`run_broadcast_batch` (``batch=False`` disables this), and each
+    returned result is bit-identical to the corresponding per-seed run.
+    Otherwise every seed runs through :func:`run_broadcast` with a fresh
+    protocol instance (protocols may hold per-run state) and a fresh churn
+    model, on its own graph copy when a churn run lands on the scalar
+    engine, which mutates it.  Churn sweeps never batch (membership diverges
+    per replication) but run per seed on the vectorized engine when the
+    model and protocol opt in.
     """
-    cfg = config if config is not None else SimulationConfig()
-    if batch and len(seeds) > 1 and churn_factory is None and cfg.engine != "scalar":
-        protocol = protocol_factory(n_estimate)
-        if (
-            vectorization_unsupported_reason(graph, protocol, cfg, failure_model)
-            is None
-        ):
-            return run_broadcast_batch(
-                graph=graph,
-                protocol=protocol,
-                seeds=seeds,
-                source=source,
-                config=cfg,
-                failure_model=failure_model,
-            )
-    results: List[RunResult] = []
-    needs_graph_copy: Optional[bool] = None
-    for seed in seeds:
-        protocol = protocol_factory(n_estimate)
-        churn_model = churn_factory() if churn_factory is not None else None
-        if needs_graph_copy is None:
-            needs_graph_copy = churn_model is not None and (
-                cfg.engine == "scalar"
-                or vectorization_unsupported_reason(
-                    graph, protocol, cfg, failure_model, churn_model
-                )
-                is not None
-            )
-        results.append(
-            run_broadcast(
-                graph=graph.copy() if needs_graph_copy else graph,
-                protocol=protocol,
-                source=source,
-                seed=seed,
-                config=config,
-                failure_model=failure_model,
-                churn_model=churn_model,
-            )
+    protocol = protocol_factory(n_estimate)
+    churn_model = churn_factory() if churn_factory is not None else None
+    plan = plan_run(graph, protocol, config, failure_model, churn_model, seeds, batch)
+    if plan.batched:
+        return run_broadcast_batch(
+            graph=graph,
+            protocol=protocol,
+            seeds=seeds,
+            source=source,
+            config=config,
+            failure_model=failure_model,
         )
-    return results
+    return [
+        run_broadcast(
+            graph=graph.copy() if plan.copy_graph else graph,
+            protocol=protocol_factory(n_estimate),
+            source=source,
+            seed=seed,
+            config=config,
+            failure_model=failure_model,
+            churn_model=churn_factory() if churn_factory is not None else None,
+        )
+        for seed in seeds
+    ]
 
 
 @dataclass
@@ -340,6 +321,30 @@ class ExperimentRunner:
         if node_count is None:
             return None
         return f"{label}-{node_count}"
+
+    def plan_point(
+        self, spec: "ScenarioSpec", node_count: Optional[int] = None
+    ) -> RunPlan:
+        """The plan :meth:`run_point` executes for ``spec``, without a graph build.
+
+        Resolves the config, protocol, failure and churn models exactly as
+        :meth:`run_point` does; ``run-spec --dry-run`` prints the result.
+        ``node_count`` is the graph's size when known without building it.
+        It becomes the plan's ``n`` and, as in :meth:`run_point`, the
+        protocol's default size estimate.
+        """
+        # Any size estimate will do when the size is unknown: no dispatch
+        # rule reads it.
+        plan = plan_run(
+            None,
+            spec.protocol.build(node_count if node_count is not None else 1024),
+            self._resolved_config(spec.simulation_config()),
+            spec.failure.build(),
+            spec.churn.build(),
+            range(spec.repetitions),
+            self.batch,
+        )
+        return replace(plan, n=node_count)
 
     def run_point(self, point: "ExpandedPoint") -> "PointRun":
         """Execute one expanded grid point (the distributable unit of work).

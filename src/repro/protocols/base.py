@@ -57,9 +57,10 @@ class BroadcastProtocol(ABC):
     #: (d) it relies on none of the :class:`StateTable`-based lifecycle hooks
     #: the bulk engine never calls: ``on_round_start`` and ``finished`` must
     #: keep their defaults, and an ``on_round_committed`` override needs a
-    #: ``vector_on_round_committed`` counterpart.  The dispatcher
-    #: (:func:`repro.core.engine_vectorized.vectorization_unsupported_reason`)
-    #: enforces (c) and (d) and falls back to the scalar engine when violated.
+    #: ``vector_on_round_committed`` counterpart.  The dispatch predicate
+    #: (:func:`repro.core.engine_vectorized.vectorization_unsupported_reason`,
+    #: consulted by :func:`repro.core.engine.plan_run`) enforces (c) and (d),
+    #: and the plan falls back to the scalar engine when they are violated.
     supports_vectorized: bool = False
 
     # -- scheduling -----------------------------------------------------------
@@ -247,8 +248,8 @@ class BroadcastProtocol(ABC):
     #: :meth:`vector_remove_nodes` / :meth:`vector_compact_nodes`.  Stateless
     #: protocols (push, pull, push-pull) can simply flip the flag; protocols
     #: holding their own index pools (Algorithm 1's active set) must also
-    #: implement the two membership hooks.  The dispatcher refuses vectorized
-    #: churn for protocols that leave this False.
+    #: implement the two membership hooks.  :func:`repro.core.engine.plan_run`
+    #: refuses vectorized churn for protocols that leave this False.
     supports_dynamic_membership: bool = False
 
     def vector_remove_nodes(self, ids: np.ndarray, state: VectorState) -> None:

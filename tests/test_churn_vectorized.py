@@ -24,8 +24,8 @@ import tempfile
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.engine import run_broadcast, run_broadcast_batch
-from repro.core.engine_vectorized import vectorization_unsupported_reason
+from repro.core.engine import plan_run, run_broadcast, run_broadcast_batch
+from repro.core.engine_vectorized import BatchedVectorizedRoundEngine
 from repro.core.errors import SimulationError
 from repro.core.rng import RandomSource
 from repro.experiments.runner import repeat_broadcast
@@ -179,14 +179,43 @@ class TestBitIdentity:
 
 class TestDispatch:
     def test_batched_reason_names_churn(self):
-        reason = vectorization_unsupported_reason(
-            _graph(n=64, d=4),
+        graph = _graph(n=64, d=4)
+        plan = plan_run(
+            graph,
             Algorithm1(n_estimate=64),
             SimulationConfig(),
-            churn_model=CHURN_FACTORIES["uniform"](),
-            batched=True,
+            None,
+            CHURN_FACTORIES["uniform"](),
+            seeds=[1, 2],
+            batch=True,
         )
-        assert reason is not None and "batched engine" in reason
+        assert plan.engine == "vectorized" and not plan.batched
+        assert plan.rows == 1 and not plan.copy_graph
+        with pytest.raises(SimulationError, match="batched engine"):
+            BatchedVectorizedRoundEngine(
+                graph,
+                Algorithm1(n_estimate=64),
+                seeds=[1, 2],
+                churn_model=CHURN_FACTORIES["uniform"](),
+            )
+
+    def test_forced_vectorized_batch_names_the_per_seed_obstacle(self):
+        class ScalarOnlyChurn(UniformChurn):
+            supports_vectorized = False
+
+        with pytest.raises(SimulationError) as raised:
+            run_broadcast_batch(
+                graph=_graph(n=64, d=4),
+                protocol=Algorithm1(n_estimate=64),
+                seeds=[1, 2],
+                config=SimulationConfig(engine="vectorized"),
+                churn_model=ScalarOnlyChurn(
+                    leave_rate=0.02, join_rate=0.02, target_degree=4
+                ),
+            )
+        message = str(raised.value)
+        assert "ScalarOnlyChurn does not implement the bulk membership hook" in message
+        assert "batched" not in message
 
     def test_forced_vectorized_raises_for_non_dynamic_protocol(self):
         with pytest.raises(SimulationError, match="dynamic"):

@@ -30,13 +30,45 @@ class TestSimulationConfig:
             SimulationConfig(message_loss_probability=1.5)
         with pytest.raises(ConfigurationError):
             SimulationConfig(channel_failure_probability=-0.2)
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(churn_rate=2.0)
+
+    def test_churn_rate_is_not_a_field(self):
+        # Churn comes from a churn model or a ChurnSpec; no engine ever read
+        # a config-level rate, so setting one is an error, not a no-op.
+        with pytest.raises(TypeError, match="churn_rate"):
+            SimulationConfig(churn_rate=0.5)
+
+    def test_spec_config_rejects_churn_rate(self):
+        from repro.spec import ScenarioSpec
+
+        data = {
+            "name": "churn-rate",
+            "graph": {"family": "complete", "params": {"n": 8}},
+            "protocol": {"name": "push"},
+            "config": {"churn_rate": 0.5},
+        }
+        with pytest.raises(ConfigurationError, match="churn_rate"):
+            ScenarioSpec.from_dict(data)
 
     def test_with_overrides(self):
         config = SimulationConfig().with_overrides(message_loss_probability=0.1)
         assert config.message_loss_probability == 0.1
         assert config.stop_when_informed is True
+        # Every field the override does not name survives, and the copy is
+        # validated like a fresh config.
+        custom = SimulationConfig(
+            max_rounds=7,
+            channel_failure_probability=0.2,
+            collect_round_history=False,
+            stop_when_informed=False,
+            engine="scalar",
+            batch_row_compaction=False,
+            churn_node_compaction=False,
+        )
+        assert custom.with_overrides(max_rounds=9) == SimulationConfig(
+            **{**custom.__dict__, "max_rounds": 9}
+        )
+        with pytest.raises(ConfigurationError):
+            custom.with_overrides(message_loss_probability=2.0)
 
     def test_with_overrides_does_not_mutate_original(self):
         original = SimulationConfig()

@@ -531,6 +531,47 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "scalar (forced)" in output
 
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_dry_run_honours_config_block_under_forced_engine(
+        self, tmp_path, capsys, engine
+    ):
+        spec = sweep_spec(engine=engine, config={"max_rounds": 60})
+        path = save_spec(spec, tmp_path / f"{engine}.json")
+        assert main(["run-spec", str(path), "--dry-run"]) == 0
+        output = capsys.readouterr().out
+        if engine == "scalar":
+            assert "scalar (forced)" in output and "vectorized" not in output
+            assert "(1, 64)" in output and "(2, 64)" not in output
+        else:
+            assert "vectorized (batched)" in output and "scalar" not in output
+        result = run_spec(spec).points[0].results[0]
+        assert result.metadata["engine"] == engine
+
+    def test_dry_run_refuses_what_run_spec_refuses(self, tmp_path, capsys):
+        from repro.core.errors import SimulationError
+
+        spec = sweep_spec(
+            engine="vectorized",
+            sweep=SweepSpec(
+                axes=(
+                    SweepAxis(
+                        path="protocol.name",
+                        values=("push", "median-counter"),
+                        key="protocol",
+                    ),
+                )
+            ),
+        )
+        path = save_spec(spec, tmp_path / "refused.json")
+        assert main(["run-spec", str(path), "--dry-run"]) == 1
+        output = capsys.readouterr().out
+        with pytest.raises(SimulationError) as raised:
+            run_spec(spec)
+        assert f"refused ({raised.value})" in output
+        assert "median-counter' does not implement the bulk hooks" in output
+        assert "vectorized (batched)" in output  # the push point still plans
+        assert "1 point(s) refused" in output
+
     def test_workers_flag_matches_serial_save(self, tmp_path, capsys):
         path = self._write_spec(tmp_path)
         serial_out = tmp_path / "serial.json"

@@ -2,7 +2,7 @@
 
 These tests pin down the *semantics* of the simulator on tiny graphs where
 every quantity can be computed by hand: delivery timing, transmission
-accounting, early stopping, failure injection, and tracer integration.
+accounting, early stopping, and failure injection.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from repro.core.config import SimulationConfig
 from repro.core.engine import RoundEngine, run_broadcast
 from repro.core.errors import SimulationError
 from repro.core.node import NodeState
-from repro.core.trace import RecordingTracer
 from repro.failures.churn import UniformChurn
 from repro.failures.message_loss import IndependentLoss
 from repro.graphs.base import Graph
@@ -245,33 +244,6 @@ class TestPullAndCombined:
             medium_regular_graph, PushProtocol(n_estimate=256), seed=4
         )
         assert result.total_channels_opened == 256 * result.rounds_executed
-
-
-class TestTracerIntegration:
-    def test_tracer_sees_rounds_and_informs(self, small_regular_graph):
-        tracer = RecordingTracer()
-        result = run_broadcast(
-            small_regular_graph,
-            PushProtocol(n_estimate=64),
-            seed=2,
-            tracer=tracer,
-        )
-        starts = tracer.events_of_kind("round_start")
-        ends = tracer.events_of_kind("round_end")
-        informs = tracer.events_of_kind("informed")
-        assert len(starts) == len(ends) == result.rounds_executed
-        # Everyone except the source appears exactly once as an informed event.
-        assert len(informs) == result.final_informed - 1
-
-    def test_tracer_transmission_count_matches_metrics(self, small_regular_graph):
-        tracer = RecordingTracer()
-        result = run_broadcast(
-            small_regular_graph,
-            PushProtocol(n_estimate=64),
-            seed=2,
-            tracer=tracer,
-        )
-        assert len(tracer.events_of_kind("transmission")) == result.total_transmissions
 
 
 class TestChurnIntegration:

@@ -85,7 +85,9 @@ def assert_bit_identical(graph, factory, seeds, **config_kwargs):
     singles = [
         run_broadcast(graph, factory(n), seed=seed, config=config) for seed in seeds
     ]
-    batched = run_broadcast_batch(graph, factory(n), seeds, config=config)
+    # The engine itself: run_broadcast_batch runs a one-seed list per seed,
+    # and R = 1 batch parity must stay covered.
+    batched = BatchedVectorizedRoundEngine(graph, factory(n), seeds, config=config).run()
     assert len(batched) == len(seeds)
     for single, row in zip(singles, batched):
         assert run_signature(single) == run_signature(row)
@@ -165,6 +167,18 @@ class TestBatchDispatch:
             BatchedVectorizedRoundEngine(
                 graph=regular_graph, protocol=PushProtocol(n_estimate=512), seeds=[]
             )
+
+    def test_single_seed_runs_per_seed(self, regular_graph):
+        config = SimulationConfig(engine="vectorized")
+        [result] = run_broadcast_batch(
+            regular_graph, PushProtocol(n_estimate=512), [77], config=config
+        )
+        single = run_broadcast(
+            regular_graph, PushProtocol(n_estimate=512), seed=77, config=config
+        )
+        assert run_signature(result) == run_signature(single)
+        assert result.metadata["engine"] == "vectorized"
+        assert "batch_size" not in result.metadata
 
     def test_unsupported_protocol_falls_back_to_loop(self, regular_graph):
         results = run_broadcast_batch(

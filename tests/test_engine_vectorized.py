@@ -27,7 +27,6 @@ from repro.core.engine_vectorized import (
 from repro.core.errors import SimulationError
 from repro.core.node import VectorState
 from repro.core.rng import RandomSource
-from repro.core.trace import RecordingTracer
 from repro.failures.churn import UniformChurn
 from repro.failures.message_loss import IndependentLoss
 from repro.graphs.base import Graph
@@ -96,15 +95,6 @@ class TestDispatch:
         )
         assert result.metadata["engine"] == "scalar"
 
-    def test_tracer_falls_back_to_scalar(self, regular_graph):
-        result = run_broadcast(
-            regular_graph,
-            PushProtocol(n_estimate=256),
-            seed=1,
-            tracer=RecordingTracer(),
-        )
-        assert result.metadata["engine"] == "scalar"
-
     def test_churn_with_opted_in_model_dispatches_to_vectorized(self, regular_graph):
         result = run_broadcast(
             regular_graph.copy(),
@@ -149,16 +139,6 @@ class TestDispatch:
             regular_graph, QuasirandomPushProtocol(n_estimate=256), seed=1
         )
         assert result.metadata["engine"] == "vectorized"
-
-    def test_forcing_vectorized_with_tracer_raises(self, regular_graph):
-        with pytest.raises(SimulationError, match="tracer"):
-            run_broadcast(
-                regular_graph,
-                PushProtocol(n_estimate=256),
-                seed=1,
-                config=SimulationConfig(engine="vectorized"),
-                tracer=RecordingTracer(),
-            )
 
     def test_forcing_vectorized_with_unsupported_protocol_raises(self, regular_graph):
         with pytest.raises(SimulationError, match="bulk hooks"):

@@ -18,7 +18,6 @@ import pytest
 
 from repro.lint import (
     LINT_SCHEMA_VERSION,
-    Diagnostic,
     Linter,
     all_rules,
     apply_baseline,
