@@ -33,17 +33,17 @@ from repro.protocols.quasirandom import QuasirandomPushProtocol
 
 SPEEDUP_FLOOR = 10.0
 MILLION_NODE_BUDGET_SECONDS = 30.0
-#: Traced-allocation ceiling for one million-node push broadcast.  The
-#: active-set engine measures ~42 MB (was ~67 MB before the dtype audit and
-#: scratch buffers — see BENCH_micro.json "memory_mb"); the budget leaves
-#: headroom for allocator jitter while still catching a structural
-#: regression (e.g. an accidental int64 state array) long before 2×.
-MILLION_NODE_PEAK_BUDGET_MB = 55.0
+#: Traced-allocation ceiling for one million-node push broadcast.  With
+#: rounds delivered in blocks the engine measures ~22 MB (42 MB with
+#: whole-round scratch, ~67 MB before the dtype audit — see BENCH_micro.json
+#: "memory_mb"); the budget leaves headroom for allocator jitter while still
+#: catching a whole-round temporary or an accidental int64 state array.
+MILLION_NODE_PEAK_BUDGET_MB = 30.0
 #: Traced-allocation ceiling for one million-node Algorithm 1 broadcast.  Its
-#: four-choice rounds run the chunked k-distinct sampler, which measures
-#: ~66 MB; the ceiling sits far below the ~167 MB a sampler with full-size
-#: temporaries measures (see BENCH_micro.json "memory_mb").
-ALGORITHM1_MILLION_NODE_PEAK_BUDGET_MB = 80.0
+#: four-choice rounds draw and deliver one top-k block at a time and measure
+#: ~30 MB; whole-round channel arrays measured ~66 MB, and a sampler with
+#: full-size temporaries ~167 MB (see BENCH_micro.json "memory_mb").
+ALGORITHM1_MILLION_NODE_PEAK_BUDGET_MB = 45.0
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +141,9 @@ def test_push_million_nodes_peak_memory():
 
 @pytest.mark.perf
 def test_algorithm1_million_nodes_peak_memory():
-    # The k-distinct sampler's bound: chunks fill preallocated channel
-    # arrays, so the peak stays near the engine state plus one round's
-    # channels.  Measured like the push test above (warm graph caches).
+    # The blocked delivery pipeline's bound: a round's sampling scratch is
+    # one block of channels, so the peak stays near the engine state.
+    # Measured like the push test above (warm graph caches).
     graph = pairing_multigraph(10**6, 8, RandomSource(seed=7))
     graph.csr()
     graph.csr_stats()

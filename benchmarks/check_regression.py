@@ -5,8 +5,9 @@ Re-measures the micro-benchmark medians (graph generation, including the
 connected n = 32768 build with its connectivity check, and one broadcast
 per engine/protocol at n = 4096, plus the 20-seed batched push sweep) and the
 tracemalloc peak of the headline allocations (the million-node pairing build
-with its CSR stats, million-node push and Algorithm 1 broadcasts, batched
-push and Algorithm 1 sweeps, churn at n = 10⁵), and fails — exit code 1 — if
+with its CSR stats, million-node push, push-pull, Algorithm 1 and quasirandom
+broadcasts, batched push and Algorithm 1 sweeps, churn at n = 10⁵), and
+fails — exit code 1 — if
 any of them regressed beyond its factor over the recorded baseline.
 
 Timings are compared at ``--tolerance``: a coarse tripwire for "someone made
@@ -51,6 +52,7 @@ from repro.graphs.configuration_model import (  # noqa: E402
 from repro.protocols.algorithm1 import Algorithm1  # noqa: E402
 from repro.protocols.algorithm2 import Algorithm2  # noqa: E402
 from repro.protocols.push import PushProtocol  # noqa: E402
+from repro.protocols.push_pull import PushPullProtocol  # noqa: E402
 from repro.protocols.quasirandom import QuasirandomPushProtocol  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_micro.json"
@@ -151,15 +153,17 @@ def measure_memory() -> dict:
     graph_ready_peak = traced_peak_mb(million_graph)
     graph_million = million_graph()
 
-    def million_push():
-        run_broadcast(
-            graph_million, PushProtocol(n_estimate=1_000_000), seed=11, config=vector
+    def million(protocol_class):
+        return lambda: run_broadcast(
+            graph_million, protocol_class(n_estimate=1_000_000), seed=11, config=vector
         )
 
-    def million_algorithm1():
-        run_broadcast(
-            graph_million, Algorithm1(n_estimate=1_000_000), seed=11, config=vector
-        )
+    million_runs = {
+        "push_broadcast_1e6_peak": million(PushProtocol),
+        "push_pull_broadcast_1e6_peak": million(PushPullProtocol),
+        "algorithm1_broadcast_1e6_peak": million(Algorithm1),
+        "quasirandom_broadcast_1e6_peak": million(QuasirandomPushProtocol),
+    }
 
     def batched_sweep():
         run_broadcast_batch(
@@ -190,15 +194,14 @@ def measure_memory() -> dict:
             ),
         )
 
-    million_push()  # warm graph-side caches out of the traces
-    million_algorithm1()
+    for run in million_runs.values():  # warm graph-side caches out of the traces
+        run()
     batched_sweep()
     batched_algorithm1()
     churn_100k()
     return {
         "graph_ready_1e6_peak": graph_ready_peak,
-        "push_broadcast_1e6_peak": traced_peak_mb(million_push),
-        "algorithm1_broadcast_1e6_peak": traced_peak_mb(million_algorithm1),
+        **{name: traced_peak_mb(run) for name, run in million_runs.items()},
         "batched_push_sweep_20x_4096_peak": traced_peak_mb(batched_sweep),
         "batched_algorithm1_20x_32768_peak": traced_peak_mb(batched_algorithm1),
         "churn_broadcast_1e5_peak": traced_peak_mb(churn_100k),
@@ -227,7 +230,9 @@ def memory_baseline_map(recorded: dict) -> dict:
     names = (
         "graph_ready_1e6_peak",
         "push_broadcast_1e6_peak",
+        "push_pull_broadcast_1e6_peak",
         "algorithm1_broadcast_1e6_peak",
+        "quasirandom_broadcast_1e6_peak",
         "batched_push_sweep_20x_4096_peak",
         "batched_algorithm1_20x_32768_peak",
         "churn_broadcast_1e5_peak",

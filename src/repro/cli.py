@@ -24,6 +24,7 @@ one or two calls into :mod:`repro`.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import List, Optional, Tuple
 
@@ -355,13 +356,20 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _point_node_count(point_spec: ScenarioSpec) -> Optional[int]:
-    """The node count a point's graph will have, when known without a build."""
+    """The node count a point's graph will have, derived from its family's
+    params (builder defaults included), or ``None`` when they do not say."""
+    family = point_spec.graph.family
     params = point_spec.graph.params
-    if "n" in params:
-        return int(params["n"])
-    if point_spec.graph.family == "hypercube" and "dimension" in params:
+    if family == "hypercube" and "dimension" in params:
         return 2 ** int(params["dimension"])
-    return None
+    if "n" not in params:
+        return None
+    if family == "regular-product-clique":
+        # ``n`` sizes the regular base graph; each base node becomes a clique.
+        builder = GRAPH_FAMILIES.entry(family).builder
+        default = inspect.signature(builder).parameters["clique_size"].default
+        return int(params["n"]) * int(params.get("clique_size", default))
+    return int(params["n"])
 
 
 def _plan_engine(plan: RunPlan) -> str:
@@ -399,16 +407,17 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Tuple[Table, int
     refused = 0
     for index in indices:
         point = points[index]
-        seed_label = runner.seed_label_for(point.spec, point.label)
+        node_count = _point_node_count(point.spec)
+        seed_label = runner.seed_label_for(point.spec, point.label, node_count)
         seeds = (
             ", ".join(str(seed) for seed in runner.run_seeds(seed_label))
             if seed_label is not None
             # Non-regular families key run seeds off the materialised node
-            # count; a dry run never builds graphs, so show the rule instead.
+            # count; when the params do not give it, show the rule instead.
             else f"derive_seed({spec.master_seed}, 'run', '{point.label}-<node_count>', i)"
         )
         try:
-            plan = runner.plan_point(point.spec, _point_node_count(point.spec))
+            plan = runner.plan_point(point.spec, node_count)
         except SimulationError as error:
             refused += 1
             engine, shape, est_mb = f"refused ({error})", "-", "-"
@@ -431,7 +440,9 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Tuple[Table, int
     table.add_note(
         "batch_shape is the (R, n) engine state of one point; est_state_mb "
         f"≈ R·n·{RunPlan.STATE_BYTES} bytes (flags + informed rounds + index "
-        "pools), sampling scratch adds ~16 bytes per pushing node at peak"
+        "pools); at peak, sampling scratch adds ~16 bytes per pushing node "
+        "to a batched plan and at most one delivery block (2^18 channels, "
+        "~10 MB) to a per-seed plan"
     )
     if refused:
         table.add_note(

@@ -8,19 +8,19 @@ bulk operations over the graph's CSR adjacency view:
 1. the protocol reports who pushes and who answers calls this round — as a
    sorted *index pool* (``vector_push_samplers``, maintained incrementally by
    the engine) when it opts into index tracking, or as boolean masks;
-2. every node that needs to sample does so in one batch — a single
-   ``Generator.random`` draw mapped to stub offsets for fanout 1, a chunked
-   random-key top-``k`` selection for larger fanouts — yielding flat
-   ``callers`` / ``callees`` channel arrays.  The top-``k`` chunks fill
-   preallocated outputs, so their scratch is bounded by the chunk size, and
-   each sampler's ``k`` stubs come out in ascending key order (a full row
-   sort, not ``argpartition``, whose order within the ``k`` depends on
-   NumPy's SIMD dispatch) so loss draws line up on every machine;
-3. failure injection is a Bernoulli array over the channels and transmissions;
-4. deliveries commit sparsely (:meth:`VectorState.commit_delivered`): only the
-   uninformed hits are sorted and promoted, so "received in round ``t``,
-   effective in ``t + 1``" holds exactly as in the scalar engine while the
-   commit cost tracks the shrinking uninformed set.
+2. the samplers' calls are drawn in *blocks* of at most
+   :data:`_BLOCK_CHANNELS` channels, in channel order: uniforms mapped to
+   stub offsets for fanout 1, a random-key top-``k`` selection for larger
+   fanouts (each sampler's ``k`` stubs in ascending key order, a full row
+   sort, so loss draws line up on every machine), or a slice of a custom
+   target hook's output;
+3. each block is filtered, loss-tested (Bernoulli arrays over channels and
+   transmissions) and cut down to its still-uninformed receivers before the
+   next block is drawn;
+4. only fresh receivers reach the sparse commit
+   (:meth:`VectorState.commit_delivered`, which deduplicates across
+   blocks), so "received in round ``t``, effective in ``t + 1``" holds
+   exactly as in the scalar engine.
 
 Active sets and scratch buffers
 -------------------------------
@@ -29,14 +29,19 @@ push-only rounds: the engine maintains the sorted informed-index vector by
 merge at each commit, the protocol hands back the relevant pool (informed,
 last round's newly informed, Algorithm 1's active list), and sampling cost is
 proportional to the number of *pushers*, which is what makes the exponential
-growth phase cost O(n) in aggregate rather than O(n · rounds).  The fanout-1
-sampling pipeline reuses preallocated scratch buffers (uniforms, stub
-offsets, gather positions, callees) instead of allocating fresh full-size
-arrays every round, and all index arrays follow the CSR index dtype (int32
-for every graph below two billion stubs).  Draw *sequences* are unchanged:
-pools enumerate exactly the nodes the mask scan would, in the same ascending
-order, and ``Generator.random(out=...)`` fills a scratch slice with the same
-stream a fresh allocation would get.
+growth phase cost O(n) in aggregate rather than O(n · rounds).  A round's
+scratch is one block: push-only rounds never build a caller array (the
+self-loop test compares a block with its own sampler rows), the reused
+fanout-1 scratch buffers hold one block, and all index arrays follow the
+CSR index dtype (int32 below two billion stubs).  Draw *sequences* do not
+depend on the block bounds: pools enumerate exactly the nodes the mask scan
+would, in the same order; fanout-1 blocks draw with
+``Generator.random(out=...)``, the stream of one ``random(k)`` call; a
+custom target hook is called once per round with every sampler; and on the
+failure stream all channel-failure draws (one byte of mask per channel)
+precede the push-loss draws, which precede the pull-loss draws — a lossy
+push-pull round holds its pull receivers until the push pass ends.  (The
+batched engine below still draws and delivers each round whole.)
 
 Batched replications
 --------------------
@@ -139,7 +144,7 @@ until their calls are filtered).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,10 +166,16 @@ __all__ = [
 ]
 
 #: Upper bound on random keys materialised per sampling chunk (rows × max
-#: degree): 2¹⁹ float64 keys, 4 MiB.  Each chunk fills its rows of the
-#: preallocated ``callers``/``callees`` outputs, so the k-distinct path's
-#: scratch stays a few chunk-sized arrays whatever the sampler count.
+#: degree): 2¹⁹ float64 keys, 4 MiB, so the k-distinct path's scratch stays
+#: a few chunk-sized arrays whatever the sampler count.
 _CHUNK_ENTRIES = 1 << 19
+
+#: Upper bound on channels per delivery block of a single run (and per
+#: top-``k`` chunk).  A round's sampling and delivery scratch is one block.
+_BLOCK_CHANNELS = 1 << 18
+
+#: ``(callers, callees)`` of a block, callers broadcastable to callees.
+_ChannelBlock = Tuple[np.ndarray, np.ndarray]
 
 
 def vectorization_unsupported_reason(
@@ -242,15 +253,83 @@ def _fanout1_offsets(
     integers and ``floor(U · d)`` is uniform over ``[0, d)`` up to an
     O(2⁻⁵³) float bias; the clip guards the half-ulp rounding edge where
     ``U · d`` could land exactly on ``d``.  ``sampler_degrees`` may be a
-    per-sampler array or a scalar (regular graphs).  Both engines draw
-    exactly one ``generator.random(k)`` per (replication, round) and map it
-    through this function, which is what keeps a batch row's stream identical
-    to a single run's.  ``dtype`` is the CSR index dtype: an offset never
-    exceeds a degree, so it fits wherever the stub positions do.
+    per-sampler array or a scalar (regular graphs).  Both engines draw the
+    same ``k`` uniforms per (replication, round), in one call or block by
+    block, and map them through this arithmetic, which is what keeps a
+    batch row's stream identical to a single run's.  ``dtype`` is the CSR
+    index dtype: an offset never exceeds a degree, so it fits wherever the
+    stub positions do.
     """
     offsets = (uniforms * sampler_degrees).astype(dtype)
     np.minimum(offsets, np.asarray(sampler_degrees) - 1, out=offsets)
     return offsets
+
+
+def _stub_target_blocks(
+    generator: np.random.Generator,
+    samplers: np.ndarray,
+    fanout: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    degrees: np.ndarray,
+    uniform_degree: Optional[int] = None,
+) -> Tuple[int, Iterator[_ChannelBlock]]:
+    """Each sampler calls ``min(fanout, degree)`` distinct adjacency stubs.
+
+    Returns ``(channel count, blocks)``; each block is drawn when requested.
+    Saturated samplers (degree <= ``fanout``) call every stub and come
+    first, then the deep ones in sampler order, whose blocks pair the
+    ``(rows, 1)`` sampler column with ``(rows, fanout)`` callees.  Sampling
+    is over adjacency *positions*, so parallel edges weight the draw exactly
+    as the scalar ``select_call_targets`` does.  A deep sampler calls its
+    ``fanout`` smallest of ``degree`` iid uniform keys, in ascending key
+    order (a full row sort), so the loss draws that follow see the same
+    channel order on every machine; only exact float ties between keys
+    (about 3·10⁻¹⁵ per row of 8) remain platform-dependent.  The key width
+    is the global max degree and consecutive chunks' keys form one stream,
+    so the draws depend neither on the bounds nor on ``uniform_degree``.
+    """
+    if uniform_degree is not None and uniform_degree > fanout:
+        # Every sampler is deep and no key row needs padding.
+        full_nodes = lengths = samplers[:0]
+        deep_nodes, deep_degrees = samplers, None
+        max_degree = uniform_degree
+    else:
+        sampler_degrees = degrees[samplers]
+        saturated = sampler_degrees <= fanout
+        full_nodes, lengths = samplers[saturated], sampler_degrees[saturated]
+        deep_nodes, deep_degrees = samplers[~saturated], sampler_degrees[~saturated]
+        max_degree = int(deep_degrees.max()) if deep_nodes.size else 0
+    padded = deep_degrees is not None and bool((deep_degrees != max_degree).any())
+
+    def blocks() -> Iterator[_ChannelBlock]:
+        rows = max(1, _BLOCK_CHANNELS // fanout)
+        for start in range(0, full_nodes.size, rows):
+            nodes = full_nodes[start : start + rows]
+            counts = lengths[start : start + rows]
+            within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            yield (
+                np.repeat(nodes, counts),
+                indices[np.repeat(indptr[nodes], counts) + within],
+            )
+        if not deep_nodes.size:
+            return
+        column = np.arange(max_degree)
+        rows = max(1, min(_CHUNK_ENTRIES // max_degree, _BLOCK_CHANNELS // fanout))
+        for start in range(0, deep_nodes.size, rows):
+            nodes = deep_nodes[start : start + rows]
+            keys = generator.random((nodes.size, max_degree))
+            if padded:
+                keys[column >= deep_degrees[start : start + rows, None]] = np.inf
+            # argpartition would leave the order within the k to the SIMD
+            # dispatch, and the loss draws follow that order.
+            chosen = np.argsort(keys, axis=1)[:, :fanout]
+            chosen += indptr[nodes][:, None]
+            yield nodes[:, None], indices[chosen]
+
+    return int(lengths.sum()) + deep_nodes.size * fanout, blocks()
 
 
 def _sample_stub_targets(
@@ -262,85 +341,21 @@ def _sample_stub_targets(
     degrees: np.ndarray,
     uniform_degree: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Each sampler calls ``min(fanout, degree)`` distinct adjacency stubs.
-
-    Returns flat ``(callers, callees)`` arrays, one entry per channel.
-    Sampling is over adjacency *positions*, so parallel edges weight the
-    draw exactly as the scalar ``select_call_targets`` does.  This is a
-    module-level function (parameterised by the generator) so the single-run
-    and batched engines share one draw sequence per generator by
-    construction.  ``uniform_degree`` short-circuits the per-sampler degree
-    gathers on regular graphs (it never changes the draw sequence).
-
-    For ``fanout > 1`` each deep sampler's channels are its ``fanout``
-    smallest keys in ascending key order, so the loss and channel-failure
-    draws that follow see the same channel order on every machine.  Only
-    exact float ties between keys remain platform-dependent; their
-    probability is about 3·10⁻¹⁵ per row of 8 keys.
-    """
+    """:func:`_stub_target_blocks` filled into flat ``(callers, callees)``
+    arrays, one entry per channel (the batched engine's per-row draw)."""
     empty = np.empty(0, dtype=np.int64)
     if samplers.size == 0 or fanout <= 0:
         return empty, empty
-
-    if fanout == 1:
-        # Hot path of the standard model: one uniform stub per node.
-        uniforms = generator.random(samplers.size)
-        if uniform_degree is not None:
-            offsets = _fanout1_offsets(uniforms, uniform_degree, indices.dtype)
-            return samplers, indices[samplers * uniform_degree + offsets]
-        offsets = _fanout1_offsets(uniforms, degrees[samplers], indices.dtype)
-        return samplers, indices[indptr[samplers] + offsets]
-
-    sampler_degrees = degrees[samplers]
-    saturated = sampler_degrees <= fanout
-    if saturated.any():
-        full_nodes = samplers[saturated]
-        lengths = sampler_degrees[saturated]
-        deep_nodes = samplers[~saturated]
-        deep_degrees = sampler_degrees[~saturated]
-    else:
-        # Every sampler is deep (e.g. a regular graph of degree > fanout):
-        # use the inputs as they are instead of masked copies.
-        full_nodes = lengths = samplers[:0]
-        deep_nodes, deep_degrees = samplers, sampler_degrees
-    full_total = int(lengths.sum())
-    callers = np.empty(full_total + deep_nodes.size * fanout, dtype=samplers.dtype)
-    callees = np.empty(callers.size, dtype=indices.dtype)
-
-    # Saturated nodes (degree <= fanout) call every neighbour.
-    if full_nodes.size:
-        starts = np.repeat(indptr[full_nodes], lengths)
-        within = np.arange(full_total, dtype=np.int64) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths
-        )
-        callers[:full_total] = np.repeat(full_nodes, lengths)
-        callees[:full_total] = indices[starts + within]
-
-    # Remaining nodes draw a uniform k-subset of stubs via random keys:
-    # the k smallest of d iid uniforms index a uniformly random distinct
-    # sample.  Chunked so rows × max-degree stays within a flat budget; each
-    # chunk writes its rows of the preallocated outputs.  The key width is
-    # the global max degree, so the draws do not depend on the chunk size.
-    if deep_nodes.size:
-        max_degree = int(deep_degrees.max())
-        padded = bool((deep_degrees != max_degree).any())
-        column = np.arange(max_degree, dtype=deep_degrees.dtype)
-        rows_per_chunk = max(1, _CHUNK_ENTRIES // max_degree)
-        deep_callers = callers[full_total:].reshape(-1, fanout)
-        deep_callees = callees[full_total:].reshape(-1, fanout)
-        for start in range(0, deep_nodes.size, rows_per_chunk):
-            stop = start + rows_per_chunk
-            nodes = deep_nodes[start:stop]
-            keys = generator.random((nodes.size, max_degree))
-            if padded:
-                keys[column >= deep_degrees[start:stop, None]] = np.inf
-            # A full row sort puts the chosen stubs in ascending key order
-            # on every platform; argpartition leaves their order to the
-            # SIMD dispatch, and the loss draws follow that order.
-            chosen = np.argsort(keys, axis=1)[:, :fanout]
-            chosen += indptr[nodes][:, None]
-            deep_callers[start:stop] = nodes[:, None]
-            deep_callees[start:stop] = indices[chosen]
+    channels, blocks = _stub_target_blocks(
+        generator, samplers, fanout, indptr, indices, degrees, uniform_degree
+    )
+    callers = np.empty(channels, dtype=samplers.dtype)
+    callees = np.empty(channels, dtype=indices.dtype)
+    stop = 0
+    for block_callers, block_callees in blocks:
+        start, stop = stop, stop + block_callees.size
+        callers[start:stop].reshape(block_callees.shape)[...] = block_callers
+        callees[start:stop].reshape(block_callees.shape)[...] = block_callees
     return callers, callees
 
 
@@ -452,7 +467,8 @@ class _BulkEngineBase:
         else:
             self._all_degrees_positive = None
         # Fanout-1 scratch buffers (allocated lazily at first use, reused
-        # every round): uniforms, stub offsets, gather positions, callees.
+        # every round, at most one delivery block long): uniforms, stub
+        # offsets, gather positions, callees.
         self._scratch_uniform: Optional[np.ndarray] = None
         self._scratch_offset: Optional[np.ndarray] = None
         self._scratch_position: Optional[np.ndarray] = None
@@ -554,6 +570,7 @@ class _BulkEngineBase:
     ) -> np.ndarray:
         """Callees of one uniform stub draw per sampler, via scratch buffers.
 
+        Called once per delivery block, so the scratch stays one block.
         Returns a view into the callee scratch buffer (valid until the next
         call); draws bit-identically to the allocation-based path —
         ``generator.random(out=...)`` consumes the same stream, and the
@@ -1042,8 +1059,8 @@ class VectorizedRoundEngine(_BulkEngineBase):
 
         pull_mask = protocol.vector_wants_pull(round_index, state) if pull_active else None
 
-        # Only channels that can carry a message this round are materialised:
-        # in pull rounds any caller may receive, in push-only rounds only the
+        # Only channels that can carry a message this round are sampled: in
+        # pull rounds any caller may receive, in push-only rounds only the
         # pushers' calls matter.
         push_mask: Optional[np.ndarray] = None
         if pull_active:
@@ -1054,90 +1071,76 @@ class VectorizedRoundEngine(_BulkEngineBase):
             samplers = self._push_samplers(round_index, state)
         else:
             samplers = np.empty(0, dtype=self._indices.dtype)
-
-        if protocol.has_custom_vector_targets:
-            if fanout != 1:
-                raise SimulationError(
-                    "custom bulk target selection requires uniform fanout 1"
-                )
-            if samplers.size:
-                callers = samplers
-                callees = protocol.vector_call_targets(
-                    round_index, state, samplers, self._protocol_gen,
-                    self._indptr, self._indices, self._degrees,
-                )
-            else:
-                callers = callees = np.empty(0, dtype=np.int64)
-        elif fanout == 1:
-            callers = samplers
-            if samplers.size:
-                callees = self._fanout1_callees(self._protocol_gen, samplers)
-            else:
-                callees = np.empty(0, dtype=self._indices.dtype)
-        else:
-            callers, callees = _sample_stub_targets(
-                self._protocol_gen, samplers, fanout,
-                self._indptr, self._indices, self._degrees,
-                uniform_degree=self._uniform_degree,
+        if protocol.has_custom_vector_targets and fanout != 1:
+            raise SimulationError(
+                "custom bulk target selection requires uniform fanout 1"
             )
+        channels, blocks = self._channel_blocks(round_index, state, samplers, fanout)
 
+        # All channel-failure draws come first, one byte of mask per channel.
+        channel_up: Optional[np.ndarray] = None
+        if self._channel_fail_p > 0.0 and channels:
+            channel_up = np.empty(channels, dtype=bool)
+            for start in range(0, channels, _BLOCK_CHANNELS):
+                part = channel_up[start : start + _BLOCK_CHANNELS]
+                np.greater_equal(
+                    self._failure_gen.random(part.size), self._channel_fail_p, out=part
+                )
         # Self-calls (self-loop stubs) count as opened channels but never
         # connect; failed channels are unusable for both directions; under
         # churn, stubs pointing at departed nodes (or compaction's -1
         # sentinels) are tombstones that connect nowhere.  On a static
         # self-loop-free graph with reliable channels nothing can be
         # filtered, so the pass is skipped outright.
-        if self._dynamic or self._has_self_loops or self._channel_fail_p > 0.0:
-            usable = callers != callees
-            if self._dynamic and callees.size:
-                valid = callees >= 0
-                usable &= valid
-                usable &= state.alive[np.where(valid, callees, 0)]
-            if self._channel_fail_p > 0.0 and callers.size:
-                usable &= self._failure_gen.random(callers.size) >= self._channel_fail_p
-            if not usable.all():
-                # Push-only deliveries never read the callers again, so the
-                # caller compress (a full-size copy in the endgame) is only
-                # paid when a pull can use it.
-                callees = callees[usable]
-                if pull_active:
-                    callers = callers[usable]
-                else:
-                    callers = callees
-
-        push_transmissions = 0
-        pull_transmissions = 0
-        lost_transmissions = 0
-        delivered_parts: List[np.ndarray] = []
-
-        if push_active and callers.size:
+        filtering = self._dynamic or self._has_self_loops or channel_up is not None
+        # Pull-loss draws follow every push-loss draw on the failure stream.
+        hold_pulls = push_active and pull_active and self._loss_p > 0.0
+        push_transmissions = pull_transmissions = lost_transmissions = 0
+        fresh: List[np.ndarray] = []
+        held: List[np.ndarray] = []
+        position = 0
+        # ``take``/``compress`` select exactly what fancy and boolean
+        # indexing would, several times faster on random masks.
+        for callers, callees in blocks:
+            if pull_active and callers.shape != callees.shape:
+                # Pulls need one caller per channel: flatten a top-k block.
+                callers = np.broadcast_to(callers, callees.shape).reshape(-1)
+                callees = callees.reshape(-1)
+            if filtering:
+                usable = callees != callers
+                if self._dynamic:
+                    valid = callees >= 0
+                    usable &= valid
+                    usable &= state.alive.take(np.where(valid, callees, 0))
+                if channel_up is not None:
+                    stop = position + callees.size
+                    usable &= channel_up[position:stop].reshape(callees.shape)
+                    position = stop
+                if not usable.all():
+                    usable = usable.reshape(-1)
+                    callees = callees.compress(usable)
+                    if pull_active:
+                        callers = callers.compress(usable)
+            callees = callees.reshape(-1)
+            # Transmissions count after the usable filter, before loss.
+            if push_active:
+                # Push-only rounds sample exactly the pushers.
+                receivers = (
+                    callees.compress(push_mask.take(callers)) if pull_active else callees
+                )
+                push_transmissions += receivers.size
+                lost_transmissions += self._keep_fresh(receivers, state, fresh)
             if pull_active:
-                sending = push_mask[callers]
-                receivers = callees[sending]
-            else:
-                # Push-only rounds sample exactly the pushers, so the
-                # push-mask gather would keep every channel.
-                receivers = callees
-            push_transmissions = int(receivers.size)
-            receivers, lost = self._drop_lost(receivers)
-            lost_transmissions += lost
-            delivered_parts.append(receivers)
+                receivers = callers.compress(pull_mask.take(callees))
+                pull_transmissions += receivers.size
+                if hold_pulls:
+                    held.append(receivers)
+                else:
+                    lost_transmissions += self._keep_fresh(receivers, state, fresh)
+        for receivers in held:
+            lost_transmissions += self._keep_fresh(receivers, state, fresh)
 
-        if pull_active and callers.size:
-            answering = pull_mask[callees]
-            receivers = callers[answering]
-            pull_transmissions = int(receivers.size)
-            receivers, lost = self._drop_lost(receivers)
-            lost_transmissions += lost
-            delivered_parts.append(receivers)
-
-        if len(delivered_parts) == 1:
-            delivered = delivered_parts[0]
-        elif delivered_parts:
-            delivered = np.concatenate(delivered_parts)
-        else:
-            delivered = np.empty(0, dtype=np.int64)
-
+        delivered = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.int64)
         newly_informed = state.commit_delivered(delivered, round_index)
         protocol.vector_on_round_committed(round_index, state, newly_informed)
 
@@ -1152,15 +1155,55 @@ class VectorizedRoundEngine(_BulkEngineBase):
             phase=protocol.phase_label(round_index),
         )
 
-    def _drop_lost(self, receivers: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Apply per-transmission loss; return (delivered receivers, lost count)."""
-        if self._loss_p <= 0.0 or receivers.size == 0:
-            return receivers, 0
-        lost_mask = self._failure_gen.random(receivers.size) < self._loss_p
-        lost = int(lost_mask.sum())
-        if lost:
-            receivers = receivers[~lost_mask]
-        return receivers, lost
+    def _channel_blocks(
+        self, round_index: int, state: VectorState, samplers: np.ndarray, fanout: int
+    ) -> Tuple[int, Iterator[_ChannelBlock]]:
+        """``(channel count, blocks)`` of the samplers' calls, in channel order.
+
+        Blocks are drawn as they are consumed.  A custom target hook is
+        called once, with every sampler, and only its output is cut up.
+        """
+        if samplers.size == 0 or fanout <= 0:
+            return 0, iter(())
+        if fanout > 1:
+            return _stub_target_blocks(
+                self._protocol_gen, samplers, fanout,
+                self._indptr, self._indices, self._degrees, self._uniform_degree,
+            )
+        size = _BLOCK_CHANNELS
+        starts = range(0, samplers.size, size)
+        if not self.protocol.has_custom_vector_targets:
+            return samplers.size, (
+                (samplers[i : i + size],
+                 self._fanout1_callees(self._protocol_gen, samplers[i : i + size]))
+                for i in starts
+            )
+        callees = self.protocol.vector_call_targets(
+            round_index, state, samplers, self._protocol_gen,
+            self._indptr, self._indices, self._degrees,
+        )
+        return samplers.size, (
+            (samplers[i : i + size], callees[i : i + size]) for i in starts
+        )
+
+    def _keep_fresh(
+        self, receivers: np.ndarray, state: VectorState, fresh: List[np.ndarray]
+    ) -> int:
+        """Loss-test ``receivers``, add the still-uninformed survivors to
+        ``fresh``, and return the lost count."""
+        if receivers.size == 0:
+            return 0
+        keep = state.informed.take(receivers)
+        np.logical_not(keep, out=keep)
+        lost = 0
+        if self._loss_p > 0.0:
+            survived = self._failure_gen.random(receivers.size) >= self._loss_p
+            lost = receivers.size - int(np.count_nonzero(survived))
+            keep &= survived
+        hits = receivers.compress(keep)
+        if hits.size:
+            fresh.append(hits)
+        return lost
 
 
 class BatchedVectorizedRoundEngine(_BulkEngineBase):
@@ -1749,8 +1792,7 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
 
         ``receiver_rows`` (the replication of each receiver) must be
         non-decreasing — which the row-ordered sampling stage guarantees — so
-        each replication's loss draw matches the single-run ``_drop_lost``
-        call exactly.
+        each replication's loss draws match a single run's exactly.
         """
         batch = len(self._live_failure_gens)
         lost = np.zeros(batch, dtype=np.int64)

@@ -96,19 +96,19 @@ def pairing_multigraph(n: int, d: int, rng: RandomSource) -> Graph:
     node's ``d`` positions row-wise recovers the partner of every stub with
     counting-sort-style array passes.
 
-    Bit-parity: ``Generator.permutation(2m)`` consumes the same random stream
-    as the previous ``shuffle`` of the stub array, and the row-wise position
-    sort reproduces the stable-argsort stub order exactly, so this build
-    returns the identical graph (same CSR arrays, same generator state) as
-    the edge-array path, about 3x faster at ``n = 10^6``.
+    Bit-parity: an in-place shuffle of an index-dtype ``arange(2m)`` makes
+    the draws of ``Generator.permutation(2m)`` (which shuffles an int64
+    one), i.e. of the previous ``shuffle`` of the stub array, and the
+    row-wise position sort reproduces the stable-argsort stub order, so this
+    build returns the identical graph (same CSR arrays, same generator
+    state) as the edge-array path, about 3x faster at ``n = 10^6``.
 
-    Memory: besides the permutation, the build owns one work buffer of
-    ``2m`` index-dtype entries.  The inverse scatter fills it chunk by chunk,
-    the row sort runs in place, and the partner gather overwrites it chunk
-    by chunk, so the buffer itself becomes ``indices``.  Scratch beyond the
-    two arrays is bounded by :data:`_BUILD_CHUNK` entries.  The traced peak
-    at ``n = 10^6, d = 8`` is ~96 MB, set by the int64 permutation and its
-    int32 copy.  Draws are unchanged.
+    Memory: the build owns the permutation and one work buffer, both ``2m``
+    index-dtype entries.  The inverse scatter fills the buffer chunk by
+    chunk, the row sort runs in place, and the partner gather overwrites it
+    chunk by chunk, so the buffer itself becomes ``indices``.  Scratch
+    beyond the two arrays is bounded by :data:`_BUILD_CHUNK` entries.  The
+    traced peak at ``n = 10^6, d = 8`` is ~66 MB, about 2.0x the CSR.
     """
     validate_regular_parameters(n, d)
     two_m = n * d
@@ -118,7 +118,10 @@ def pairing_multigraph(n: int, d: int, rng: RandomSource) -> Graph:
     # pi[p] = original stub at shuffled position p; stubs of node v are the
     # original positions v*d .. v*d+d-1, and shuffled positions p and p^1 are
     # matched (consecutive entries pair up).
-    pi = rng.generator.permutation(two_m).astype(dtype, copy=False)
+    # What ``Generator.permutation(2m)`` does to an int64 arange: same
+    # draws and generator state, without the int64 array and its copy.
+    pi = np.arange(two_m, dtype=dtype)
+    rng.generator.shuffle(pi)
     # The inverse permutation: buffer[s] = shuffled position of stub s.
     buffer = np.empty(two_m, dtype=dtype)
     for start in range(0, two_m, _BUILD_CHUNK):

@@ -29,7 +29,7 @@ from repro.graphs.configuration_model import random_regular_graph
 from repro.protocols.algorithm1 import Algorithm1
 from repro.protocols.push import PushProtocol
 from repro.protocols.sequential import SequentialAlgorithm1
-from repro.spec import load_spec, run_spec
+from repro.spec import ScenarioSpec, load_spec, run_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_FILES = sorted((ROOT / "examples" / "specs").glob("*.json"))
@@ -188,9 +188,35 @@ class _PredicateCallers(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda path: path.name)
-def test_dry_run_plan_is_the_executed_plan(path, monkeypatch):
-    spec = load_spec(path)
+#: A product graph has ``n * clique_size`` nodes, not ``n``; the sweep
+#: covers both the default clique size and an explicit one.
+PRODUCT_SPEC = {
+    "name": "product-dry-run",
+    "graph": {"family": "regular-product-clique", "params": {"n": 64, "d": 4}},
+    "protocol": {"name": "push"},
+    "sweep": {
+        "axes": [
+            {"path": "graph.params.clique_size", "values": [5, 3], "key": "clique"}
+        ]
+    },
+    "repetitions": 3,
+    "label": "product-{clique}",
+}
+DRY_RUN_SPECS = {path.name: path for path in SPEC_FILES}
+DRY_RUN_SPECS["regular-product-clique"] = PRODUCT_SPEC
+
+
+def test_product_node_count_counts_the_default_clique():
+    spec = ScenarioSpec.from_dict(PRODUCT_SPEC)
+    assert _point_node_count(spec) == 64 * 5
+
+
+@pytest.mark.parametrize("name", sorted(DRY_RUN_SPECS))
+def test_dry_run_plan_is_the_executed_plan(name, monkeypatch):
+    source = DRY_RUN_SPECS[name]
+    spec = (
+        ScenarioSpec.from_dict(source) if isinstance(source, dict) else load_spec(source)
+    )
     points = expand_points(spec)
     runner = ExperimentRunner.from_spec(spec)
     planned = [
@@ -204,15 +230,22 @@ def test_dry_run_plan_is_the_executed_plan(path, monkeypatch):
         assert row["batch_shape"] == f"({plan.rows}, {plan.n})"
 
     executed = []
+    executed_seeds = []
 
     def recording_plan_run(*args, **kwargs):
         plan = plan_run(*args, **kwargs)
         executed.append(plan)
         return plan
 
+    def recording_repeat_broadcast(*args, **kwargs):
+        executed_seeds.append(", ".join(str(seed) for seed in kwargs["seeds"]))
+        return repeat_broadcast(*args, **kwargs)
+
     monkeypatch.setattr(runner_module, "plan_run", recording_plan_run)
+    monkeypatch.setattr(runner_module, "repeat_broadcast", recording_repeat_broadcast)
     run = run_spec(spec)
     assert executed == planned
+    assert [row["seeds"] for row in table.rows] == executed_seeds
     for point, plan in zip(run.points, executed, strict=True):
         assert len(point.results) == spec.repetitions
         for result in point.results:
