@@ -6,8 +6,8 @@ connected n = 32768 build with its connectivity check, and one broadcast
 per engine/protocol at n = 4096, plus the 20-seed batched push sweep) and the
 tracemalloc peak of the headline allocations (the million-node pairing build
 with its CSR stats, million-node push, push-pull, Algorithm 1 and quasirandom
-broadcasts, batched push and Algorithm 1 sweeps, churn at n = 10⁵), and
-fails — exit code 1 — if
+broadcasts, batched push, push-pull and Algorithm 1 sweeps, churn at
+n = 10⁵), and fails — exit code 1 — if
 any of them regressed beyond its factor over the recorded baseline.
 
 Timings are compared at ``--tolerance``: a coarse tripwire for "someone made
@@ -174,6 +174,11 @@ def measure_memory() -> dict:
     graph_32768.csr()
     graph_32768.csr_stats()
 
+    def batched_push_pull():
+        run_broadcast_batch(
+            graph_32768, PushPullProtocol(n_estimate=32768), SWEEP_SEEDS, config=vector
+        )
+
     def batched_algorithm1():
         run_broadcast_batch(
             graph_32768, Algorithm1(n_estimate=32768), SWEEP_SEEDS, config=vector
@@ -197,12 +202,14 @@ def measure_memory() -> dict:
     for run in million_runs.values():  # warm graph-side caches out of the traces
         run()
     batched_sweep()
+    batched_push_pull()
     batched_algorithm1()
     churn_100k()
     return {
         "graph_ready_1e6_peak": graph_ready_peak,
         **{name: traced_peak_mb(run) for name, run in million_runs.items()},
         "batched_push_sweep_20x_4096_peak": traced_peak_mb(batched_sweep),
+        "batched_push_pull_20x_32768_peak": traced_peak_mb(batched_push_pull),
         "batched_algorithm1_20x_32768_peak": traced_peak_mb(batched_algorithm1),
         "churn_broadcast_1e5_peak": traced_peak_mb(churn_100k),
     }
@@ -234,6 +241,7 @@ def memory_baseline_map(recorded: dict) -> dict:
         "algorithm1_broadcast_1e6_peak",
         "quasirandom_broadcast_1e6_peak",
         "batched_push_sweep_20x_4096_peak",
+        "batched_push_pull_20x_32768_peak",
         "batched_algorithm1_20x_32768_peak",
         "churn_broadcast_1e5_peak",
     )

@@ -440,9 +440,9 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Tuple[Table, int
     table.add_note(
         "batch_shape is the (R, n) engine state of one point; est_state_mb "
         f"≈ R·n·{RunPlan.STATE_BYTES} bytes (flags + informed rounds + index "
-        "pools); at peak, sampling scratch adds ~16 bytes per pushing node "
-        "to a batched plan and at most one delivery block (2^18 channels, "
-        "~10 MB) to a per-seed plan"
+        "pools); at peak, sampling scratch adds at most one delivery block "
+        "(2^18 channels, ~10 MB) to any plan, ~3-7 MB measured over a "
+        "20 x 32768 batch"
     )
     if refused:
         table.add_note(

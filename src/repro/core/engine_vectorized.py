@@ -40,8 +40,7 @@ would, in the same order; fanout-1 blocks draw with
 custom target hook is called once per round with every sampler; and on the
 failure stream all channel-failure draws (one byte of mask per channel)
 precede the push-loss draws, which precede the pull-loss draws — a lossy
-push-pull round holds its pull receivers until the push pass ends.  (The
-batched engine below still draws and delivers each round whole.)
+push-pull round holds its pull receivers until the push pass ends.
 
 Batched replications
 --------------------
@@ -52,10 +51,17 @@ replication draws from its own generator pair spawned exactly as the
 single-run engine spawns them (``RandomSource(seed).spawn("protocol")`` /
 ``spawn("failures")``), and the per-replication draw *sequences* are kept
 call-for-call identical to a single run, so every row of a batch is
-bit-identical to the corresponding :class:`VectorizedRoundEngine` run.  What
-the batch amortises is everything *around* the draws: state commits, channel
-bookkeeping, delivery scatter, and per-run setup all happen once per round for
-the whole ensemble instead of once per round per seed.
+bit-identical to the corresponding :class:`VectorizedRoundEngine` run.
+
+Both engines deliver through the same block body; a single run is one row
+at offset 0.  In a batched round every active row's channels are drawn from
+that row's own generators, in ascending row order.  A row with at least
+``_SCRATCH_MIN_SAMPLERS`` (2¹⁵) channels gets blocks of its own, addressed
+by node id at the scalar offset ``row * n``.  Smaller rows are packed whole
+into shared blocks of flat ``row * n + node`` indices, each row's uniforms
+drawn into its slice of one array and gathered once, so small-``n`` sweeps
+keep the batch's amortisation of per-call overhead.  Only fresh receivers
+reach the round's one commit.
 
 Row compaction
 ~~~~~~~~~~~~~~
@@ -144,6 +150,7 @@ until their calls are filtered).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,12 +177,22 @@ __all__ = [
 #: a few chunk-sized arrays whatever the sampler count.
 _CHUNK_ENTRIES = 1 << 19
 
-#: Upper bound on channels per delivery block of a single run (and per
-#: top-``k`` chunk).  A round's sampling and delivery scratch is one block.
+#: Upper bound on channels per delivery block (and per top-``k`` chunk).  A
+#: round's sampling and delivery scratch is one block.
 _BLOCK_CHANNELS = 1 << 18
 
 #: ``(callers, callees)`` of a block, callers broadcastable to callees.
 _ChannelBlock = Tuple[np.ndarray, np.ndarray]
+
+#: A delivery block: ``(callers, callees, base, rows, bounds, channel_up)``.
+#: Callers and callees are flat state indices minus ``base`` (a row's node
+#: ids at ``base = row * n``, or flat indices at ``base = 0``); the block is
+#: made of pieces, piece ``i`` being channels ``bounds[i]:bounds[i + 1]`` of
+#: state row ``rows[i]``; ``channel_up`` is the pieces' flat channel-failure
+#: mask, or ``None`` without channel failures.
+_DeliveryBlock = Tuple[
+    np.ndarray, np.ndarray, int, Sequence[int], Sequence[int], Optional[np.ndarray]
+]
 
 
 def vectorization_unsupported_reason(
@@ -265,6 +282,25 @@ def _fanout1_offsets(
     return offsets
 
 
+def _kept_bounds(bounds: Sequence[int], keep: np.ndarray, kept: int) -> Sequence[int]:
+    """Piece bounds after ``compress(keep)``; ``kept`` is the kept count."""
+    if len(bounds) == 2:
+        return (0, kept)
+    cumulative = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=cumulative[1:])
+    return cumulative[bounds].tolist()
+
+
+def _tally(counter: np.ndarray, rows: Sequence[int], bounds: Sequence[int]) -> None:
+    """Add each piece's length to its row's counter.
+
+    A block may hold several pieces of one row, so the pieces are added one
+    by one: a fancy-index ``+=`` would keep only a repeated row's last.
+    """
+    for row, start, stop in zip(rows, bounds[:-1], bounds[1:]):
+        counter[row] += stop - start
+
+
 def _stub_target_blocks(
     generator: np.random.Generator,
     samplers: np.ndarray,
@@ -330,33 +366,6 @@ def _stub_target_blocks(
             yield nodes[:, None], indices[chosen]
 
     return int(lengths.sum()) + deep_nodes.size * fanout, blocks()
-
-
-def _sample_stub_targets(
-    generator: np.random.Generator,
-    samplers: np.ndarray,
-    fanout: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    degrees: np.ndarray,
-    uniform_degree: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_stub_target_blocks` filled into flat ``(callers, callees)``
-    arrays, one entry per channel (the batched engine's per-row draw)."""
-    empty = np.empty(0, dtype=np.int64)
-    if samplers.size == 0 or fanout <= 0:
-        return empty, empty
-    channels, blocks = _stub_target_blocks(
-        generator, samplers, fanout, indptr, indices, degrees, uniform_degree
-    )
-    callers = np.empty(channels, dtype=samplers.dtype)
-    callees = np.empty(channels, dtype=indices.dtype)
-    stop = 0
-    for block_callers, block_callees in blocks:
-        start, stop = stop, stop + block_callees.size
-        callers[start:stop].reshape(block_callees.shape)[...] = block_callers
-        callees[start:stop].reshape(block_callees.shape)[...] = block_callees
-    return callers, callees
 
 
 def _resolve_failure_model(
@@ -448,6 +457,9 @@ class _BulkEngineBase:
     helpers after setting ``self.failure_model``.
     """
 
+    #: Dynamic membership (churn tombstones); only a single run turns it on.
+    _dynamic = False
+
     def _init_bulk_state(self, graph: Graph) -> None:
         self._indptr, self._indices = graph.csr()
         # Cached on the graph next to the CSR view, so per-seed loops over
@@ -461,7 +473,7 @@ class _BulkEngineBase:
         self._channel_info_cache: dict = {}
         self._degrees_array: Optional[np.ndarray] = None
         self._degree_positive_array: Optional[np.ndarray] = None
-        self._nz_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._nz_cache: Optional[np.ndarray] = None
         if self._uniform_degree is not None:
             self._all_degrees_positive: Optional[bool] = self._uniform_degree > 0
         else:
@@ -501,16 +513,16 @@ class _BulkEngineBase:
             self._all_degrees_positive = bool(self._degree_positive.all())
         return self._all_degrees_positive
 
-    def _nz(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(nodes with a neighbour, their degrees)`` in CSR index dtype."""
+    def _nz(self) -> np.ndarray:
+        """The nodes with a neighbour (a pull round's samplers), ascending,
+        in CSR index dtype."""
         if self._nz_cache is None:
             if self._all_positive():
-                nodes = np.arange(self._n, dtype=self._indices.dtype)
+                self._nz_cache = np.arange(self._n, dtype=self._indices.dtype)
             else:
-                nodes = np.flatnonzero(self._degree_positive).astype(
+                self._nz_cache = np.flatnonzero(self._degree_positive).astype(
                     self._indices.dtype, copy=False
                 )
-            self._nz_cache = (nodes, self._degrees[nodes])
         return self._nz_cache
 
     def _channel_info(self, fanout: int) -> Tuple[int, Optional[int]]:
@@ -562,23 +574,38 @@ class _BulkEngineBase:
 
     #: Below this sampler count the plain allocation path beats the scratch
     #: pipeline (whose extra view/out bookkeeping costs ~10 µs per round,
-    #: which dominates when the arrays themselves are only a few KB).
+    #: which dominates when the arrays themselves are only a few KB).  It is
+    #: also the batched engine's row-sharing bound: rows with fewer channels
+    #: share delivery blocks, where per-call overhead would dominate too.
     _SCRATCH_MIN_SAMPLERS = 1 << 15
 
     def _fanout1_callees(
-        self, generator: np.random.Generator, samplers: np.ndarray
+        self,
+        samplers: np.ndarray,
+        draws: Sequence[Tuple[np.random.Generator, int]],
     ) -> np.ndarray:
         """Callees of one uniform stub draw per sampler, via scratch buffers.
 
-        Called once per delivery block, so the scratch stays one block.
-        Returns a view into the callee scratch buffer (valid until the next
-        call); draws bit-identically to the allocation-based path —
-        ``generator.random(out=...)`` consumes the same stream, and the
-        in-place ``floor(U · d)`` arithmetic produces the same offsets.
+        ``draws`` lists ``(generator, count)`` pairs whose uniforms fill
+        consecutive slices of the samplers: one pair for a block of one row,
+        one per row for a block that rows share.  ``generator.random(out=...)``
+        draws each slice as the stream of one ``random(count)`` call, and
+        the in-place ``floor(U · d)`` arithmetic produces the same offsets
+        as the allocation path.  Called once per delivery block, so the
+        scratch stays one block; the result may be a view into the callee
+        scratch buffer (valid until the next call).
         """
         k = samplers.size
         if k < self._SCRATCH_MIN_SAMPLERS:
-            uniforms = generator.random(k)
+            uniforms = np.empty(k)
+        else:
+            self._ensure_scratch(k)
+            uniforms = self._scratch_uniform[:k]
+        stop = 0
+        for generator, count in draws:
+            start, stop = stop, stop + count
+            generator.random(out=uniforms[start:stop])
+        if k < self._SCRATCH_MIN_SAMPLERS:
             if self._uniform_degree is not None:
                 offsets = _fanout1_offsets(
                     uniforms, self._uniform_degree, self._indices.dtype
@@ -588,9 +615,6 @@ class _BulkEngineBase:
                 uniforms, self._degrees[samplers], self._indices.dtype
             )
             return self._indices[self._indptr[samplers] + offsets]
-        self._ensure_scratch(k)
-        uniforms = self._scratch_uniform[:k]
-        generator.random(out=uniforms)
         offsets = self._scratch_offset[:k]
         positions = self._scratch_position[:k]
         if self._uniform_degree is not None:
@@ -611,6 +635,179 @@ class _BulkEngineBase:
         callees = self._scratch_callee[:k]
         np.take(self._indices, positions, out=callees)
         return callees
+
+    # -- blocked delivery ----------------------------------------------------------
+
+    def _channel_blocks(
+        self,
+        round_index: int,
+        state: VectorState,
+        samplers: np.ndarray,
+        fanout: int,
+        generator: np.random.Generator,
+        row: Optional[int] = None,
+    ) -> Tuple[int, Iterator[_ChannelBlock]]:
+        """``(channel count, blocks)`` of one row's calls, in channel order.
+
+        Blocks are drawn from ``generator`` as they are consumed.  A custom
+        target hook is called here, once, with every sampler (and ``row``),
+        and only its output is cut up.
+        """
+        if samplers.size == 0 or fanout <= 0:
+            return 0, iter(())
+        if fanout > 1:
+            return _stub_target_blocks(
+                generator, samplers, fanout,
+                self._indptr, self._indices, self._degrees, self._uniform_degree,
+            )
+        size = _BLOCK_CHANNELS
+        starts = range(0, samplers.size, size)
+        if not self.protocol.has_custom_vector_targets:
+            return samplers.size, (
+                (block, self._fanout1_callees(block, ((generator, block.size),)))
+                for block in (samplers[i : i + size] for i in starts)
+            )
+        callees = self.protocol.vector_call_targets(
+            round_index, state, samplers, generator,
+            self._indptr, self._indices, self._degrees, row=row,
+        )
+        return samplers.size, (
+            (samplers[i : i + size], callees[i : i + size]) for i in starts
+        )
+
+    def _fill_channel_up(self, generator: np.random.Generator, out: np.ndarray) -> None:
+        """Draw ``out.size`` channel-failure tests into a 1-byte mask."""
+        for start in range(0, out.size, _BLOCK_CHANNELS):
+            part = out[start : start + _BLOCK_CHANNELS]
+            np.greater_equal(generator.random(part.size), self._channel_fail_p, out=part)
+
+    def _own_blocks(
+        self,
+        row: int,
+        base: int,
+        channels: int,
+        blocks: Iterator[_ChannelBlock],
+        failure_gen: np.random.Generator,
+    ) -> Iterator[_DeliveryBlock]:
+        """One row's channel blocks as delivery blocks of a single piece.
+
+        The row's channel-failure draws all come first, before its first
+        block reaches the loss draws.
+        """
+        channel_up: Optional[np.ndarray] = None
+        if self._channel_fail_p > 0.0 and channels:
+            channel_up = np.empty(channels, dtype=bool)
+            self._fill_channel_up(failure_gen, channel_up)
+        rows = (row,)
+        position = 0
+        for callers, callees in blocks:
+            stop = position + callees.size
+            yield callers, callees, base, rows, (0, callees.size), (
+                None if channel_up is None else channel_up[position:stop]
+            )
+            position = stop
+
+    def _deliver(
+        self,
+        state: VectorState,
+        blocks: Iterator[_DeliveryBlock],
+        push_active: bool,
+        push_mask: Optional[np.ndarray],
+        pull_mask: Optional[np.ndarray],
+        failure_gens: Sequence[np.random.Generator],
+        tallies: np.ndarray,
+    ) -> np.ndarray:
+        """Filter, loss-test and cut each block to fresh receivers.
+
+        The one block body of both engines; a single run is row 0 at base 0.
+        Pull rounds pass ``pull_mask`` (and ``push_mask`` when they push
+        too); push-only rounds sample exactly the pushers.  ``tallies`` holds
+        the push, pull and lost counters per state row and is added to in
+        place.  Transmissions count after the usable filter and before loss.
+        On each row's failure stream the push-loss draws follow in channel
+        order, then its pull-loss draws: a lossy round that pushes and pulls
+        holds its pull receivers until the push pass ends.  Returns the flat
+        indices of the still-uninformed receivers, which two blocks may
+        share.
+        """
+        pull_active = pull_mask is not None
+        push_tx, pull_tx, lost = tallies
+        informed = state.informed.reshape(-1)
+        push_plane = None if push_mask is None else push_mask.reshape(-1)
+        pull_plane = None if pull_mask is None else pull_mask.reshape(-1)
+        index_dtype = state.index_dtype
+        loss_p = self._loss_p
+        fresh: List[np.ndarray] = []
+
+        def keep_fresh(receivers, base, rows, bounds) -> None:
+            if receivers.size == 0:
+                return
+            keep = informed[base:].take(receivers)
+            np.logical_not(keep, out=keep)
+            if loss_p > 0.0:
+                survived = np.empty(receivers.size, dtype=bool)
+                for row, start, stop in zip(rows, bounds[:-1], bounds[1:]):
+                    part = survived[start:stop]
+                    np.greater_equal(failure_gens[row].random(part.size), loss_p, out=part)
+                    lost[row] += part.size - np.count_nonzero(part)
+                keep &= survived
+            hits = receivers.compress(keep)
+            if hits.size:
+                fresh.append(np.add(hits, base, dtype=index_dtype) if base else hits)
+
+        # Self-calls (self-loop stubs) count as opened channels but never
+        # connect; failed channels are unusable for both directions; under
+        # churn, stubs pointing at departed nodes (or compaction's -1
+        # sentinels) are tombstones that connect nowhere.  On a static
+        # self-loop-free graph with reliable channels nothing can be
+        # filtered, so the pass is skipped outright.
+        filtering = self._dynamic or self._has_self_loops or self._channel_fail_p > 0.0
+        hold_pulls = push_active and pull_active and loss_p > 0.0
+        held = []
+        # ``take``/``compress`` select exactly what fancy and boolean
+        # indexing would, several times faster on random masks.
+        for callers, callees, base, rows, bounds, channel_up in blocks:
+            if pull_active and callers.shape != callees.shape:
+                # Pulls need one caller per channel: flatten a top-k block.
+                callers = np.broadcast_to(callers, callees.shape).reshape(-1)
+                callees = callees.reshape(-1)
+            if filtering:
+                usable = callees != callers
+                if self._dynamic:
+                    valid = callees >= 0
+                    usable &= valid
+                    usable &= state.alive.take(np.where(valid, callees, 0))
+                if channel_up is not None:
+                    usable &= channel_up.reshape(usable.shape)
+                if not usable.all():
+                    usable = usable.reshape(-1)
+                    callees = callees.compress(usable)
+                    if pull_active:
+                        callers = callers.compress(usable)
+                    bounds = _kept_bounds(bounds, usable, callees.size)
+            callees = callees.reshape(-1)
+            if push_active:
+                receivers, push_bounds = callees, bounds
+                if pull_active:
+                    sending = push_plane[base:].take(callers)
+                    receivers = callees.compress(sending)
+                    push_bounds = _kept_bounds(bounds, sending, receivers.size)
+                _tally(push_tx, rows, push_bounds)
+                keep_fresh(receivers, base, rows, push_bounds)
+            if pull_active:
+                answering = pull_plane[base:].take(callees)
+                receivers = callers.compress(answering)
+                pull_bounds = _kept_bounds(bounds, answering, receivers.size)
+                _tally(pull_tx, rows, pull_bounds)
+                if hold_pulls:
+                    held.append((receivers, base, rows, pull_bounds))
+                else:
+                    keep_fresh(receivers, base, rows, pull_bounds)
+        for receivers, base, rows, bounds in held:
+            keep_fresh(receivers, base, rows, bounds)
+        if not fresh:
+            return np.empty(0, dtype=index_dtype)
+        return fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
 
 
 class VectorizedRoundEngine(_BulkEngineBase):
@@ -977,7 +1174,7 @@ class VectorizedRoundEngine(_BulkEngineBase):
 
     # -- dynamic-aware CSR aggregates ----------------------------------------------
 
-    def _nz(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _nz(self) -> np.ndarray:
         if not self._dynamic:
             return super()._nz()
         # Dynamic mode: "every node with a neighbour" additionally means
@@ -988,8 +1185,7 @@ class VectorizedRoundEngine(_BulkEngineBase):
                 nodes = np.flatnonzero(alive)
             else:
                 nodes = np.flatnonzero(alive & self._degree_positive)
-            nodes = nodes.astype(self._indices.dtype, copy=False)
-            self._nz_cache = (nodes, self._degrees[nodes])
+            self._nz_cache = nodes.astype(self._indices.dtype, copy=False)
         return self._nz_cache
 
     def _channel_info(self, fanout: int) -> Tuple[int, Optional[int]]:
@@ -1064,7 +1260,7 @@ class VectorizedRoundEngine(_BulkEngineBase):
         # pushers' calls matter.
         push_mask: Optional[np.ndarray] = None
         if pull_active:
-            samplers = self._nz()[0]
+            samplers = self._nz()
             if push_active:
                 push_mask = protocol.vector_wants_push(round_index, state)
         elif push_active:
@@ -1075,72 +1271,15 @@ class VectorizedRoundEngine(_BulkEngineBase):
             raise SimulationError(
                 "custom bulk target selection requires uniform fanout 1"
             )
-        channels, blocks = self._channel_blocks(round_index, state, samplers, fanout)
-
-        # All channel-failure draws come first, one byte of mask per channel.
-        channel_up: Optional[np.ndarray] = None
-        if self._channel_fail_p > 0.0 and channels:
-            channel_up = np.empty(channels, dtype=bool)
-            for start in range(0, channels, _BLOCK_CHANNELS):
-                part = channel_up[start : start + _BLOCK_CHANNELS]
-                np.greater_equal(
-                    self._failure_gen.random(part.size), self._channel_fail_p, out=part
-                )
-        # Self-calls (self-loop stubs) count as opened channels but never
-        # connect; failed channels are unusable for both directions; under
-        # churn, stubs pointing at departed nodes (or compaction's -1
-        # sentinels) are tombstones that connect nowhere.  On a static
-        # self-loop-free graph with reliable channels nothing can be
-        # filtered, so the pass is skipped outright.
-        filtering = self._dynamic or self._has_self_loops or channel_up is not None
-        # Pull-loss draws follow every push-loss draw on the failure stream.
-        hold_pulls = push_active and pull_active and self._loss_p > 0.0
-        push_transmissions = pull_transmissions = lost_transmissions = 0
-        fresh: List[np.ndarray] = []
-        held: List[np.ndarray] = []
-        position = 0
-        # ``take``/``compress`` select exactly what fancy and boolean
-        # indexing would, several times faster on random masks.
-        for callers, callees in blocks:
-            if pull_active and callers.shape != callees.shape:
-                # Pulls need one caller per channel: flatten a top-k block.
-                callers = np.broadcast_to(callers, callees.shape).reshape(-1)
-                callees = callees.reshape(-1)
-            if filtering:
-                usable = callees != callers
-                if self._dynamic:
-                    valid = callees >= 0
-                    usable &= valid
-                    usable &= state.alive.take(np.where(valid, callees, 0))
-                if channel_up is not None:
-                    stop = position + callees.size
-                    usable &= channel_up[position:stop].reshape(callees.shape)
-                    position = stop
-                if not usable.all():
-                    usable = usable.reshape(-1)
-                    callees = callees.compress(usable)
-                    if pull_active:
-                        callers = callers.compress(usable)
-            callees = callees.reshape(-1)
-            # Transmissions count after the usable filter, before loss.
-            if push_active:
-                # Push-only rounds sample exactly the pushers.
-                receivers = (
-                    callees.compress(push_mask.take(callers)) if pull_active else callees
-                )
-                push_transmissions += receivers.size
-                lost_transmissions += self._keep_fresh(receivers, state, fresh)
-            if pull_active:
-                receivers = callers.compress(pull_mask.take(callees))
-                pull_transmissions += receivers.size
-                if hold_pulls:
-                    held.append(receivers)
-                else:
-                    lost_transmissions += self._keep_fresh(receivers, state, fresh)
-        for receivers in held:
-            lost_transmissions += self._keep_fresh(receivers, state, fresh)
-
-        delivered = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.int64)
+        channels, blocks = self._channel_blocks(
+            round_index, state, samplers, fanout, self._protocol_gen
+        )
+        tallies = np.zeros((3, 1), dtype=np.int64)
+        delivered = self._deliver(
+            state,
+            self._own_blocks(0, 0, channels, blocks, self._failure_gen),
+            push_active, push_mask, pull_mask, (self._failure_gen,), tallies,
+        )
         newly_informed = state.commit_delivered(delivered, round_index)
         protocol.vector_on_round_committed(round_index, state, newly_informed)
 
@@ -1148,62 +1287,12 @@ class VectorizedRoundEngine(_BulkEngineBase):
             round_index=round_index,
             informed_before=informed_before,
             informed_after=int(state.informed_count),
-            push_transmissions=push_transmissions,
-            pull_transmissions=pull_transmissions,
+            push_transmissions=int(tallies[0, 0]),
+            pull_transmissions=int(tallies[1, 0]),
             channels_opened=channels_opened,
-            lost_transmissions=lost_transmissions,
+            lost_transmissions=int(tallies[2, 0]),
             phase=protocol.phase_label(round_index),
         )
-
-    def _channel_blocks(
-        self, round_index: int, state: VectorState, samplers: np.ndarray, fanout: int
-    ) -> Tuple[int, Iterator[_ChannelBlock]]:
-        """``(channel count, blocks)`` of the samplers' calls, in channel order.
-
-        Blocks are drawn as they are consumed.  A custom target hook is
-        called once, with every sampler, and only its output is cut up.
-        """
-        if samplers.size == 0 or fanout <= 0:
-            return 0, iter(())
-        if fanout > 1:
-            return _stub_target_blocks(
-                self._protocol_gen, samplers, fanout,
-                self._indptr, self._indices, self._degrees, self._uniform_degree,
-            )
-        size = _BLOCK_CHANNELS
-        starts = range(0, samplers.size, size)
-        if not self.protocol.has_custom_vector_targets:
-            return samplers.size, (
-                (samplers[i : i + size],
-                 self._fanout1_callees(self._protocol_gen, samplers[i : i + size]))
-                for i in starts
-            )
-        callees = self.protocol.vector_call_targets(
-            round_index, state, samplers, self._protocol_gen,
-            self._indptr, self._indices, self._degrees,
-        )
-        return samplers.size, (
-            (samplers[i : i + size], callees[i : i + size]) for i in starts
-        )
-
-    def _keep_fresh(
-        self, receivers: np.ndarray, state: VectorState, fresh: List[np.ndarray]
-    ) -> int:
-        """Loss-test ``receivers``, add the still-uninformed survivors to
-        ``fresh``, and return the lost count."""
-        if receivers.size == 0:
-            return 0
-        keep = state.informed.take(receivers)
-        np.logical_not(keep, out=keep)
-        lost = 0
-        if self._loss_p > 0.0:
-            survived = self._failure_gen.random(receivers.size) >= self._loss_p
-            lost = receivers.size - int(np.count_nonzero(survived))
-            keep &= survived
-        hits = receivers.compress(keep)
-        if hits.size:
-            fresh.append(hits)
-        return lost
 
 
 class BatchedVectorizedRoundEngine(_BulkEngineBase):
@@ -1214,10 +1303,10 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
     per-replication draw sequence is kept call-for-call identical to a single
     run, so each row of the batch is bit-identical to the corresponding
     single-seed vectorized run.  The whole ensemble's state lives in one
-    ``(R, n)`` :class:`VectorState`; delivery scatter, commits, and channel
-    accounting are performed once per round for all replications together,
-    and completed replications are compacted out of the state as they finish
-    (see the module docstring).
+    ``(R, n)`` :class:`VectorState`; small rows share delivery blocks, the
+    commit and the channel accounting happen once per round for all
+    replications together, and completed replications are compacted out of
+    the state as they finish (see the module docstring).
 
     One protocol instance drives all replications; it is :meth:`reset` once at
     the start of the batch, and protocols with per-node state (e.g. the
@@ -1418,58 +1507,6 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
 
     # -- round mechanics -------------------------------------------------------------
 
-    def _pool_bounds(self, pool: np.ndarray, n: int, batch: int) -> np.ndarray:
-        """Row-boundary positions of a sorted flat index pool."""
-        return np.searchsorted(pool, np.arange(batch + 1, dtype=np.int64) * n)
-
-    def _pool_row_samplers(
-        self, pool: np.ndarray, bounds: np.ndarray, row: int, n: int
-    ) -> np.ndarray:
-        """One row's pool segment as node ids, neighbourless nodes removed.
-
-        The single place that turns flat ``row * n + node`` pool entries back
-        into per-row sampler ids — shared by the fanout-1 segment builder and
-        the per-row (custom-target / fanout > 1) loop so the two sampling
-        paths cannot drift.  The result is exactly what a boolean-mask scan
-        of that row would produce, at O(segment) instead of O(n).
-        """
-        segment = pool[int(bounds[row]) : int(bounds[row + 1])]
-        if segment.size:
-            segment = segment - pool.dtype.type(row * n)
-            if not self._all_positive():
-                segment = segment[self._degree_positive[segment]]
-        return segment
-
-    def _pool_segments(
-        self,
-        pool: np.ndarray,
-        active_rows: np.ndarray,
-        n: int,
-        batch: int,
-    ) -> Tuple[np.ndarray, List[int], List[int]]:
-        """Split a sorted flat index pool into per-active-row node-id segments.
-
-        Returns ``(cols, part_rows, part_lengths)`` in ascending-row order:
-        ``cols`` holds node ids (row offsets removed), ``part_rows`` the state
-        row of each non-empty segment.  Dead rows' entries are skipped without
-        being touched.
-        """
-        bounds = self._pool_bounds(pool, n, batch)
-        part_rows: List[int] = []
-        part_lengths: List[int] = []
-        pieces: List[np.ndarray] = []
-        for row in active_rows.tolist():
-            segment = self._pool_row_samplers(pool, bounds, row, n)
-            if segment.size == 0:
-                continue
-            part_rows.append(row)
-            part_lengths.append(int(segment.size))
-            pieces.append(segment)
-        if not pieces:
-            return np.empty(0, dtype=pool.dtype), part_rows, part_lengths
-        cols = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        return cols, part_rows, part_lengths
-
     def _run_round_batch(
         self,
         round_index: int,
@@ -1478,9 +1515,6 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One lock-step round; returns per-state-row counter arrays."""
         protocol = self.protocol
-        n = state.n
-        batch = state.batch
-
         push_active = protocol.push_round(round_index)
         pull_active = protocol.pull_round(round_index)
         fanout = protocol.vector_fanout(round_index)
@@ -1492,156 +1526,26 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
 
         channels = self._channels_batch(round_index, state, fanout, active_rows)
 
-        custom = protocol.has_custom_vector_targets
-        if custom and fanout != 1:
+        if protocol.has_custom_vector_targets and fanout != 1:
             raise SimulationError(
                 "custom bulk target selection requires uniform fanout 1"
             )
-
-        # Stage A — per-replication sampling.  Generator draws cannot be
-        # merged across replications (each row owns its stream, and parity
-        # with single runs pins the exact call sequence), so the per-row work
-        # is exactly one draw on the fast path; sampler construction,
-        # offset arithmetic, gathers, filtering, and commit are all batched
-        # over the concatenated channel arrays.  ``cols`` holds caller node
-        # ids, ``bases`` the ``row * n`` flattening offsets, and ``row_of``
-        # the replication of each channel, in ascending-row order throughout
-        # (the per-replication counting and loss draws rely on it).  The
-        # flat channel arrays use the state's index dtype (int32 below 2³¹
-        # state entries), which can address every ``row * n + node``.
-        index_dtype = state.index_dtype
-        cols = np.empty(0, dtype=index_dtype)
-        callees = np.empty(0, dtype=self._indices.dtype)
-        part_rows: List[int] = []
-        part_lengths: List[int] = []
+        tallies = np.zeros((3, state.batch), dtype=np.int64)
+        delivered = np.empty(0, dtype=state.index_dtype)
         if (push_active or pull_active) and fanout > 0:
-            if fanout == 1 and not custom:
-                uniform = self._uniform_degree
-                if pull_active:
-                    # Every node with a neighbour samples, in every active
-                    # replication: the sampler set is one tiled constant.
-                    nz_nodes, nz_degrees = self._nz()
-                    size = int(nz_nodes.size)
-                    if size:
-                        part_rows = active_rows.tolist()
-                        part_lengths = [size] * len(part_rows)
-                        cols = np.tile(nz_nodes, active_rows.size)
-                        if uniform is None:
-                            sampler_degrees = np.tile(
-                                nz_degrees, active_rows.size
-                            )
-                else:
-                    cols, part_rows, part_lengths = self._push_sampler_segments(
-                        round_index, state, active_rows
-                    )
-                if part_rows:
-                    if not pull_active and uniform is None:
-                        sampler_degrees = self._degrees[cols]
-                    # One draw per replication, each straight into its slice
-                    # of the shared uniforms array (same stream as a fresh
-                    # ``random(size)``).
-                    uniforms = np.empty(cols.size, dtype=np.float64)
-                    position = 0
-                    for row, size in zip(part_rows, part_lengths):
-                        self._live_protocol_gens[row].random(
-                            out=uniforms[position : position + size]
-                        )
-                        position += size
-                    if uniform is not None:
-                        offsets = _fanout1_offsets(
-                            uniforms, uniform, self._indices.dtype
-                        )
-                        callees = self._indices[cols * uniform + offsets]
-                    else:
-                        offsets = _fanout1_offsets(
-                            uniforms, sampler_degrees, self._indices.dtype
-                        )
-                        callees = self._indices[self._indptr[cols] + offsets]
-            else:
-                cols, callees, part_rows, part_lengths = self._per_row_targets(
-                    round_index, state, active_rows, fanout, custom
-                )
-
-        push_tx = np.zeros(batch, dtype=np.int64)
-        pull_tx = np.zeros(batch, dtype=np.int64)
-        lost = np.zeros(batch, dtype=np.int64)
-
-        if cols.size:
-            row_array = np.asarray(part_rows, dtype=index_dtype)
-            length_array = np.asarray(part_lengths, dtype=np.int64)
-            bases = np.repeat(row_array * n, length_array)
-            callers_flat = np.add(cols, bases, dtype=index_dtype)
-            callees_flat = np.add(callees, bases, out=bases)
-            row_of: Optional[np.ndarray] = None
-            filtered = False
-
-            # Self-calls (self-loop stubs) never connect and failed channels
-            # are unusable in both directions; on a self-loop-free graph with
-            # reliable channels the filter would keep everything, so skip it.
-            if self._has_self_loops or self._channel_fail_p > 0.0:
-                usable = cols != callees
-                if self._channel_fail_p > 0.0:
-                    position = 0
-                    for row, size in zip(part_rows, part_lengths):
-                        usable[position : position + size] &= (
-                            self._live_failure_gens[row].random(size)
-                            >= self._channel_fail_p
-                        )
-                        position += size
-                if not usable.all():
-                    filtered = True
-                    row_of = np.repeat(row_array, length_array)[usable]
-                    callers_flat = callers_flat[usable]
-                    callees_flat = callees_flat[usable]
-
-            delivered_parts: List[np.ndarray] = []
-            if push_active and callers_flat.size:
-                if pull_active:
-                    # In pull rounds everyone samples, so the pushers are the
-                    # subset flagged by the mask …
-                    if row_of is None:
-                        row_of = np.repeat(row_array, length_array)
-                    sending = push_mask.reshape(-1)[callers_flat]
-                    receivers = callees_flat[sending]
-                    receiver_rows = row_of[sending]
-                    push_tx = np.bincount(receiver_rows, minlength=batch)
-                else:
-                    # … while push-only rounds sample exactly the pushers,
-                    # making the mask gather a keep-everything no-op.
-                    receivers = callees_flat
-                    if row_of is None and self._loss_p > 0.0:
-                        row_of = np.repeat(row_array, length_array)
-                    receiver_rows = row_of
-                    if filtered:
-                        push_tx = np.bincount(receiver_rows, minlength=batch)
-                    else:
-                        push_tx[row_array] = length_array
-                receivers, lost_rows = self._drop_lost_rows(receivers, receiver_rows)
-                lost += lost_rows
-                delivered_parts.append(receivers)
-
-            if pull_active and callers_flat.size:
-                if row_of is None:
-                    row_of = np.repeat(row_array, length_array)
-                answering = pull_mask.reshape(-1)[callees_flat]
-                receivers = callers_flat[answering]
-                receiver_rows = row_of[answering]
-                pull_tx = np.bincount(receiver_rows, minlength=batch)
-                receivers, lost_rows = self._drop_lost_rows(receivers, receiver_rows)
-                lost += lost_rows
-                delivered_parts.append(receivers)
-
-            if len(delivered_parts) == 1:
-                delivered = delivered_parts[0]
-            elif delivered_parts:
-                delivered = np.concatenate(delivered_parts)
-            else:
-                delivered = np.empty(0, dtype=np.int64)
-        else:
-            delivered = np.empty(0, dtype=np.int64)
-
+            blocks = self._batch_blocks(
+                round_index,
+                state,
+                self._row_samplers(round_index, state, active_rows, pull_active),
+                fanout,
+            )
+            delivered = self._deliver(
+                state, blocks, push_active, push_mask, pull_mask,
+                self._live_failure_gens, tallies,
+            )
         newly_informed = state.commit_delivered(delivered, round_index)
         protocol.vector_on_round_committed(round_index, state, newly_informed)
+        push_tx, pull_tx, lost = tallies
         return push_tx, pull_tx, channels, lost
 
     def _channels_batch(
@@ -1659,7 +1563,7 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         if self.protocol.uses_index_pools:
             pool = self.protocol.vector_caller_pool(round_index, state)
             if pool is not None:
-                bounds = self._pool_bounds(pool, n, batch)
+                bounds = VectorState.row_bounds(pool, n, batch)
                 lengths = np.diff(bounds)
                 if uniform_cost is not None:
                     per_row = lengths * uniform_cost
@@ -1684,137 +1588,137 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
             channels[active_rows] = per_row[active_rows]
         return channels
 
-    def _push_sampler_segments(
-        self, round_index: int, state: VectorState, active_rows: np.ndarray
-    ) -> Tuple[np.ndarray, List[int], List[int]]:
-        """Push-only sampler node ids per active row (ascending-row order)."""
-        n = state.n
-        batch = state.batch
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_push_samplers(round_index, state)
-            if pool is not None:
-                return self._pool_segments(pool, active_rows, n, batch)
-        push_mask = self.protocol.vector_wants_push(round_index, state)
-        # Work on the active rows only: when replications have completed,
-        # the scan shrinks with the live ensemble instead of staying
-        # O(R·n) until the last straggler.
-        if active_rows.size == batch:
-            mask = push_mask
-            row_ids = None
-        else:
-            mask = push_mask[active_rows]
-            row_ids = active_rows
-        if not self._all_positive():
-            mask = mask & self._degree_positive
-        flat = np.flatnonzero(mask.ravel())
-        part_rows: List[int] = []
-        part_lengths: List[int] = []
-        cols = np.empty(0, dtype=np.int64)
-        if flat.size:
-            live = active_rows.size
-            row_boundaries = np.arange(live + 1, dtype=np.int64) * n
-            counts = np.diff(np.searchsorted(flat, row_boundaries))
-            occupied = np.flatnonzero(counts)
-            for local in occupied.tolist():
-                part_rows.append(
-                    local if row_ids is None else int(row_ids[local])
-                )
-                part_lengths.append(int(counts[local]))
-            cols = flat - np.repeat(occupied * n, counts[occupied])
-        return cols, part_rows, part_lengths
-
-    def _per_row_targets(
+    def _row_samplers(
         self,
         round_index: int,
         state: VectorState,
         active_rows: np.ndarray,
-        fanout: int,
-        custom: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, List[int], List[int]]:
-        """Sampling paths that must loop rows: custom targets and fanout > 1."""
-        protocol = self.protocol
-        n = state.n
-        batch = state.batch
-        pull_active = protocol.pull_round(round_index)
+        pull_active: bool,
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(row, sampler node ids)`` of each active row that calls, ascending.
 
-        pool: Optional[np.ndarray] = None
-        pool_bounds: Optional[np.ndarray] = None
-        push_mask: Optional[np.ndarray] = None
-        if not pull_active:
-            if protocol.uses_index_pools:
-                pool = protocol.vector_push_samplers(round_index, state)
-            if pool is not None:
-                pool_bounds = self._pool_bounds(pool, n, batch)
-            else:
-                push_mask = protocol.vector_wants_push(round_index, state)
-
-        caller_parts: List[np.ndarray] = []
-        callee_parts: List[np.ndarray] = []
-        part_rows: List[int] = []
-        part_lengths: List[int] = []
-        for row in active_rows.tolist():
-            if pull_active:
-                samplers = self._nz()[0]
-            elif pool is not None:
-                samplers = self._pool_row_samplers(pool, pool_bounds, row, n)
-            else:
-                samplers = np.flatnonzero(push_mask[row] & self._degree_positive)
-            if samplers.size == 0:
-                continue
-            generator = self._live_protocol_gens[row]
-            if custom:
-                row_callees = protocol.vector_call_targets(
-                    round_index, state, samplers, generator,
-                    self._indptr, self._indices, self._degrees, row=row,
-                )
-                row_callers = samplers
-            else:
-                row_callers, row_callees = _sample_stub_targets(
-                    generator, samplers, fanout,
-                    self._indptr, self._indices, self._degrees,
-                    uniform_degree=self._uniform_degree,
-                )
-            caller_parts.append(row_callers)
-            callee_parts.append(row_callees)
-            part_rows.append(row)
-            part_lengths.append(int(row_callers.size))
-        if not caller_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, part_rows, part_lengths
-        cols = np.concatenate(caller_parts)
-        callees = np.concatenate(callee_parts)
-        return cols, callees, part_rows, part_lengths
-
-    def _drop_lost_rows(
-        self, receivers: np.ndarray, receiver_rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-replication transmission loss over row-grouped flat receivers.
-
-        ``receiver_rows`` (the replication of each receiver) must be
-        non-decreasing — which the row-ordered sampling stage guarantees — so
-        each replication's loss draws match a single run's exactly.
+        Pull rounds sample every node with a neighbour; push-only rounds
+        split the protocol's flat index pool at the row boundaries (dead
+        rows' entries are never touched) or scan each row's push mask, and
+        drop neighbourless nodes either way — exactly the samplers a single
+        run of that row would draw for.
         """
-        batch = len(self._live_failure_gens)
-        lost = np.zeros(batch, dtype=np.int64)
-        if self._loss_p <= 0.0 or receivers.size == 0:
-            return receivers, lost
-        bounds = np.searchsorted(
-            receiver_rows, np.arange(batch + 1, dtype=receiver_rows.dtype)
-        )
-        kept_parts: List[np.ndarray] = []
-        for row in range(batch):
-            start, end = int(bounds[row]), int(bounds[row + 1])
-            if end == start:
-                continue
-            lost_mask = self._live_failure_gens[row].random(end - start) < self._loss_p
-            dropped = int(lost_mask.sum())
-            if dropped:
-                lost[row] = dropped
-                kept_parts.append(receivers[start:end][~lost_mask])
+        if pull_active:
+            samplers = self._nz()
+            if samplers.size:
+                for row in active_rows.tolist():
+                    yield row, samplers
+            return
+        n = state.n
+        pool = None
+        if self.protocol.uses_index_pools:
+            pool = self.protocol.vector_push_samplers(round_index, state)
+        if pool is not None:
+            bounds = VectorState.row_bounds(pool, n, state.batch).tolist()
+            for row in active_rows.tolist():
+                samplers = pool[bounds[row] : bounds[row + 1]] - pool.dtype.type(row * n)
+                if not self._all_positive():
+                    samplers = samplers[self._degree_positive[samplers]]
+                if samplers.size:
+                    yield row, samplers
+            return
+        push_mask = self.protocol.vector_wants_push(round_index, state)
+        for row in active_rows.tolist():
+            mask = push_mask[row]
+            if not self._all_positive():
+                mask = mask & self._degree_positive
+            samplers = np.flatnonzero(mask)
+            if samplers.size:
+                yield row, samplers
+
+    def _batch_blocks(
+        self,
+        round_index: int,
+        state: VectorState,
+        row_samplers: Iterator[Tuple[int, np.ndarray]],
+        fanout: int,
+    ) -> Iterator[_DeliveryBlock]:
+        """Delivery blocks of every active row's channels, in ascending row order.
+
+        Each row draws from its own generators exactly as a single run does.
+        A row with at least :attr:`_SCRATCH_MIN_SAMPLERS` channels is
+        delivered in blocks of its own at the scalar offset ``row * n``.
+        Smaller rows are packed whole into shared blocks of flat indices, so
+        small-``n`` sweeps still pay one gather, filter and loss pass per
+        block rather than per row.  A row never straddles two shared blocks,
+        which keeps its channel-failure draws ahead of its loss draws.
+        """
+        n = state.n
+        share = min(self._SCRATCH_MIN_SAMPLERS, _BLOCK_CHANNELS)
+        fanout1 = fanout == 1 and not self.protocol.has_custom_vector_targets
+        pieces: List[Tuple[int, np.ndarray, Optional[np.ndarray]]] = []
+        packed = 0
+        for row, samplers in row_samplers:
+            if fanout1 and samplers.size < share:
+                # Drawn by the shared block's one gather.
+                channels, blocks = samplers.size, None
             else:
-                kept_parts.append(receivers[start:end])
-        if kept_parts:
-            receivers = np.concatenate(kept_parts)
+                channels, blocks = self._channel_blocks(
+                    round_index, state, samplers, fanout,
+                    self._live_protocol_gens[row], row,
+                )
+            if channels >= share:
+                if pieces:
+                    yield self._shared_block(pieces, state)
+                    pieces, packed = [], 0
+                yield from self._own_blocks(
+                    row, row * n, channels, blocks, self._live_failure_gens[row]
+                )
+                continue
+            if packed + channels > share:
+                yield self._shared_block(pieces, state)
+                pieces, packed = [], 0
+            packed += channels
+            if blocks is None:
+                pieces.append((row, samplers, None))
+            else:
+                pieces.extend((row, callers, callees) for callers, callees in blocks)
+        if pieces:
+            yield self._shared_block(pieces, state)
+
+    def _shared_block(
+        self,
+        pieces: List[Tuple[int, np.ndarray, Optional[np.ndarray]]],
+        state: VectorState,
+    ) -> _DeliveryBlock:
+        """One delivery block of flat indices from several small rows.
+
+        ``pieces`` are ``(row, callers, callees)`` in channel order; fanout-1
+        pieces carry only their samplers (``callees is None``): each row's
+        uniforms are drawn into its slice of one array, then one gather
+        serves the block.  Each row's channel-failure draws fill its slice
+        of the block's mask.
+        """
+        rows = [row for row, _, _ in pieces]
+        index_dtype = state.index_dtype
+        if pieces[0][2] is None:
+            callers = np.concatenate([samplers for _, samplers, _ in pieces])
+            lengths = [samplers.size for _, samplers, _ in pieces]
+            callees = self._fanout1_callees(
+                callers,
+                [(self._live_protocol_gens[row], size) for row, size in zip(rows, lengths)],
+            )
         else:
-            receivers = np.empty(0, dtype=np.int64)
-        return receivers, lost
+            # A top-k piece pairs a (rows, 1) sampler column with its
+            # (rows, k) callees.
+            callers = np.concatenate([
+                row_callers.repeat(row_callees.size // row_callers.size)
+                for _, row_callers, row_callees in pieces
+            ])
+            callees = np.concatenate([row_callees.reshape(-1) for _, _, row_callees in pieces])
+            lengths = [row_callees.size for _, _, row_callees in pieces]
+        bases = np.repeat(np.asarray(rows, dtype=index_dtype) * state.n, lengths)
+        callers = np.add(callers, bases, dtype=index_dtype)
+        callees = np.add(callees, bases, out=bases)
+        bounds = [0, *accumulate(lengths)]
+        channel_up: Optional[np.ndarray] = None
+        if self._channel_fail_p > 0.0:
+            channel_up = np.empty(callees.size, dtype=bool)
+            for row, start, stop in zip(rows, bounds[:-1], bounds[1:]):
+                self._fill_channel_up(self._live_failure_gens[row], channel_up[start:stop])
+        return callers, callees, 0, rows, bounds, channel_up

@@ -32,20 +32,17 @@ __all__ = [
 def merge_sorted_disjoint(base: np.ndarray, newly: np.ndarray) -> np.ndarray:
     """Merge two sorted, disjoint index arrays into one sorted array.
 
-    O(base + newly) — each ``newly`` entry lands after the ``base`` entries
-    smaller than it plus the ``newly`` entries before it.  The engines and
-    phase protocols use this to grow their sorted active sets incrementally
-    instead of re-scanning a boolean plane every round.
+    One stable sort of the two runs back to back, in ``base.dtype``: NumPy's
+    stable sort is a timsort, which finds the two sorted runs and merges
+    them in O(base + newly) without a mask the size of the result.  The
+    values are distinct, so the result is the unique sorted union.  The
+    engines and phase protocols use this to grow their sorted active sets
+    incrementally instead of re-scanning a boolean plane every round.
     """
     if newly.size == 0:
         return base
-    if base.size == 0:
-        return newly.astype(base.dtype, copy=False) if base.dtype != newly.dtype else newly
-    merged = np.empty(base.size + newly.size, dtype=base.dtype)
-    mask = np.zeros(merged.size, dtype=bool)
-    mask[np.searchsorted(base, newly) + np.arange(newly.size)] = True
-    merged[mask] = newly
-    merged[~mask] = base
+    merged = np.concatenate((base, newly), dtype=base.dtype)
+    merged.sort(kind="stable")
     return merged
 
 
@@ -623,12 +620,22 @@ class VectorState:
         if self.batch is None:
             self._informed_count += int(newly.size)
         else:
-            boundaries = np.arange(self.batch + 1, dtype=np.int64) * self.n
-            self._informed_count += np.diff(np.searchsorted(newly, boundaries))
+            self._informed_count += np.diff(self.row_bounds(newly, self.n, self.batch))
         self._record_newly(newly)
         return newly
 
     # -- batch row compaction ---------------------------------------------------
+
+    @staticmethod
+    def row_bounds(flat: np.ndarray, n: int, batch: int) -> np.ndarray:
+        """Positions of the row starts ``0, n, …, batch · n`` in sorted
+        ``(row * n + node)`` indices.
+
+        The starts are built in ``flat``'s dtype when they fit: a search
+        with wider values would first copy all of ``flat`` to int64.
+        """
+        dtype = flat.dtype if flat.itemsize >= 8 or batch * n < 2**31 else np.int64
+        return np.searchsorted(flat, np.arange(batch + 1, dtype=dtype) * n)
 
     @staticmethod
     def compact_flat_indices(
@@ -642,22 +649,15 @@ class VectorState:
         (e.g. Algorithm 1's active-node list), so every flat index table is
         remapped by the same arithmetic.
         """
-        bounds = np.searchsorted(
-            flat, np.arange(old_batch + 1, dtype=np.int64) * n
-        )
-        keep = np.asarray(keep, dtype=np.int64)
-        lengths = bounds[keep + 1] - bounds[keep]
-        total = int(lengths.sum())
-        if total == 0:
+        bounds = VectorState.row_bounds(flat, n, old_batch).tolist()
+        # One slice per kept row, shifted from old_row * n to new_row * n.
+        parts = [
+            flat[bounds[row] : bounds[row + 1]] - flat.dtype.type((row - new_row) * n)
+            for new_row, row in enumerate(np.asarray(keep).tolist())
+        ]
+        if not parts:
             return np.empty(0, dtype=flat.dtype)
-        offsets = np.cumsum(lengths) - lengths
-        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-        source = np.repeat(bounds[keep], lengths) + within
-        # old_row * n  ->  new_row * n
-        shift = (keep - np.arange(keep.size)) * n
-        return (flat[source] - np.repeat(shift, lengths)).astype(
-            flat.dtype, copy=False
-        )
+        return np.concatenate(parts)
 
     def compact_rows(self, keep: np.ndarray) -> None:
         """Drop batch rows not listed in ``keep`` (ascending row indices).

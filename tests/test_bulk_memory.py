@@ -4,11 +4,12 @@ and the k-distinct stub sampler.
 These paths fill their own output arrays chunk by chunk instead of
 allocating full-size temporaries.  This suite pins them four ways:
 
-1. a **differential test** of ``_sample_stub_targets`` against a reference
-   copy of the parts-list loop it replaced (kept only in this file, with its
-   selection written as a full row sort): equal channels, dtypes and next
-   generator draw on regular and irregular graphs, fanouts 2-6, int32 and
-   int64 CSR, and samplers spanning several chunks;
+1. a **differential test** of ``_stub_target_blocks``, its blocks flattened
+   into one entry per channel, against a reference copy of the parts-list
+   loop it replaced (kept only in this file, with its selection written as
+   a full row sort): equal channels, dtypes and next generator draw on
+   regular and irregular graphs, fanouts 2-6, int32 and int64 CSR, and
+   samplers spanning several chunks;
 2. ``Graph.csr_stats`` against the one-shot owner-array formula, including a
    self-loop that only the last block can see;
 3. **scale-free peak bounds** (tracemalloc) of the pairing build and of
@@ -38,7 +39,7 @@ import repro
 from repro.core import engine_vectorized
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast, run_broadcast_batch
-from repro.core.engine_vectorized import _sample_stub_targets
+from repro.core.engine_vectorized import _stub_target_blocks
 from repro.core.rng import RandomSource
 from repro.failures.message_loss import IndependentLoss
 from repro.graphs.base import Graph
@@ -107,6 +108,22 @@ def _reference_sample_stub_targets(
     return np.concatenate(callers_parts), np.concatenate(callees_parts)
 
 
+def _flat_stub_targets(generator, samplers, fanout, indptr, indices, degrees, uniform):
+    """``_stub_target_blocks`` as flat ``(callers, callees)``, one entry per
+    channel."""
+    channels, blocks = _stub_target_blocks(
+        generator, samplers, fanout, indptr, indices, degrees, uniform
+    )
+    pairs = [
+        (np.broadcast_to(callers, callees.shape).reshape(-1), callees.reshape(-1))
+        for callers, callees in blocks
+    ]
+    callers = np.concatenate([callers for callers, _ in pairs])
+    callees = np.concatenate([callees for _, callees in pairs])
+    assert callers.size == callees.size == channels
+    return callers, callees
+
+
 def _regular_csr():
     return pairing_multigraph(300, 8, RandomSource(seed=11)).csr()
 
@@ -149,9 +166,8 @@ def test_sampler_matches_reference(monkeypatch, fanout, graph, csr_dtype, chunk_
         seed = fanout * 100 + len(name)
         generator = RandomSource(seed=seed).generator
         reference_generator = RandomSource(seed=seed).generator
-        callers, callees = _sample_stub_targets(
-            generator, samplers, fanout, indptr, indices, degrees,
-            uniform_degree=uniform,
+        callers, callees = _flat_stub_targets(
+            generator, samplers, fanout, indptr, indices, degrees, uniform
         )
         ref_callers, ref_callees = _reference_sample_stub_targets(
             reference_generator, samplers, fanout, indptr, indices, degrees

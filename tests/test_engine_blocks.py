@@ -1,17 +1,24 @@
-"""The single-run engine's blocked delivery pipeline.
+"""The blocked delivery pipeline of both bulk engines.
 
-A single run draws, filters, loss-tests and delivers each round in blocks
-of at most ``_BLOCK_CHANNELS`` channels, and only still-uninformed
-receivers reach the commit.  At tier-1 sizes every round fits in one
-block, so these tests shrink the bounds (7 channels per block, 40 keys per
-top-``k`` chunk) and check that a block boundary never moves a draw:
+Both engines draw, filter, loss-test and deliver each round in blocks of at
+most ``_BLOCK_CHANNELS`` channels, and only still-uninformed receivers
+reach the commit.  A single run is one row at offset 0; in a batch, rows
+with at least ``_SCRATCH_MIN_SAMPLERS`` channels get blocks of their own and
+smaller rows share blocks.  At tier-1 sizes every round fits in one block,
+so these tests shrink the bounds and check that a block boundary never
+moves a draw:
 
-1. every single run equals its batched-engine row (the batched engine
-   draws each round whole) for every protocol and for push-pull with three
-   choices, on a regular graph, a multigraph with self-loops, and a G(n, p)
-   graph with isolated and saturated nodes, reliable and lossy;
-2. the churn golden digests reproduce;
-3. a single run never commits a node that is already informed.
+1. every single run equals its one-row batch (7 channels per block, 40 keys
+   per top-``k`` chunk) for every protocol, for push-pull with three
+   choices and for push without index pools, on a regular graph, a
+   multigraph with self-loops, and a G(n, p) graph with isolated and
+   saturated nodes, reliable and lossy;
+2. every row of a four-seed batch equals its single run under three
+   sharing bounds, where rows split across blocks, share blocks, and
+   repeat within one block (a small k-distinct row's saturated and deep
+   pieces, or two of its top-``k`` chunks);
+3. the churn golden digests reproduce;
+4. neither engine ever commits a node that is already informed.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ import pytest
 from repro.core import engine_vectorized
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast
+from repro.core.engine_vectorized import BatchedVectorizedRoundEngine
 from repro.core.node import VectorState
 from repro.core.rng import RandomSource
 from repro.graphs.configuration_model import pairing_multigraph, random_regular_graph
 from repro.graphs.families import gnp_graph
+from repro.protocols.push import PushProtocol
 from repro.protocols.push_pull import PushPullProtocol
 
 from test_churn_join_kernel import (
@@ -34,13 +43,22 @@ from test_churn_join_kernel import (
     _golden_fingerprint,
     _golden_run,
 )
-from test_engine_batch import PROTOCOL_FACTORIES, assert_bit_identical
+from test_engine_batch import PROTOCOL_FACTORIES, assert_bit_identical, run_signature
 
-#: Every batchable protocol, plus push-pull with three distinct choices:
-#: top-k blocks whose channels both push and pull.
+
+class MaskPushProtocol(PushProtocol):
+    """Push without index pools: both engines scan its push mask."""
+
+    uses_index_pools = False
+
+
+#: Every batchable protocol, plus push-pull with three distinct choices
+#: (top-k blocks whose channels both push and pull) and push-only rounds
+#: whose samplers come from a mask scan.
 BLOCK_PROTOCOLS = {
     **PROTOCOL_FACTORIES,
     "push-pull-3": lambda n: PushPullProtocol(n_estimate=n, fanout=3),
+    "push-mask": lambda n: MaskPushProtocol(n_estimate=n),
 }
 
 FAILURES = {
@@ -53,10 +71,27 @@ FAILURES = {
 }
 
 
+#: Seeds of the multi-seed batches.
+BATCH_SEEDS = [3, 4, 5, 11]
+
+#: Row-sharing bounds of the multi-seed batches, under 256-channel blocks:
+#: from nearly every row in blocks of its own to every row below a block
+#: sharing one.
+SHARING_BOUNDS = [16, 96, 256]
+
+
 @pytest.fixture
 def tiny_blocks(monkeypatch):
     monkeypatch.setattr(engine_vectorized, "_BLOCK_CHANNELS", 7)
     monkeypatch.setattr(engine_vectorized, "_CHUNK_ENTRIES", 40)
+
+
+def _shrink_shared_blocks(monkeypatch, sharing_bound):
+    monkeypatch.setattr(engine_vectorized, "_BLOCK_CHANNELS", 256)
+    monkeypatch.setattr(engine_vectorized, "_CHUNK_ENTRIES", 400)
+    monkeypatch.setattr(
+        engine_vectorized._BulkEngineBase, "_SCRATCH_MIN_SAMPLERS", sharing_bound
+    )
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +122,71 @@ def test_blocked_single_run_matches_batched_row(
         BLOCK_PROTOCOLS[protocol_name],
         [3],
         **FAILURES[failure],
+    )
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+@pytest.mark.parametrize("graph_name", ["regular", "multigraph", "gnp"])
+@pytest.mark.parametrize("protocol_name", sorted(BLOCK_PROTOCOLS))
+def test_batched_rows_match_single_runs_in_shared_blocks(
+    monkeypatch, graphs, protocol_name, graph_name, failure
+):
+    graph = graphs[graph_name]
+    factory = BLOCK_PROTOCOLS[protocol_name]
+    config = SimulationConfig(engine="vectorized", **FAILURES[failure])
+    # Single runs do not depend on the bounds (the one-seed test above pins
+    # that), so they run once, at the default bounds.
+    singles = [
+        run_signature(run_broadcast(graph, factory(graph.node_count), seed=seed, config=config))
+        for seed in BATCH_SEEDS
+    ]
+    for bound in SHARING_BOUNDS:
+        _shrink_shared_blocks(monkeypatch, bound)
+        rows = BatchedVectorizedRoundEngine(
+            graph, factory(graph.node_count), BATCH_SEEDS, config=config
+        ).run()
+        assert [run_signature(row) for row in rows] == singles, bound
+
+
+def _block_rows(monkeypatch):
+    """Record the piece rows of every block each batched round delivers."""
+    deliver = engine_vectorized._BulkEngineBase._deliver
+    rounds = []
+
+    def spy(engine, state, blocks, *args):
+        blocks_rows = []
+        rounds.append(blocks_rows)
+
+        def watched():
+            for block in blocks:
+                blocks_rows.append([int(row) for row in block[3]])
+                yield block
+
+        return deliver(engine, state, watched(), *args)
+
+    monkeypatch.setattr(engine_vectorized._BulkEngineBase, "_deliver", spy)
+    return rounds
+
+
+def test_shared_block_bounds_reach_every_block_shape(monkeypatch, graphs):
+    _shrink_shared_blocks(monkeypatch, SHARING_BOUNDS[1])
+    rounds = _block_rows(monkeypatch)
+    graph = graphs["gnp"]
+    BatchedVectorizedRoundEngine(
+        graph,
+        BLOCK_PROTOCOLS["algorithm1"](graph.node_count),
+        BATCH_SEEDS,
+        config=SimulationConfig(engine="vectorized"),
+    ).run()
+    blocks = [rows for blocks_rows in rounds for rows in blocks_rows]
+    # Several rows in one block, a row repeated within one block, and a
+    # row whose channels span several blocks of one round.
+    assert any(len(set(rows)) > 1 for rows in blocks)
+    assert any(len(set(rows)) < len(rows) for rows in blocks)
+    assert any(
+        sum(row in rows for rows in blocks_rows) > 1
+        for blocks_rows in rounds
+        for row in range(len(BATCH_SEEDS))
     )
 
 
@@ -123,3 +223,30 @@ def test_only_fresh_receivers_are_committed(
     assert result.success
     assert len(committed) == result.rounds_executed
     assert sum(committed) >= graph.node_count - 1
+
+
+@pytest.mark.parametrize("failure", ["reliable", "loss"])
+@pytest.mark.parametrize("protocol_name", sorted(BLOCK_PROTOCOLS))
+def test_batched_commits_only_fresh_receivers(
+    monkeypatch, graphs, protocol_name, failure
+):
+    _shrink_shared_blocks(monkeypatch, SHARING_BOUNDS[1])
+    commit = VectorState.commit_delivered
+    committed = []
+
+    def spy(state, delivered, round_index):
+        assert not state.informed.reshape(-1)[delivered].any(), round_index
+        committed.append(delivered.size)
+        return commit(state, delivered, round_index)
+
+    monkeypatch.setattr(VectorState, "commit_delivered", spy)
+    graph = graphs["regular"]
+    results = BatchedVectorizedRoundEngine(
+        graph,
+        BLOCK_PROTOCOLS[protocol_name](graph.node_count),
+        BATCH_SEEDS,
+        config=SimulationConfig(engine="vectorized", **FAILURES[failure]),
+    ).run()
+    assert all(result.success for result in results)
+    assert len(committed) == max(result.rounds_executed for result in results)
+    assert sum(committed) >= len(BATCH_SEEDS) * (graph.node_count - 1)

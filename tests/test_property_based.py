@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.scaling import fit_scaling_law
 from repro.analysis.stats import mean, percentile, std
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast
-from repro.core.node import StateTable
+from repro.core.node import StateTable, merge_sorted_disjoint
 from repro.core.rng import RandomSource
 from repro.graphs.configuration_model import pairing_multigraph, random_regular_graph
 from repro.protocols.push import PushProtocol
@@ -153,6 +154,28 @@ def test_state_table_informed_count_is_consistent(n, source, deliveries):
     assert table.informed_count == len(table.informed_ids())
     assert table.informed_count + table.uninformed_count == n
     assert source in table.informed_ids()
+
+
+INDEX_DTYPES = st.sampled_from([np.int32, np.int64])
+
+
+@given(
+    values=st.sets(st.integers(min_value=0, max_value=2**31 - 1), max_size=60),
+    sides=st.lists(st.booleans(), min_size=60, max_size=60),
+    base_dtype=INDEX_DTYPES,
+    newly_dtype=INDEX_DTYPES,
+)
+@example(values=set(), sides=[True] * 60, base_dtype=np.int32, newly_dtype=np.int64)
+@example(values={5, 1, 9}, sides=[True] * 60, base_dtype=np.int64, newly_dtype=np.int32)
+@example(values={5, 1, 9}, sides=[False] * 60, base_dtype=np.int32, newly_dtype=np.int64)
+@settings(max_examples=200, deadline=None)
+def test_merge_sorted_disjoint_is_the_sorted_union(values, sides, base_dtype, newly_dtype):
+    ordered = sorted(values)
+    base = np.array([v for v, side in zip(ordered, sides) if side], dtype=base_dtype)
+    newly = np.array([v for v, side in zip(ordered, sides) if not side], dtype=newly_dtype)
+    merged = merge_sorted_disjoint(base, newly)
+    assert merged.dtype == base.dtype
+    assert merged.tolist() == ordered
 
 
 @given(
