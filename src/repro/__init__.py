@@ -18,87 +18,96 @@ True
 The public API re-exports the most commonly used pieces; the sub-packages
 (:mod:`repro.core`, :mod:`repro.graphs`, :mod:`repro.protocols`,
 :mod:`repro.failures`, :mod:`repro.p2p`, :mod:`repro.analysis`,
-:mod:`repro.experiments`) expose the full surface.
+:mod:`repro.experiments`) expose the full surface.  Every re-export is
+lazy (:mod:`repro._lazy`): ``import repro`` loads no submodule, and a name's
+module is imported the first time the name is used.
 """
 
-from .core import (
-    ConfigurationError,
-    GraphGenerationError,
-    NodeState,
-    RandomSource,
-    ReproError,
-    RoundEngine,
-    RoundRecord,
-    RunAggregate,
-    RunPlan,
-    RunResult,
-    SimulationConfig,
-    SimulationError,
-    StateTable,
-    VectorState,
-    BatchedVectorizedRoundEngine,
-    VectorizedRoundEngine,
-    aggregate_runs,
-    plan_run,
-    run_broadcast,
-    run_broadcast_batch,
-    vectorization_unsupported_reason,
-)
-from .failures import (
-    EstimateError,
-    IndependentLoss,
-    NoChurn,
-    ReliableDelivery,
-    UniformChurn,
-    available_failure_models,
-    build_failure_model,
-)
-from .graphs import (
-    Graph,
-    available_graph_families,
-    build_graph,
-    complete_graph,
-    connected_random_regular_graph,
-    gnp_graph,
-    hypercube_graph,
-    pairing_multigraph,
-    random_regular_graph,
-)
-from .protocols import (
-    Algorithm1,
-    Algorithm2,
-    BroadcastProtocol,
-    PullProtocol,
-    PushProtocol,
-    PushPullProtocol,
-    QuasirandomPushProtocol,
-    SequentialAlgorithm1,
-    available_protocols,
-    build_protocol,
-)
-from .spec import (
-    FailureSpec,
-    GraphSpec,
-    PointRun,
-    ProtocolSpec,
-    ScenarioRun,
-    ScenarioSpec,
-    SweepAxis,
-    SweepSpec,
-    load_spec,
-    run_spec,
-    save_spec,
-)
-from .dist import (
-    ParallelScenarioExecutor,
-    PointFailure,
-    PointProgress,
-    RetryPolicy,
-    SweepInterrupted,
-    log_point_progress,
-    merge_runs,
-)
-from .faultinject import FaultPlan, FaultRule
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .core import (
+        ConfigurationError,
+        GraphGenerationError,
+        NodeState,
+        RandomSource,
+        ReproError,
+        RoundEngine,
+        RoundRecord,
+        RunAggregate,
+        RunPlan,
+        RunResult,
+        SimulationConfig,
+        SimulationError,
+        StateTable,
+        VectorState,
+        BatchedVectorizedRoundEngine,
+        VectorizedRoundEngine,
+        aggregate_runs,
+        plan_run,
+        run_broadcast,
+        run_broadcast_batch,
+        vectorization_unsupported_reason,
+    )
+    from .failures import (
+        EstimateError,
+        IndependentLoss,
+        NoChurn,
+        ReliableDelivery,
+        UniformChurn,
+        available_failure_models,
+        build_failure_model,
+    )
+    from .graphs import (
+        Graph,
+        available_graph_families,
+        build_graph,
+        complete_graph,
+        connected_random_regular_graph,
+        gnp_graph,
+        hypercube_graph,
+        pairing_multigraph,
+        random_regular_graph,
+    )
+    from .protocols import (
+        Algorithm1,
+        Algorithm2,
+        BroadcastProtocol,
+        PullProtocol,
+        PushProtocol,
+        PushPullProtocol,
+        QuasirandomPushProtocol,
+        SequentialAlgorithm1,
+        available_protocols,
+        build_protocol,
+    )
+    from .spec import (
+        FailureSpec,
+        GraphSpec,
+        PointRun,
+        ProtocolSpec,
+        ScenarioRun,
+        ScenarioSpec,
+        SweepAxis,
+        SweepSpec,
+        load_spec,
+        run_spec,
+        save_spec,
+    )
+    from .dist import (
+        ParallelScenarioExecutor,
+        PointFailure,
+        PointProgress,
+        RetryPolicy,
+        SweepInterrupted,
+        log_point_progress,
+        merge_runs,
+    )
+    from .faultinject import FaultPlan, FaultRule
+
+__getattr__, __dir__ = lazy_exports(__name__)
 
 __version__ = "1.2.0"
 

@@ -19,6 +19,11 @@ The sub-commands cover the common workflows:
 
 The CLI is intentionally a thin veneer over the library; anything it can do is
 one or two calls into :mod:`repro`.
+
+A command loads only what it runs: this module imports the standard library
+and the lint parser hook, and each sub-command imports its modules inside its
+handler.  ``lint`` therefore loads no NumPy, and a serial ``run-spec`` loads
+neither the sweep executor nor the experiment modules.
 """
 
 from __future__ import annotations
@@ -26,25 +31,32 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from .core.engine import RunPlan
-from .core.errors import ConfigurationError, SimulationError
-from .core.metrics import aggregate_runs
-from .core.registry import Registry
-from .core.rng import RandomSource, derive_seed
-from .experiments.registry import available_experiments, run_experiment_by_id
-from .experiments.results_io import save_table
-from .experiments.tables import Table
-from .failures.churn_registry import CHURN_MODELS
-from .failures.registry import FAILURE_MODELS
-from .graphs.registry import GRAPH_FAMILIES
 from .lint.cli import add_lint_parser, run_lint
-from .protocols.registry import PROTOCOLS, available_protocols
-from .spec.run import ScenarioRun, run_spec
-from .spec.scenario import GraphSpec, ProtocolSpec, ScenarioSpec, load_spec, save_spec
+
+if TYPE_CHECKING:
+    from .core.engine import RunPlan
+    from .core.registry import Registry
+    from .experiments.tables import Table
+    from .spec.run import ScenarioRun
+    from .spec.scenario import ScenarioSpec
 
 __all__ = ["main", "build_parser"]
+
+
+class _ProtocolIds:
+    """The protocol registry's ids, as the ``simulate --protocol`` choices.
+
+    The registry imports every protocol class and NumPy, so it is read when
+    argparse first tests membership (``in`` iterates): parsing ``simulate``
+    pays for it, building the parser for another sub-command does not.
+    """
+
+    def __iter__(self) -> Iterator[str]:
+        from .protocols.registry import available_protocols
+
+        return iter(available_protocols())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,8 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--protocol",
         default="algorithm1",
-        choices=available_protocols(),
-        help="protocol to run",
+        choices=_ProtocolIds(),
+        # A metavar keeps argparse from listing the choices while the
+        # parser is built; the help text lists them when it is printed.
+        metavar="PROTOCOL",
+        help="protocol to run: %(choices)s",
     )
     simulate.add_argument("--seeds", type=int, default=3, help="number of runs")
     simulate.add_argument("--seed", type=int, default=2008, help="master seed")
@@ -281,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _simulate_spec(args: argparse.Namespace) -> ScenarioSpec:
     """The ScenarioSpec equivalent of a ``simulate`` invocation."""
+    from .spec.scenario import GraphSpec, ProtocolSpec, ScenarioSpec
+
     config = {}
     if args.loss:
         config["message_loss_probability"] = args.loss
@@ -303,6 +320,9 @@ def _simulate_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 def _render_point_table(title: str, run: ScenarioRun) -> Table:
     """The per-seed simulate table (one row per run plus the aggregate note)."""
+    from .core.metrics import aggregate_runs
+    from .experiments.tables import Table
+
     results = run.points[0].results
     table = Table(
         title=title,
@@ -335,6 +355,10 @@ def _render_point_table(title: str, run: ScenarioRun) -> Table:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from .experiments.results_io import save_table
+    from .spec.run import run_spec
+    from .spec.scenario import save_spec
+
     spec = _simulate_spec(args)
     if args.dump_spec is not None:
         if args.dump_spec == "-":
@@ -365,6 +389,8 @@ def _point_node_count(point_spec: ScenarioSpec) -> Optional[int]:
     if "n" not in params:
         return None
     if family == "regular-product-clique":
+        from .graphs.registry import GRAPH_FAMILIES
+
         # ``n`` sizes the regular base graph; each base node becomes a clique.
         builder = GRAPH_FAMILIES.entry(family).builder
         default = inspect.signature(builder).parameters["clique_size"].default
@@ -388,8 +414,11 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Tuple[Table, int
     — enough to predict memory before a million-node launch.  A point whose
     ``engine="vectorized"`` cannot be honoured shows ``refused (<error>)``.
     """
+    from .core.engine import RunPlan
+    from .core.errors import SimulationError
     from .dist.partition import expand_points, select_indices
     from .experiments.runner import ExperimentRunner
+    from .experiments.tables import Table
 
     points = expand_points(spec)
     indices = select_indices(len(points), shard=shard)
@@ -466,9 +495,13 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Tuple[Table, int
 
 
 def _run_run_spec(args: argparse.Namespace) -> int:
+    from .core.errors import ConfigurationError
     from .dist.progress import print_point_progress
     from .dist.resilience import RetryPolicy, SweepInterrupted
     from .dist.sink import SinkFullError
+    from .experiments.results_io import save_table
+    from .spec.run import run_spec
+    from .spec.scenario import load_spec
 
     if args.resume and args.stream_dir is None:
         # Fail before any work (or spec parsing) happens: a typo'd resume
@@ -527,6 +560,9 @@ def _run_run_spec(args: argparse.Namespace) -> int:
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
+    from .experiments.registry import run_experiment_by_id
+    from .experiments.results_io import save_table
+
     kwargs = {}
     if args.workers is not None:
         kwargs["workers"] = args.workers
@@ -541,6 +577,8 @@ def _run_experiment(args: argparse.Namespace) -> int:
 
 
 def _run_p2p(args: argparse.Namespace) -> int:
+    from .core.rng import RandomSource, derive_seed
+    from .experiments.tables import Table
     from .p2p.gossip_rules import build_gossip_rule
     from .p2p.overlay import Overlay
     from .p2p.replicated_db import ReplicatedDatabase, UpdateWorkload
@@ -597,6 +635,8 @@ def _print_registry(registry: Registry) -> int:
 
 
 def _run_list_experiments() -> int:
+    from .experiments.registry import available_experiments
+
     for experiment_id, description in available_experiments().items():
         print(f"{experiment_id}: {description}")
     return 0
@@ -615,12 +655,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "p2p":
         return _run_p2p(args)
     if args.command == "list-protocols":
+        from .protocols.registry import PROTOCOLS
+
         return _print_registry(PROTOCOLS)
     if args.command == "list-graphs":
+        from .graphs.registry import GRAPH_FAMILIES
+
         return _print_registry(GRAPH_FAMILIES)
     if args.command == "list-failures":
+        from .failures.registry import FAILURE_MODELS
+
         return _print_registry(FAILURE_MODELS)
     if args.command == "list-churn":
+        from .failures.churn_registry import CHURN_MODELS
+
         return _print_registry(CHURN_MODELS)
     if args.command == "list-experiments":
         return _run_list_experiments()

@@ -1,25 +1,32 @@
 """Core simulation machinery: RNG, node state, channels, round engine, metrics."""
 
-from .channels import Channel, ChannelSet
-from .config import SimulationConfig
-from .engine import RoundEngine, RunPlan, plan_run, run_broadcast, run_broadcast_batch
-from .engine_vectorized import (
-    BatchedVectorizedRoundEngine,
-    VectorizedRoundEngine,
-    vectorization_unsupported_reason,
-)
-from .errors import (
-    ConfigurationError,
-    ExperimentError,
-    GraphGenerationError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-)
-from .message import Message, Payload
-from .metrics import RoundRecord, RunAggregate, RunResult, aggregate_runs
-from .node import NodeState, StateTable, VectorState
-from .rng import RandomSource, derive_seed
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .channels import Channel, ChannelSet
+    from .config import SimulationConfig
+    from .engine import RoundEngine, RunPlan, plan_run, run_broadcast, run_broadcast_batch
+    from .engine_vectorized import (
+        BatchedVectorizedRoundEngine,
+        VectorizedRoundEngine,
+        vectorization_unsupported_reason,
+    )
+    from .errors import (
+        ConfigurationError,
+        ExperimentError,
+        GraphGenerationError,
+        ProtocolError,
+        ReproError,
+        SimulationError,
+    )
+    from .message import Message, Payload
+    from .metrics import RoundRecord, RunAggregate, RunResult, aggregate_runs
+    from .node import NodeState, StateTable, VectorState
+    from .rng import RandomSource, derive_seed
+
+__getattr__, __dir__ = lazy_exports(__name__)
 
 __all__ = [
     "RandomSource",

@@ -33,39 +33,46 @@ the machinery behind it, exposed for callers that need shard-level control
 (e.g. running one shard per host and merging with :func:`merge_runs`).
 """
 
-from .executor import ParallelScenarioExecutor, merge_runs
-from .resilience import (
-    PointFailure,
-    RetryPolicy,
-    SweepInterrupted,
-    WorkerPoolError,
-    backoff_delay,
-)
-from .partition import (
-    ExpandedPoint,
-    expand_points,
-    parse_shard,
-    select_indices,
-    shard_indices,
-)
-from .progress import (
-    PointProgress,
-    ProgressCallback,
-    log_point_progress,
-    print_point_progress,
-)
-from .sink import (
-    SINK_SCHEMA,
-    SinkError,
-    SinkFullError,
-    SinkWriteError,
-    StreamingResultSink,
-    merge_streams,
-    point_run_from_payload,
-    spec_fingerprint,
-    stream_payloads,
-    streamed_table,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .executor import ParallelScenarioExecutor, merge_runs
+    from .resilience import (
+        PointFailure,
+        RetryPolicy,
+        SweepInterrupted,
+        WorkerPoolError,
+        backoff_delay,
+    )
+    from .partition import (
+        ExpandedPoint,
+        expand_points,
+        parse_shard,
+        select_indices,
+        shard_indices,
+    )
+    from .progress import (
+        PointProgress,
+        ProgressCallback,
+        log_point_progress,
+        print_point_progress,
+    )
+    from .sink import (
+        SINK_SCHEMA,
+        SinkError,
+        SinkFullError,
+        SinkWriteError,
+        StreamingResultSink,
+        merge_streams,
+        point_run_from_payload,
+        spec_fingerprint,
+        stream_payloads,
+        streamed_table,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__)
 
 __all__ = [
     "spec_fingerprint",

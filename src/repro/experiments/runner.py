@@ -16,7 +16,6 @@ Python loop into one ``(R, n)`` NumPy program without changing any result bit
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
@@ -378,9 +377,8 @@ class ExperimentRunner:
             source=spec.source,
             batch=self.batch,
         )
-        point_dict = spec.to_dict()
         for result in results:
-            result.metadata["spec"] = copy.deepcopy(point_dict)
+            result.metadata["spec"] = spec.to_dict()
         return PointRun(
             index=point.index,
             values=dict(point.values),

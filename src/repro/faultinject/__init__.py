@@ -17,18 +17,25 @@ clean serial run** — recovery re-executes points, and the
 seed = f(master, label) discipline makes re-execution invisible.
 """
 
-from .plan import (
-    FAULT_KINDS,
-    SINK_FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    InjectedTransientError,
-    bundled_plans,
-    bundled_stream_plans,
-    load_plan,
-    save_plan,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .plan import (
+        FAULT_KINDS,
+        SINK_FAULT_KINDS,
+        FaultInjector,
+        FaultPlan,
+        FaultRule,
+        InjectedTransientError,
+        bundled_plans,
+        bundled_stream_plans,
+        load_plan,
+        save_plan,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__)
 
 __all__ = [
     "FAULT_KINDS",

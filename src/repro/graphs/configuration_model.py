@@ -147,6 +147,18 @@ def _pairing_edge_array(n: int, d: int, rng: RandomSource) -> np.ndarray:
     return stubs.reshape(-1, 2)
 
 
+def _isin_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """``np.isin(values, sorted_keys)`` for an ascending ``sorted_keys``.
+
+    A binary search per value; ``np.isin`` would hash or sort all of
+    ``sorted_keys`` again on every call.
+    """
+    if sorted_keys.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    positions = np.searchsorted(sorted_keys, values)
+    return sorted_keys[np.minimum(positions, sorted_keys.size - 1)] == values
+
+
 def repair_to_simple(
     edges: np.ndarray, rng: RandomSource, max_passes: int = 200
 ) -> np.ndarray:
@@ -204,7 +216,7 @@ def repair_to_simple(
         bad_indices = np.flatnonzero(bad)
         if bad_indices.size == 0:
             return edges
-        good_keys = keys[~bad]
+        good_keys = sorted_keys[~bad[order]]
 
         partners = generator.integers(0, m, size=bad_indices.size)
         u, v = edges[bad_indices, 0], edges[bad_indices, 1]
@@ -214,7 +226,7 @@ def repair_to_simple(
         key_two = np.minimum(x, v) * key_base + np.maximum(x, v)
         ok = (u != y) & (x != v) & (key_one != key_two)
         ok &= ~bad[partners]
-        ok &= ~np.isin(key_one, good_keys) & ~np.isin(key_two, good_keys)
+        ok &= ~_isin_sorted(key_one, good_keys) & ~_isin_sorted(key_two, good_keys)
         accepted = np.flatnonzero(ok)
         if accepted.size:
             # Each good partner may take part in at most one swap per pass.

@@ -11,28 +11,35 @@
   median-counter termination rule.
 """
 
-from .algorithm1 import Algorithm1
-from .algorithm2 import Algorithm2
-from .base import BroadcastProtocol
-from .median_counter import MedianCounterProtocol
-from .pull import PullProtocol
-from .push import PushProtocol
-from .push_pull import PushPullProtocol
-from .quasirandom import QuasirandomPushProtocol
-from .registry import (
-    PROTOCOL_BUILDERS,
-    PROTOCOLS,
-    available_protocols,
-    build_protocol,
-)
-from .schedule import (
-    PhaseSchedule,
-    algorithm1_schedule,
-    algorithm2_schedule,
-    log2_estimate,
-    loglog_estimate,
-)
-from .sequential import SequentialAlgorithm1
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .algorithm1 import Algorithm1
+    from .algorithm2 import Algorithm2
+    from .base import BroadcastProtocol
+    from .median_counter import MedianCounterProtocol
+    from .pull import PullProtocol
+    from .push import PushProtocol
+    from .push_pull import PushPullProtocol
+    from .quasirandom import QuasirandomPushProtocol
+    from .registry import (
+        PROTOCOL_BUILDERS,
+        PROTOCOLS,
+        available_protocols,
+        build_protocol,
+    )
+    from .schedule import (
+        PhaseSchedule,
+        algorithm1_schedule,
+        algorithm2_schedule,
+        log2_estimate,
+        loglog_estimate,
+    )
+    from .sequential import SequentialAlgorithm1
+
+__getattr__, __dir__ = lazy_exports(__name__)
 
 __all__ = [
     "BroadcastProtocol",

@@ -8,19 +8,26 @@ the hand-written experiments, so a scenario file reproduces an experiment
 bit-for-bit.
 """
 
-from .run import PointRun, ScenarioRun, run_spec
-from .scenario import (
-    SCENARIO_SCHEMA,
-    ChurnSpec,
-    FailureSpec,
-    GraphSpec,
-    ProtocolSpec,
-    ScenarioSpec,
-    SweepAxis,
-    SweepSpec,
-    load_spec,
-    save_spec,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .run import PointRun, ScenarioRun, run_spec
+    from .scenario import (
+        SCENARIO_SCHEMA,
+        ChurnSpec,
+        FailureSpec,
+        GraphSpec,
+        ProtocolSpec,
+        ScenarioSpec,
+        SweepAxis,
+        SweepSpec,
+        load_spec,
+        save_spec,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__)
 
 __all__ = [
     "SCENARIO_SCHEMA",

@@ -311,6 +311,11 @@ class TestSpecDrivenExecution:
                 assert recorded["sweep"] is None
         names = [p.spec.protocol.name for p in run.points]
         assert names == ["push", "push", "pull", "pull"]
+        # Every result owns its record: editing one leaves its siblings alone.
+        first, second = run.points[0].results
+        first.metadata["spec"]["name"] = "edited"
+        first.metadata["spec"]["graph"]["params"]["n"] = -1
+        assert second.metadata["spec"] == run.points[0].spec.to_dict()
 
     def test_rerunning_a_recorded_point_spec_reproduces_the_result(self):
         run = run_spec(SPEC_VARIANTS["failure"]())
