@@ -29,10 +29,10 @@ from _memtrace import traced_peak_mb
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast, run_broadcast_batch
 from repro.core.rng import RandomSource
-from repro.experiments.runner import ExperimentRunner
 from repro.graphs.configuration_model import random_regular_graph
 from repro.graphs.families import gnp_graph
 from repro.protocols.push import PushProtocol
+from repro.spec import GraphSpec, ProtocolSpec, ScenarioSpec, SweepAxis, SweepSpec, run_spec
 
 SWEEP_SEEDS = list(range(20))
 SCALAR_LOOP_SPEEDUP_FLOOR = 5.0
@@ -193,19 +193,28 @@ def test_long_tail_compaction_sweep():
 
 @pytest.mark.smoke
 def test_round_complexity_style_sweep_completes_in_seconds():
-    # The representative E1 shape: 5 sizes x 20 seeds, graphs cached by the
-    # runner, every configuration batched.  The scalar engine needed minutes
-    # for this; the whole batched sweep must finish in single-digit seconds
+    # The representative E1 shape: 5 sizes x 20 seeds, one graph per size,
+    # every configuration batched.  The scalar engine needed minutes for
+    # this; the whole batched sweep must finish in single-digit seconds
     # (graph generation included).
-    runner = ExperimentRunner(master_seed=7, repetitions=20)
+    spec = ScenarioSpec(
+        name="bench-e1",
+        graph=GraphSpec(family="connected-random-regular", params={"n": 256, "d": 8}),
+        protocol=ProtocolSpec(name="push"),
+        sweep=SweepSpec(
+            axes=(SweepAxis(path="graph.params.n", values=(256, 512, 1024, 2048, 4096)),)
+        ),
+        repetitions=20,
+        master_seed=7,
+        label="bench-e1",
+    )
     start = time.perf_counter()
-    for n in (256, 512, 1024, 2048, 4096):
-        results = runner.broadcast(
-            n, 8, lambda m: PushProtocol(n_estimate=m), label="bench-e1"
-        )
+    run = run_spec(spec)
+    elapsed = time.perf_counter() - start
+    for point in run.points:
+        results = point.results
         assert len(results) == 20
         assert all(r.success for r in results)
         assert all(r.metadata.get("batch_size") == 20 for r in results)
-    elapsed = time.perf_counter() - start
     print(f"\nE1-style batched sweep (5 sizes x 20 seeds): {elapsed:.2f} s")
     assert elapsed < 10.0

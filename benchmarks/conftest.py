@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark suite.
 
 Each benchmark module regenerates one of the paper-reproduction experiments
-(E1–E12; see DESIGN.md §4 and EXPERIMENTS.md).  The pattern is always the
-same: run the experiment once under ``benchmark.pedantic`` (the interesting
-output is the table, not a timing distribution) and print the resulting table
-so it appears in the pytest output next to the timing.
+(E1–E13; see ``docs/API.md`` §8).  The pattern is always the same: run the
+experiment once under ``benchmark.pedantic`` (the interesting output is the
+table, not a timing distribution) and print the resulting table so it
+appears in the pytest output next to the timing.
 """
 
 from __future__ import annotations

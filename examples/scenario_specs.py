@@ -3,8 +3,8 @@
 
 Builds a ScenarioSpec — protocol × loss-probability grid over a random
 regular graph — runs it, round-trips it through JSON, and shows that the
-reloaded spec reproduces the exact same results (the seeding discipline is
-bit-compatible with hand-wired ExperimentRunner calls).
+reloaded spec reproduces the exact same results (every seed derives from the
+spec's master seed and each point's label).
 
 Run with:  python examples/scenario_specs.py
 """

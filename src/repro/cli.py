@@ -245,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "worker processes for experiments with a parallel sweep path "
-            "(e.g. E1); results are bit-identical to the serial run"
+            "worker processes for the experiment's grid points (every "
+            "broadcast experiment; not E11); results are bit-identical to the "
+            "serial run"
         ),
     )
     experiment.add_argument(
@@ -422,7 +423,6 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Tuple[Table, int
 
     points = expand_points(spec)
     indices = select_indices(len(points), shard=shard)
-    runner = ExperimentRunner.from_spec(spec)
     axis_keys = (
         [axis.label_key for axis in spec.sweep.axes] if spec.sweep is not None else []
     )
@@ -437,16 +437,16 @@ def _dry_run_table(spec: ScenarioSpec, shard: Optional[str]) -> Tuple[Table, int
     for index in indices:
         point = points[index]
         node_count = _point_node_count(point.spec)
-        seed_label = runner.seed_label_for(point.spec, point.label, node_count)
+        seed_label = ExperimentRunner.seed_label_for(point.spec, point.label, node_count)
         seeds = (
-            ", ".join(str(seed) for seed in runner.run_seeds(seed_label))
+            ", ".join(str(seed) for seed in point.spec.run_seeds(seed_label))
             if seed_label is not None
             # Non-regular families key run seeds off the materialised node
             # count; when the params do not give it, show the rule instead.
             else f"derive_seed({spec.master_seed}, 'run', '{point.label}-<node_count>', i)"
         )
         try:
-            plan = runner.plan_point(point.spec, node_count)
+            plan = ExperimentRunner.plan_point(point.spec, node_count)
         except SimulationError as error:
             refused += 1
             engine, shape, est_mb = f"refused ({error})", "-", "-"

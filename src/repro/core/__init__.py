@@ -21,7 +21,6 @@ if TYPE_CHECKING:
         ReproError,
         SimulationError,
     )
-    from .message import Message, Payload
     from .metrics import RoundRecord, RunAggregate, RunResult, aggregate_runs
     from .node import NodeState, StateTable, VectorState
     from .rng import RandomSource, derive_seed
@@ -31,8 +30,6 @@ __getattr__, __dir__ = lazy_exports(__name__)
 __all__ = [
     "RandomSource",
     "derive_seed",
-    "Message",
-    "Payload",
     "NodeState",
     "StateTable",
     "VectorState",

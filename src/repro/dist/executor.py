@@ -127,18 +127,11 @@ _WORKER_INJECTOR: Optional[FaultInjector] = None
 _POLL_SECONDS = 0.2
 
 
-def _build_runner(runner_kwargs: Dict[str, object]):
+def _init_worker(fault_plan_dict: Optional[Dict[str, object]] = None) -> None:
+    global _WORKER_RUNNER, _WORKER_INJECTOR
     from ..experiments.runner import ExperimentRunner
 
-    return ExperimentRunner(**runner_kwargs)
-
-
-def _init_worker(
-    runner_kwargs: Dict[str, object],
-    fault_plan_dict: Optional[Dict[str, object]] = None,
-) -> None:
-    global _WORKER_RUNNER, _WORKER_INJECTOR
-    _WORKER_RUNNER = _build_runner(runner_kwargs)
+    _WORKER_RUNNER = ExperimentRunner()
     _WORKER_INJECTOR = (
         FaultInjector(fault_plan_dict, mode="worker")
         if fault_plan_dict is not None
@@ -410,12 +403,6 @@ class ParallelScenarioExecutor:
             {ExperimentRunner.graph_cache_key(p.spec.graph) for p in pending}
         )
         groups = _group_by_graph(pending, self.workers)
-        runner_kwargs = {
-            "master_seed": spec.master_seed,
-            "repetitions": spec.repetitions,
-            "engine": spec.engine,
-            "batch": spec.batch,
-        }
 
         def handle_payload(payload: Dict[str, object]) -> None:
             index = int(payload["index"])
@@ -449,9 +436,9 @@ class ParallelScenarioExecutor:
         try:
             if groups:
                 if self.workers == 1:
-                    self._run_inline(groups, runner_kwargs, state, handle_payload)
+                    self._run_inline(groups, state, handle_payload)
                 else:
-                    self._run_pool(groups, runner_kwargs, state, handle_payload)
+                    self._run_pool(groups, state, handle_payload)
         except BaseException:
             # Whatever stopped the sweep, fsync what was appended and release
             # the segment handle; the original exception still propagates.
@@ -594,11 +581,7 @@ class ParallelScenarioExecutor:
     # -- in-process path ---------------------------------------------------------
 
     def _run_inline(
-        self,
-        groups: Sequence[_TaskGroup],
-        runner_kwargs: Dict[str, object],
-        state: _RunState,
-        handle_payload,
+        self, groups: Sequence[_TaskGroup], state: _RunState, handle_payload
     ) -> None:
         """Serial execution with the same recovery semantics as the pool.
 
@@ -607,7 +590,9 @@ class ParallelScenarioExecutor:
         injector runs in ``"inline"`` mode — there is no worker process to
         lose), and per-point timeouts cannot preempt an in-process point.
         """
-        runner = _build_runner(runner_kwargs)
+        from ..experiments.runner import ExperimentRunner
+
+        runner = ExperimentRunner()
         injector = (
             FaultInjector(self.fault_plan, mode="inline")
             if self.fault_plan is not None
@@ -642,7 +627,7 @@ class ParallelScenarioExecutor:
 
     # -- pool path ---------------------------------------------------------------
 
-    def _new_pool(self, context, runner_kwargs: Dict[str, object], size: int):
+    def _new_pool(self, context, size: int):
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor(
@@ -650,24 +635,19 @@ class ParallelScenarioExecutor:
             mp_context=context,
             initializer=_init_worker,
             initargs=(
-                runner_kwargs,
                 self.fault_plan.to_dict() if self.fault_plan is not None else None,
             ),
         )
 
     def _run_pool(
-        self,
-        groups: Sequence[_TaskGroup],
-        runner_kwargs: Dict[str, object],
-        state: _RunState,
-        handle_payload,
+        self, groups: Sequence[_TaskGroup], state: _RunState, handle_payload
     ) -> None:
         """The resilient event loop: submit, collect, retry, restart, degrade."""
         from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 
         context = multiprocessing.get_context(self.mp_context)
         pool_size = min(self.workers, max(1, len(groups)))
-        executor = self._new_pool(context, runner_kwargs, pool_size)
+        executor = self._new_pool(context, pool_size)
         pending: Deque[_TaskGroup] = deque(groups)
         delayed: List[Tuple[float, _TaskGroup]] = []  # (ready_at, group)
         in_flight: Dict[object, Tuple[_TaskGroup, Optional[float]]] = {}
@@ -688,12 +668,12 @@ class ParallelScenarioExecutor:
             _hard_shutdown(executor)
             if state.pool_restarts > self.retry.max_pool_restarts:
                 return False
-            executor = self._new_pool(context, runner_kwargs, pool_size)
+            executor = self._new_pool(context, pool_size)
             return True
 
         def fall_back_serial() -> None:
             state.serial_fallback = True
-            self._run_inline(remaining_groups(), runner_kwargs, state, handle_payload)
+            self._run_inline(remaining_groups(), state, handle_payload)
 
         def schedule_retry(task: _Task) -> None:
             delay = backoff_delay(self.retry, state.failure_counts[task[0]])

@@ -1,4 +1,4 @@
-"""Experiment harness: runners, sweeps, tables, and the E1–E12 registry."""
+"""Experiment harness: runners, sweeps, tables, and the E1–E13 registry."""
 
 from typing import TYPE_CHECKING
 

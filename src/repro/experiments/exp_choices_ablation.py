@@ -12,8 +12,7 @@ process is subcritical and Phase 1 stalls, which the phase-1 informed count
 column shows directly.
 
 The fanout grid is declared as a :class:`ScenarioSpec` (one sweep axis over
-``protocol.params.fanout``); execution through :func:`repro.spec.run_spec`
-is bit-identical to the hand-wired loop this module used to contain.
+``protocol.params.fanout``) and runs through :func:`repro.spec.run_spec`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .tables import Table
 
 __all__ = ["run_experiment", "scenario"]
 
-EXPERIMENT_ID = "E9"
 TITLE = "E9 — fanout (number of distinct choices) ablation"
 
 
@@ -62,12 +60,13 @@ def run_experiment(
     n: Optional[int] = None,
     degree: int = 8,
     fanouts: Optional[List[int]] = None,
+    workers: Optional[int] = None,
 ) -> Table:
     """Run the fanout ablation on the Algorithm 1 phase structure."""
     spec = scenario(
         quick=quick, master_seed=master_seed, n=n, degree=degree, fanouts=fanouts
     )
-    run = run_spec(spec)
+    run = run_spec(spec, workers=workers)
     size = spec.graph.params["n"]
 
     table = Table(
@@ -113,5 +112,5 @@ def run_experiment(
         "expensive.  With fanout 1 the phase-1 epidemic is subcritical, visible "
         "in the informed_after_phase1 column."
     )
-    table.metadata["spec"] = spec.to_dict()
+    table.record_runs(run)
     return table

@@ -4,7 +4,8 @@ The paper gives two algorithms: Algorithm 1 for ``δ ≤ d ≤ δ·log log n`` a
 Algorithm 2 for ``δ·log log n ≤ d ≤ δ·log n``.  The experiment sweeps the
 degree at a fixed network size and runs both algorithms, reporting rounds,
 transmissions and success rate, so the hand-over between the regimes (and the
-fact that both behave well near the boundary) is visible in one table.
+fact that both behave well near the boundary) is visible in one table.  The
+degree × algorithm grid is one :class:`ScenarioSpec` (:func:`scenario`).
 """
 
 from __future__ import annotations
@@ -12,16 +13,43 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from ..core.metrics import aggregate_runs
-from ..protocols.algorithm1 import Algorithm1
-from ..protocols.algorithm2 import Algorithm2
-from .runner import ExperimentRunner
+from ..spec.run import run_spec
+from ..spec.scenario import GraphSpec, ProtocolSpec, ScenarioSpec, SweepAxis, SweepSpec
 from .tables import Table
 
-__all__ = ["run_experiment"]
+__all__ = ["run_experiment", "scenario"]
 
-EXPERIMENT_ID = "E12"
 TITLE = "E12 — degree sweep: Algorithm 1 vs Algorithm 2"
+
+PROTOCOL_NAMES = ("algorithm1", "algorithm2")
+
+
+def scenario(
+    quick: bool = True,
+    master_seed: int = 2008,
+    n: Optional[int] = None,
+    degrees: Optional[List[int]] = None,
+) -> ScenarioSpec:
+    """The E12 degree sweep as a declarative scenario record."""
+    size = n if n is not None else (1024 if quick else 4096)
+    log_n = math.log2(size)
+    degree_list = degrees if degrees is not None else [4, 6, 8, int(log_n), int(2 * log_n)]
+    return ScenarioSpec(
+        name="e12-degree-sweep",
+        graph=GraphSpec(
+            family="connected-random-regular", params={"n": size, "d": degree_list[0]}
+        ),
+        protocol=ProtocolSpec(name=PROTOCOL_NAMES[0]),
+        sweep=SweepSpec(
+            axes=(
+                SweepAxis(path="graph.params.d", values=tuple(degree_list)),
+                SweepAxis(path="protocol.name", values=PROTOCOL_NAMES, key="protocol"),
+            )
+        ),
+        repetitions=3 if quick else 5,
+        master_seed=master_seed,
+        label="e12-{protocol}-{d}",
+    )
 
 
 def run_experiment(
@@ -29,12 +57,13 @@ def run_experiment(
     master_seed: int = 2008,
     n: Optional[int] = None,
     degrees: Optional[List[int]] = None,
+    workers: Optional[int] = None,
 ) -> Table:
     """Run the degree sweep with both algorithms."""
-    size = n if n is not None else (1024 if quick else 4096)
+    spec = scenario(quick=quick, master_seed=master_seed, n=n, degrees=degrees)
+    run = run_spec(spec, workers=workers)
+    size = spec.graph.params["n"]
     log_n = math.log2(size)
-    degree_list = degrees if degrees is not None else [4, 6, 8, int(log_n), int(2 * log_n)]
-    runner = ExperimentRunner(master_seed=master_seed, repetitions=3 if quick else 5)
 
     table = Table(
         title=f"{TITLE} (n = {size}, log2 n = {log_n:.1f})",
@@ -49,32 +78,28 @@ def run_experiment(
     )
 
     loglog_n = math.log2(max(2.0, log_n))
-    for d in degree_list:
+    for point in run.points:
+        d = point.values["d"]
         if d <= 2 * loglog_n:
             regime = "small (Alg.1)"
         elif d >= log_n:
             regime = "large (Alg.2)"
         else:
             regime = "intermediate"
-        for name, factory in (
-            ("algorithm1", lambda n_est: Algorithm1(n_estimate=n_est)),
-            ("algorithm2", lambda n_est: Algorithm2(n_estimate=n_est)),
-        ):
-            aggregate = aggregate_runs(
-                runner.broadcast(size, d, factory, label=f"e12-{name}-{d}")
-            )
-            table.add_row(
-                protocol=name,
-                d=d,
-                regime=regime,
-                rounds_mean=aggregate.rounds.mean,
-                tx_per_node=aggregate.transmissions_per_node.mean,
-                success_rate=aggregate.success_rate,
-            )
+        aggregate = point.aggregate
+        table.add_row(
+            protocol=point.values["protocol"],
+            d=d,
+            regime=regime,
+            rounds_mean=aggregate.rounds.mean,
+            tx_per_node=aggregate.transmissions_per_node.mean,
+            success_rate=aggregate.success_rate,
+        )
 
     table.add_note(
         "Algorithm 1 targets d up to ~log log n (times a constant), Algorithm 2 "
         "targets d up to ~log n; both should succeed across the sweep, with "
         "Algorithm 2's pull tail paying off as d grows."
     )
+    table.record_runs(run)
     return table

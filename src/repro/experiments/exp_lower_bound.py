@@ -18,25 +18,74 @@ It also reports the four-choice Algorithm 1 alongside, whose cost is bounded
 by ``O(log log n)`` per node independently of ``d`` — the "exponential
 decrease in the number of transmissions" headline of the paper refers to this
 ``log n / log d → log log n`` drop.
+
+Both sweeps are declared as :class:`ScenarioSpec` grids (:func:`scenarios`).
+The table names push&pull ``push-pull-1``; its run-seed label uses the
+registry id ``push-pull``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Tuple
 
 from ..analysis.bounds import lower_bound_transmissions
-from ..core.metrics import aggregate_runs
-from ..protocols.algorithm1 import Algorithm1
-from ..protocols.push_pull import PushPullProtocol
-from .runner import ExperimentRunner
+from ..spec.run import run_spec
+from ..spec.scenario import GraphSpec, ProtocolSpec, ScenarioSpec, SweepAxis, SweepSpec
 from .tables import Table
 from .workloads import SweepSizes, full_sizes, quick_sizes
 
-__all__ = ["run_experiment"]
+__all__ = ["run_experiment", "scenarios"]
 
-EXPERIMENT_ID = "E3"
 TITLE = "E3 — one-call lower bound Ω(n·log n / log d) vs four choices"
+
+#: Registry id -> the name the table shows (push&pull is the one-call model).
+PROTOCOL_NAMES = {"push-pull": "push-pull-1", "algorithm1": "algorithm1"}
+
+#: Degree of the size sweep.
+FIXED_DEGREE = 8
+
+
+def scenarios(
+    quick: bool = True,
+    master_seed: int = 2008,
+    degrees: Optional[List[int]] = None,
+    sizes: Optional[SweepSizes] = None,
+) -> Tuple[ScenarioSpec, ScenarioSpec]:
+    """The E3 sweeps: degrees at the largest size, then sizes at d = 8."""
+    sweep = sizes if sizes is not None else (quick_sizes() if quick else full_sizes())
+    degree_list = degrees if degrees is not None else ([4, 8, 16] if quick else [4, 8, 16, 32])
+    protocol_axis = SweepAxis(
+        path="protocol.name", values=tuple(PROTOCOL_NAMES), key="protocol"
+    )
+    degree_sweep = ScenarioSpec(
+        name="e3-degree-sweep",
+        graph=GraphSpec(
+            family="connected-random-regular",
+            params={"n": sweep.sizes[-1], "d": degree_list[0]},
+        ),
+        protocol=ProtocolSpec(name="push-pull"),
+        sweep=SweepSpec(
+            axes=(SweepAxis(path="graph.params.d", values=tuple(degree_list)), protocol_axis)
+        ),
+        repetitions=sweep.repetitions,
+        master_seed=master_seed,
+        label="e3-deg-{protocol}",
+    )
+    size_sweep = replace(
+        degree_sweep,
+        name="e3-size-sweep",
+        graph=GraphSpec(
+            family="connected-random-regular",
+            params={"n": sweep.sizes[0], "d": FIXED_DEGREE},
+        ),
+        sweep=SweepSpec(
+            axes=(SweepAxis(path="graph.params.n", values=tuple(sweep.sizes)), protocol_axis)
+        ),
+        label="e3-size-{protocol}",
+    )
+    return degree_sweep, size_sweep
 
 
 def run_experiment(
@@ -44,11 +93,13 @@ def run_experiment(
     master_seed: int = 2008,
     degrees: Optional[List[int]] = None,
     sizes: Optional[SweepSizes] = None,
+    workers: Optional[int] = None,
 ) -> Table:
     """Run the E3 sweeps (degree sweep at fixed n, size sweep at fixed d)."""
-    sweep = sizes if sizes is not None else (quick_sizes() if quick else full_sizes())
-    degree_list = degrees if degrees is not None else ([4, 8, 16] if quick else [4, 8, 16, 32])
-    runner = ExperimentRunner(master_seed=master_seed, repetitions=sweep.repetitions)
+    degree_spec, size_spec = scenarios(
+        quick=quick, master_seed=master_seed, degrees=degrees, sizes=sizes
+    )
+    runs = run_spec(degree_spec, workers=workers), run_spec(size_spec, workers=workers)
 
     table = Table(
         title=TITLE,
@@ -63,50 +114,25 @@ def run_experiment(
         ],
     )
 
-    fixed_n = sweep.sizes[-1]
-    def one_call(n):
-        return PushPullProtocol(n_estimate=n)
-
-    def four_choice(n):
-        return Algorithm1(n_estimate=n)
-
     # Degree sweep at fixed n: the one-call cost should fall like 1/log d.
-    for d in degree_list:
-        bound = lower_bound_transmissions(fixed_n, d) / fixed_n
-        for name, factory in (("push-pull-1", one_call), ("algorithm1", four_choice)):
-            aggregate = aggregate_runs(
-                runner.broadcast(fixed_n, d, factory, label=f"e3-deg-{name}")
-            )
-            measured = aggregate.transmissions_per_node.mean
+    # Size sweep at fixed d: the one-call cost should grow like log n.
+    for block, run in zip(("degree", "size"), runs):
+        for point in run.points:
+            n, d = point.spec.graph.params["n"], point.spec.graph.params["d"]
+            bound = lower_bound_transmissions(n, d) / n
+            measured = point.aggregate.transmissions_per_node.mean
             table.add_row(
-                sweep="degree",
-                protocol=name,
-                n=fixed_n,
+                sweep=block,
+                protocol=PROTOCOL_NAMES[point.values["protocol"]],
+                n=n,
                 d=d,
                 tx_per_node=measured,
                 bound_per_node=bound,
                 ratio_to_bound=measured / bound if bound else float("nan"),
             )
 
-    # Size sweep at fixed d: the one-call cost should grow like log n.
-    fixed_d = 8
-    for n in sweep.sizes:
-        bound = lower_bound_transmissions(n, fixed_d) / n
-        for name, factory in (("push-pull-1", one_call), ("algorithm1", four_choice)):
-            aggregate = aggregate_runs(
-                runner.broadcast(n, fixed_d, factory, label=f"e3-size-{name}")
-            )
-            measured = aggregate.transmissions_per_node.mean
-            table.add_row(
-                sweep="size",
-                protocol=name,
-                n=n,
-                d=fixed_d,
-                tx_per_node=measured,
-                bound_per_node=bound,
-                ratio_to_bound=measured / bound if bound else float("nan"),
-            )
-
+    fixed_n = degree_spec.graph.params["n"]
+    degree_list = degree_spec.sweep.axes[0].values
     table.add_note(
         "bound_per_node = log2(n)/log2(d) (Theorem 1 with unit constant); every "
         "one-call measurement must lie above a constant multiple of it, and its "
@@ -118,4 +144,5 @@ def run_experiment(
             f"d={d}: {math.log2(fixed_n) / math.log2(d):.2f}" for d in degree_list
         )
     )
+    table.record_runs(*runs)
     return table

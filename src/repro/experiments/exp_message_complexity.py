@@ -18,26 +18,64 @@ Two accountings are reported for Algorithm 1:
 * ``algorithm1-full`` — transmissions of the complete schedule, which is what
   the distributed algorithm actually sends since no node knows when everyone
   is informed.  This is the quantity the O(n·log log n) bound is about.
+
+Both accountings are declared as :class:`ScenarioSpec` grids
+(:func:`scenarios`); the full schedule is the ``stop_when_informed: false``
+config override.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from typing import Optional, Tuple
 
 from ..analysis.scaling import fit_scaling_law
-from ..core.config import SimulationConfig
-from ..core.metrics import aggregate_runs
-from ..protocols.algorithm1 import Algorithm1
-from ..protocols.push import PushProtocol
-from ..protocols.push_pull import PushPullProtocol
-from .runner import ExperimentRunner
+from ..spec.run import run_spec
+from ..spec.scenario import GraphSpec, ProtocolSpec, ScenarioSpec, SweepAxis, SweepSpec
 from .tables import Table
 from .workloads import DEFAULT_DEGREE, SweepSizes, full_sizes, quick_sizes
 
-__all__ = ["run_experiment"]
+__all__ = ["run_experiment", "scenarios"]
 
-EXPERIMENT_ID = "E2"
 TITLE = "E2 — transmissions per node vs network size"
+
+PROTOCOL_NAMES = ("push", "push-pull", "algorithm1")
+
+
+def scenarios(
+    quick: bool = True,
+    master_seed: int = 2008,
+    degree: int = DEFAULT_DEGREE,
+    sizes: Optional[SweepSizes] = None,
+) -> Tuple[ScenarioSpec, ScenarioSpec]:
+    """The E2 sweeps: early-stopped protocols, then Algorithm 1's full schedule."""
+    sweep = sizes if sizes is not None else (quick_sizes() if quick else full_sizes())
+    size_axis = SweepAxis(path="graph.params.n", values=tuple(sweep.sizes))
+    early_stop = ScenarioSpec(
+        name="e2-message-complexity",
+        graph=GraphSpec(
+            family="connected-random-regular", params={"n": sweep.sizes[0], "d": degree}
+        ),
+        protocol=ProtocolSpec(name=PROTOCOL_NAMES[0]),
+        sweep=SweepSpec(
+            axes=(
+                SweepAxis(path="protocol.name", values=PROTOCOL_NAMES, key="protocol"),
+                size_axis,
+            )
+        ),
+        repetitions=sweep.repetitions,
+        master_seed=master_seed,
+        label="e2-{protocol}",
+    )
+    full_schedule = replace(
+        early_stop,
+        name="e2-algorithm1-full",
+        protocol=ProtocolSpec(name="algorithm1"),
+        sweep=SweepSpec(axes=(size_axis,)),
+        label="e2-algorithm1-full",
+        config={"stop_when_informed": False},
+    )
+    return early_stop, full_schedule
 
 
 def run_experiment(
@@ -45,18 +83,15 @@ def run_experiment(
     master_seed: int = 2008,
     degree: int = DEFAULT_DEGREE,
     sizes: Optional[SweepSizes] = None,
+    workers: Optional[int] = None,
 ) -> Table:
-    """Run the E2 sweep and return its table."""
-    sweep = sizes if sizes is not None else (quick_sizes() if quick else full_sizes())
-    runner = ExperimentRunner(master_seed=master_seed, repetitions=sweep.repetitions)
-
-    full_schedule = SimulationConfig(stop_when_informed=False)
-    configurations = {
-        "push": (lambda n: PushProtocol(n_estimate=n), None),
-        "push-pull": (lambda n: PushPullProtocol(n_estimate=n), None),
-        "algorithm1": (lambda n: Algorithm1(n_estimate=n), None),
-        "algorithm1-full": (lambda n: Algorithm1(n_estimate=n), full_schedule),
-    }
+    """Run the E2 sweeps and return their table (``workers`` as in E1)."""
+    early_stop, full_schedule = scenarios(
+        quick=quick, master_seed=master_seed, degree=degree, sizes=sizes
+    )
+    runs = run_spec(early_stop, workers=workers), run_spec(full_schedule, workers=workers)
+    points = [(point.values["protocol"], point) for point in runs[0].points]
+    points += [("algorithm1-full", point) for point in runs[1].points]
 
     table = Table(
         title=f"{TITLE} (d = {degree})",
@@ -69,22 +104,20 @@ def run_experiment(
         ],
     )
 
-    series: dict = {name: ([], []) for name in configurations}
-    for name, (factory, config) in configurations.items():
-        for n in sweep.sizes:
-            results = runner.broadcast(
-                n, degree, factory, label=f"e2-{name}", config=config
-            )
-            aggregate = aggregate_runs(results)
-            table.add_row(
-                protocol=name,
-                n=n,
-                tx_per_node=aggregate.transmissions_per_node.mean,
-                rounds_mean=aggregate.rounds.mean,
-                success_rate=aggregate.success_rate,
-            )
-            series[name][0].append(n)
-            series[name][1].append(aggregate.transmissions_per_node.mean)
+    series: dict = {}
+    for name, point in points:
+        aggregate = point.aggregate
+        n = point.values["n"]
+        table.add_row(
+            protocol=name,
+            n=n,
+            tx_per_node=aggregate.transmissions_per_node.mean,
+            rounds_mean=aggregate.rounds.mean,
+            success_rate=aggregate.success_rate,
+        )
+        ns, values = series.setdefault(name, ([], []))
+        ns.append(n)
+        values.append(aggregate.transmissions_per_node.mean)
 
     for name, (ns, values) in series.items():
         if len(ns) < 2:
@@ -102,4 +135,5 @@ def run_experiment(
         "grows like n·log n; at finite n the distinguishing signal is the growth "
         "law, not the absolute values."
     )
+    table.record_runs(*runs)
     return table

@@ -14,26 +14,26 @@ The paper's analysis (Section 4) predicts a specific profile for Algorithm 1:
 The experiment runs Algorithm 1 with full round history and reports, per
 phase: rounds spent, transmissions, informed count at the end, and the
 geometric growth/decay factors the lemmas predict.  A second block ablates the
-phase-length constant ``α``.
+phase-length constant ``α``.  Both blocks are :class:`ScenarioSpec` records
+(:func:`scenarios`): the profile is one full-schedule broadcast, the
+ablation a sweep over ``protocol.params.alpha``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from ..core.config import SimulationConfig
 from ..core.metrics import RunResult
-from ..protocols.algorithm1 import Algorithm1
-from .runner import ExperimentRunner
+from ..spec.run import run_spec
+from ..spec.scenario import GraphSpec, ProtocolSpec, ScenarioSpec, SweepAxis, SweepSpec
 from .tables import Table
 
-__all__ = ["run_experiment"]
+__all__ = ["run_experiment", "scenarios"]
 
-EXPERIMENT_ID = "E4"
 TITLE = "E4 — Algorithm 1 phase dynamics"
 
 
-def _phase_summary(result: RunResult, schedule) -> List[dict]:
+def _phase_summary(result: RunResult) -> List[dict]:
     """Aggregate the run history into one record per phase."""
     records = []
     for phase_number in range(1, 5):
@@ -71,18 +71,53 @@ def _phase_summary(result: RunResult, schedule) -> List[dict]:
     return records
 
 
+def scenarios(
+    quick: bool = True,
+    master_seed: int = 2008,
+    n: Optional[int] = None,
+    degree: int = 8,
+    alphas: Optional[List[float]] = None,
+) -> Tuple[ScenarioSpec, ScenarioSpec]:
+    """The E4 blocks: the phase profile (one run), then the α ablation."""
+    size = n if n is not None else (1024 if quick else 8192)
+    alpha_values = tuple(alphas) if alphas is not None else (0.5, 1.0, 2.0)
+    # The profile runs the full schedule, so every phase actually executes.
+    profile = ScenarioSpec(
+        name="e4-profile",
+        graph=GraphSpec(family="connected-random-regular", params={"n": size, "d": degree}),
+        protocol=ProtocolSpec(name="algorithm1", params={"alpha": 1.0}),
+        repetitions=1,
+        master_seed=master_seed,
+        label="e4-profile",
+        config={"stop_when_informed": False},
+    )
+    # The ablation reports success rate and rounds with early stopping.
+    ablation = ScenarioSpec(
+        name="e4-alpha-ablation",
+        graph=profile.graph,
+        protocol=ProtocolSpec(name="algorithm1", params={"alpha": alpha_values[0]}),
+        sweep=SweepSpec(axes=(SweepAxis(path="protocol.params.alpha", values=alpha_values),)),
+        repetitions=3 if quick else 5,
+        master_seed=master_seed,
+        label="e4-alpha-{alpha}",
+    )
+    return profile, ablation
+
+
 def run_experiment(
     quick: bool = True,
     master_seed: int = 2008,
     n: Optional[int] = None,
     degree: int = 8,
     alphas: Optional[List[float]] = None,
+    workers: Optional[int] = None,
 ) -> Table:
     """Run the E4 phase profile plus the α ablation."""
-    size = n if n is not None else (1024 if quick else 8192)
-    alpha_values = alphas if alphas is not None else [0.5, 1.0, 2.0]
-    runner = ExperimentRunner(master_seed=master_seed, repetitions=3 if quick else 5)
-    full_schedule = SimulationConfig(stop_when_informed=False)
+    profile, ablation = scenarios(
+        quick=quick, master_seed=master_seed, n=n, degree=degree, alphas=alphas
+    )
+    runs = run_spec(profile, workers=workers), run_spec(ablation, workers=workers)
+    size = profile.graph.params["n"]
 
     table = Table(
         title=f"{TITLE} (n = {size}, d = {degree})",
@@ -100,21 +135,12 @@ def run_experiment(
         ],
     )
 
-    # Block 1: per-phase profile at the default alpha, full schedule so every
-    # phase actually executes.
-    protocol_alpha = 1.0
-    results = runner.broadcast(
-        size,
-        degree,
-        lambda n_est: Algorithm1(n_estimate=n_est, alpha=protocol_alpha),
-        label="e4-profile",
-        config=full_schedule,
-    )
-    reference = results[0]
-    for record in _phase_summary(reference, None):
+    (profile_point,) = runs[0].points
+    reference = profile_point.results[0]
+    for record in _phase_summary(reference):
         table.add_row(
             block="profile",
-            alpha=protocol_alpha,
+            alpha=profile.protocol.params["alpha"],
             phase=record["phase"],
             rounds=record["rounds"],
             transmissions=record["transmissions"],
@@ -125,35 +151,21 @@ def run_experiment(
             success_rate=1.0 if reference.success else 0.0,
         )
 
-    # Block 2: alpha ablation — success rate and rounds with early stopping.
-    for alpha in alpha_values:
-        ablation_results = runner.broadcast(
-            size,
-            degree,
-            lambda n_est, a=alpha: Algorithm1(n_estimate=n_est, alpha=a),
-            label=f"e4-alpha-{alpha}",
-        )
-        successes = sum(1 for r in ablation_results if r.success)
-        mean_rounds = sum(
-            r.rounds_to_completion if r.rounds_to_completion is not None else r.rounds_executed
-            for r in ablation_results
-        ) / len(ablation_results)
-        mean_tx = sum(r.transmissions_per_node for r in ablation_results) / len(
-            ablation_results
-        )
+    for point in runs[1].points:
+        aggregate = point.aggregate
         table.add_row(
             block="alpha-ablation",
-            alpha=alpha,
+            alpha=point.values["alpha"],
             phase="all",
-            rounds=mean_rounds,
-            transmissions=mean_tx,
+            rounds=aggregate.rounds.mean,
+            transmissions=aggregate.transmissions_per_node.mean,
             informed_start=1,
             informed_end=int(
-                sum(r.final_informed for r in ablation_results) / len(ablation_results)
+                sum(r.final_informed for r in point.results) / len(point.results)
             ),
             growth_factor=None,
             shrink_factor=None,
-            success_rate=successes / len(ablation_results),
+            success_rate=aggregate.success_rate,
         )
 
     table.add_note(
@@ -161,4 +173,5 @@ def run_experiment(
         "Lemma 3: phase-2 shrink_factor (uninformed_before/uninformed_after) "
         "should exceed 1 by a constant; phase 3 is a single pull round."
     )
+    table.record_runs(*runs)
     return table

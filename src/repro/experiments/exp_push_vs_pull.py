@@ -33,7 +33,6 @@ from .tables import Table
 
 __all__ = ["run_experiment", "scenario"]
 
-EXPERIMENT_ID = "E5"
 TITLE = "E5 — push vs pull vs push&pull on complete graphs"
 
 PROTOCOL_NAMES = ("push", "pull", "push-pull")
@@ -78,10 +77,11 @@ def run_experiment(
     quick: bool = True,
     master_seed: int = 2008,
     sizes: Optional[List[int]] = None,
+    workers: Optional[int] = None,
 ) -> Table:
     """Run the complete-graph comparison."""
     spec = scenario(quick=quick, master_seed=master_seed, sizes=sizes)
-    run = run_spec(spec)
+    run = run_spec(spec, workers=workers)
 
     table = Table(
         title=TITLE,
@@ -117,5 +117,5 @@ def run_experiment(
         "informed) is O(log log n), while the push tail is Θ(log n); the "
         "transmissions-per-node gap follows the same pattern."
     )
-    table.metadata["spec"] = spec.to_dict()
+    table.record_runs(run)
     return table

@@ -9,22 +9,21 @@ number of nodes".
   the push baseline.  Expected shape: moderate loss (say up to 20–30%) slows
   the broadcast by a modest factor but does not break it, because every
   informed node keeps participating in later phases.  The loss × protocol
-  grid is declared as a :class:`ScenarioSpec` (axes over
-  ``failure.params.transmission_loss_probability`` and ``protocol.name``)
-  and executed through the spec-driven runner entry point — bit-identical to
-  the hand-wired loops this module used to contain.
+  grid is declared as a :class:`ScenarioSpec` (:func:`scenario`, axes over
+  ``failure.params.transmission_loss_probability`` and ``protocol.name``).
 * **E7** feeds Algorithm 1 a size estimate that is off by powers of two and
   reports the same metrics.  Expected shape: the phase boundaries move by a
   constant number of rounds, so completion and cost change only mildly.
+  Its grid (:func:`estimate_scenario`) sweeps ``protocol.n_estimate``; the
+  run seeds key off the distorted estimate (label ``e7-{n_estimate}``).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.metrics import aggregate_runs
 from ..failures.estimates import EstimateError
-from ..protocols.algorithm1 import Algorithm1
+from ..spec.run import run_spec
 from ..spec.scenario import (
     FailureSpec,
     GraphSpec,
@@ -33,13 +32,14 @@ from ..spec.scenario import (
     SweepAxis,
     SweepSpec,
 )
-from .runner import ExperimentRunner
 from .tables import Table
 
-__all__ = ["run_experiment", "scenario"]
+__all__ = ["run_experiment", "scenario", "estimate_scenario"]
 
-EXPERIMENT_ID = "E6/E7"
 TITLE = "E6/E7 — robustness to message loss and size-estimate error"
+
+#: Default E7 distortion factors of the size estimate.
+ESTIMATE_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 def scenario(
@@ -84,6 +84,30 @@ def scenario(
     )
 
 
+def estimate_scenario(
+    quick: bool = True,
+    master_seed: int = 2008,
+    n: Optional[int] = None,
+    degree: int = 8,
+    estimate_factors: Optional[List[float]] = None,
+) -> ScenarioSpec:
+    """The E7 size-estimate sweep: Algorithm 1 told ``factor · n`` nodes."""
+    size = n if n is not None else (1024 if quick else 8192)
+    factors = estimate_factors if estimate_factors is not None else ESTIMATE_FACTORS
+    estimates = tuple(EstimateError(factor).apply(size) for factor in factors)
+    return ScenarioSpec(
+        name="e7-size-estimate",
+        graph=GraphSpec(
+            family="connected-random-regular", params={"n": size, "d": degree}
+        ),
+        protocol=ProtocolSpec(name="algorithm1", n_estimate=estimates[0]),
+        sweep=SweepSpec(axes=(SweepAxis(path="protocol.n_estimate", values=estimates),)),
+        repetitions=3 if quick else 5,
+        master_seed=master_seed,
+        label="e7-{n_estimate}",
+    )
+
+
 def run_experiment(
     quick: bool = True,
     master_seed: int = 2008,
@@ -91,23 +115,22 @@ def run_experiment(
     degree: int = 8,
     loss_probabilities: Optional[List[float]] = None,
     estimate_factors: Optional[List[float]] = None,
+    workers: Optional[int] = None,
 ) -> Table:
     """Run the loss sweep (E6) and the estimate sweep (E7)."""
-    size = n if n is not None else (1024 if quick else 8192)
-    factors = estimate_factors if estimate_factors is not None else [0.25, 0.5, 1.0, 2.0, 4.0]
-    spec = scenario(
+    factors = estimate_factors if estimate_factors is not None else ESTIMATE_FACTORS
+    loss_spec = scenario(
         quick=quick,
         master_seed=master_seed,
         n=n,
         degree=degree,
         loss_probabilities=loss_probabilities,
     )
-    runner = ExperimentRunner(
-        master_seed=master_seed,
-        repetitions=spec.repetitions,
-        engine=spec.engine,
-        batch=spec.batch,
+    estimate_spec = estimate_scenario(
+        quick=quick, master_seed=master_seed, n=n, degree=degree, estimate_factors=factors
     )
+    runs = run_spec(loss_spec, workers=workers), run_spec(estimate_spec, workers=workers)
+    size = loss_spec.graph.params["n"]
 
     table = Table(
         title=f"{TITLE} (n = {size}, d = {degree})",
@@ -122,8 +145,7 @@ def run_experiment(
         ],
     )
 
-    # E6: message-loss sweep, spec-driven (same runner, shared graph cache).
-    for point in runner.run_scenario(spec).points:
+    for point in runs[0].points:
         aggregate = point.aggregate
         table.add_row(
             block="message-loss",
@@ -135,19 +157,9 @@ def run_experiment(
             tx_per_node=aggregate.transmissions_per_node.mean,
         )
 
-    # E7: size-estimate sweep (Algorithm 1 only; push has no size parameter
-    # beyond its horizon, which we leave at the true n).
-    for factor in factors:
-        estimate = EstimateError(factor).apply(size)
-        aggregate = aggregate_runs(
-            runner.broadcast(
-                size,
-                degree,
-                lambda n_est, est=estimate: Algorithm1(n_estimate=est),
-                label=f"e7-{factor}",
-                n_estimate=size,
-            )
-        )
+    # Algorithm 1 only: push has no size parameter beyond its horizon.
+    for factor, point in zip(factors, runs[1].points):
+        aggregate = point.aggregate
         table.add_row(
             block="size-estimate",
             protocol="algorithm1",
@@ -162,5 +174,5 @@ def run_experiment(
         "Paper claim: limited communication failures and constant-factor errors "
         "in the size estimate neither break completion nor blow up the cost."
     )
-    table.metadata["spec"] = spec.to_dict()
+    table.record_runs(*runs)
     return table

@@ -8,9 +8,7 @@ across the sweep for every protocol that is genuinely ``O(log n)``.
 
 The sweep itself is declared as a :class:`ScenarioSpec` (see
 :func:`scenario`), so the full grid — protocols × sizes × seeds — is one
-serialisable record; running it through :func:`repro.spec.run_spec` is
-bit-identical to the hand-wired :class:`ExperimentRunner` loops this module
-used to contain.
+serialisable record, run through :func:`repro.spec.run_spec`.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["run_experiment", "scenario"]
 
-EXPERIMENT_ID = "E1"
 TITLE = "E1 — round complexity on random d-regular graphs"
 
 PROTOCOL_NAMES = ("push", "push-pull", "algorithm1")
@@ -105,7 +102,5 @@ def run_experiment(
         "Paper claim: Algorithm 1 finishes in O(log n) rounds — the "
         "rounds/log2(n) column should stay roughly flat as n grows."
     )
-    table.metadata["spec"] = spec.to_dict()
-    if run.provenance:
-        table.metadata["distributed"] = dict(run.provenance)
+    table.record_runs(run)
     return table

@@ -1,7 +1,7 @@
 """Registry mapping experiment ids to their runner functions.
 
-Benchmarks, the CLI, and EXPERIMENTS.md all refer to experiments by the same
-short ids (``"E1"`` .. ``"E12"``); this module is the single source of truth
+Benchmarks, the CLI, and ``docs/API.md`` all refer to experiments by the same
+short ids (``"E1"`` .. ``"E13"``); this module is the single source of truth
 for that mapping.
 """
 
@@ -60,9 +60,10 @@ def run_experiment_by_id(experiment_id: str, quick: bool = True, **kwargs) -> Ta
     """Run one experiment by id and return its table.
 
     Keyword arguments are validated against the experiment's signature so
-    an option only some experiments support (e.g. ``workers`` for the
-    spec-driven parallel sweeps) fails with a clear message instead of a
-    raw ``TypeError``.
+    an option only some experiments support (e.g. ``workers``, which every
+    broadcast experiment forwards to :func:`repro.spec.run_spec` but E11
+    does not take) fails with a clear message instead of a raw
+    ``TypeError``.
     """
     key = experiment_id.upper()
     if key not in EXPERIMENTS:

@@ -2,8 +2,8 @@
 
 Experiment tables are plain data (title, columns, rows, notes, metadata), so
 they serialise naturally to JSON for archival / re-plotting and to CSV for
-spreadsheets.  `EXPERIMENTS.md` numbers are regenerated from saved JSON files
-rather than by copying terminal output around, and the CLI's ``--save`` flag
+spreadsheets, so recorded numbers are regenerated from saved JSON files
+rather than by copying terminal output around; the CLI's ``--save`` flag
 uses the same functions.
 
 Saved JSON carries a ``schema_version`` field; loading is tolerant of the

@@ -9,9 +9,12 @@ diffed across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from ..core.errors import ExperimentError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec builds tables)
+    from ..spec.run import ScenarioRun
 
 __all__ = ["Table"]
 
@@ -33,8 +36,9 @@ class Table:
         best, or a pointer to the paper claim the table reproduces).
     metadata:
         Machine-readable provenance that travels with the saved table but is
-        not rendered — most importantly ``metadata["spec"]``, the serialized
-        :class:`repro.spec.ScenarioSpec` that reproduces the table.
+        not rendered — most importantly the serialized
+        :class:`repro.spec.ScenarioSpec` record(s) that reproduce the table
+        (see :meth:`record_runs`).
     """
 
     title: str
@@ -55,6 +59,24 @@ class Table:
     def add_note(self, note: str) -> None:
         """Append a free-text note shown under the table."""
         self.notes.append(note)
+
+    def record_runs(self, *runs: "ScenarioRun") -> None:
+        """Record the scenario specs this table was built from.
+
+        One run is stored as ``metadata["spec"]``, several as
+        ``metadata["specs"]`` (one spec per run, in run order).  Runs that
+        went through the distributed executor add their provenance as
+        ``metadata["distributed"]`` in the same shape: one dict, or a list
+        aligned with ``specs``.
+        """
+        if len(runs) == 1:
+            self.metadata["spec"] = runs[0].spec.to_dict()
+            if runs[0].provenance:
+                self.metadata["distributed"] = dict(runs[0].provenance)
+            return
+        self.metadata["specs"] = [run.spec.to_dict() for run in runs]
+        if any(run.provenance for run in runs):
+            self.metadata["distributed"] = [dict(run.provenance) for run in runs]
 
     def column(self, name: str) -> List[object]:
         """All values of one column, in row order."""

@@ -5,11 +5,11 @@ experiment sweeps over.  Defaults come in two sizes:
 
 * ``quick`` — small enough for the benchmark suite and CI (a few seconds per
   experiment);
-* ``full`` — the sizes used for the numbers recorded in ``EXPERIMENTS.md``
-  (minutes per experiment).
+* ``full`` — the larger sizes behind ``experiment --full`` (minutes per
+  experiment).
 
-Keeping these in one module means every benchmark and every EXPERIMENTS.md
-entry refers to the same, named parameter sets.
+Keeping these in one module means every benchmark and every experiment
+refers to the same, named parameter sets.
 """
 
 from __future__ import annotations
@@ -48,5 +48,5 @@ def quick_sizes() -> SweepSizes:
 
 
 def full_sizes() -> SweepSizes:
-    """The larger sweep behind the EXPERIMENTS.md numbers."""
+    """The larger sweep behind ``experiment --full``."""
     return SweepSizes(sizes=[1024, 2048, 4096, 8192, 16384], repetitions=5)

@@ -3,9 +3,9 @@
 ``repro.spec`` turns a whole run or sweep — graph family, protocol, failure
 regime, sweep axes, seeds, engine knobs — into one JSON-serialisable record
 (:class:`ScenarioSpec`) that users can write, diff, store, and sweep at
-scale.  :func:`run_spec` executes a spec with the exact seeding discipline of
-the hand-written experiments, so a scenario file reproduces an experiment
-bit-for-bit.
+scale.  :func:`run_spec` executes a spec; every seed derives from the spec
+itself, so a scenario file reproduces its results bit-for-bit, and every
+registered broadcast experiment is built from such specs.
 """
 
 from typing import TYPE_CHECKING

@@ -1,12 +1,11 @@
 """Executing scenario specs.
 
-:func:`run_spec` is the one-call entry point: it builds an
-:class:`ExperimentRunner` from the spec's seed/engine knobs and dispatches
-every grid point through the runner's spec-driven entry point
-(:meth:`ExperimentRunner.run_scenario`), which routes into
-``repeat_broadcast`` / ``run_broadcast_batch`` with the exact seeding
-discipline the hand-written experiments use — a spec-driven run is
-bit-identical to the equivalent hand-wired call.
+:func:`run_spec` is the one-call entry point: it dispatches every grid point
+through :meth:`ExperimentRunner.run_scenario` (or the parallel executor),
+which routes into ``repeat_broadcast`` / ``run_broadcast_batch``.  Each
+point's graph seed, run seeds, repetitions, engine and batch knob come from
+the point spec alone, so a spec reproduces its results bit-for-bit on any
+path.
 
 The result is a :class:`ScenarioRun`: one :class:`PointRun` per grid point
 with the fully-resolved single-point spec (also recorded in every
@@ -175,8 +174,9 @@ def run_spec(
     graphs/protocols/failure models through the registries, and runs every
     point's repetitions through the batched multi-seed engine whenever the
     vectorized-eligibility rules hold.  Seeds derive from
-    ``spec.master_seed`` with the :class:`ExperimentRunner` discipline, so
-    results are bit-identical to the equivalent hand-wired runner calls.
+    ``spec.master_seed`` and each point's label
+    (:meth:`ScenarioSpec.run_seeds`), so every execution path below returns
+    bit-identical results.
 
     Distributed knobs (all optional; see :mod:`repro.dist`):
 
@@ -215,7 +215,7 @@ def run_spec(
         and retry is None
         and fault_plan is None
     ):
-        return ExperimentRunner.from_spec(spec).run_scenario(spec, progress=progress)
+        return ExperimentRunner().run_scenario(spec, progress=progress)
 
     from ..dist.executor import ParallelScenarioExecutor
     from ..dist.resilience import RetryPolicy

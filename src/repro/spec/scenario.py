@@ -12,11 +12,10 @@ eagerly against the component registries
 :class:`ConfigurationError` naming the offending key before any compute is
 spent.
 
-Execution lives in :mod:`repro.spec.run` (:func:`run_spec`) and in
-:meth:`repro.experiments.runner.ExperimentRunner.run_scenario`; the seeding
-discipline there is bit-compatible with hand-wired
-:class:`ExperimentRunner` calls, so a scenario file reproduces a hand-written
-experiment exactly.
+Execution lives in :mod:`repro.spec.run` (:func:`run_spec`).  Every seed
+of a run derives from the spec itself (:meth:`ScenarioSpec.run_seeds` and the
+graph seeds of :meth:`repro.experiments.runner.ExperimentRunner.spec_graph`),
+so a scenario file reproduces its results exactly.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..core.config import SimulationConfig
 from ..core.errors import ConfigurationError
-from ..core.rng import RandomSource
+from ..core.rng import RandomSource, derive_seed
 from ..failures.churn import ChurnModel
 from ..failures.churn_registry import CHURN_MODELS, build_churn_model
 from ..failures.message_loss import FailureModel
@@ -173,10 +172,6 @@ class ProtocolSpec:
         estimate = self.n_estimate if self.n_estimate is not None else default_estimate
         return build_protocol(self.name, estimate, **self.params)
 
-    def factory(self):
-        """A ``ProtocolFactory`` closure as used by :func:`repeat_broadcast`."""
-        return lambda n_est: self.build(n_est)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -202,8 +197,7 @@ class FailureSpec:
     """Which failure regime applies, by registry id.
 
     ``"reliable"`` (the default) materialises to *no* failure model, which is
-    bit-identical to the hand-wired ``failure_model=None`` convention of the
-    experiment modules.
+    bit-identical to passing ``failure_model=None`` to the engines.
     """
 
     model: str = "reliable"
@@ -237,7 +231,7 @@ class ChurnSpec:
     """Which membership regime applies, by churn-registry id.
 
     ``"none"`` (the default) materialises to *no* churn model, which is
-    bit-identical to the hand-wired ``churn_model=None`` convention — static
+    bit-identical to passing ``churn_model=None`` to the engines — static
     scenarios stay on the static fast paths (including the batched engine).
     Any other id names a :data:`CHURN_MODELS` entry; its params are validated
     against the model's constructor at spec-construction time.
@@ -358,8 +352,7 @@ class SweepAxis:
 class SweepSpec:
     """A full factorial grid over one or more :class:`SweepAxis` dimensions.
 
-    The grid is expanded row-major: the first axis is the outermost loop,
-    matching the nesting order of the hand-written experiment sweeps.
+    The grid is expanded row-major: the first axis is the outermost loop.
     """
 
     axes: Tuple[SweepAxis, ...]
@@ -435,9 +428,9 @@ class ScenarioSpec:
     repetitions:
         Independent runs (seeds) per grid point.
     master_seed:
-        Root of all randomness — graph seeds and run seeds derive from it
-        with the same discipline as :class:`ExperimentRunner`, so a scenario
-        is reproducible from this one number.
+        Root of all randomness — graph seeds and run seeds
+        (:meth:`run_seeds`) derive from it, so a scenario is reproducible
+        from this one number.
     label:
         Per-point run-label template, formatted with the axis keys plus
         ``{scenario}``, ``{protocol}``, ``{family}`` and every graph /
@@ -445,7 +438,8 @@ class ScenarioSpec:
         feeds the run-seed derivation, so it is part of the reproducibility
         contract.  ``None`` uses the scenario name.
     engine / batch:
-        Execution knobs, forwarded to :class:`ExperimentRunner`.
+        Execution knobs: ``engine`` joins the :meth:`simulation_config`, and
+        ``batch`` lets multi-seed points run as one batched program.
     config:
         :class:`SimulationConfig` overrides (``stop_when_informed``,
         ``max_rounds``, ``message_loss_probability``, ...).  ``engine`` is not
@@ -555,17 +549,29 @@ class ScenarioSpec:
                 f"available: {', '.join(sorted(map(str, context)))}"
             ) from None
 
+    def run_seeds(self, seed_label: str) -> List[int]:
+        """One run seed per repetition: ``derive_seed(master_seed, "run", seed_label, i)``.
+
+        ``seed_label`` is the point's
+        :meth:`~repro.experiments.runner.ExperimentRunner.seed_label_for`.
+        """
+        return [
+            derive_seed(self.master_seed, "run", seed_label, i)
+            for i in range(self.repetitions)
+        ]
+
     # -- config -----------------------------------------------------------------
 
     def simulation_config(self) -> Optional[SimulationConfig]:
-        """The override config, or ``None`` when the defaults apply.
+        """The ``config`` overrides plus a non-``auto`` engine, or ``None``.
 
-        Returning ``None`` for an empty override block keeps the execution
-        path literally identical to hand-wired calls that pass no config.
+        ``None`` (engine ``auto`` and no overrides) lets the engines apply
+        their defaults.
         """
-        if not self.config:
-            return None
-        return SimulationConfig(**self.config)
+        overrides = dict(self.config)
+        if self.engine != "auto":
+            overrides["engine"] = self.engine
+        return SimulationConfig(**overrides) if overrides else None
 
     # -- serialisation ----------------------------------------------------------
 

@@ -479,11 +479,33 @@ class TestExecutorValidation:
         assert parallel.metadata["distributed"]["workers"] == 2
         assert "distributed" not in serial.metadata
 
+    def test_multi_spec_experiments_support_workers(self):
+        # Several specs per table, churn points and non-regular graph
+        # families all go through the pool and come back with the serial rows.
+        from repro.experiments.exp_churn import run_experiment as run_e8
+        from repro.experiments.exp_counterexample import run_experiment as run_e13
+        from repro.experiments.exp_message_complexity import run_experiment as run_e2
+        from repro.experiments.workloads import SweepSizes
+
+        for run_experiment, kwargs in (
+            (run_e2, {"sizes": SweepSizes(sizes=[64, 128], repetitions=2)}),
+            (run_e8, {"n": 128, "churn_rates": [(0.0, 0.0), (0.01, 0.01)]}),
+            (run_e13, {"base_nodes": 32, "degree": 4, "clique_size": 3}),
+        ):
+            serial = run_experiment(**kwargs)
+            parallel = run_experiment(workers=2, **kwargs)
+            assert parallel.rows == serial.rows
+            assert parallel.notes == serial.notes
+            assert parallel.metadata["specs"] == serial.metadata["specs"]
+            assert [p["workers"] for p in parallel.metadata["distributed"]] == [2, 2]
+            assert "distributed" not in serial.metadata
+
     def test_registry_rejects_workers_for_unsupporting_experiments(self):
         from repro.core.errors import ExperimentError
 
+        # E11 (the replicated database) is not a broadcast and has no spec.
         with pytest.raises(ExperimentError, match="workers"):
-            run_experiment_by_id("E2", workers=2)
+            run_experiment_by_id("E11", workers=2)
 
 
 class TestDistributedTablesRoundTrip:
@@ -594,9 +616,9 @@ class TestCLI:
         assert captured.err.count("done in") == 4
 
     def test_experiment_workers_flag(self, capsys):
-        # E2 has no parallel path: the registry must say so clearly.
+        # E11 has no parallel path: the registry must say so clearly.
         with pytest.raises(Exception, match="workers"):
-            main(["experiment", "E2", "--workers", "2"])
+            main(["experiment", "E11", "--workers", "2"])
 
 
 class TestGraphCachePriming:

@@ -6,7 +6,7 @@ single-seed vectorized run (same seeds, same graph, same configuration), with
 only ``metadata["batch_size"]`` distinguishing the results.  These tests pin
 that contract over ≥20 seeds for every batchable protocol, exercise the
 failure-injection paths, and cover the dispatch plumbing
-(``run_broadcast_batch`` → ``repeat_broadcast`` → ``ExperimentRunner``) plus
+(``run_broadcast_batch`` → ``repeat_broadcast`` → ``run_spec``) plus
 the protocol ``reset()`` lifecycle hook the batch relies on.
 """
 
@@ -19,7 +19,7 @@ from repro.core.engine import RoundEngine, run_broadcast, run_broadcast_batch
 from repro.core.engine_vectorized import BatchedVectorizedRoundEngine
 from repro.core.errors import SimulationError
 from repro.core.rng import RandomSource
-from repro.experiments.runner import ExperimentRunner, repeat_broadcast
+from repro.experiments.runner import repeat_broadcast
 from repro.graphs.configuration_model import pairing_multigraph, random_regular_graph
 from repro.protocols.algorithm1 import Algorithm1
 from repro.protocols.algorithm2 import Algorithm2
@@ -28,6 +28,7 @@ from repro.protocols.push import PushProtocol
 from repro.protocols.push_pull import PushPullProtocol
 from repro.protocols.quasirandom import QuasirandomPushProtocol
 from repro.protocols.sequential import SequentialAlgorithm1
+from repro.spec import GraphSpec, ProtocolSpec, ScenarioSpec, run_spec
 
 PARITY_SEEDS = list(range(100, 122))  # 22 seeds, ≥ the acceptance's 20
 
@@ -52,6 +53,20 @@ def regular_graph():
 def multigraph():
     # Self-loops and parallel edges exercise the channel-filter path.
     return pairing_multigraph(256, 6, RandomSource(seed=9))
+
+
+def batch_spec(**overrides) -> ScenarioSpec:
+    """Push over a 64-node 4-regular graph, three repetitions."""
+    fields = dict(
+        name="batch",
+        graph=GraphSpec(family="connected-random-regular", params={"n": 64, "d": 4}),
+        protocol=ProtocolSpec(name="push"),
+        repetitions=3,
+        master_seed=1,
+        label="b",
+    )
+    fields.update(overrides)
+    return ScenarioSpec(**fields)
 
 
 def run_signature(result):
@@ -239,15 +254,14 @@ class TestBatchDispatch:
         assert all("batch_size" not in r.metadata for r in results)
 
     def test_experiment_runner_uses_batch(self):
-        runner = ExperimentRunner(master_seed=1, repetitions=3)
-        results = runner.broadcast(64, 4, lambda n: PushProtocol(n_estimate=n), label="b")
+        results = run_spec(batch_spec()).results()
         assert all(r.metadata.get("batch_size") == 3 for r in results)
 
     def test_experiment_runner_batch_off_matches_batch_on(self):
-        on = ExperimentRunner(master_seed=1, repetitions=3)
-        off = ExperimentRunner(master_seed=1, repetitions=3, batch=False)
-        batched = on.broadcast(64, 4, lambda n: PushProtocol(n_estimate=n), label="b")
-        looped = off.broadcast(64, 4, lambda n: PushProtocol(n_estimate=n), label="b")
+        batched = run_spec(batch_spec()).results()
+        looped = run_spec(batch_spec(batch=False)).results()
+        assert all("batch_size" not in r.metadata for r in looped)
+        assert len(looped) == len(batched) == 3
         for one, other in zip(looped, batched):
             assert run_signature(one) == run_signature(other)
 

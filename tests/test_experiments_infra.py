@@ -16,7 +16,9 @@ from repro.experiments.workloads import (
     quick_sizes,
 )
 from repro.failures.churn import UniformChurn
+from repro.graphs.properties import is_connected
 from repro.protocols.push import PushProtocol
+from repro.spec import GraphSpec, ProtocolSpec, ScenarioSpec, run_spec
 
 
 class TestTable:
@@ -108,68 +110,88 @@ class TestRepeatBroadcast:
         assert results[0].rounds_executed == 1
 
 
+def runner_spec(**overrides) -> ScenarioSpec:
+    """A one-point push scenario on a 64-node 4-regular graph."""
+    fields = dict(
+        name="runner",
+        graph=GraphSpec(family="connected-random-regular", params={"n": 64, "d": 4}),
+        protocol=ProtocolSpec(name="push"),
+        repetitions=2,
+        master_seed=1,
+        label="t",
+    )
+    fields.update(overrides)
+    return ScenarioSpec(**fields)
+
+
 class TestExperimentRunner:
     def test_graph_cache_returns_same_object(self):
-        runner = ExperimentRunner(master_seed=1, repetitions=2)
-        assert runner.regular_graph(64, 4) is runner.regular_graph(64, 4)
-        assert runner.regular_graph(64, 4) is not runner.regular_graph(64, 4, instance=1)
+        runner = ExperimentRunner()
+        spec = runner_spec()
+        assert runner.spec_graph(spec) is runner.spec_graph(spec)
+        assert runner.graph_builds == 1
+        other_instance = runner_spec(
+            graph=GraphSpec(
+                family="connected-random-regular", params={"n": 64, "d": 4}, instance=1
+            )
+        )
+        assert runner.spec_graph(spec) is not runner.spec_graph(other_instance)
+        # The cache is keyed by the spec's master seed as well.
+        other_seed = runner.spec_graph(runner_spec(master_seed=2))
+        assert other_seed is not runner.spec_graph(spec)
+        assert other_seed.csr()[1].tolist() != runner.spec_graph(spec).csr()[1].tolist()
+        assert runner.graph_builds == 3
 
     def test_graphs_are_regular_and_connected(self):
-        runner = ExperimentRunner(master_seed=1)
-        graph = runner.regular_graph(64, 6)
+        spec = runner_spec(
+            graph=GraphSpec(family="connected-random-regular", params={"n": 64, "d": 6})
+        )
+        graph = ExperimentRunner().spec_graph(spec)
         assert all(degree == 6 for degree in graph.degrees().values())
+        assert is_connected(graph)
 
     def test_run_seeds_are_deterministic_and_distinct(self):
-        runner = ExperimentRunner(master_seed=1, repetitions=4)
-        seeds_a = runner.run_seeds("label")
-        seeds_b = runner.run_seeds("label")
+        spec = runner_spec(repetitions=4)
+        seeds_a = spec.run_seeds("label")
+        seeds_b = spec.run_seeds("label")
         assert seeds_a == seeds_b
         assert len(set(seeds_a)) == 4
-        assert runner.run_seeds("other") != seeds_a
+        assert spec.run_seeds("other") != seeds_a
+        assert runner_spec(repetitions=4, master_seed=2).run_seeds("label") != seeds_a
 
-    def test_broadcast_and_aggregate(self):
-        runner = ExperimentRunner(master_seed=1, repetitions=2)
-        aggregate = runner.broadcast_aggregate(
-            64, 4, lambda n: PushProtocol(n_estimate=n), label="t"
-        )
+    def test_run_and_aggregate(self):
+        aggregate = run_spec(runner_spec()).points[0].aggregate
         assert aggregate.runs == 2
         assert aggregate.n == 64
 
-    def test_repetitions_override(self):
-        runner = ExperimentRunner(master_seed=1, repetitions=2)
-        results = runner.broadcast(
-            64, 4, lambda n: PushProtocol(n_estimate=n), label="t", repetitions=5
-        )
-        assert len(results) == 5
+    def test_repetitions_come_from_each_spec(self):
+        runner = ExperimentRunner()
+        five = runner.run_scenario(runner_spec(repetitions=5))
+        two = runner.run_scenario(runner_spec())
+        assert len(five.points[0].results) == 5
+        assert len(two.points[0].results) == 2
+        assert runner.graph_builds == 1
 
     def test_engine_knob_forwards_into_runs(self):
-        scalar_runner = ExperimentRunner(master_seed=1, repetitions=2, engine="scalar")
-        auto_runner = ExperimentRunner(master_seed=1, repetitions=2)
-        scalar_results = scalar_runner.broadcast(
-            64, 4, lambda n: PushProtocol(n_estimate=n), label="t"
-        )
-        auto_results = auto_runner.broadcast(
-            64, 4, lambda n: PushProtocol(n_estimate=n), label="t"
-        )
+        scalar_results = run_spec(runner_spec(engine="scalar")).results()
+        auto_results = run_spec(runner_spec()).results()
         assert all(r.metadata["engine"] == "scalar" for r in scalar_results)
         assert all(r.metadata["engine"] == "vectorized" for r in auto_results)
 
-    def test_engine_knob_preserves_caller_config(self):
-        runner = ExperimentRunner(master_seed=1, repetitions=1, engine="scalar")
-        results = runner.broadcast(
-            64,
-            4,
-            lambda n: PushProtocol(n_estimate=n),
-            label="t",
-            config=SimulationConfig(collect_round_history=False),
+    def test_engine_knob_preserves_config_overrides(self):
+        spec = runner_spec(
+            repetitions=1, engine="scalar", config={"collect_round_history": False}
         )
+        assert spec.simulation_config() == SimulationConfig(
+            engine="scalar", collect_round_history=False
+        )
+        results = run_spec(spec).results()
         assert results[0].metadata["engine"] == "scalar"
         assert results[0].history == []
 
     def test_reproducible_across_runner_instances(self):
-        first = ExperimentRunner(master_seed=99, repetitions=2)
-        second = ExperimentRunner(master_seed=99, repetitions=2)
-        a = first.broadcast_aggregate(64, 4, lambda n: PushProtocol(n_estimate=n), label="x")
-        b = second.broadcast_aggregate(64, 4, lambda n: PushProtocol(n_estimate=n), label="x")
+        spec = runner_spec(master_seed=99, label="x")
+        a = ExperimentRunner().run_scenario(spec).points[0].aggregate
+        b = ExperimentRunner().run_scenario(spec).points[0].aggregate
         assert a.rounds.mean == b.rounds.mean
         assert a.transmissions.mean == b.transmissions.mean

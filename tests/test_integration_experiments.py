@@ -1,4 +1,4 @@
-"""Integration tests for the experiment registry (E1–E12) on tiny inputs.
+"""Integration tests for the experiment registry (E1–E13) on tiny inputs.
 
 Each experiment is run with parameters far below its quick defaults so the
 whole module stays fast, and the tests assert structural properties of the

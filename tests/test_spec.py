@@ -8,12 +8,13 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.experiments.exp_round_complexity import scenario as e1_scenario
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import repeat_broadcast
 from repro.experiments.workloads import SweepSizes
 from repro.failures.registry import FAILURE_MODELS, build_failure_model
 from repro.failures.message_loss import IndependentLoss, ReliableDelivery
+from repro.graphs.configuration_model import connected_random_regular_graph
 from repro.graphs.registry import GRAPH_FAMILIES, build_graph, graph_needs_rng
-from repro.core.rng import RandomSource
+from repro.core.rng import RandomSource, derive_seed
 from repro.protocols.algorithm1 import Algorithm1
 from repro.protocols.push import PushProtocol
 from repro.protocols.push_pull import PushPullProtocol
@@ -272,17 +273,39 @@ class TestRegistries:
 
 
 class TestSpecDrivenExecution:
-    def test_e1_spec_is_bit_identical_to_hand_wired(self):
+    def test_seeding_rule_written_out(self):
+        # The spec path's seeding rule, spelled out with the bare graph
+        # builder, derive_seed and repeat_broadcast: it is the reference the
+        # spec path is held to, down to per-round history.
         sizes, degree, reps, seed = [64, 128], 6, 2, 2008
-        runner = ExperimentRunner(master_seed=seed, repetitions=reps)
-        hand = []
-        for name, factory in {
-            "push": lambda n: PushProtocol(n_estimate=n),
-            "push-pull": lambda n: PushPullProtocol(n_estimate=n),
-            "algorithm1": lambda n: Algorithm1(n_estimate=n),
+        reference = []
+        for name, protocol_class in {
+            "push": PushProtocol,
+            "push-pull": PushPullProtocol,
+            "algorithm1": Algorithm1,
         }.items():
             for n in sizes:
-                hand.extend(runner.broadcast(n, degree, factory, label=f"e1-{name}"))
+                graph = connected_random_regular_graph(
+                    n,
+                    degree,
+                    RandomSource(
+                        seed=derive_seed(seed, "graph", n, degree, 0),
+                        name=f"graph-{n}-{degree}-0",
+                    ),
+                )
+                reference.extend(
+                    repeat_broadcast(
+                        graph=graph,
+                        protocol_factory=lambda n_est, cls=protocol_class: cls(
+                            n_estimate=n_est
+                        ),
+                        n_estimate=n,
+                        seeds=[
+                            derive_seed(seed, "run", f"e1-{name}-{n}-{degree}", i)
+                            for i in range(reps)
+                        ],
+                    )
+                )
 
         spec = e1_scenario(
             master_seed=seed,
@@ -291,8 +314,8 @@ class TestSpecDrivenExecution:
         )
         via_spec = run_spec(spec).results()
 
-        assert len(hand) == len(via_spec)
-        for ours, theirs in zip(hand, via_spec):
+        assert len(reference) == len(via_spec) == 3 * len(sizes) * reps
+        for ours, theirs in zip(reference, via_spec):
             assert ours.success == theirs.success
             assert ours.rounds_executed == theirs.rounds_executed
             assert ours.rounds_to_completion == theirs.rounds_to_completion
@@ -379,11 +402,6 @@ class TestSpecDrivenExecution:
         result = run.points[0].results[0]
         # stop_when_informed=False runs the protocol's full schedule.
         assert result.rounds_executed >= (result.rounds_to_completion or 0)
-
-    def test_runner_spec_mismatch_rejected(self):
-        runner = ExperimentRunner(master_seed=1)
-        with pytest.raises(ConfigurationError, match="master_seed"):
-            runner.run_scenario(small_spec(master_seed=2))
 
     def test_to_table_carries_axis_columns_and_spec_metadata(self):
         spec = SPEC_VARIANTS["sweep"]()
