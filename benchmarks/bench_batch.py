@@ -28,6 +28,7 @@ import pytest
 from _memtrace import traced_peak_mb
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast, run_broadcast_batch
+from repro.core.engine_vectorized import BatchedVectorizedRoundEngine
 from repro.core.rng import RandomSource
 from repro.graphs.configuration_model import random_regular_graph
 from repro.graphs.families import gnp_graph
@@ -155,17 +156,15 @@ def test_long_tail_compaction_sweep():
     seeds = list(range(50))
 
     def sweep(compaction):
-        config = SimulationConfig(
-            engine="vectorized",
-            collect_round_history=False,
-            batch_row_compaction=compaction,
-        )
-        return run_broadcast_batch(
-            graph,
-            PushProtocol(n_estimate=n, horizon_override=250),
-            seeds,
-            config=config,
-        )
+        config = SimulationConfig(engine="vectorized", collect_round_history=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BatchedVectorizedRoundEngine, "_compaction", compaction)
+            return run_broadcast_batch(
+                graph,
+                PushProtocol(n_estimate=n, horizon_override=250),
+                seeds,
+                config=config,
+            )
 
     on_time = _best_of(2, lambda: sweep(True))
     off_time = _best_of(2, lambda: sweep(False))

@@ -2,8 +2,9 @@
 """Compare current hot-path timings *and memory* against BENCH_micro.json.
 
 Re-measures the micro-benchmark medians (graph generation, including the
-connected n = 32768 build with its connectivity check, and one broadcast
-per engine/protocol at n = 4096, plus the 20-seed batched push sweep) and the
+connected n = 32768 build with its connectivity check, one broadcast per
+protocol at n = 4096, push and Algorithm 1 at n = 256, where the engine's
+per-round bookkeeping dominates, plus the 20-seed batched push sweep) and the
 tracemalloc peak of the headline allocations (the million-node pairing build
 with its CSR stats, million-node push, push-pull, Algorithm 1 and quasirandom
 broadcasts, batched push, push-pull and Algorithm 1 sweeps, churn at
@@ -57,6 +58,8 @@ from repro.protocols.quasirandom import QuasirandomPushProtocol  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_micro.json"
 N, D = 4096, 8
+#: The small size whose runs are mostly per-round bookkeeping.
+SMALL_N = 256
 SWEEP_SEEDS = list(range(20))
 #: Fixed factor for the memory entries (see the module docstring).
 MEMORY_TOLERANCE = 1.25
@@ -78,9 +81,11 @@ def measure_current() -> dict:
     vector = SimulationConfig(engine="vectorized", collect_round_history=False)
     graph = random_regular_graph(N, D, RandomSource(seed=2), strategy="repair")
     graph.csr()
+    small = random_regular_graph(SMALL_N, D, RandomSource(seed=2), strategy="repair")
+    small.csr()
 
-    def broadcast(protocol_factory):
-        return lambda: run_broadcast(graph, protocol_factory(), seed=3, config=vector)
+    def broadcast(protocol_factory, on=graph):
+        return lambda: run_broadcast(on, protocol_factory(), seed=3, config=vector)
 
     return {
         "generate_regular_graph_4096": median_ms(
@@ -109,6 +114,14 @@ def measure_current() -> dict:
         ),
         "quasirandom_vectorized_4096": median_ms(
             broadcast(lambda: QuasirandomPushProtocol(n_estimate=N))
+        ),
+        "push_vectorized_256": median_ms(
+            broadcast(lambda: PushProtocol(n_estimate=SMALL_N), on=small),
+            repetitions=21,
+        ),
+        "algorithm1_vectorized_256": median_ms(
+            broadcast(lambda: Algorithm1(n_estimate=SMALL_N), on=small),
+            repetitions=21,
         ),
         "batched_push_sweep_20x_4096": median_ms(
             lambda: run_broadcast_batch(
@@ -226,6 +239,8 @@ def baseline_map(recorded: dict) -> dict:
         "algorithm1_vectorized_4096": baselines["algorithm1_broadcast_4096"]["vectorized"],
         "algorithm2_vectorized_4096": baselines["algorithm2_broadcast_4096"]["vectorized"],
         "quasirandom_vectorized_4096": baselines["quasirandom_broadcast_4096"]["vectorized"],
+        "push_vectorized_256": baselines["push_broadcast_256"]["vectorized"],
+        "algorithm1_vectorized_256": baselines["algorithm1_broadcast_256"]["vectorized"],
         "batched_push_sweep_20x_4096": baselines["batched_push_sweep_20x_4096"]["batched"],
         "algorithm1_churn_vectorized_4096": baselines["algorithm1_churn_4096"]["vectorized"],
     }

@@ -44,7 +44,6 @@ if TYPE_CHECKING:
         StateTable,
         VectorState,
         BatchedVectorizedRoundEngine,
-        VectorizedRoundEngine,
         aggregate_runs,
         plan_run,
         run_broadcast,
@@ -117,7 +116,6 @@ __all__ = [
     "RandomSource",
     "SimulationConfig",
     "RoundEngine",
-    "VectorizedRoundEngine",
     "BatchedVectorizedRoundEngine",
     "vectorization_unsupported_reason",
     "RunPlan",

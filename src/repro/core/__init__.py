@@ -10,7 +10,6 @@ if TYPE_CHECKING:
     from .engine import RoundEngine, RunPlan, plan_run, run_broadcast, run_broadcast_batch
     from .engine_vectorized import (
         BatchedVectorizedRoundEngine,
-        VectorizedRoundEngine,
         vectorization_unsupported_reason,
     )
     from .errors import (
@@ -37,7 +36,6 @@ __all__ = [
     "ChannelSet",
     "SimulationConfig",
     "RoundEngine",
-    "VectorizedRoundEngine",
     "BatchedVectorizedRoundEngine",
     "vectorization_unsupported_reason",
     "RunPlan",

@@ -5,6 +5,10 @@ that is not part of the graph, the protocol or the churn model themselves:
 failure injection, round limits, history recording and engine selection.
 Keeping these in a frozen dataclass means an experiment's full
 parameterisation can be logged and reproduced from a single record.
+
+How the bulk engine compacts finished replications and departed nodes is
+not a knob: one fixed rule does it, bit-identically to running without it
+(see :mod:`repro.core.engine_vectorized`).
 """
 
 from __future__ import annotations
@@ -54,19 +58,6 @@ class SimulationConfig:
         :class:`SimulationError` if the combination cannot be vectorized.
         :func:`repro.core.engine.plan_run` makes the decision; see
         :mod:`repro.core.engine_vectorized` for the rules.
-    batch_row_compaction:
-        Whether the batched vectorized engine remaps completed replications
-        out of its ``(R, n)`` state as they finish (only meaningful together
-        with ``stop_when_informed``).  Results are bit-identical either way;
-        disabling it exists for benchmarking and debugging the compaction
-        machinery itself.
-    churn_node_compaction:
-        Whether the vectorized engine's dynamic-membership mode renumbers
-        dead node ids away once a quarter of the id space is tombstoned (the
-        node-axis mirror of ``batch_row_compaction``).  Results are
-        bit-identical either way — every churn-path draw is renumbering
-        invariant — so disabling it exists for benchmarking and for the
-        compaction-parity tests.
     """
 
     max_rounds: Optional[int] = None
@@ -75,8 +66,6 @@ class SimulationConfig:
     collect_round_history: bool = True
     stop_when_informed: bool = True
     engine: str = "auto"
-    batch_row_compaction: bool = True
-    churn_node_compaction: bool = True
 
     def __post_init__(self) -> None:
         if self.max_rounds is not None and self.max_rounds <= 0:

@@ -25,7 +25,9 @@ Beyond that scale, :func:`run_broadcast` transparently dispatches to the bulk
 NumPy engine (:mod:`repro.core.engine_vectorized`) whenever the protocol and
 run configuration allow it — see ``SimulationConfig.engine`` for the
 ``"auto" | "scalar" | "vectorized"`` knob and the vectorized module docstring
-for the rules.  The decision is made in one place, :func:`plan_run`, whose
+for the rules.  There is one bulk engine: a single run is its one-seed case,
+and :func:`run_broadcast_batch` runs several seeds on it as one ``(R, n)``
+program.  The decision is made in one place, :func:`plan_run`, whose
 :class:`RunPlan` (engine, batching, graph copies, the ``(R, n)`` state
 shape) every entry point executes and ``run-spec --dry-run`` prints.
 Instantiating :class:`RoundEngine` directly always runs the scalar path.
@@ -44,7 +46,6 @@ from .channels import ChannelSet
 from .config import SimulationConfig
 from .engine_vectorized import (
     BatchedVectorizedRoundEngine,
-    VectorizedRoundEngine,
     _resolve_failure_model,
     vectorization_unsupported_reason,
 )
@@ -301,11 +302,12 @@ class RunPlan:
     Attributes
     ----------
     engine:
-        ``"vectorized"`` (the bulk NumPy engines) or ``"scalar"``.
+        ``"vectorized"`` (the bulk NumPy engine) or ``"scalar"``.
     batched:
         Whether all seeds run as one ``(R, n)`` program on
         :class:`~repro.core.engine_vectorized.BatchedVectorizedRoundEngine`;
-        otherwise each seed runs on its own.
+        otherwise each seed runs on its own (a vectorized seed as that
+        engine's ``R = 1`` case).
     rows, n:
         The engine state shape ``(R, n)``: ``rows`` is the seed count of a
         batched plan and 1 otherwise.  ``n`` is ``None`` when the graph is
@@ -396,7 +398,8 @@ def run_broadcast(
     and falls back to the scalar engine otherwise; ``"scalar"`` and
     ``"vectorized"`` force one path (the latter raises
     :class:`SimulationError`, naming the obstacle, if vectorization is
-    impossible).  Both engines produce the same :class:`RunResult` shape;
+    impossible).  A vectorized plan runs as the one-seed case of the bulk
+    engine.  Both engines produce the same :class:`RunResult` shape;
     ``result.metadata["engine"]`` records which one ran.  The run uses
     ``graph`` itself, so a scalar churn run mutates it (the plan's
     ``copy_graph``); the per-seed loops pass each seed its own copy.
@@ -404,15 +407,26 @@ def run_broadcast(
     plan = plan_run(
         graph, protocol, config, failure_model, churn_model, [seed], batch=False
     )
-    engine_class = VectorizedRoundEngine if plan.engine == "vectorized" else RoundEngine
-    return engine_class(
+    if plan.engine == "scalar":
+        return RoundEngine(
+            graph=graph,
+            protocol=protocol,
+            config=config,
+            seed=seed,
+            failure_model=failure_model,
+            churn_model=churn_model,
+        ).run(source=source)
+    (result,) = BatchedVectorizedRoundEngine(
         graph=graph,
         protocol=protocol,
+        seeds=[seed],
         config=config,
-        seed=seed,
         failure_model=failure_model,
         churn_model=churn_model,
     ).run(source=source)
+    # A per-seed run records no batch size.
+    del result.metadata["batch_size"]
+    return result
 
 
 def run_broadcast_batch(
@@ -426,7 +440,7 @@ def run_broadcast_batch(
 ) -> list:
     """Run one broadcast per seed, batched into a single NumPy program.
 
-    The batched engine holds all replications as ``(R, n)`` state arrays and
+    The bulk engine holds all replications as ``(R, n)`` state arrays and
     amortises per-round bookkeeping across them; each replication keeps its
     own generator streams, so every returned :class:`RunResult` is
     bit-identical to ``run_broadcast(..., seed=seeds[r])`` under the

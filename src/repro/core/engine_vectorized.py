@@ -1,14 +1,17 @@
 """The bulk NumPy round engine — the simulator's fast path.
 
 This engine executes the same synchronous random phone call model as
-:class:`repro.core.engine.RoundEngine`, but represents the whole round state
-as arrays (:class:`repro.core.node.VectorState`) and executes each round with
-bulk operations over the graph's CSR adjacency view:
+:class:`repro.core.engine.RoundEngine`, but represents the round state of
+``R`` independent replications as ``(R, n)`` arrays
+(:class:`repro.core.node.VectorState`) and executes each round with bulk
+operations over the graph's CSR adjacency view.  A single run is its
+``R = 1`` case: :func:`repro.core.engine.run_broadcast` runs a vectorized
+plan as a one-seed :class:`BatchedVectorizedRoundEngine`.  Each round:
 
 1. the protocol reports who pushes and who answers calls this round — as a
    sorted *index pool* (``vector_push_samplers``, maintained incrementally by
    the engine) when it opts into index tracking, or as boolean masks;
-2. the samplers' calls are drawn in *blocks* of at most
+2. each running replication's calls are drawn in *blocks* of at most
    :data:`_BLOCK_CHANNELS` channels, in channel order: uniforms mapped to
    stub offsets for fanout 1, a random-key top-``k`` selection for larger
    fanouts (each sampler's ``k`` stubs in ascending key order, a full row
@@ -17,7 +20,7 @@ bulk operations over the graph's CSR adjacency view:
 3. each block is filtered, loss-tested (Bernoulli arrays over channels and
    transmissions) and cut down to its still-uninformed receivers before the
    next block is drawn;
-4. only fresh receivers reach the sparse commit
+4. only fresh receivers reach the round's one sparse commit
    (:meth:`VectorState.commit_delivered`, which deduplicates across
    blocks), so "received in round ``t``, effective in ``t + 1``" holds
    exactly as in the scalar engine.
@@ -42,47 +45,43 @@ failure stream all channel-failure draws (one byte of mask per channel)
 precede the push-loss draws, which precede the pull-loss draws — a lossy
 push-pull round holds its pull receivers until the push pass ends.
 
-Batched replications
---------------------
-:class:`BatchedVectorizedRoundEngine` runs ``R`` independent replications of
-the same configuration (one seed per replication) over a shared graph in one
-NumPy program, holding the whole ensemble as ``(R, n)`` state arrays.  Each
-replication draws from its own generator pair spawned exactly as the
-single-run engine spawns them (``RandomSource(seed).spawn("protocol")`` /
-``spawn("failures")``), and the per-replication draw *sequences* are kept
-call-for-call identical to a single run, so every row of a batch is
-bit-identical to the corresponding :class:`VectorizedRoundEngine` run.
+Replications
+------------
+Each replication draws from its own generator pair, spawned from its seed
+with the scalar engine's labels (``RandomSource(seed).spawn("protocol")`` /
+``spawn("failures")``), and its draw *sequence* does not depend on the other
+rows: every row of an ``R``-seed run is bit-identical to the one-seed run of
+its seed.  In a round every running row's channels are drawn from that
+row's own generators, in ascending row order.  A row with at least
+``_SCRATCH_MIN_SAMPLERS`` (2¹⁵) channels, or the only running row, gets
+blocks of its own, addressed by node id at the scalar offset ``row * n``.
+Smaller rows are packed whole into shared blocks of flat ``row * n + node``
+indices, each row's uniforms drawn into its slice of one array and gathered
+once, so small-``n`` sweeps keep the amortisation of per-call overhead.
 
-Both engines deliver through the same block body; a single run is one row
-at offset 0.  In a batched round every active row's channels are drawn from
-that row's own generators, in ascending row order.  A row with at least
-``_SCRATCH_MIN_SAMPLERS`` (2¹⁵) channels gets blocks of its own, addressed
-by node id at the scalar offset ``row * n``.  Smaller rows are packed whole
-into shared blocks of flat ``row * n + node`` indices, each row's uniforms
-drawn into its slice of one array and gathered once, so small-``n`` sweeps
-keep the batch's amortisation of per-call overhead.  Only fresh receivers
-reach the round's one commit.
-
-Row compaction
-~~~~~~~~~~~~~~
-When ``stop_when_informed`` holds (the default) and
-``SimulationConfig.batch_row_compaction`` is on, completed replications are
-*remapped out* of the ``(R, n)`` state the moment they finish: the state
-planes, the informed-index vectors, the per-replication generator lists, and
-any protocol-held per-row tables (via the
-:meth:`BroadcastProtocol.vector_compact_rows` hook) are all sliced down to
-the surviving rows, and an ``origin`` map carries results back to the
+Compaction
+~~~~~~~~~~
+One rule shrinks the state as it dies: once a quarter of the rows, or of the
+id space, is dead, the engine compacts it away.  Under
+``stop_when_informed`` (the default) completed replications are *remapped
+out* of the ``(R, n)`` state: the state planes, the informed-index vectors,
+the per-replication generator lists, and any protocol-held per-row tables
+(via the :meth:`BroadcastProtocol.vector_compact_rows` hook) are sliced down
+to the surviving rows, and an ``origin`` map carries results back to the
 original seed order.  Long-tail sweeps therefore shrink their arrays as rows
-finish instead of carrying dead rows to the last straggler's round.
-Compaction never touches a generator stream, so the results are bit-identical
-with compaction on or off (asserted in ``tests/test_engine_compaction.py``).
+finish instead of carrying dead rows to the last straggler's round.  Under
+churn, tombstoned node ids are renumbered away the same way (below).
+Compaction never touches a generator stream, so the results are
+bit-identical with it on or off (the private ``_compaction`` switch;
+asserted in ``tests/test_engine_compaction.py`` and
+``tests/test_churn_vectorized.py``).
 
 Dispatch rules
 --------------
 The fast path reproduces the scalar engine's *aggregate* semantics (success,
 rounds-to-completion distribution, transmission and channel accounting
 identities) but not its per-call draw order, so runs with the same seed agree
-statistically, not bit-for-bit.  The bulk engines therefore run only when
+statistically, not bit-for-bit.  The bulk engine therefore runs only when
 nothing the scalar engine offers beyond aggregates is requested:
 
 * the protocol opts in (``supports_vectorized``) and needs neither the
@@ -100,19 +99,19 @@ human-readable reason (or ``None``).  The dispatch decision itself is made
 once, by :func:`repro.core.engine.plan_run`: every entry point
 (``run_broadcast``, ``run_broadcast_batch``, the experiment runner and
 ``run-spec --dry-run``) executes the :class:`~repro.core.engine.RunPlan` it
-returns, and only the two constructors below re-check the predicate as a
-guard.  The batched engine accepts exactly the combinations the single-run
-engine accepts except churn, which it refuses itself: replications' graphs
-diverge, so there is no shared CSR to batch over, and churn runs per seed.
+returns, and only the engine's constructor re-checks the predicate as a
+guard.  The constructor also refuses churn with more than one seed:
+replications' graphs diverge, so there is no shared CSR to batch over, and
+churn runs per seed.
 
 Dynamic membership (vectorized churn)
 -------------------------------------
-With an opted-in churn model the single-run engine switches to *dynamic
+With an opted-in churn model the one-seed engine switches to *dynamic
 mode*: it copies the graph's CSR into private mutable arrays (the caller's
 graph object is never touched), enables tombstone masks on the state
 (:meth:`VectorState.enable_membership`), and applies the churn model's
-``vector_apply`` at the top of every round through a narrow mutation surface
-(:class:`VectorChurnOps`):
+``vector_apply`` at the top of every round, before the round reads its
+informed count, through a narrow mutation surface (:class:`VectorChurnOps`):
 
 * **departures** clear a node's flags, evict its id from every sorted index
   pool (engine- and protocol-held), and mark it dead.  Its CSR row stays as
@@ -129,7 +128,7 @@ graph object is never touched), enables tombstone masks on the state
   the draws that share a pair (parallel edges, one edge drawn twice) in draw
   order — the same result as splicing draw by draw;
 * when a quarter of the id space is dead, **node compaction** renumbers it
-  away (the node-axis mirror of batch row compaction): the state planes are
+  away (the node-axis mirror of row compaction): the state planes are
   sliced via :meth:`VectorState.compact_nodes`, the CSR is rebuilt through
   the returned id-remap table (dead targets become ``-1`` sentinels), and
   protocol-held pools remap through
@@ -139,13 +138,12 @@ Every random decision on this path — the churn models' draws and the
 engine's sampling — depends only on live-node *positions* (rank in ascending
 id order), live counts, and per-row stub counts, all invariant under the
 monotone compaction remap.  Vectorized churn is therefore draw-for-draw
-deterministic and bit-identical across compaction on/off
-(``SimulationConfig.churn_node_compaction``) and across every execution path
-that replays the same seeds (asserted in ``tests/test_churn_vectorized.py``).
-Scalar and vectorized churn agree *statistically*, not bit-for-bit: the
-scalar engine deletes departed nodes' edges outright (survivor degrees
-shrink) where this engine tombstones them (survivor stub-counts persist
-until their calls are filtered).
+deterministic, bit-identical with compaction on or off, and bit-identical
+across every execution path that replays the same seeds (asserted in
+``tests/test_churn_vectorized.py``).  Scalar and vectorized churn agree
+*statistically*, not bit-for-bit: the scalar engine deletes departed nodes'
+edges outright (survivor degrees shrink) where this engine tombstones them
+(survivor stub-counts persist until their calls are filtered).
 """
 
 from __future__ import annotations
@@ -166,7 +164,6 @@ from .node import VectorState
 from .rng import RandomSource
 
 __all__ = [
-    "VectorizedRoundEngine",
     "BatchedVectorizedRoundEngine",
     "VectorChurnOps",
     "vectorization_unsupported_reason",
@@ -270,10 +267,10 @@ def _fanout1_offsets(
     integers and ``floor(U · d)`` is uniform over ``[0, d)`` up to an
     O(2⁻⁵³) float bias; the clip guards the half-ulp rounding edge where
     ``U · d`` could land exactly on ``d``.  ``sampler_degrees`` may be a
-    per-sampler array or a scalar (regular graphs).  Both engines draw the
-    same ``k`` uniforms per (replication, round), in one call or block by
-    block, and map them through this arithmetic, which is what keeps a
-    batch row's stream identical to a single run's.  ``dtype`` is the CSR
+    per-sampler array or a scalar (regular graphs).  Every replication
+    draws its ``k`` uniforms per round, in one call or block by block, and
+    maps them through this arithmetic, which is what keeps a batch row's
+    stream identical to a single run's.  ``dtype`` is the CSR
     index dtype: an offset never exceeds a degree, so it fits wherever the
     stub positions do.
     """
@@ -396,7 +393,7 @@ class VectorChurnOps:
     __slots__ = ("_engine", "_state", "_round_index")
 
     def __init__(
-        self, engine: "VectorizedRoundEngine", state: VectorState, round_index: int
+        self, engine: "BatchedVectorizedRoundEngine", state: VectorState, round_index: int
     ) -> None:
         self._engine = engine
         self._state = state
@@ -447,37 +444,96 @@ class VectorChurnOps:
         return self._engine._join_nodes(count, target_degree, generator, self._state)
 
 
-class _BulkEngineBase:
-    """CSR-derived caches, scratch buffers, and failure unpacking shared by
-    both bulk engines.
+class BatchedVectorizedRoundEngine:
+    """Runs R independent replications of one configuration in lock-step.
 
-    Kept in one place so a fix to channel-cost caching, self-loop detection,
-    degree caching, or the loss-probability plumbing cannot drift between the
-    single-run and batched engines.  Subclasses call the two ``_init_*``
-    helpers after setting ``self.failure_model``.
+    The one bulk engine.  Accepts the scalar engine's parameters with a list
+    of ``seeds`` in place of one seed, and returns one :class:`RunResult` per
+    seed, in seed order, each recording ``metadata["batch_size"]``;
+    construction raises :class:`SimulationError` if the combination cannot
+    be vectorized (see :func:`vectorization_unsupported_reason`).  Every
+    replication uses its own seed's generator streams, spawned with the
+    scalar engine's labels, so equal seeds give statistically equivalent —
+    not identical — runs across engines, and each row of a batch is
+    bit-identical to the one-seed run of its seed.  The whole ensemble's
+    state lives in one ``(R, n)`` :class:`VectorState`; small rows share
+    delivery blocks, the commit happens once per round for all replications
+    together, and completed replications are compacted out of the state as
+    they finish (see the module docstring).  A churn model is admitted with
+    one seed only.
+
+    One protocol instance drives all replications; it is :meth:`reset` once at
+    the start of the run, and protocols with per-node state (e.g. the
+    quasirandom pointer table) keep it per replication via the ``row``
+    argument of the bulk hooks (and remap it on compaction via
+    ``vector_compact_rows``).
     """
 
-    #: Dynamic membership (churn tombstones); only a single run turns it on.
-    _dynamic = False
+    #: The compaction rule's switch: dead rows and tombstoned ids are
+    #: compacted away once they are a quarter of the rows or of the id space.
+    #: Results are bit-identical either way; the parity tests and benches
+    #: turn it off to compare.
+    _compaction = True
 
-    def _init_bulk_state(self, graph: Graph) -> None:
+    def __init__(
+        self,
+        graph: Graph,
+        protocol: BroadcastProtocol,
+        seeds: Sequence[int],
+        config: Optional[SimulationConfig] = None,
+        failure_model: Optional[FailureModel] = None,
+        churn_model: Optional[ChurnModel] = None,
+    ) -> None:
+        if len(seeds) == 0:
+            raise SimulationError("batched run requires at least one seed")
+        self.graph = graph
+        self.protocol = protocol
+        self.config = config if config is not None else SimulationConfig()
+        self.failure_model = _resolve_failure_model(self.config, failure_model)
+        self.churn_model = churn_model if churn_model is not None else NoChurn()
+        self.seeds = [int(seed) for seed in seeds]
+        # Dynamic membership (churn tombstones) holds one replication.
+        self._dynamic = not isinstance(self.churn_model, NoChurn)
+
+        if self._dynamic and len(self.seeds) > 1:
+            reason = (
+                "churn cannot run on the batched engine with more than one seed "
+                "(membership diverges per replication; run per seed instead)"
+            )
+        else:
+            reason = vectorization_unsupported_reason(
+                graph, protocol, self.config, self.failure_model, self.churn_model
+            )
+        if reason is not None:
+            raise SimulationError(f"run cannot be vectorized: {reason}")
+
+        # Per-replication streams, spawned with the scalar engine's labels.
+        self._protocol_gens = []
+        self._failure_gens = []
+        for seed in self.seeds:
+            rng = RandomSource(seed=seed, name="engine")
+            self._protocol_gens.append(rng.spawn("protocol").generator)
+            self._failure_gens.append(rng.spawn("failures").generator)
+        if self._dynamic:
+            self._churn_rng = rng.spawn("churn")
+        self._state: Optional[VectorState] = None
+
+        if isinstance(self.failure_model, IndependentLoss):
+            self._loss_p = self.failure_model.transmission_loss_probability
+            self._channel_fail_p = self.failure_model.channel_failure_probability
+        else:
+            self._loss_p = 0.0
+            self._channel_fail_p = 0.0
+
         self._indptr, self._indices = graph.csr()
         # Cached on the graph next to the CSR view, so per-seed loops over
         # the same graph do not re-derive these O(m) facts per run.
         self._has_self_loops, self._uniform_degree = graph.csr_stats()
         self._n = self._indptr.size - 1
-        # Every O(n) derived array below is materialised lazily: a push
-        # broadcast over a regular graph touches none of them, which keeps
-        # the engine's own footprint out of the peak.
-        self._channel_cost_cache: dict = {}
-        self._channel_info_cache: dict = {}
-        self._degrees_array: Optional[np.ndarray] = None
-        self._degree_positive_array: Optional[np.ndarray] = None
-        self._nz_cache: Optional[np.ndarray] = None
-        if self._uniform_degree is not None:
-            self._all_degrees_positive: Optional[bool] = self._uniform_degree > 0
-        else:
-            self._all_degrees_positive = None
+        # Every O(n) derived array is materialised lazily: a push broadcast
+        # over a regular graph touches none of them, which keeps the
+        # engine's own footprint out of the peak.
+        self._invalidate_topology_caches()
         # Fanout-1 scratch buffers (allocated lazily at first use, reused
         # every round, at most one delivery block long): uniforms, stub
         # offsets, gather positions, callees.
@@ -485,14 +541,6 @@ class _BulkEngineBase:
         self._scratch_offset: Optional[np.ndarray] = None
         self._scratch_position: Optional[np.ndarray] = None
         self._scratch_callee: Optional[np.ndarray] = None
-
-    def _init_failure_probabilities(self) -> None:
-        if isinstance(self.failure_model, IndependentLoss):
-            self._loss_p = self.failure_model.transmission_loss_probability
-            self._channel_fail_p = self.failure_model.channel_failure_probability
-        else:
-            self._loss_p = 0.0
-            self._channel_fail_p = 0.0
 
     # -- lazy CSR-derived caches ---------------------------------------------------
 
@@ -515,27 +563,36 @@ class _BulkEngineBase:
 
     def _nz(self) -> np.ndarray:
         """The nodes with a neighbour (a pull round's samplers), ascending,
-        in CSR index dtype."""
+        in CSR index dtype; under churn only live nodes, since dead rows
+        are tombstones that must never sample."""
         if self._nz_cache is None:
-            if self._all_positive():
-                self._nz_cache = np.arange(self._n, dtype=self._indices.dtype)
+            if self._dynamic:
+                nodes = self._state.alive
+                if not self._all_positive():
+                    nodes = nodes & self._degree_positive
+                nodes = np.flatnonzero(nodes)
+            elif self._all_positive():
+                nodes = np.arange(self._n, dtype=self._indices.dtype)
             else:
-                self._nz_cache = np.flatnonzero(self._degree_positive).astype(
-                    self._indices.dtype, copy=False
-                )
+                nodes = np.flatnonzero(self._degree_positive)
+            self._nz_cache = nodes.astype(self._indices.dtype, copy=False)
         return self._nz_cache
 
     def _channel_info(self, fanout: int) -> Tuple[int, Optional[int]]:
-        """``(total channels over all nodes, uniform per-node cost or None)``.
+        """``(total channels over all live nodes, uniform per-node cost or None)``.
 
         The uniform cost applies when every node pays the same
         ``min(degree, fanout)`` — regular graphs, or fanout 1 without
         isolated nodes — and turns pool/mask channel accounting into a
-        multiplication instead of a gather over a cost array.
+        multiplication instead of a gather over a cost array.  Under churn
+        there is no uniform cost and only live nodes count.
         """
         cached = self._channel_info_cache.get(fanout)
         if cached is None:
-            if self._uniform_degree is not None:
+            if self._dynamic:
+                cost = self._channel_cost_array(fanout)
+                cached = (int(cost[self._state.alive].sum()), None)
+            elif self._uniform_degree is not None:
                 cost = min(self._uniform_degree, fanout)
                 cached = (self._n * cost, cost)
             elif fanout == 1 and self._all_positive():
@@ -575,8 +632,8 @@ class _BulkEngineBase:
     #: Below this sampler count the plain allocation path beats the scratch
     #: pipeline (whose extra view/out bookkeeping costs ~10 µs per round,
     #: which dominates when the arrays themselves are only a few KB).  It is
-    #: also the batched engine's row-sharing bound: rows with fewer channels
-    #: share delivery blocks, where per-call overhead would dominate too.
+    #: also the row-sharing bound: rows with fewer channels share delivery
+    #: blocks, where per-call overhead would dominate too.
     _SCRATCH_MIN_SAMPLERS = 1 << 15
 
     def _fanout1_callees(
@@ -645,7 +702,7 @@ class _BulkEngineBase:
         samplers: np.ndarray,
         fanout: int,
         generator: np.random.Generator,
-        row: Optional[int] = None,
+        row: int,
     ) -> Tuple[int, Iterator[_ChannelBlock]]:
         """``(channel count, blocks)`` of one row's calls, in channel order.
 
@@ -653,8 +710,6 @@ class _BulkEngineBase:
         target hook is called here, once, with every sampler (and ``row``),
         and only its output is cut up.
         """
-        if samplers.size == 0 or fanout <= 0:
-            return 0, iter(())
         if fanout > 1:
             return _stub_target_blocks(
                 generator, samplers, fanout,
@@ -719,12 +774,13 @@ class _BulkEngineBase:
     ) -> np.ndarray:
         """Filter, loss-test and cut each block to fresh receivers.
 
-        The one block body of both engines; a single run is row 0 at base 0.
-        Pull rounds pass ``pull_mask`` (and ``push_mask`` when they push
-        too); push-only rounds sample exactly the pushers.  ``tallies`` holds
-        the push, pull and lost counters per state row and is added to in
-        place.  Transmissions count after the usable filter and before loss.
-        On each row's failure stream the push-loss draws follow in channel
+        The one block body; a row's own blocks sit at base ``row * n``, a
+        shared block's flat indices at base 0.  Pull rounds pass
+        ``pull_mask`` (and ``push_mask`` when they push too); push-only
+        rounds sample exactly the pushers.  ``tallies`` holds the push, pull
+        and lost counters per state row and is added to in place.
+        Transmissions count after the usable filter and before loss.  On
+        each row's failure stream the push-loss draws follow in channel
         order, then its pull-loss draws: a lossy round that pushes and pulls
         holds its pull receivers until the push pass ends.  Returns the flat
         indices of the still-uninformed receivers, which two blocks may
@@ -809,112 +865,137 @@ class _BulkEngineBase:
             return np.empty(0, dtype=index_dtype)
         return fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
 
-
-class VectorizedRoundEngine(_BulkEngineBase):
-    """Drives one protocol over one graph with bulk array operations.
-
-    Accepts the same parameters as :class:`repro.core.engine.RoundEngine` and
-    produces the same :class:`RunResult` shape; construction raises
-    :class:`SimulationError` if the combination cannot be vectorized (see
-    :func:`vectorization_unsupported_reason`).  RNG streams are spawned with
-    the same labels as the scalar engine ("protocol" / "failures"), but draw
-    granularity differs, so equal seeds give statistically equivalent — not
-    identical — runs.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        protocol: BroadcastProtocol,
-        config: Optional[SimulationConfig] = None,
-        seed: int = 0,
-        failure_model: Optional[FailureModel] = None,
-        churn_model: Optional[ChurnModel] = None,
-    ) -> None:
-        self.graph = graph
-        self.protocol = protocol
-        self.config = config if config is not None else SimulationConfig()
-        self.failure_model = _resolve_failure_model(self.config, failure_model)
-        self.churn_model = churn_model if churn_model is not None else NoChurn()
-
-        reason = vectorization_unsupported_reason(
-            graph, protocol, self.config, self.failure_model, self.churn_model
-        )
-        if reason is not None:
-            raise SimulationError(f"run cannot be vectorized: {reason}")
-
-        self.rng = RandomSource(seed=seed, name="engine")
-        self._protocol_gen = self.rng.spawn("protocol").generator
-        self._failure_gen = self.rng.spawn("failures").generator
-        # Spawned with the scalar engine's label whether or not churn is
-        # attached (spawns are independent derivations, not stream draws).
-        self._churn_rng = self.rng.spawn("churn")
-        self._dynamic = not isinstance(self.churn_model, NoChurn)
-        self._state: Optional[VectorState] = None
-        self._departures_total = 0
-        self._arrivals_total = 0
-        self._node_compactions = 0
-        self._splices_made = 0
-        self._splices_skipped = 0
-        self._init_failure_probabilities()
-        self._init_bulk_state(graph)
-
     # -- public API ---------------------------------------------------------------
 
-    def run(self, source: int = 0) -> RunResult:
-        """Broadcast a single message created at ``source`` in round 0."""
+    def run(self, source: int = 0) -> List[RunResult]:
+        """Run all replications; returns one :class:`RunResult` per seed."""
         if source not in self.graph:
             raise SimulationError(f"source node {source} is not in the graph")
 
         n = self.graph.node_count
-        self.protocol.reset()
+        batch = len(self.seeds)
+        protocol = self.protocol
+        config = self.config
+        protocol.reset()
         self.churn_model.reset()
-        state = VectorState(n=n, source=source)
-        if self.protocol.uses_index_pools:
+        state = VectorState(n=n, source=source, batch=batch)
+        if protocol.uses_index_pools:
             state.enable_index_tracking()
         if self._dynamic:
             state.enable_membership()
             self._state = state
             self._reset_dynamic_topology()
-        horizon = self.protocol.horizon()
-        if self.config.max_rounds is not None:
-            horizon = min(horizon, self.config.max_rounds)
+        horizon = protocol.horizon()
+        if config.max_rounds is not None:
+            horizon = min(horizon, config.max_rounds)
 
-        history: list = []
-        phase_transmissions: dict = {}
-        totals = {"push": 0, "pull": 0, "channels": 0, "lost": 0}
-        rounds_to_completion: Optional[int] = None
-        rounds_executed = 0
+        # Per-seed results, in seed order: push, pull, lost and channel totals.
+        executed = [0] * batch
+        completion: List[Optional[int]] = [None] * batch
+        final_informed = [0] * batch
+        totals: List[Optional[List[int]]] = [None] * batch
+        histories: List[list] = [[] for _ in range(batch)]
+        phase_transmissions: List[dict] = [{} for _ in range(batch)]
+
+        # The same per state row: the row -> seed map and the live generator
+        # lists shrink together with the state when rows are compacted away.
+        origin = list(range(batch))
+        self._live_protocol_gens = list(self._protocol_gens)
+        self._live_failure_gens = list(self._failure_gens)
+        row_totals = np.zeros((4, batch), dtype=np.int64)
+        row_histories = list(histories)
+        row_phases = list(phase_transmissions)
+        # Rows without a completion round yet, and the rows still running
+        # (ascending): under stop_when_informed a row stops the round it
+        # completes, so the two lists are one.
+        pending = list(range(batch))
+        stop = config.stop_when_informed
+        running = pending if stop else list(range(batch))
+        collect = config.collect_round_history
+        last_round = 0
+
+        def fold(rows: List[int]) -> None:
+            """Record the final counts of the state ``rows``."""
+            informed = state.informed_count.tolist()
+            for row, sums in zip(rows, row_totals[:, rows].T.tolist()):
+                final_informed[origin[row]] = informed[row]
+                totals[origin[row]] = sums
 
         for round_index in range(1, horizon + 1):
-            rounds_executed = round_index
+            last_round = round_index
             if self._dynamic:
                 self._apply_churn(round_index, state)
-            record = self._run_round(round_index, state)
-            totals["push"] += record.push_transmissions
-            totals["pull"] += record.pull_transmissions
-            totals["channels"] += record.channels_opened
-            totals["lost"] += record.lost_transmissions
-            if record.phase:
-                phase_transmissions[record.phase] = (
-                    phase_transmissions.get(record.phase, 0) + record.transmissions
-                )
-            if self.config.collect_round_history:
-                history.append(record)
+            if collect:
+                informed_before = state.informed_count.tolist()
+            counts = self._run_round(round_index, state, running)
+            row_totals += counts
+            informed_after = state.informed_count.tolist()
+            phase = protocol.phase_label(round_index)
+            if phase or collect:
+                push_tx, pull_tx, lost, channels = counts.tolist()
+            if phase:
+                for row in running:
+                    phases = row_phases[row]
+                    phases[phase] = phases.get(phase, 0) + push_tx[row] + pull_tx[row]
+            if collect:
+                for row in running:
+                    row_histories[row].append(
+                        RoundRecord(
+                            round_index=round_index,
+                            informed_before=informed_before[row],
+                            informed_after=informed_after[row],
+                            push_transmissions=push_tx[row],
+                            pull_transmissions=pull_tx[row],
+                            channels_opened=channels[row],
+                            lost_transmissions=lost[row],
+                            phase=phase,
+                        )
+                    )
 
-            if rounds_to_completion is None and state.all_informed():
-                rounds_to_completion = round_index
-                if self.config.stop_when_informed:
-                    break
+            live = state.alive_count
+            done = [row for row in pending if informed_after[row] == live]
+            if not done:
+                continue
+            for row in done:
+                completion[origin[row]] = round_index
+            pending = [row for row in pending if informed_after[row] != live]
+            if not stop:
+                continue
+            for row in done:
+                executed[origin[row]] = round_index
+            running = pending
+            if not running:
+                break
+            if self._compaction_due(state.batch - len(running), state.batch):
+                # Fold the stopped rows into the results, then drop them:
+                # the protocol first (it may need the old row count), then
+                # the engine-owned state, generator lists and accumulators.
+                kept = set(running)
+                fold([row for row in range(state.batch) if row not in kept])
+                keep = np.array(running)
+                protocol.vector_compact_rows(keep, state.n, state.batch)
+                state.compact_rows(keep)
+                origin = [origin[row] for row in running]
+                row_totals = row_totals[:, keep]
+                self._live_protocol_gens = [self._live_protocol_gens[i] for i in running]
+                self._live_failure_gens = [self._live_failure_gens[i] for i in running]
+                row_histories = [row_histories[i] for i in running]
+                row_phases = [row_phases[i] for i in running]
+                running = pending = list(range(keep.size))
 
-        success = bool(state.all_informed())
+        # Rows still in the state at the end (never compacted away).
+        fold(list(range(state.batch)))
+        for row in running:
+            executed[origin[row]] = last_round
+
+        # A row folded at compaction stopped complete (and only a one-row run
+        # churns), so every run's success is "informed == live" at the end.
+        live = state.alive_count
         metadata = {
-            "protocol": self.protocol.describe(),
+            "protocol": protocol.describe(),
             "failure_model": self.failure_model.describe(),
             "churn_model": self.churn_model.describe(),
-            "final_node_count": (
-                state.alive_count if self._dynamic else self.graph.node_count
-            ),
+            "final_node_count": live if self._dynamic else self.graph.node_count,
             "engine": "vectorized",
         }
         if self._dynamic:
@@ -926,22 +1007,34 @@ class VectorizedRoundEngine(_BulkEngineBase):
                 "splices_skipped": self._splices_skipped,
             }
             self._state = None
-        return RunResult(
-            n=n,
-            protocol=self.protocol.name,
-            source=source,
-            success=success,
-            rounds_executed=rounds_executed,
-            rounds_to_completion=rounds_to_completion,
-            total_push_transmissions=totals["push"],
-            total_pull_transmissions=totals["pull"],
-            total_channels_opened=totals["channels"],
-            total_lost_transmissions=totals["lost"],
-            final_informed=int(state.informed_count),
-            history=history,
-            phase_transmissions=phase_transmissions,
-            metadata=metadata,
-        )
+        return [
+            RunResult(
+                n=n,
+                protocol=protocol.name,
+                source=source,
+                success=final_informed[seed] == live,
+                rounds_executed=executed[seed],
+                rounds_to_completion=completion[seed],
+                total_push_transmissions=totals[seed][0],
+                total_pull_transmissions=totals[seed][1],
+                total_channels_opened=totals[seed][3],
+                total_lost_transmissions=totals[seed][2],
+                final_informed=final_informed[seed],
+                history=histories[seed],
+                phase_transmissions=phase_transmissions[seed],
+                metadata={**metadata, "batch_size": batch},
+            )
+            for seed in range(batch)
+        ]
+
+    def _compaction_due(self, dead: int, size: int) -> bool:
+        """Whether ``dead`` of ``size`` rows or ids call for compaction.
+
+        A quarter: each compaction costs one copy of what survives, so
+        waiting for a quarter keeps the total copy volume linear, while the
+        per-round scans and commits track the live part instead of the dead.
+        """
+        return self._compaction and dead > 0 and dead * 4 >= size
 
     # -- dynamic membership (vectorized churn) -------------------------------------
 
@@ -970,10 +1063,12 @@ class VectorizedRoundEngine(_BulkEngineBase):
     def _invalidate_topology_caches(self) -> None:
         self._degrees_array = None
         self._degree_positive_array = None
-        self._all_degrees_positive = None
         self._nz_cache = None
         self._channel_cost_cache = {}
         self._channel_info_cache = {}
+        self._all_degrees_positive = (
+            None if self._uniform_degree is None else self._uniform_degree > 0
+        )
 
     def _apply_churn(self, round_index: int, state: VectorState) -> None:
         """Run the churn model's bulk hook, then compact if enough ids died."""
@@ -981,14 +1076,8 @@ class VectorizedRoundEngine(_BulkEngineBase):
         event = self.churn_model.vector_apply(round_index, ops, self._churn_rng)
         self._departures_total += event.departures
         self._arrivals_total += event.arrivals
-        if self.config.churn_node_compaction:
-            dead = state.n - state.alive_count
-            # Same threshold as batch row compaction: each compaction costs
-            # one O(live + stubs) rebuild, so waiting for a quarter of the id
-            # space keeps total copy volume linear while the per-round scans
-            # track the live network instead of the tombstones.
-            if dead and dead * 4 >= state.n:
-                self._compact_nodes(state)
+        if self._compaction_due(state.n - state.alive_count, state.n):
+            self._compact_nodes(state)
 
     def _depart_nodes(self, ids: np.ndarray, state: VectorState) -> None:
         ids = np.asarray(ids, dtype=np.int64)
@@ -1140,7 +1229,7 @@ class VectorizedRoundEngine(_BulkEngineBase):
 
         The remap is monotone on survivors (``remap[keep[i]] = i``), so every
         position/degree-based draw downstream is unchanged — compaction
-        on/off is bit-transparent, mirroring batch row compaction.
+        on/off is bit-transparent, mirroring row compaction.
         """
         keep = np.flatnonzero(state.alive)
         indptr = self._indptr
@@ -1172,56 +1261,55 @@ class VectorizedRoundEngine(_BulkEngineBase):
         self._invalidate_topology_caches()
         self._node_compactions += 1
 
-    # -- dynamic-aware CSR aggregates ----------------------------------------------
-
-    def _nz(self) -> np.ndarray:
-        if not self._dynamic:
-            return super()._nz()
-        # Dynamic mode: "every node with a neighbour" additionally means
-        # *live* — dead rows are tombstones that must never sample.
-        if self._nz_cache is None:
-            alive = self._state.alive
-            if self._all_positive():
-                nodes = np.flatnonzero(alive)
-            else:
-                nodes = np.flatnonzero(alive & self._degree_positive)
-            self._nz_cache = nodes.astype(self._indices.dtype, copy=False)
-        return self._nz_cache
-
-    def _channel_info(self, fanout: int) -> Tuple[int, Optional[int]]:
-        if not self._dynamic:
-            return super()._channel_info(fanout)
-        cached = self._channel_info_cache.get(fanout)
-        if cached is None:
-            total = int(
-                self._channel_cost_array(fanout)[self._state.alive].sum()
-            )
-            cached = (total, None)
-            self._channel_info_cache[fanout] = cached
-        return cached
-
     # -- round mechanics -------------------------------------------------------------
 
-    def _push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
-        """This round's pushers with a neighbour, as a sorted index vector.
+    def _run_round(
+        self, round_index: int, state: VectorState, running: List[int]
+    ) -> np.ndarray:
+        """One lock-step round of the ``running`` rows (ascending).
 
-        Uses the protocol's index pool when available (O(pushers)), the
-        boolean mask otherwise (O(n) scan) — same set, same ascending order,
-        so the draw sequence does not depend on the representation.
+        Returns ``int64[4, R]``: push, pull and lost transmissions and
+        channels opened per state row, zero for the rows that have stopped.
         """
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_push_samplers(round_index, state)
-            if pool is not None:
-                if self._all_positive():
-                    return pool
-                return pool[self._degree_positive[pool]]
-        push_mask = self.protocol.vector_wants_push(round_index, state)
-        if self._all_positive():
-            return np.flatnonzero(push_mask)
-        return np.flatnonzero(push_mask & self._degree_positive)
+        protocol = self.protocol
+        push_active = protocol.push_round(round_index)
+        pull_active = protocol.pull_round(round_index)
+        fanout = protocol.vector_fanout(round_index)
+        counts = np.zeros((4, state.batch), dtype=np.int64)
+        charge = self._channel_charge(round_index, state, fanout)
+        if len(running) == state.batch:
+            counts[3] = charge
+        else:
+            counts[3, running] = charge if np.ndim(charge) == 0 else charge[running]
 
-    def _channels_opened(self, round_index: int, state: VectorState, fanout: int) -> int:
-        """Channels charged this round (full phone-call model arithmetic).
+        pull_mask = protocol.vector_wants_pull(round_index, state) if pull_active else None
+        push_mask: Optional[np.ndarray] = None
+        if push_active and pull_active:
+            push_mask = protocol.vector_wants_push(round_index, state)
+        if protocol.has_custom_vector_targets and fanout != 1:
+            raise SimulationError(
+                "custom bulk target selection requires uniform fanout 1"
+            )
+        if (push_active or pull_active) and fanout > 0:
+            blocks = self._batch_blocks(
+                round_index,
+                state,
+                self._row_samplers(round_index, state, running, pull_active),
+                fanout,
+                lone=len(running) == 1,
+            )
+            delivered = self._deliver(
+                state, blocks, push_active, push_mask, pull_mask,
+                self._live_failure_gens, counts[:3],
+            )
+        else:
+            delivered = np.empty(0, dtype=state.index_dtype)
+        newly_informed = state.commit_delivered(delivered, round_index)
+        protocol.vector_on_round_committed(round_index, state, newly_informed)
+        return counts
+
+    def _channel_charge(self, round_index: int, state: VectorState, fanout: int):
+        """Channels each state row opens this round: per row, or one for all.
 
         Every calling node opens min(fanout, degree) channels per round,
         whether or not its calls can carry information — identical to the
@@ -1230,400 +1318,72 @@ class VectorizedRoundEngine(_BulkEngineBase):
         charge matches the scalar per-node fanout of 0.
         """
         channel_total, uniform_cost = self._channel_info(fanout)
+        pool = None
         if self.protocol.uses_index_pools:
             pool = self.protocol.vector_caller_pool(round_index, state)
-            if pool is not None:
-                if uniform_cost is not None:
-                    return int(pool.size) * uniform_cost
-                return int(self._channel_cost_array(fanout)[pool].sum())
-        caller_mask = self.protocol.vector_caller_mask(round_index, state)
-        if caller_mask is None:
-            return channel_total
-        if uniform_cost is not None:
-            return int(caller_mask.sum()) * uniform_cost
-        return int(self._channel_cost_array(fanout)[caller_mask].sum())
-
-    def _run_round(self, round_index: int, state: VectorState) -> RoundRecord:
-        protocol = self.protocol
-        informed_before = int(state.informed_count)
-
-        push_active = protocol.push_round(round_index)
-        pull_active = protocol.pull_round(round_index)
-        fanout = protocol.vector_fanout(round_index)
-
-        channels_opened = self._channels_opened(round_index, state, fanout)
-
-        pull_mask = protocol.vector_wants_pull(round_index, state) if pull_active else None
-
-        # Only channels that can carry a message this round are sampled: in
-        # pull rounds any caller may receive, in push-only rounds only the
-        # pushers' calls matter.
-        push_mask: Optional[np.ndarray] = None
-        if pull_active:
-            samplers = self._nz()
-            if push_active:
-                push_mask = protocol.vector_wants_push(round_index, state)
-        elif push_active:
-            samplers = self._push_samplers(round_index, state)
-        else:
-            samplers = np.empty(0, dtype=self._indices.dtype)
-        if protocol.has_custom_vector_targets and fanout != 1:
-            raise SimulationError(
-                "custom bulk target selection requires uniform fanout 1"
-            )
-        channels, blocks = self._channel_blocks(
-            round_index, state, samplers, fanout, self._protocol_gen
-        )
-        tallies = np.zeros((3, 1), dtype=np.int64)
-        delivered = self._deliver(
-            state,
-            self._own_blocks(0, 0, channels, blocks, self._failure_gen),
-            push_active, push_mask, pull_mask, (self._failure_gen,), tallies,
-        )
-        newly_informed = state.commit_delivered(delivered, round_index)
-        protocol.vector_on_round_committed(round_index, state, newly_informed)
-
-        return RoundRecord(
-            round_index=round_index,
-            informed_before=informed_before,
-            informed_after=int(state.informed_count),
-            push_transmissions=int(tallies[0, 0]),
-            pull_transmissions=int(tallies[1, 0]),
-            channels_opened=channels_opened,
-            lost_transmissions=int(tallies[2, 0]),
-            phase=protocol.phase_label(round_index),
-        )
-
-
-class BatchedVectorizedRoundEngine(_BulkEngineBase):
-    """Runs R independent replications of one configuration in lock-step.
-
-    Every replication uses its own seed from ``seeds`` (generator streams
-    spawned exactly as :class:`VectorizedRoundEngine` spawns them) and its
-    per-replication draw sequence is kept call-for-call identical to a single
-    run, so each row of the batch is bit-identical to the corresponding
-    single-seed vectorized run.  The whole ensemble's state lives in one
-    ``(R, n)`` :class:`VectorState`; small rows share delivery blocks, the
-    commit and the channel accounting happen once per round for all
-    replications together, and completed replications are compacted out of
-    the state as they finish (see the module docstring).
-
-    One protocol instance drives all replications; it is :meth:`reset` once at
-    the start of the batch, and protocols with per-node state (e.g. the
-    quasirandom pointer table) keep it per replication via the ``row``
-    argument of the bulk hooks (and remap it on compaction via
-    ``vector_compact_rows``).
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        protocol: BroadcastProtocol,
-        seeds: Sequence[int],
-        config: Optional[SimulationConfig] = None,
-        failure_model: Optional[FailureModel] = None,
-        churn_model: Optional[ChurnModel] = None,
-    ) -> None:
-        if len(seeds) == 0:
-            raise SimulationError("batched run requires at least one seed")
-        self.graph = graph
-        self.protocol = protocol
-        self.config = config if config is not None else SimulationConfig()
-        self.failure_model = _resolve_failure_model(self.config, failure_model)
-        self.churn_model = churn_model if churn_model is not None else NoChurn()
-        self.seeds = [int(seed) for seed in seeds]
-
-        reason = (
-            vectorization_unsupported_reason(graph, protocol, self.config, self.failure_model)
-            if isinstance(self.churn_model, NoChurn)
-            else "churn cannot run on the batched engine (membership diverges "
-            "per replication; run per seed instead)"
-        )
-        if reason is not None:
-            raise SimulationError(f"run cannot be vectorized: {reason}")
-
-        # Per-replication streams, spawned with the single-run labels so the
-        # draw sequences line up bit-for-bit with VectorizedRoundEngine.
-        self._protocol_gens = []
-        self._failure_gens = []
-        for seed in self.seeds:
-            rng = RandomSource(seed=seed, name="engine")
-            self._protocol_gens.append(rng.spawn("protocol").generator)
-            self._failure_gens.append(rng.spawn("failures").generator)
-
-        self._init_failure_probabilities()
-        self._init_bulk_state(graph)
-        # Row compaction only applies when completed rows actually leave the
-        # round loop (early stopping); it is bit-transparent either way.
-        self._compaction = bool(
-            self.config.batch_row_compaction and self.config.stop_when_informed
-        )
-
-    # -- public API ---------------------------------------------------------------
-
-    def run(self, source: int = 0) -> List[RunResult]:
-        """Run all replications; returns one :class:`RunResult` per seed."""
-        if source not in self.graph:
-            raise SimulationError(f"source node {source} is not in the graph")
-
-        n = self.graph.node_count
-        batch = len(self.seeds)
-        self.protocol.reset()
-        state = VectorState(n=n, source=source, batch=batch)
-        if self.protocol.uses_index_pools:
-            state.enable_index_tracking()
-        horizon = self.protocol.horizon()
-        if self.config.max_rounds is not None:
-            horizon = min(horizon, self.config.max_rounds)
-
-        # Live generator lists and the state-row -> original-seed map; both
-        # shrink together with the state when rows are compacted away.
-        self._live_protocol_gens = list(self._protocol_gens)
-        self._live_failure_gens = list(self._failure_gens)
-        origin = np.arange(batch, dtype=np.int64)
-
-        active = np.ones(batch, dtype=bool)
-        rounds_to_completion = np.full(batch, -1, dtype=np.int64)
-        rounds_executed = np.zeros(batch, dtype=np.int64)
-        success = np.zeros(batch, dtype=bool)
-        final_informed = np.zeros(batch, dtype=np.int64)
-        totals = {
-            key: np.zeros(batch, dtype=np.int64)
-            for key in ("push", "pull", "channels", "lost")
-        }
-        collect = self.config.collect_round_history
-        histories: List[list] = [[] for _ in range(batch)]
-        phase_transmissions: List[dict] = [{} for _ in range(batch)]
-
-        for round_index in range(1, horizon + 1):
-            active_rows = np.flatnonzero(active)
-            if active_rows.size == 0:
-                break
-            informed_before = np.array(state.informed_count, copy=True)
-            push_tx, pull_tx, channels, lost = self._run_round_batch(
-                round_index, state, active_rows
-            )
-            executed = origin[active_rows]
-            rounds_executed[executed] = round_index
-            totals["push"][origin] += push_tx
-            totals["pull"][origin] += pull_tx
-            totals["channels"][origin] += channels
-            totals["lost"][origin] += lost
-
-            phase = self.protocol.phase_label(round_index)
-            informed_after = state.informed_count
-            if phase:
-                for local in active_rows:
-                    row = int(origin[local])
-                    phase_transmissions[row][phase] = phase_transmissions[row].get(
-                        phase, 0
-                    ) + int(push_tx[local] + pull_tx[local])
-            if collect:
-                for local in active_rows:
-                    histories[int(origin[local])].append(
-                        RoundRecord(
-                            round_index=round_index,
-                            informed_before=int(informed_before[local]),
-                            informed_after=int(informed_after[local]),
-                            push_transmissions=int(push_tx[local]),
-                            pull_transmissions=int(pull_tx[local]),
-                            channels_opened=int(channels[local]),
-                            lost_transmissions=int(lost[local]),
-                            phase=phase,
-                        )
-                    )
-
-            done = active & state.all_informed()
-            newly_done = done & (rounds_to_completion[origin] < 0)
-            if newly_done.any():
-                rounds_to_completion[origin[newly_done]] = round_index
-                if self.config.stop_when_informed:
-                    active &= ~newly_done
-                    dead = state.batch - int(active.sum())
-                    # Compact once a quarter of the state rows are dead: each
-                    # event costs one O(live·n) copy, so the threshold keeps
-                    # the total copy volume linear in R·n while the per-round
-                    # O(rows·n) terms (dense commits, informed-index merges)
-                    # track the live ensemble instead of the original batch.
-                    if self._compaction and dead * 4 >= state.batch:
-                        keep = np.flatnonzero(active)
-                        dropped_origin = origin[~active]
-                        success[dropped_origin] = True
-                        final_informed[dropped_origin] = n
-                        if keep.size == 0:
-                            origin = origin[keep]
-                            break
-                        # Protocol first (it may need the old row count),
-                        # then the engine-owned state and generator lists.
-                        self.protocol.vector_compact_rows(keep, n, state.batch)
-                        state.compact_rows(keep)
-                        origin = origin[keep]
-                        self._live_protocol_gens = [
-                            self._live_protocol_gens[i] for i in keep
-                        ]
-                        self._live_failure_gens = [
-                            self._live_failure_gens[i] for i in keep
-                        ]
-                        active = np.ones(state.batch, dtype=bool)
-
-        # Rows still in the state at the end (never compacted away).
-        if origin.size:
-            live_finished = state.all_informed()
-            success[origin] = live_finished
-            final_informed[origin] = state.informed_count
-
-        shared_metadata = {
-            "protocol": self.protocol.describe(),
-            "failure_model": self.failure_model.describe(),
-            "churn_model": self.churn_model.describe(),
-            "final_node_count": self.graph.node_count,
-            "engine": "vectorized",
-        }
-        results: List[RunResult] = []
-        for row in range(batch):
-            results.append(
-                RunResult(
-                    n=n,
-                    protocol=self.protocol.name,
-                    source=source,
-                    success=bool(success[row]),
-                    rounds_executed=int(rounds_executed[row]),
-                    rounds_to_completion=(
-                        int(rounds_to_completion[row])
-                        if rounds_to_completion[row] >= 0
-                        else None
-                    ),
-                    total_push_transmissions=int(totals["push"][row]),
-                    total_pull_transmissions=int(totals["pull"][row]),
-                    total_channels_opened=int(totals["channels"][row]),
-                    total_lost_transmissions=int(totals["lost"][row]),
-                    final_informed=int(final_informed[row]),
-                    history=histories[row],
-                    phase_transmissions=phase_transmissions[row],
-                    metadata={**shared_metadata, "batch_size": batch},
+        if pool is not None:
+            if state.batch == 1:
+                charge = (
+                    pool.size * uniform_cost
+                    if uniform_cost is not None
+                    else self._channel_cost_array(fanout)[pool].sum()
                 )
-            )
-        return results
-
-    # -- round mechanics -------------------------------------------------------------
-
-    def _run_round_batch(
-        self,
-        round_index: int,
-        state: VectorState,
-        active_rows: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One lock-step round; returns per-state-row counter arrays."""
-        protocol = self.protocol
-        push_active = protocol.push_round(round_index)
-        pull_active = protocol.pull_round(round_index)
-        fanout = protocol.vector_fanout(round_index)
-
-        pull_mask = protocol.vector_wants_pull(round_index, state) if pull_active else None
-        push_mask: Optional[np.ndarray] = None
-        if push_active and pull_active:
-            push_mask = protocol.vector_wants_push(round_index, state)
-
-        channels = self._channels_batch(round_index, state, fanout, active_rows)
-
-        if protocol.has_custom_vector_targets and fanout != 1:
-            raise SimulationError(
-                "custom bulk target selection requires uniform fanout 1"
-            )
-        tallies = np.zeros((3, state.batch), dtype=np.int64)
-        delivered = np.empty(0, dtype=state.index_dtype)
-        if (push_active or pull_active) and fanout > 0:
-            blocks = self._batch_blocks(
-                round_index,
-                state,
-                self._row_samplers(round_index, state, active_rows, pull_active),
-                fanout,
-            )
-            delivered = self._deliver(
-                state, blocks, push_active, push_mask, pull_mask,
-                self._live_failure_gens, tallies,
-            )
-        newly_informed = state.commit_delivered(delivered, round_index)
-        protocol.vector_on_round_committed(round_index, state, newly_informed)
-        push_tx, pull_tx, lost = tallies
-        return push_tx, pull_tx, channels, lost
-
-    def _channels_batch(
-        self,
-        round_index: int,
-        state: VectorState,
-        fanout: int,
-        active_rows: np.ndarray,
-    ) -> np.ndarray:
-        """Per-state-row channel charge for this round."""
-        batch = state.batch
-        n = state.n
-        channel_total, uniform_cost = self._channel_info(fanout)
-        channels = np.zeros(batch, dtype=np.int64)
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_caller_pool(round_index, state)
-            if pool is not None:
-                bounds = VectorState.row_bounds(pool, n, batch)
-                lengths = np.diff(bounds)
+            else:
+                bounds = VectorState.row_bounds(pool, state.n, state.batch)
                 if uniform_cost is not None:
-                    per_row = lengths * uniform_cost
+                    charge = np.diff(bounds) * uniform_cost
                 else:
                     cost = self._channel_cost_array(fanout)
-                    sums = np.concatenate(
-                        ([0], np.cumsum(cost[pool % n]))
-                    )
-                    per_row = sums[bounds[1:]] - sums[bounds[:-1]]
-                channels[active_rows] = per_row[active_rows]
-                return channels
-        caller_mask = self.protocol.vector_caller_mask(round_index, state)
-        if caller_mask is None:
-            channels[active_rows] = channel_total
-        elif uniform_cost is not None:
-            channels[active_rows] = (
-                caller_mask[active_rows].sum(axis=1) * uniform_cost
-            )
+                    sums = np.concatenate(([0], np.cumsum(cost[pool % state.n])))
+                    charge = sums[bounds[1:]] - sums[bounds[:-1]]
         else:
-            cost = self._channel_cost_array(fanout)
-            per_row = (cost[None, :] * caller_mask).sum(axis=1)
-            channels[active_rows] = per_row[active_rows]
-        return channels
+            caller_mask = self.protocol.vector_caller_mask(round_index, state)
+            if caller_mask is None:
+                charge = channel_total
+            elif uniform_cost is not None:
+                charge = caller_mask.sum(axis=1) * uniform_cost
+            else:
+                charge = (self._channel_cost_array(fanout) * caller_mask).sum(axis=1)
+        return charge
 
     def _row_samplers(
         self,
         round_index: int,
         state: VectorState,
-        active_rows: np.ndarray,
+        running: List[int],
         pull_active: bool,
     ) -> Iterator[Tuple[int, np.ndarray]]:
-        """``(row, sampler node ids)`` of each active row that calls, ascending.
+        """``(row, sampler node ids)`` of each running row that calls, ascending.
 
         Pull rounds sample every node with a neighbour; push-only rounds
-        split the protocol's flat index pool at the row boundaries (dead
+        split the protocol's flat index pool at the row boundaries (stopped
         rows' entries are never touched) or scan each row's push mask, and
-        drop neighbourless nodes either way — exactly the samplers a single
-        run of that row would draw for.
+        drop neighbourless nodes either way.  The pool path hands row 0 a
+        view of its segment; other rows' node ids are the segment minus
+        ``row * n``.
         """
         if pull_active:
             samplers = self._nz()
             if samplers.size:
-                for row in active_rows.tolist():
+                for row in running:
                     yield row, samplers
             return
-        n = state.n
         pool = None
         if self.protocol.uses_index_pools:
             pool = self.protocol.vector_push_samplers(round_index, state)
         if pool is not None:
-            bounds = VectorState.row_bounds(pool, n, state.batch).tolist()
-            for row in active_rows.tolist():
-                samplers = pool[bounds[row] : bounds[row + 1]] - pool.dtype.type(row * n)
+            bounds = VectorState.row_bounds(pool, state.n, state.batch).tolist()
+            for row in running:
+                samplers = pool[bounds[row] : bounds[row + 1]]
+                if row:
+                    samplers = samplers - pool.dtype.type(row * state.n)
                 if not self._all_positive():
                     samplers = samplers[self._degree_positive[samplers]]
                 if samplers.size:
                     yield row, samplers
             return
         push_mask = self.protocol.vector_wants_push(round_index, state)
-        for row in active_rows.tolist():
+        for row in running:
             mask = push_mask[row]
             if not self._all_positive():
                 mask = mask & self._degree_positive
@@ -1637,12 +1397,13 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         state: VectorState,
         row_samplers: Iterator[Tuple[int, np.ndarray]],
         fanout: int,
+        lone: bool,
     ) -> Iterator[_DeliveryBlock]:
-        """Delivery blocks of every active row's channels, in ascending row order.
+        """Delivery blocks of every running row's channels, in ascending row order.
 
-        Each row draws from its own generators exactly as a single run does.
-        A row with at least :attr:`_SCRATCH_MIN_SAMPLERS` channels is
-        delivered in blocks of its own at the scalar offset ``row * n``.
+        Each row draws from its own generators.  A row with at least
+        :attr:`_SCRATCH_MIN_SAMPLERS` channels, or the ``lone`` running row,
+        is delivered in blocks of its own at the scalar offset ``row * n``.
         Smaller rows are packed whole into shared blocks of flat indices, so
         small-``n`` sweeps still pay one gather, filter and loss pass per
         block rather than per row.  A row never straddles two shared blocks,
@@ -1654,7 +1415,7 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         pieces: List[Tuple[int, np.ndarray, Optional[np.ndarray]]] = []
         packed = 0
         for row, samplers in row_samplers:
-            if fanout1 and samplers.size < share:
+            if fanout1 and samplers.size < share and not lone:
                 # Drawn by the shared block's one gather.
                 channels, blocks = samplers.size, None
             else:
@@ -1662,7 +1423,7 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
                     round_index, state, samplers, fanout,
                     self._live_protocol_gens[row], row,
                 )
-            if channels >= share:
+            if channels >= share or lone:
                 if pieces:
                     yield self._shared_block(pieces, state)
                     pieces, packed = [], 0

@@ -6,11 +6,12 @@ the delivery buffer (:meth:`NodeState.deliver`) and the end-of-round commit
 (:meth:`NodeState.commit_round`), which makes the "messages received in round
 ``t`` only take effect in round ``t + 1``" semantics of the paper explicit.
 
-:class:`VectorState` is the struct-of-arrays counterpart used by the
-vectorized engine (:mod:`repro.core.engine_vectorized`): the same four fields
-— informed flag, informed round, active flag, staged delivery — held as NumPy
-arrays over all nodes so a round is a handful of bulk operations instead of
-``n`` object manipulations.
+:class:`VectorState` is the struct-of-arrays counterpart used by the bulk
+engine (:mod:`repro.core.engine_vectorized`): the same four fields —
+informed flag, informed round, active flag, staged delivery — held as
+``(R, n)`` NumPy arrays over all nodes of ``R`` replications (``R = 1`` for
+a single run), so a round is a handful of bulk operations instead of ``n``
+object manipulations.
 """
 
 from __future__ import annotations
@@ -250,21 +251,19 @@ class StateTable:
 
 
 class VectorState:
-    """Broadcast state of *all* nodes as NumPy arrays (struct-of-arrays).
+    """Broadcast state of *all* nodes of ``R`` replications as NumPy arrays.
 
-    The vectorized engine's counterpart of :class:`StateTable`: one boolean
-    array per flag instead of one :class:`NodeState` object per node.  The
-    commit discipline is identical — deliveries stage into :attr:`pending`
-    during a round and only promote at :meth:`commit_round` — so "a node
-    cannot forward a message in the round it receives it" holds bit-for-bit.
+    The bulk engine's counterpart of :class:`StateTable`: one boolean array
+    per flag instead of one :class:`NodeState` object per node.  The commit
+    discipline is identical — deliveries stage into :attr:`pending` during a
+    round and only promote at :meth:`commit_round` — so "a node cannot
+    forward a message in the round it receives it" holds bit-for-bit.
 
-    With ``batch=R`` every array gains a leading replication axis and the
-    object holds the state of ``R`` *independent* broadcast runs over the same
-    graph as ``(R, n)`` arrays (one row per replication, every row starting
-    from the same source).  Aggregate queries then return per-row arrays
-    instead of scalars.  Protocol bulk hooks are written against elementwise
-    semantics, so the same hook code serves both shapes; hooks that need an
-    explicitly shaped array should use :attr:`shape` rather than ``n``.
+    Every array has the shape ``(R, n)``: one row per replication, every row
+    starting from the same source, ``R = batch`` (1 for a single run).
+    Aggregate queries return per-row arrays.  Protocol bulk hooks are written
+    against elementwise semantics; hooks that need an explicitly shaped array
+    should use :attr:`shape` rather than ``n``.
 
     Protocol bulk hooks (``vector_wants_push`` etc.) receive this object and
     must treat the arrays as read-only; only the engine and the commit hook
@@ -273,24 +272,25 @@ class VectorState:
     Attributes
     ----------
     informed:
-        ``bool[n]`` (or ``bool[R, n]``) — node currently knows the message.
+        ``bool[R, n]`` — node currently knows the message.
     informed_round:
-        ``int32`` of the same shape — round the node became informed (``0``
-        for the source, ``-1`` while uninformed).
+        ``int32[R, n]`` — round the node became informed (``0`` for the
+        source, ``-1`` while uninformed).
     active:
         Algorithm 1's Phase-4 "active" flag, same shape.  Allocated lazily on
         first access (most protocols never touch it).
     pending:
         A delivery staged this round, cleared by :meth:`commit_round`.  Also
-        lazy: the active-set engines commit deliveries directly through
-        :meth:`commit_delivered` and only fall back to the pending plane for
+        lazy: the engine commits deliveries directly through
+        :meth:`commit_delivered` and only falls back to the pending plane for
         dense rounds.
 
     With :meth:`enable_index_tracking` the state additionally maintains
-    :attr:`informed_flat` — the ascending flat indices of all informed nodes —
-    and :attr:`newly_flat` (last round's commits) by sorted merge, which is
-    what lets the engines sample pushers in O(informed) instead of scanning
-    all ``R·n`` flags every round.
+    :attr:`informed_flat` — the ascending flat indices ``row * n + node`` of
+    all informed nodes — and :attr:`newly_flat` (last round's commits) by
+    sorted merge, which is what lets the engine sample pushers in
+    O(informed) instead of scanning all ``R·n`` flags every round.  For
+    ``R = 1`` flat indices are node ids.
     """
 
     __slots__ = (
@@ -309,27 +309,27 @@ class VectorState:
         "_alive_count",
     )
 
-    def __init__(self, n: int, source: int, batch: Optional[int] = None) -> None:
+    def __init__(self, n: int, source: int, batch: int = 1) -> None:
         if not 0 <= source < n:
             raise ValueError(f"source {source} outside [0, {n})")
-        if batch is not None and batch < 1:
+        if batch < 1:
             raise ValueError(f"batch size must be >= 1, got {batch}")
         self.n = n
         self.source = source
         self.batch = batch
-        shape = (n,) if batch is None else (batch, n)
+        shape = (batch, n)
         self.informed = np.zeros(shape, dtype=bool)
         # int32 suffices for round numbers; at n = 10⁶ this alone halves the
         # resident state (the old int64 array dominated the footprint).
         self.informed_round = np.full(shape, -1, dtype=np.int32)
         # `active` and `pending` are allocated on first touch: most protocols
-        # never read the Algorithm-1 active flag, and the active-set engines
-        # commit deliveries without staging through a pending mask.
+        # never read the Algorithm-1 active flag, and the engine commits
+        # deliveries without staging through a pending mask.
         self._active: Optional[np.ndarray] = None
         self._pending: Optional[np.ndarray] = None
-        self.informed[..., source] = True
-        self.informed_round[..., source] = 0
-        self._informed_count = 1 if batch is None else np.ones(batch, dtype=np.int64)
+        self.informed[:, source] = True
+        self.informed_round[:, source] = 0
+        self._informed_count = np.ones(batch, dtype=np.int64)
         self._track_indices = False
         self._informed_flat: Optional[np.ndarray] = None
         self._newly_flat: Optional[np.ndarray] = None
@@ -352,7 +352,7 @@ class VectorState:
             self._pending = np.zeros(self.informed.shape, dtype=bool)
         return self._pending
 
-    # -- sorted informed-index tracking (the engines' active set) --------------
+    # -- sorted informed-index tracking (the engine's active set) --------------
 
     @property
     def index_dtype(self) -> np.dtype:
@@ -370,11 +370,7 @@ class VectorState:
         "pushes in round 1" set of the phase-structured protocols).
         """
         self._track_indices = True
-        dtype = self.index_dtype
-        if self.batch is None:
-            flat = np.array([self.source], dtype=dtype)
-        else:
-            flat = np.arange(self.batch, dtype=dtype) * self.n + self.source
+        flat = np.arange(self.batch, dtype=self.index_dtype) * self.n + self.source
         self._informed_flat = flat
         self._newly_flat = flat
 
@@ -414,27 +410,22 @@ class VectorState:
         else:
             self._informed_flat = merge_sorted_disjoint(self._informed_flat, newly)
 
-    # -- dynamic membership (tombstone masks; single-run states only) ----------
+    # -- dynamic membership (tombstone masks; one-row states only) -------------
 
     def enable_membership(self) -> None:
         """Track node-axis membership for churn runs (tombstone masks).
 
-        Departed nodes stay as *dead rows* in the state arrays — their flags
-        cleared, their ids evicted from the index pools — until the engine's
-        threshold-triggered :meth:`compact_nodes` renumbers them away.  Joins
-        grow the arrays at the tail (:meth:`grow_nodes`), so live ids are
-        always ``flatnonzero(alive)``.  Membership is a single-run feature:
-        the batched engine rejects churn (per-replication graphs diverge).
+        Departed nodes stay as *dead columns* in the state arrays — their
+        flags cleared, their ids evicted from the index pools — until the
+        engine's threshold-triggered :meth:`compact_nodes` renumbers them
+        away.  Joins grow the arrays at the tail (:meth:`grow_nodes`), so live
+        ids are always ``flatnonzero(alive)``.  Membership needs ``R = 1``:
+        replications' graphs would diverge under churn.
         """
-        if self.batch is not None:
-            raise ValueError("dynamic membership requires an unbatched state")
+        if self.batch != 1:
+            raise ValueError("dynamic membership requires a one-row state")
         self._alive = np.ones(self.n, dtype=bool)
         self._alive_count = self.n
-
-    @property
-    def membership_enabled(self) -> bool:
-        """Whether :meth:`enable_membership` has been called."""
-        return self._alive is not None
 
     @property
     def alive(self) -> np.ndarray:
@@ -462,16 +453,15 @@ class VectorState:
         if ids.size == 0:
             return 0
         alive = self.alive
-        informed_removed = int(np.count_nonzero(self.informed[ids]))
+        # Row 0 as a 1-D view: fancy indexing it is cheaper than [0, ids].
+        informed_removed = int(np.count_nonzero(self.informed[0][ids]))
         alive[ids] = False
         self._alive_count -= int(ids.size)
-        self.informed[ids] = False
-        self.informed_round[ids] = -1
-        if self._active is not None:
-            self._active[ids] = False
-        if self._pending is not None:
-            self._pending[ids] = False
-        self._informed_count -= informed_removed
+        for plane in (self.informed, self._active, self._pending):
+            if plane is not None:
+                plane[0][ids] = False
+        self.informed_round[0][ids] = -1
+        self._informed_count[0] -= informed_removed
         if self._track_indices:
             self._informed_flat = remove_sorted_values(self._informed_flat, ids)
             self._newly_flat = remove_sorted_values(self._newly_flat, ids)
@@ -489,16 +479,15 @@ class VectorState:
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         old_n = self.n
-        self.informed = np.concatenate([self.informed, np.zeros(count, dtype=bool)])
+        unset = np.zeros((1, count), dtype=bool)
+        self.informed = np.concatenate([self.informed, unset], axis=1)
         self.informed_round = np.concatenate(
-            [self.informed_round, np.full(count, -1, dtype=np.int32)]
+            [self.informed_round, np.full((1, count), -1, dtype=np.int32)], axis=1
         )
         if self._active is not None:
-            self._active = np.concatenate([self._active, np.zeros(count, dtype=bool)])
+            self._active = np.concatenate([self._active, unset], axis=1)
         if self._pending is not None:
-            self._pending = np.concatenate(
-                [self._pending, np.zeros(count, dtype=bool)]
-            )
+            self._pending = np.concatenate([self._pending, unset], axis=1)
         self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
         self._alive_count += count
         self.n = old_n + count
@@ -522,12 +511,12 @@ class VectorState:
         old_n = self.n
         remap = np.full(old_n, -1, dtype=np.int64)
         remap[keep] = np.arange(keep.size, dtype=np.int64)
-        self.informed = self.informed[keep]
-        self.informed_round = self.informed_round[keep]
+        self.informed = self.informed.take(keep, axis=1)
+        self.informed_round = self.informed_round.take(keep, axis=1)
         if self._active is not None:
-            self._active = self._active[keep]
+            self._active = self._active.take(keep, axis=1)
         if self._pending is not None:
-            self._pending = self._pending[keep]
+            self._pending = self._pending.take(keep, axis=1)
         self._alive = np.ones(keep.size, dtype=bool)
         self._alive_count = int(keep.size)
         self.n = int(keep.size)
@@ -544,21 +533,21 @@ class VectorState:
 
     @property
     def shape(self):
-        """Shape of the state arrays: ``(n,)`` or ``(R, n)`` for a batch."""
+        """Shape of the state arrays, ``(R, n)``."""
         return self.informed.shape
 
     @property
-    def informed_count(self):
-        """Informed nodes: an int, or an ``int64[R]`` array for a batch."""
+    def informed_count(self) -> np.ndarray:
+        """Informed nodes per replication, ``int64[R]``."""
         return self._informed_count
 
     @property
-    def uninformed_count(self):
-        """Uninformed *live* nodes: an int, or ``int64[R]`` for a batch."""
+    def uninformed_count(self) -> np.ndarray:
+        """Uninformed *live* nodes per replication, ``int64[R]``."""
         return self.alive_count - self._informed_count
 
-    def all_informed(self):
-        """Whether every live node is informed (per replication for a batch)."""
+    def all_informed(self) -> np.ndarray:
+        """Whether every live node is informed, per replication."""
         return self._informed_count == self.alive_count
 
     # -- round lifecycle -------------------------------------------------------
@@ -566,21 +555,17 @@ class VectorState:
     def commit_round(self, round_index: int) -> np.ndarray:
         """Promote all staged deliveries; return the flat ids newly informed.
 
-        The returned indices address ``informed.reshape(-1)`` — for the
-        unbatched shape they are plain node ids, for a batch they encode
-        ``row * n + node``.  Hooks that flip per-node flags should therefore
-        index through ``array.reshape(-1)`` (a view for these contiguous
-        arrays), which is shape-agnostic.
+        The returned indices address ``informed.reshape(-1)`` and encode
+        ``row * n + node`` (plain node ids for ``R = 1``).  Hooks that flip
+        per-node flags should therefore index through ``array.reshape(-1)``
+        (a view for these contiguous arrays).
         """
-        newly_mask = self.pending & ~self.informed
-        newly = np.flatnonzero(newly_mask).astype(self.index_dtype, copy=False)
+        newly = np.flatnonzero(self.pending & ~self.informed)
+        newly = newly.astype(self.index_dtype, copy=False)
         if newly.size:
             self.informed.reshape(-1)[newly] = True
             self.informed_round.reshape(-1)[newly] = round_index
-            if self.batch is None:
-                self._informed_count += int(newly.size)
-            else:
-                self._informed_count += newly_mask.sum(axis=1)
+            self._count_newly(newly)
         self.pending.fill(False)
         self._record_newly(newly)
         return newly
@@ -590,7 +575,7 @@ class VectorState:
 
         Equivalent to staging ``delivered`` into :attr:`pending` and calling
         :meth:`commit_round` (same newly-informed set, in the same ascending
-        order) — the batched engine's commit path.  Sparse delivery sets are
+        order) — the engine's commit path.  Sparse delivery sets are
         deduplicated by sorting (``O(k log k)``), dense ones via the pending
         mask (``O(R·n)``); the crossover keeps the commit cheap both in early
         rounds (tiny ``k``) and in the endgame (few live replications).
@@ -617,23 +602,30 @@ class VectorState:
             newly = newly[keep]
         flat_informed[newly] = True
         self.informed_round.reshape(-1)[newly] = round_index
-        if self.batch is None:
-            self._informed_count += int(newly.size)
-        else:
-            self._informed_count += np.diff(self.row_bounds(newly, self.n, self.batch))
+        self._count_newly(newly)
         self._record_newly(newly)
         return newly
 
-    # -- batch row compaction ---------------------------------------------------
+    def _count_newly(self, newly: np.ndarray) -> None:
+        """Add the sorted flat indices ``newly`` to the per-row counts."""
+        if self.batch == 1:
+            self._informed_count[0] += newly.size
+        else:
+            self._informed_count += np.diff(self.row_bounds(newly, self.n, self.batch))
+
+    # -- row compaction ---------------------------------------------------------
 
     @staticmethod
     def row_bounds(flat: np.ndarray, n: int, batch: int) -> np.ndarray:
         """Positions of the row starts ``0, n, …, batch · n`` in sorted
         ``(row * n + node)`` indices.
 
-        The starts are built in ``flat``'s dtype when they fit: a search
-        with wider values would first copy all of ``flat`` to int64.
+        One row needs no search: its bounds are ``[0, flat.size]``.  Otherwise
+        the starts are built in ``flat``'s dtype when they fit: a search with
+        wider values would first copy all of ``flat`` to int64.
         """
+        if batch == 1:
+            return np.array([0, flat.size])
         dtype = flat.dtype if flat.itemsize >= 8 or batch * n < 2**31 else np.int64
         return np.searchsorted(flat, np.arange(batch + 1, dtype=dtype) * n)
 
@@ -660,16 +652,14 @@ class VectorState:
         return np.concatenate(parts)
 
     def compact_rows(self, keep: np.ndarray) -> None:
-        """Drop batch rows not listed in ``keep`` (ascending row indices).
+        """Drop replication rows not listed in ``keep`` (ascending row indices).
 
-        Used by the batched engine to remap completed replications out of the
-        state: every ``(R, n)`` plane is sliced down to the kept rows and the
-        flat index vectors are renumbered accordingly, so subsequent rounds
-        run over a smaller ensemble.  The caller owns the mapping from
-        compacted row numbers back to original replications.
+        Used by the engine to remap completed replications out of the state:
+        every ``(R, n)`` plane is sliced down to the kept rows and the flat
+        index vectors are renumbered accordingly, so subsequent rounds run
+        over a smaller ensemble.  The caller owns the mapping from compacted
+        row numbers back to original replications.
         """
-        if self.batch is None:
-            raise ValueError("compact_rows requires a batched state")
         old_batch = self.batch
         keep = np.asarray(keep, dtype=np.int64)
         self.informed = self.informed[keep]

@@ -33,7 +33,9 @@ def scenario(
     """The E12 degree sweep as a declarative scenario record."""
     size = n if n is not None else (1024 if quick else 4096)
     log_n = math.log2(size)
-    degree_list = degrees if degrees is not None else [4, 6, 8, int(log_n), int(2 * log_n)]
+    # The defaults coincide at some sizes (log2 256 = 8): keep the first of each.
+    defaults = dict.fromkeys([4, 6, 8, int(log_n), int(2 * log_n)])
+    degree_list = degrees if degrees is not None else list(defaults)
     return ScenarioSpec(
         name="e12-degree-sweep",
         graph=GraphSpec(

@@ -148,7 +148,7 @@ class BroadcastProtocol(ABC):
         arithmetic channel accounting assumes.  Protocols whose *uninformed*
         nodes stay silent (scalar ``fanout`` returns 0 for them — e.g. the
         quasirandom protocol) return the mask of calling nodes instead so the
-        bulk engines charge channels identically to the scalar engine.
+        bulk engine charges channels identically to the scalar engine.
         """
         return None
 
@@ -161,7 +161,7 @@ class BroadcastProtocol(ABC):
         indptr: np.ndarray,
         indices: np.ndarray,
         degrees: np.ndarray,
-        row: Optional[int] = None,
+        row: int = 0,
     ) -> np.ndarray:
         """Bulk counterpart of a custom :meth:`select_call_targets` (fanout 1).
 
@@ -171,8 +171,8 @@ class BroadcastProtocol(ABC):
         graph's CSR view (``indices[indptr[v]:indptr[v+1]]`` lists ``v``'s
         stubs in :meth:`repro.graphs.base.Graph.neighbors` order) and the
         per-replication ``generator`` for any randomness; ``row`` is the
-        replication index when running under the batched engine (``None`` for
-        a single run) so per-node protocol state can be kept per replication.
+        replication's state row (0 for a single run) so per-node protocol
+        state can be kept per replication.
         Only consulted when :attr:`has_custom_vector_targets` is True, and
         only for protocols with uniform fanout 1.
         """
@@ -228,7 +228,7 @@ class BroadcastProtocol(ABC):
     def vector_compact_rows(self, keep: np.ndarray, n: int, old_batch: int) -> None:
         """Remap per-replication protocol state onto the kept batch rows.
 
-        Called by the batched engine when it compacts completed replications
+        Called by the bulk engine when it compacts completed replications
         out of its ``(R, n)`` state: ``keep`` holds the surviving row indices
         (ascending) of the previous ``old_batch``-row layout, and row
         ``keep[i]`` becomes row ``i``.  Protocols that hold per-replication

@@ -11,8 +11,8 @@ rather than memory or multiple simultaneous choices.
 
 The protocol's only randomness is one starting offset per node, which makes
 it a natural bulk-array candidate: the per-node cursor lives in an integer
-pointer table shaped like the engine state (``(n,)`` for a single run,
-``(R, n)`` for a batch), advanced by a vectorized gather into the CSR
+pointer table shaped like the engine state (``(R, n)``, one row per
+replication), advanced by a vectorized gather into the CSR
 adjacency ``indices``.  The scalar engine keeps the original per-node dict.
 """
 
@@ -53,7 +53,7 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
         self._horizon = self.resolve_horizon(default, horizon_override)
         # Per-node pointer into the neighbour list; created lazily when the
         # node first selects a target after becoming informed.  The scalar
-        # engine uses the dict, the bulk engines the array table (shaped like
+        # engine uses the dict, the bulk engine the array table (shaped like
         # the engine state, -1 marking "not started yet").  Both are per-run
         # state and are dropped by reset().
         self._pointers: Dict[int, int] = {}
@@ -108,7 +108,7 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
 
     def vector_caller_mask(self, round_index: int, state: VectorState) -> np.ndarray:
         # Uninformed nodes have fanout 0 in the scalar model, so they must
-        # not be charged channels by the bulk engines either.
+        # not be charged channels by the bulk engine either.
         return state.informed
 
     def vector_caller_pool(self, round_index: int, state: VectorState) -> np.ndarray:
@@ -140,7 +140,7 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
         indptr: np.ndarray,
         indices: np.ndarray,
         degrees: np.ndarray,
-        row: Optional[int] = None,
+        row: int = 0,
     ) -> np.ndarray:
         """Advance each sampler's cursor and gather its CSR list entry.
 
@@ -155,7 +155,7 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
             # table is the protocol's only (R, n) footprint.
             table = np.full(state.shape, -1, dtype=np.int32)
             self._pointer_table = table
-        cursors = table if row is None else table[row]
+        cursors = table[row]
         sampler_degrees = degrees[samplers]
         pointers = cursors[samplers]
         fresh = pointers < 0

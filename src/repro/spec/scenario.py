@@ -330,6 +330,11 @@ class SweepAxis:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ConfigurationError(f"sweep axis {self.path!r} has no values")
+        # A repeated value would run its points twice under one label and
+        # one set of seeds.
+        forms = [json.dumps(value, sort_keys=True) for value in self.values]
+        if len(set(forms)) != len(forms):
+            raise ConfigurationError(f"sweep axis {self.path!r} repeats a value")
 
     @property
     def label_key(self) -> str:

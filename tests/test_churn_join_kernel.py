@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast
-from repro.core.engine_vectorized import VectorChurnOps, VectorizedRoundEngine
+from repro.core.engine_vectorized import BatchedVectorizedRoundEngine, VectorChurnOps
 from repro.core.node import VectorState
 from repro.core.rng import RandomSource
 from repro.failures.churn import AdversarialChurn, BurstChurn, FlashCrowd, UniformChurn
@@ -159,6 +159,25 @@ def test_golden_churn_digest(family, churn_name, protocol_name):
     assert _golden_fingerprint(result) == GOLDEN_DIGESTS[key]
 
 
+def test_one_seed_engine_run_takes_churn():
+    # A single run is the engine's one-seed case, churn included.
+    n = 256
+    graph = build_graph("random-regular", rng=RandomSource(3, name="graph"), n=n, d=8)
+    (result,) = BatchedVectorizedRoundEngine(
+        graph,
+        GOLDEN_PROTOCOLS["algorithm1"](n),
+        seeds=[2008],
+        config=SimulationConfig(engine="vectorized", collect_round_history=True),
+        churn_model=GOLDEN_CHURN["flash-crowd"](),
+    ).run()
+    assert result.metadata["batch_size"] == 1
+    assert result.final_informed <= result.metadata["final_node_count"]
+    assert (
+        _golden_fingerprint(result)
+        == GOLDEN_DIGESTS["random-regular/flash-crowd/algorithm1"]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Differential test against the per-splice reference loop
 # ---------------------------------------------------------------------------
@@ -212,7 +231,7 @@ def reference_join(indptr, indices, alive, count, target_degree, generator):
 
 
 def _reference_join_nodes(engine, count, target_degree, generator, state):
-    """Drop-in for ``VectorizedRoundEngine._join_nodes`` built on the reference."""
+    """Drop-in for ``BatchedVectorizedRoundEngine._join_nodes`` built on the reference."""
     count = int(count)
     if count <= 0:
         return []
@@ -228,11 +247,11 @@ def _reference_join_nodes(engine, count, target_degree, generator, state):
 
 def _dynamic_engine(family, n, d, graph_seed=3):
     graph = build_graph(family, rng=RandomSource(graph_seed, name="graph"), n=n, d=d)
-    engine = VectorizedRoundEngine(
+    engine = BatchedVectorizedRoundEngine(
         graph,
         PushPullProtocol(n_estimate=n),
-        SimulationConfig(engine="vectorized"),
-        seed=1,
+        seeds=[1],
+        config=SimulationConfig(engine="vectorized"),
         churn_model=UniformChurn(leave_rate=0.0, join_rate=0.0, target_degree=8),
     )
     state = VectorState(n=n, source=0)
@@ -311,7 +330,9 @@ class TestJoinKernelDifferential:
             )
 
         kernel = run()
-        monkeypatch.setattr(VectorizedRoundEngine, "_join_nodes", _reference_join_nodes)
+        monkeypatch.setattr(
+            BatchedVectorizedRoundEngine, "_join_nodes", _reference_join_nodes
+        )
         reference = run()
         assert kernel.metadata["churn"]["arrivals"] == int(fraction * 64)
         assert _golden_fingerprint(kernel) == _golden_fingerprint(reference)
@@ -336,15 +357,16 @@ class TestSpliceCounters:
             1, target_degree // 2
         )
 
-    def test_counters_survive_node_compaction(self):
+    def test_counters_survive_node_compaction(self, monkeypatch):
         graph = build_graph("pairing-multigraph", rng=RandomSource(3, name="graph"), n=256, d=8)
         counters = {}
         for compact in (True, False):
+            monkeypatch.setattr(BatchedVectorizedRoundEngine, "_compaction", compact)
             result = run_broadcast(
                 graph=graph,
                 protocol=Algorithm1(n_estimate=256),
                 seed=5,
-                config=SimulationConfig(engine="vectorized", churn_node_compaction=compact),
+                config=SimulationConfig(engine="vectorized"),
                 churn_model=UniformChurn(leave_rate=0.1, join_rate=0.05, target_degree=8),
             )
             churn = result.metadata["churn"]

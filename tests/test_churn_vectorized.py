@@ -95,7 +95,7 @@ class TestBitIdentity:
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("churn_name", sorted(CHURN_FACTORIES))
-    def test_node_compaction_on_off_parity(self, churn_name):
+    def test_node_compaction_on_off_parity(self, monkeypatch, churn_name):
         """Compaction renumbers ids mid-run; draws must not notice.
 
         Every vectorized-churn draw depends only on live positions and
@@ -105,11 +105,8 @@ class TestBitIdentity:
         graph = _graph()
         runs = {}
         for compact in (True, False):
-            cfg = SimulationConfig(
-                engine="vectorized",
-                collect_round_history=True,
-                churn_node_compaction=compact,
-            )
+            monkeypatch.setattr(BatchedVectorizedRoundEngine, "_compaction", compact)
+            cfg = SimulationConfig(engine="vectorized", collect_round_history=True)
             result = run_broadcast(
                 graph=graph,
                 protocol=Algorithm1(n_estimate=256),

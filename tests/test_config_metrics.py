@@ -49,6 +49,20 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError, match="churn_rate"):
             ScenarioSpec.from_dict(data)
 
+    @pytest.mark.parametrize("key", ["batch_row_compaction", "churn_node_compaction"])
+    def test_spec_config_rejects_compaction_keys(self, key):
+        # Compaction is a fixed engine rule, not a configuration field.
+        from repro.spec import ScenarioSpec
+
+        data = {
+            "name": "compaction",
+            "graph": {"family": "complete", "params": {"n": 8}},
+            "protocol": {"name": "push"},
+            "config": {key: False},
+        }
+        with pytest.raises(ConfigurationError, match=key):
+            ScenarioSpec.from_dict(data)
+
     def test_with_overrides(self):
         config = SimulationConfig().with_overrides(message_loss_probability=0.1)
         assert config.message_loss_probability == 0.1
@@ -61,8 +75,6 @@ class TestSimulationConfig:
             collect_round_history=False,
             stop_when_informed=False,
             engine="scalar",
-            batch_row_compaction=False,
-            churn_node_compaction=False,
         )
         assert custom.with_overrides(max_rounds=9) == SimulationConfig(
             **{**custom.__dict__, "max_rounds": 9}

@@ -1,24 +1,25 @@
-"""The blocked delivery pipeline of both bulk engines.
+"""The blocked delivery pipeline of the bulk engine.
 
-Both engines draw, filter, loss-test and deliver each round in blocks of at
-most ``_BLOCK_CHANNELS`` channels, and only still-uninformed receivers
+The engine draws, filters, loss-tests and delivers each round in blocks of
+at most ``_BLOCK_CHANNELS`` channels, and only still-uninformed receivers
 reach the commit.  A single run is one row at offset 0; in a batch, rows
-with at least ``_SCRATCH_MIN_SAMPLERS`` channels get blocks of their own and
-smaller rows share blocks.  At tier-1 sizes every round fits in one block,
-so these tests shrink the bounds and check that a block boundary never
-moves a draw:
+with at least ``_SCRATCH_MIN_SAMPLERS`` channels, or the only running row,
+get blocks of their own and smaller rows share blocks.  At tier-1 sizes
+every round fits in one block, so these tests shrink the bounds and check
+that a block boundary never moves a draw:
 
-1. every single run equals its one-row batch (7 channels per block, 40 keys
-   per top-``k`` chunk) for every protocol, for push-pull with three
-   choices and for push without index pools, on a regular graph, a
-   multigraph with self-loops, and a G(n, p) graph with isolated and
-   saturated nodes, reliable and lossy;
+1. every single run in tiny blocks (7 channels per block, 40 keys per
+   top-``k`` chunk) equals its one-row batch and the same run at the
+   default bounds, for every protocol, for push-pull with three choices
+   and for push without index pools, on a regular graph, a multigraph
+   with self-loops, and a G(n, p) graph with isolated and saturated
+   nodes, reliable and lossy;
 2. every row of a four-seed batch equals its single run under three
    sharing bounds, where rows split across blocks, share blocks, and
    repeat within one block (a small k-distinct row's saturated and deep
    pieces, or two of its top-``k`` chunks);
 3. the churn golden digests reproduce;
-4. neither engine ever commits a node that is already informed.
+4. no run, single or batched, ever commits a node that is already informed.
 """
 
 from __future__ import annotations
@@ -80,17 +81,21 @@ BATCH_SEEDS = [3, 4, 5, 11]
 SHARING_BOUNDS = [16, 96, 256]
 
 
-@pytest.fixture
-def tiny_blocks(monkeypatch):
+def _tiny_blocks(monkeypatch):
     monkeypatch.setattr(engine_vectorized, "_BLOCK_CHANNELS", 7)
     monkeypatch.setattr(engine_vectorized, "_CHUNK_ENTRIES", 40)
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    _tiny_blocks(monkeypatch)
 
 
 def _shrink_shared_blocks(monkeypatch, sharing_bound):
     monkeypatch.setattr(engine_vectorized, "_BLOCK_CHANNELS", 256)
     monkeypatch.setattr(engine_vectorized, "_CHUNK_ENTRIES", 400)
     monkeypatch.setattr(
-        engine_vectorized._BulkEngineBase, "_SCRATCH_MIN_SAMPLERS", sharing_bound
+        BatchedVectorizedRoundEngine, "_SCRATCH_MIN_SAMPLERS", sharing_bound
     )
 
 
@@ -110,19 +115,22 @@ def graphs():
     }
 
 
-@pytest.mark.usefixtures("tiny_blocks")
 @pytest.mark.parametrize("failure", sorted(FAILURES))
 @pytest.mark.parametrize("graph_name", ["regular", "multigraph", "gnp"])
 @pytest.mark.parametrize("protocol_name", sorted(BLOCK_PROTOCOLS))
 def test_blocked_single_run_matches_batched_row(
-    graphs, protocol_name, graph_name, failure
+    monkeypatch, graphs, protocol_name, graph_name, failure
 ):
-    assert_bit_identical(
-        graphs[graph_name],
-        BLOCK_PROTOCOLS[protocol_name],
-        [3],
-        **FAILURES[failure],
-    )
+    graph = graphs[graph_name]
+    factory = BLOCK_PROTOCOLS[protocol_name]
+    config = SimulationConfig(engine="vectorized", **FAILURES[failure])
+    # A single run is the engine's one-row case, so the tiny-block runs are
+    # also held against a run drawn at the default bounds.
+    reference = run_signature(run_broadcast(graph, factory(graph.node_count), seed=3, config=config))
+    _tiny_blocks(monkeypatch)
+    assert_bit_identical(graph, factory, [3], **FAILURES[failure])
+    tiny = run_broadcast(graph, factory(graph.node_count), seed=3, config=config)
+    assert run_signature(tiny) == reference
 
 
 @pytest.mark.parametrize("failure", sorted(FAILURES))
@@ -150,7 +158,7 @@ def test_batched_rows_match_single_runs_in_shared_blocks(
 
 def _block_rows(monkeypatch):
     """Record the piece rows of every block each batched round delivers."""
-    deliver = engine_vectorized._BulkEngineBase._deliver
+    deliver = BatchedVectorizedRoundEngine._deliver
     rounds = []
 
     def spy(engine, state, blocks, *args):
@@ -164,7 +172,7 @@ def _block_rows(monkeypatch):
 
         return deliver(engine, state, watched(), *args)
 
-    monkeypatch.setattr(engine_vectorized._BulkEngineBase, "_deliver", spy)
+    monkeypatch.setattr(BatchedVectorizedRoundEngine, "_deliver", spy)
     return rounds
 
 
@@ -208,7 +216,7 @@ def test_only_fresh_receivers_are_committed(
     committed = []
 
     def spy(state, delivered, round_index):
-        assert not state.informed[delivered].any(), round_index
+        assert not state.informed.reshape(-1)[delivered].any(), round_index
         committed.append(delivered.size)
         return commit(state, delivered, round_index)
 

@@ -1,10 +1,11 @@
 """Batch row compaction: bit-parity, trigger mechanics, and index remapping.
 
-The batched engine's compaction contract is that remapping completed
+The bulk engine's compaction contract is that remapping completed
 replications out of the ``(R, n)`` state is *invisible* in the results: a
-batch run with ``batch_row_compaction=True`` (the default) is bit-identical —
+batch run with compaction on (the default) is bit-identical —
 per-round history, transmissions, channel accounting, quasirandom pointer
-tables — to the same run with compaction disabled, and every row stays
+tables — to the same run with the engine's ``_compaction`` switch off, and
+every row stays
 bit-identical to the corresponding single-seed vectorized run.  The natural
 stress case is a gnp graph near the connectivity threshold, where completion
 rounds are maximally uneven and rows leave the batch at many different
@@ -20,6 +21,7 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast, run_broadcast_batch
+from repro.core.engine_vectorized import BatchedVectorizedRoundEngine
 from repro.core.node import VectorState
 from repro.core.rng import RandomSource
 from repro.graphs.families import gnp_graph
@@ -81,22 +83,11 @@ def run_signature(result):
 def batch_pair(graph, factory, seeds, **config_kwargs):
     """The same batch run with compaction on and off."""
     n = graph.node_count
-    on = run_broadcast_batch(
-        graph,
-        factory(n),
-        seeds,
-        config=SimulationConfig(
-            engine="vectorized", batch_row_compaction=True, **config_kwargs
-        ),
-    )
-    off = run_broadcast_batch(
-        graph,
-        factory(n),
-        seeds,
-        config=SimulationConfig(
-            engine="vectorized", batch_row_compaction=False, **config_kwargs
-        ),
-    )
+    config = SimulationConfig(engine="vectorized", **config_kwargs)
+    on = run_broadcast_batch(graph, factory(n), seeds, config=config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BatchedVectorizedRoundEngine, "_compaction", False)
+        off = run_broadcast_batch(graph, factory(n), seeds, config=config)
     return on, off
 
 
@@ -121,7 +112,7 @@ class TestCompactionBitParity:
     ):
         factory = PROTOCOL_FACTORIES[protocol_name]
         n = gnp_near_threshold.node_count
-        config = SimulationConfig(engine="vectorized", batch_row_compaction=True)
+        config = SimulationConfig(engine="vectorized")
         batched = run_broadcast_batch(
             gnp_near_threshold, factory(n), SEEDS, config=config
         )

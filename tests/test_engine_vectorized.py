@@ -21,7 +21,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast
 from repro.core.engine_vectorized import (
-    VectorizedRoundEngine,
+    BatchedVectorizedRoundEngine,
     vectorization_unsupported_reason,
 )
 from repro.core.errors import SimulationError
@@ -168,9 +168,10 @@ class TestDispatch:
 
     def test_constructor_rejects_unsupported_combination(self, regular_graph):
         with pytest.raises(SimulationError):
-            VectorizedRoundEngine(
+            BatchedVectorizedRoundEngine(
                 graph=regular_graph,
                 protocol=SequentialAlgorithm1(n_estimate=256),
+                seeds=[0],
             )
 
     def test_overridden_lifecycle_hooks_force_scalar(self, regular_graph):
@@ -464,12 +465,15 @@ class TestStatisticalParity:
 
 
 class TestVectorState:
+    """A one-replication state: ``(1, n)`` planes whose flat ids are node ids."""
+
     def test_initial_state(self):
         state = VectorState(n=5, source=2)
-        assert state.informed_count == 1
-        assert state.informed[2]
-        assert state.informed_round[2] == 0
-        assert not state.all_informed()
+        assert state.shape == (1, 5)
+        assert state.informed_count.tolist() == [1]
+        assert state.informed[0, 2]
+        assert state.informed_round[0, 2] == 0
+        assert not state.all_informed().any()
 
     def test_invalid_source_rejected(self):
         with pytest.raises(ValueError):
@@ -477,17 +481,17 @@ class TestVectorState:
 
     def test_commit_round_promotes_pending(self):
         state = VectorState(n=4, source=0)
-        state.pending[[1, 3]] = True
+        state.pending[0, [1, 3]] = True
         newly = state.commit_round(round_index=7)
         assert sorted(newly.tolist()) == [1, 3]
-        assert state.informed_count == 3
-        assert state.informed_round[1] == state.informed_round[3] == 7
+        assert state.informed_count.tolist() == [3]
+        assert state.informed_round[0, 1] == state.informed_round[0, 3] == 7
         assert not state.pending.any()
 
     def test_commit_ignores_already_informed(self):
         state = VectorState(n=3, source=0)
-        state.pending[[0, 1]] = True
+        state.pending[0, [0, 1]] = True
         newly = state.commit_round(round_index=1)
         assert newly.tolist() == [1]
-        assert state.informed_round[0] == 0
-        assert state.informed_count == 2
+        assert state.informed_round[0, 0] == 0
+        assert state.informed_count.tolist() == [2]

@@ -159,7 +159,9 @@ def test_subpackages_resolve_as_attributes_on_demand(tmp_path):
 
         assert repro.dist.merge_runs.__module__ == "repro.dist.executor"
         assert repro.experiments.Table.__name__ == "Table"
-        assert repro.core.engine_vectorized.VectorizedRoundEngine is repro.VectorizedRoundEngine
+        engine_class = repro.core.engine_vectorized.BatchedVectorizedRoundEngine
+        assert engine_class is repro.BatchedVectorizedRoundEngine
+        assert not hasattr(repro, "VectorizedRoundEngine")
         assert callable(repro.analysis.mean)
         assert not hasattr(repro, "no_such_name")
         assert not hasattr(repro.core, "no_such_module")

@@ -95,6 +95,12 @@ class TestPhaseAndBaselineExperiments:
         assert len(table.rows) == 4
         assert all(row["success_rate"] == 1.0 for row in table.rows)
 
+    def test_e12_default_degrees_run_each_degree_once(self):
+        # At n = 256 the defaults 8 and log2 n coincide; each degree runs once.
+        table = run_degree(quick=True, n=256)
+        assert len(table.rows) == 8
+        assert sorted({row["d"] for row in table.rows}) == [4, 6, 8, 16]
+
 
 class TestRobustnessExperiments:
     def test_e6_e7_blocks_present(self):

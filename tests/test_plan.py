@@ -160,11 +160,7 @@ class TestEntryPointsExecuteThePlan:
             finder = _PredicateCallers()
             finder.visit(ast.parse(path.read_text(encoding="utf-8")))
             callers |= finder.callers
-        assert callers == {
-            "plan_run",
-            "VectorizedRoundEngine.__init__",
-            "BatchedVectorizedRoundEngine.__init__",
-        }
+        assert callers == {"plan_run", "BatchedVectorizedRoundEngine.__init__"}
 
 
 class _PredicateCallers(ast.NodeVisitor):

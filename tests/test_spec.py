@@ -157,6 +157,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="no values"):
             SweepAxis(path="graph.params.n", values=())
 
+    def test_repeated_axis_value_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"graph\.params\.d"):
+            SweepAxis(path="graph.params.d", values=(8, 8))
+
     def test_duplicate_axis_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
             SweepSpec(
