@@ -2,14 +2,17 @@
 """Compare current hot-path timings *and memory* against BENCH_micro.json.
 
 Re-measures the micro-benchmark medians (graph generation, including the
-connected n = 32768 build with its connectivity check, one broadcast per
-protocol at n = 4096, push and Algorithm 1 at n = 256, where the engine's
-per-round bookkeeping dominates, plus the 20-seed batched push sweep) and the
-tracemalloc peak of the headline allocations (the million-node pairing build
-with its CSR stats, million-node push, push-pull, Algorithm 1 and quasirandom
-broadcasts, batched push, push-pull and Algorithm 1 sweeps, churn at
-n = 10⁵), and fails — exit code 1 — if
-any of them regressed beyond its factor over the recorded baseline.
+connected n = 32768 and n = 2²⁰ builds with their connectivity check, one
+broadcast per protocol at n = 4096, push and Algorithm 1 at n = 256, where
+the engine's per-round bookkeeping dominates, the 20-seed batched push sweep
+at n = 4096 and Algorithm 1 sweep at n = 32768, and Algorithm 1 under churn)
+and the tracemalloc peak of the headline allocations (the million-node
+pairing build with its CSR stats, the connected n = 2²⁰ build, million-node
+push, push-pull, Algorithm 1 and quasirandom broadcasts, batched push,
+push-pull and Algorithm 1 sweeps, churn at n = 10⁵), and fails — exit code
+1 — if any of them regressed beyond its factor over the recorded baseline.
+Every timing is gated against a baseline recorded with this script's own
+statistic, the median of its repetitions.
 
 Timings are compared at ``--tolerance``: a coarse tripwire for "someone made
 the hot path 2× slower", generous enough to absorb runner jitter.  Memory
@@ -61,6 +64,8 @@ N, D = 4096, 8
 #: The small size whose runs are mostly per-round bookkeeping.
 SMALL_N = 256
 SWEEP_SEEDS = list(range(20))
+#: The E1 shape at its largest size, and the large simple build.
+SWEEP_N, LARGE_N = 32768, 2**20
 #: Fixed factor for the memory entries (see the module docstring).
 MEMORY_TOLERANCE = 1.25
 
@@ -83,6 +88,8 @@ def measure_current() -> dict:
     graph.csr()
     small = random_regular_graph(SMALL_N, D, RandomSource(seed=2), strategy="repair")
     small.csr()
+    sweep_graph = connected_random_regular_graph(SWEEP_N, D, RandomSource(seed=1))
+    sweep_graph.csr()
 
     def broadcast(protocol_factory, on=graph):
         return lambda: run_broadcast(on, protocol_factory(), seed=3, config=vector)
@@ -100,7 +107,11 @@ def measure_current() -> dict:
         ),
         # The experiment default family: draw plus connectivity check.
         "connected_regular_graph_32768": median_ms(
-            lambda: connected_random_regular_graph(32768, 8, RandomSource(seed=1)),
+            lambda: connected_random_regular_graph(SWEEP_N, D, RandomSource(seed=1)),
+            repetitions=3,
+        ),
+        "connected_regular_graph_1048576": median_ms(
+            lambda: connected_random_regular_graph(LARGE_N, D, RandomSource(seed=1)),
             repetitions=3,
         ),
         "push_vectorized_4096": median_ms(
@@ -126,6 +137,13 @@ def measure_current() -> dict:
         "batched_push_sweep_20x_4096": median_ms(
             lambda: run_broadcast_batch(
                 graph, PushProtocol(n_estimate=N), SWEEP_SEEDS, config=vector
+            ),
+            repetitions=3,
+        ),
+        # The k-distinct draw at the E1 sweep's largest size.
+        "batched_algorithm1_20x_32768": median_ms(
+            lambda: run_broadcast_batch(
+                sweep_graph, Algorithm1(n_estimate=SWEEP_N), SWEEP_SEEDS, config=vector
             ),
             repetitions=3,
         ),
@@ -164,6 +182,9 @@ def measure_memory() -> dict:
         return graph
 
     graph_ready_peak = traced_peak_mb(million_graph)
+    connected_large_peak = traced_peak_mb(
+        lambda: connected_random_regular_graph(LARGE_N, D, RandomSource(seed=1))
+    )
     graph_million = million_graph()
 
     def million(protocol_class):
@@ -183,18 +204,18 @@ def measure_memory() -> dict:
             graph_4096, PushProtocol(n_estimate=N), SWEEP_SEEDS, config=vector
         )
 
-    graph_32768 = connected_random_regular_graph(32768, 8, RandomSource(seed=1))
+    graph_32768 = connected_random_regular_graph(SWEEP_N, D, RandomSource(seed=1))
     graph_32768.csr()
     graph_32768.csr_stats()
 
     def batched_push_pull():
         run_broadcast_batch(
-            graph_32768, PushPullProtocol(n_estimate=32768), SWEEP_SEEDS, config=vector
+            graph_32768, PushPullProtocol(n_estimate=SWEEP_N), SWEEP_SEEDS, config=vector
         )
 
     def batched_algorithm1():
         run_broadcast_batch(
-            graph_32768, Algorithm1(n_estimate=32768), SWEEP_SEEDS, config=vector
+            graph_32768, Algorithm1(n_estimate=SWEEP_N), SWEEP_SEEDS, config=vector
         )
 
     graph_100k = pairing_multigraph(100_000, 8, RandomSource(seed=7))
@@ -220,6 +241,7 @@ def measure_memory() -> dict:
     churn_100k()
     return {
         "graph_ready_1e6_peak": graph_ready_peak,
+        "connected_regular_graph_1048576_peak": connected_large_peak,
         **{name: traced_peak_mb(run) for name, run in million_runs.items()},
         "batched_push_sweep_20x_4096_peak": traced_peak_mb(batched_sweep),
         "batched_push_pull_20x_32768_peak": traced_peak_mb(batched_push_pull),
@@ -235,6 +257,7 @@ def baseline_map(recorded: dict) -> dict:
         "generate_regular_graph_4096": baselines["generate_regular_graph_4096"],
         "pairing_multigraph_1e6_d8": baselines["pairing_multigraph_1e6_d8"]["ms"],
         "connected_regular_graph_32768": baselines["connected_regular_graph_32768"]["ms"],
+        "connected_regular_graph_1048576": baselines["connected_regular_graph_1048576"]["ms"],
         "push_vectorized_4096": baselines["push_broadcast_4096"]["vectorized"],
         "algorithm1_vectorized_4096": baselines["algorithm1_broadcast_4096"]["vectorized"],
         "algorithm2_vectorized_4096": baselines["algorithm2_broadcast_4096"]["vectorized"],
@@ -242,7 +265,8 @@ def baseline_map(recorded: dict) -> dict:
         "push_vectorized_256": baselines["push_broadcast_256"]["vectorized"],
         "algorithm1_vectorized_256": baselines["algorithm1_broadcast_256"]["vectorized"],
         "batched_push_sweep_20x_4096": baselines["batched_push_sweep_20x_4096"]["batched"],
-        "algorithm1_churn_vectorized_4096": baselines["algorithm1_churn_4096"]["vectorized"],
+        "batched_algorithm1_20x_32768": baselines["batched_algorithm1_20x_32768"]["ms"],
+        "algorithm1_churn_vectorized_4096": baselines["algorithm1_churn_4096"]["median_ms"],
     }
 
 
@@ -251,6 +275,7 @@ def memory_baseline_map(recorded: dict) -> dict:
     memory = recorded["memory_mb"]
     names = (
         "graph_ready_1e6_peak",
+        "connected_regular_graph_1048576_peak",
         "push_broadcast_1e6_peak",
         "push_pull_broadcast_1e6_peak",
         "algorithm1_broadcast_1e6_peak",

@@ -16,7 +16,12 @@ plan as a one-seed :class:`BatchedVectorizedRoundEngine`.  Each round:
    stub offsets for fanout 1, a random-key top-``k`` selection for larger
    fanouts (each sampler's ``k`` stubs in ascending key order, a full row
    sort, so loss draws line up on every machine), or a slice of a custom
-   target hook's output;
+   target hook's output.  A top-``k`` key is the 53-bit integer that
+   ``Generator.random`` would scale to a float, read from the same stream
+   word by ``bit_generator.random_raw``, with the stub's column packed into
+   the low bits: rows up to 2¹¹ stubs wide sort in place as ``uint64`` and
+   an exact tie goes to the lower column on every machine.  Wider rows
+   argsort the same draws as floats, whose exact ties order by platform;
 3. each block is filtered, loss-tested (Bernoulli arrays over channels and
    transmissions) and cut down to its still-uninformed receivers before the
    next block is drawn;
@@ -170,13 +175,17 @@ __all__ = [
 ]
 
 #: Upper bound on random keys materialised per sampling chunk (rows × max
-#: degree): 2¹⁹ float64 keys, 4 MiB, so the k-distinct path's scratch stays
+#: degree): 2¹⁹ 64-bit keys, 4 MiB, so the k-distinct path's scratch stays
 #: a few chunk-sized arrays whatever the sampler count.
 _CHUNK_ENTRIES = 1 << 19
 
 #: Upper bound on channels per delivery block (and per top-``k`` chunk).  A
 #: round's sampling and delivery scratch is one block.
 _BLOCK_CHANNELS = 1 << 18
+
+#: Bits a 64-bit stream word has beyond the 53 of its uniform: a top-``k``
+#: key row up to 2¹¹ wide sorts as integers, the column in these bits.
+_KEY_COLUMN_BITS = 11
 
 #: ``(callers, callees)`` of a block, callers broadcastable to callees.
 _ChannelBlock = Tuple[np.ndarray, np.ndarray]
@@ -298,6 +307,44 @@ def _tally(counter: np.ndarray, rows: Sequence[int], bounds: Sequence[int]) -> N
         counter[row] += stop - start
 
 
+def _smallest_key_columns(
+    generator: np.random.Generator,
+    rows: int,
+    width: int,
+    fanout: int,
+    pad: Optional[np.ndarray],
+) -> np.ndarray:
+    """Each row's ``fanout`` columns with the smallest iid uniform keys.
+
+    Draws ``rows · width`` keys and returns ``(rows, fanout)`` int64 columns
+    in ascending key order; ``pad`` marks columns that must never win.  A key
+    is a 64-bit word of the stream shifted to the 53 bits that
+    ``Generator.random`` scales by 2⁻⁵³, with its column in the bits below,
+    so one in-place integer row sort orders the keys and breaks exact ties
+    by column.  Rows wider than 2¹¹ leave too few bits for the column and
+    argsort the same draws as floats.
+    """
+    shift = (width - 1).bit_length()
+    if shift > _KEY_COLUMN_BITS:
+        floats = generator.random((rows, width))
+        if pad is not None:
+            floats[pad] = np.inf
+        # argpartition would leave the order within the k to the SIMD
+        # dispatch, and the loss draws follow that order.
+        return np.argsort(floats, axis=1)[:, :fanout]
+    low = np.uint64((1 << shift) - 1)
+    keys = generator.bit_generator.random_raw((rows, width))
+    keys >>= np.uint64(_KEY_COLUMN_BITS - shift)
+    keys &= ~low
+    keys |= np.arange(width, dtype=np.uint64)
+    if pad is not None:
+        keys[pad] = np.iinfo(np.uint64).max
+    keys.sort(axis=1)
+    # Columns fit in 11 bits, so the words read the same as int64: a view,
+    # where astype would copy through a slow uint64 -> int64 cast.
+    return (keys[:, :fanout] & low).view(np.int64)
+
+
 def _stub_target_blocks(
     generator: np.random.Generator,
     samplers: np.ndarray,
@@ -316,11 +363,12 @@ def _stub_target_blocks(
     is over adjacency *positions*, so parallel edges weight the draw exactly
     as the scalar ``select_call_targets`` does.  A deep sampler calls its
     ``fanout`` smallest of ``degree`` iid uniform keys, in ascending key
-    order (a full row sort), so the loss draws that follow see the same
-    channel order on every machine; only exact float ties between keys
-    (about 3·10⁻¹⁵ per row of 8) remain platform-dependent.  The key width
-    is the global max degree and consecutive chunks' keys form one stream,
-    so the draws depend neither on the bounds nor on ``uniform_degree``.
+    order (a full row sort, :func:`_smallest_key_columns`), so the loss
+    draws that follow see the same channel order on every machine; an exact
+    tie between keys (about 3·10⁻¹⁵ per row of 8) goes to the lower column.
+    The key width is the global max degree and consecutive chunks' keys
+    form one stream, so the draws depend neither on the bounds nor on
+    ``uniform_degree``.
     """
     if uniform_degree is not None and uniform_degree > fanout:
         # Every sampler is deep and no key row needs padding.
@@ -353,12 +401,8 @@ def _stub_target_blocks(
         rows = max(1, min(_CHUNK_ENTRIES // max_degree, _BLOCK_CHANNELS // fanout))
         for start in range(0, deep_nodes.size, rows):
             nodes = deep_nodes[start : start + rows]
-            keys = generator.random((nodes.size, max_degree))
-            if padded:
-                keys[column >= deep_degrees[start : start + rows, None]] = np.inf
-            # argpartition would leave the order within the k to the SIMD
-            # dispatch, and the loss draws follow that order.
-            chosen = np.argsort(keys, axis=1)[:, :fanout]
+            pad = column >= deep_degrees[start : start + rows, None] if padded else None
+            chosen = _smallest_key_columns(generator, nodes.size, max_degree, fanout, pad)
             chosen += indptr[nodes][:, None]
             yield nodes[:, None], indices[chosen]
 

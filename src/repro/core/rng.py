@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -68,12 +69,15 @@ class RandomSource:
 
     seed: int
     name: str = "root"
-    _generator: np.random.Generator = field(init=False, repr=False)
+    # Left out of equality: whether a source has drawn yet must not decide
+    # whether two sources compare equal.
+    _generator: Optional[np.random.Generator] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        self._generator = np.random.default_rng(self.seed)
 
     # -- stream management -------------------------------------------------
 
@@ -85,20 +89,26 @@ class RandomSource:
 
     @property
     def generator(self) -> np.random.Generator:
-        """The underlying numpy generator (for bulk vectorised draws)."""
+        """The underlying numpy generator (for bulk vectorised draws).
+
+        Built on first use, so a source that is only spawned from never
+        builds one; its draws are those of ``default_rng(seed)`` either way.
+        """
+        if self._generator is None:
+            self._generator = np.random.default_rng(self.seed)
         return self._generator
 
     # -- scalar draws --------------------------------------------------------
 
     def random(self) -> float:
         """A uniform float in ``[0, 1)``."""
-        return float(self._generator.random())
+        return float(self.generator.random())
 
     def randint(self, low: int, high: int) -> int:
         """A uniform integer in ``[low, high)``."""
         if high <= low:
             raise ValueError(f"empty range [{low}, {high})")
-        return int(self._generator.integers(low, high))
+        return int(self.generator.integers(low, high))
 
     def bernoulli(self, p: float) -> bool:
         """True with probability ``p``."""
@@ -108,7 +118,7 @@ class RandomSource:
             return False
         if p == 1.0:
             return True
-        return bool(self._generator.random() < p)
+        return bool(self.generator.random() < p)
 
     # -- collection draws ----------------------------------------------------
 
@@ -116,7 +126,7 @@ class RandomSource:
         """A uniformly random element of ``items``."""
         if not items:
             raise ValueError("cannot choose from an empty sequence")
-        return items[int(self._generator.integers(0, len(items)))]
+        return items[int(self.generator.integers(0, len(items)))]
 
     def sample_distinct(self, items: list, k: int) -> list:
         """``k`` distinct elements of ``items``, uniformly without replacement.
@@ -131,21 +141,21 @@ class RandomSource:
         if k == 1:
             # Fast path: the standard phone call model samples a single
             # neighbour per round, so this branch dominates large runs.
-            return [items[int(self._generator.integers(0, size))]]
+            return [items[int(self.generator.integers(0, size))]]
         if k >= size:
-            indices = self._generator.permutation(size)
+            indices = self.generator.permutation(size)
             return [items[i] for i in indices]
-        indices = self._generator.choice(size, size=k, replace=False)
+        indices = self.generator.choice(size, size=k, replace=False)
         return [items[i] for i in indices]
 
     def shuffle(self, items: list) -> None:
         """Shuffle ``items`` in place."""
-        self._generator.shuffle(items)
+        self.generator.shuffle(items)
 
     def permutation(self, n: int) -> np.ndarray:
         """A random permutation of ``range(n)``."""
-        return self._generator.permutation(n)
+        return self.generator.permutation(n)
 
     def binomial(self, n: int, p: float) -> int:
         """A binomial draw, used by bulk failure injection."""
-        return int(self._generator.binomial(n, p))
+        return int(self.generator.binomial(n, p))

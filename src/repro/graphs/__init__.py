@@ -17,7 +17,6 @@ if TYPE_CHECKING:
         connected_random_regular_graph,
         pairing_multigraph,
         random_regular_graph,
-        repair_to_simple,
         validate_regular_parameters,
     )
     from .families import (
@@ -59,7 +58,6 @@ __all__ = [
     "pairing_multigraph",
     "random_regular_graph",
     "connected_random_regular_graph",
-    "repair_to_simple",
     "validate_regular_parameters",
     "complete_graph",
     "gnp_graph",

@@ -23,6 +23,14 @@ Three ways of obtaining a *simple* graph are provided, selectable through the
 ``strategy="auto"`` (default) picks rejection when the expected acceptance
 probability is reasonable and repair otherwise.
 
+Both pairing builds work on the draw's stub permutation ``pi`` (edge ``i``
+is positions ``2i`` and ``2i + 1``, node of position ``p`` is
+``pi[p] // d``) and lay out the CSR with one inverse scatter, a row sort of
+each node's ``d`` positions and one partner gather.  The repair runs between
+the sort and the gather: it finds bad edges within the rows (a node's
+partners in position order) and swaps entries of ``pi`` in place, so no pass
+sorts all ``m`` edge keys and no edge array is built.
+
 :func:`connected_random_regular_graph` redraws until the outcome is
 connected.  The check is :func:`repro.graphs.properties.component_labels`,
 a few array passes over the CSR view: it consumes no randomness and leaves
@@ -33,6 +41,8 @@ imports ``networkx``.
 from __future__ import annotations
 
 import math
+from typing import Optional
+
 import numpy as np
 
 from ..core.errors import GraphGenerationError
@@ -45,7 +55,6 @@ __all__ = [
     "random_regular_graph",
     "connected_random_regular_graph",
     "validate_regular_parameters",
-    "repair_to_simple",
 ]
 
 #: Stub entries per pass of the pairing build's scatter and gather loops;
@@ -71,162 +80,156 @@ def validate_regular_parameters(n: int, d: int) -> None:
         )
 
 
-def _random_pairing(n: int, d: int, rng: RandomSource) -> np.ndarray:
-    """A uniformly random perfect matching of the ``n*d`` stubs.
+def _shuffled_stubs(n: int, d: int, rng: RandomSource) -> np.ndarray:
+    """One draw of the pairing process as its stub permutation ``pi``.
 
-    Returns an array of node indices in which positions ``2i`` and ``2i+1``
-    are the endpoints of the ``i``-th edge.  Shuffling the stub array and
-    pairing consecutive entries is distributionally identical to the
-    sequential "match the next unmatched stub with a uniform unmatched stub"
-    description in the paper.
+    ``pi[p]`` is the stub at shuffled position ``p`` (stub ``s`` belongs to
+    node ``s // d``), and positions ``2i`` and ``2i + 1`` form edge ``i``:
+    distributionally the paper's "match the next unmatched stub with a
+    uniform unmatched stub".  Shuffling an index-dtype ``arange(2m)`` in
+    place makes the draws of ``Generator.permutation(2m)`` and of shuffling
+    the ``np.repeat(arange(n), d)`` stub array; int32 halves the traffic of
+    the build's random-access scatter and gather, which dominate at scale.
     """
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    rng.generator.shuffle(stubs)
-    return stubs
+    two_m = n * d
+    pi = np.arange(two_m, dtype=np.int32 if two_m < 2**31 else np.int64)
+    rng.generator.shuffle(pi)
+    return pi
+
+
+def _pairing_graph(
+    n: int, d: int, pi: np.ndarray, repair: Optional[RandomSource] = None
+) -> Graph:
+    """The CSR graph of the pairing ``pi``, first repaired when ``repair``
+    (the repair stream) is given.
+
+    One scatter inverts ``pi`` into a work buffer, so row ``v`` holds node
+    ``v``'s positions, and a row sort orders them, as the stable grouping
+    sort of an edge-array build would.  The repair works on these rows.
+    Then each position is overwritten with its partner's node
+    ``pi[p ^ 1] // d``, so the buffer itself becomes ``indices``.  Scratch
+    beyond ``pi`` and the buffer is bounded by :data:`_BUILD_CHUNK`.
+    """
+    buffer = np.empty_like(pi)
+    for start in range(0, pi.size, _BUILD_CHUNK):
+        stop = min(start + _BUILD_CHUNK, pi.size)
+        buffer[pi[start:stop]] = np.arange(start, stop, dtype=pi.dtype)
+    rows = buffer.reshape(n, d)
+    rows.sort(axis=1)
+    if repair is not None:
+        _repair_pairing(pi, rows, repair)
+    for start in range(0, pi.size, _BUILD_CHUNK):
+        block = buffer[start : start + _BUILD_CHUNK]
+        np.bitwise_xor(block, 1, out=block)
+        block[...] = pi[block]
+        np.floor_divide(block, d, out=block)
+    indptr = np.arange(0, pi.size + 1, d, dtype=pi.dtype)
+    return Graph.from_csr(n, indptr, buffer)
 
 
 def pairing_multigraph(n: int, d: int, rng: RandomSource) -> Graph:
     """One draw of the pairing process (self-loops / parallel edges allowed).
 
-    Built straight into CSR form without the ``O(m log m)`` stable argsort
-    over the ``2m`` stubs that :meth:`Graph.from_edge_array` would perform.
-    Because every node owns exactly ``d`` stubs, the CSR layout is known up
-    front (node ``v`` occupies slots ``v*d .. v*d+d-1``); drawing the stub
-    permutation directly, inverting it with one scatter, and sorting each
-    node's ``d`` positions row-wise recovers the partner of every stub with
-    counting-sort-style array passes.
-
-    Bit-parity: an in-place shuffle of an index-dtype ``arange(2m)`` makes
-    the draws of ``Generator.permutation(2m)`` (which shuffles an int64
-    one), i.e. of the previous ``shuffle`` of the stub array, and the
-    row-wise position sort reproduces the stable-argsort stub order, so this
-    build returns the identical graph (same CSR arrays, same generator
-    state) as the edge-array path, about 3x faster at ``n = 10^6``.
-
-    Memory: the build owns the permutation and one work buffer, both ``2m``
-    index-dtype entries.  The inverse scatter fills the buffer chunk by
-    chunk, the row sort runs in place, and the partner gather overwrites it
-    chunk by chunk, so the buffer itself becomes ``indices``.  Scratch
-    beyond the two arrays is bounded by :data:`_BUILD_CHUNK` entries.  The
-    traced peak at ``n = 10^6, d = 8`` is ~66 MB, about 2.0x the CSR.
+    Built straight into CSR form (:func:`_pairing_graph`) without the
+    ``O(m log m)`` stable argsort over the ``2m`` stubs that
+    :meth:`Graph.from_edge_array` would perform: every node owns exactly
+    ``d`` stubs, so node ``v`` occupies slots ``v*d .. v*d+d-1``.  The
+    result is identical (same CSR arrays, same generator state) to grouping
+    the shuffled stub array's edges with a stable argsort, about 3x faster
+    at ``n = 10^6``.  The build owns the permutation and one work buffer,
+    both ``2m`` index-dtype entries; the traced peak at ``n = 10^6, d = 8``
+    is ~66 MB, about 2.0x the CSR.
     """
     validate_regular_parameters(n, d)
-    two_m = n * d
-    # int32 keys halve the traffic of the two random-access passes (the
-    # inverse scatter and the partner gather), which dominate at this scale.
-    dtype = np.int32 if two_m < 2**31 else np.int64
-    # pi[p] = original stub at shuffled position p; stubs of node v are the
-    # original positions v*d .. v*d+d-1, and shuffled positions p and p^1 are
-    # matched (consecutive entries pair up).
-    # What ``Generator.permutation(2m)`` does to an int64 arange: same
-    # draws and generator state, without the int64 array and its copy.
-    pi = np.arange(two_m, dtype=dtype)
-    rng.generator.shuffle(pi)
-    # The inverse permutation: buffer[s] = shuffled position of stub s.
-    buffer = np.empty(two_m, dtype=dtype)
-    for start in range(0, two_m, _BUILD_CHUNK):
-        stop = min(start + _BUILD_CHUNK, two_m)
-        buffer[pi[start:stop]] = np.arange(start, stop, dtype=dtype)
-    # Each row holds one node's d shuffled positions; ascending order matches
-    # the stable grouping sort of the edge-array build.
-    buffer.reshape(n, d).sort(axis=1)
-    # Position p is matched with p ^ 1, whose stub belongs to node
-    # pi[p ^ 1] // d: overwrite each position with that partner node.
-    for start in range(0, two_m, _BUILD_CHUNK):
-        block = buffer[start : start + _BUILD_CHUNK]
-        np.bitwise_xor(block, 1, out=block)
-        block[...] = pi[block]
-        np.floor_divide(block, d, out=block)
-    indptr = np.arange(0, two_m + 1, d, dtype=dtype)
-    return Graph.from_csr(n, indptr, buffer)
+    return _pairing_graph(n, d, _shuffled_stubs(n, d, rng))
 
 
-def _pairing_edge_array(n: int, d: int, rng: RandomSource) -> np.ndarray:
-    """The pairing as an ``(m, 2)`` edge array (no Graph object yet)."""
-    stubs = _random_pairing(n, d, rng)
-    return stubs.reshape(-1, 2)
+def _bad_edges(pi: np.ndarray, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The bad edges with an endpoint among ``nodes``, ascending.
 
-
-def _isin_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """``np.isin(values, sorted_keys)`` for an ascending ``sorted_keys``.
-
-    A binary search per value; ``np.isin`` would hash or sort all of
-    ``sorted_keys`` again on every call.
+    An edge is bad when it is a self-loop or a later copy (by edge index)
+    of an earlier edge's pair.  A row lists its node's partners in position
+    order, so a bad edge shows in either endpoint's row as an entry equal to
+    an earlier one: a later copy repeats the first copy's partner, and a
+    self-loop's second entry repeats its first.  The rows are compared
+    column-major, so each of the ``d - 1`` shifts is one pass over a
+    contiguous block.
     """
-    if sorted_keys.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    positions = np.searchsorted(sorted_keys, values)
-    return sorted_keys[np.minimum(positions, sorted_keys.size - 1)] == values
+    d = rows.shape[1]
+    step = max(1, _BUILD_CHUNK // d)
+    found = []
+    for start in range(0, nodes.size, step):
+        columns = rows[nodes[start : start + step]].T.copy()
+        partners = pi[columns ^ 1] // d
+        repeat = np.zeros(columns.shape, dtype=bool)
+        for shift in range(1, d):
+            repeat[shift:] |= partners[shift:] == partners[:-shift]
+        found.append(columns[repeat] >> 1)
+    # Sorted and deduplicated without np.unique, whose plain form imports
+    # numpy.ma (~15 ms at first use).
+    edges = np.sort(np.concatenate(found))
+    return edges[np.diff(edges, prepend=-1) != 0]
 
 
-def repair_to_simple(
-    edges: np.ndarray, rng: RandomSource, max_passes: int = 200
+def _rows_hold(
+    pi: np.ndarray, rows: np.ndarray, owners: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """Remove self-loops and parallel edges from a pairing by double-edge swaps.
+    """Whether row ``owners[i]`` lists ``values[i]`` as a partner."""
+    partners = pi[rows[owners] ^ 1] // rows.shape[1]
+    return (partners == values[:, None]).any(axis=1)
 
-    A *bad* edge (self-loop or duplicate of an earlier edge) is repaired by
-    picking a uniformly random partner edge and swapping one endpoint with it,
-    which preserves every node's degree.  Each pass is fully array-based:
 
-    1. bad edges are found by sorting the undirected edge keys (a self-loop,
-       or any copy of a key after its first occurrence, is bad);
-    2. every bad edge proposes a swap with one uniformly drawn partner;
-    3. proposals are accepted only when they provably keep the multiset
-       simple — the partner is a good edge claimed by no other proposal, the
-       swap creates no self-loop, and the two new keys collide neither with
-       the surviving good keys nor with any other accepted proposal's keys.
+def _repair_pairing(
+    pi: np.ndarray, rows: np.ndarray, rng: RandomSource, max_passes: int = 200
+) -> None:
+    """Remove self-loops and parallel edges from the pairing ``pi`` in place.
 
-    Rejected proposals simply retry in the next pass with fresh partners, so
-    each pass monotonically reduces the bad-edge count; a handful of passes
-    suffices in practice because the expected number of bad edges is
-    ``O(d²)``, while the per-pass cost is a few ``O(m log m)`` array
-    operations instead of a Python scan over all ``m`` edges.
+    A *bad* edge (self-loop, or a later copy of an earlier edge's pair) is
+    repaired by picking a uniformly random partner edge and swapping one
+    endpoint with it, which preserves every node's degree.  Each pass:
 
-    Parameters
-    ----------
-    edges:
-        ``(m, 2)`` integer array of edge endpoints (modified copy returned).
-    rng:
-        Randomness source for partner selection.
-    max_passes:
-        Safety bound on repair sweeps before giving up.
+    1. finds the bad edges, in ascending edge index, from the rows
+       (:func:`_bad_edges`);
+    2. draws one partner per bad edge, ``integers(0, m, size=#bad)``;
+    3. accepts a proposal only when it provably keeps the pairing simple:
+       the partner is a good edge claimed by no other proposal, the swap
+       creates no self-loop, and neither new pair is already an edge (the
+       first copy of every pair is good and a self-loop never is, so this
+       is "``y`` is already in row ``u``") nor another accepted proposal's.
+
+    The swap ``(u, v), (x, y) -> (u, y), (x, v)`` of bad edge ``b`` with
+    partner ``p`` exchanges ``pi[2b + 1]`` and ``pi[2p + 1]``; only the rows
+    of ``v`` and ``y`` reorder, and are re-sorted.  A swap's two new pairs
+    are fresh, so no good edge turns bad, and an edge's badness reads off
+    either endpoint's row: the next pass rescans only the rows of this
+    pass's bad edges' first endpoints ``u``.  Rejected proposals retry there
+    with fresh partners; a handful of passes suffices in practice because
+    the expected number of bad edges is ``O(d²)``.  ``rows`` are the
+    ``(n, d)`` ascending positions of each node's stubs, kept current.
 
     Raises
     ------
     GraphGenerationError
-        If the edge multiset cannot be made simple within ``max_passes``.
+        If the pairing cannot be made simple within ``max_passes``.
     """
-    edges = np.array(edges, dtype=np.int64, copy=True)
-    m = edges.shape[0]
-    if m == 0:
-        return edges
-    key_base = int(edges.max()) + 1
+    n, d = rows.shape
+    m = pi.size // 2
     generator = rng.generator
-
+    nodes = np.arange(n)
     for _ in range(max_passes):
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys = lo * key_base + hi
-        bad = lo == hi
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        duplicate = np.zeros(m, dtype=bool)
-        duplicate[1:] = sorted_keys[1:] == sorted_keys[:-1]
-        bad[order[duplicate]] = True
-        bad_indices = np.flatnonzero(bad)
-        if bad_indices.size == 0:
-            return edges
-        good_keys = sorted_keys[~bad[order]]
-
-        partners = generator.integers(0, m, size=bad_indices.size)
-        u, v = edges[bad_indices, 0], edges[bad_indices, 1]
-        x, y = edges[partners, 0], edges[partners, 1]
+        bad = _bad_edges(pi, rows, nodes)
+        if bad.size == 0:
+            return
+        partners = generator.integers(0, m, size=bad.size)
+        u, v = pi[2 * bad] // d, pi[2 * bad + 1] // d
+        x, y = pi[2 * partners] // d, pi[2 * partners + 1] // d
         # Swap v and y: (u, v), (x, y) -> (u, y), (x, v).
-        key_one = np.minimum(u, y) * key_base + np.maximum(u, y)
-        key_two = np.minimum(x, v) * key_base + np.maximum(x, v)
+        key_one = np.minimum(u, y).astype(np.int64) * n + np.maximum(u, y)
+        key_two = np.minimum(x, v).astype(np.int64) * n + np.maximum(x, v)
         ok = (u != y) & (x != v) & (key_one != key_two)
-        ok &= ~bad[partners]
-        ok &= ~_isin_sorted(key_one, good_keys) & ~_isin_sorted(key_two, good_keys)
+        # bad is ascending: a binary search finds the partners that are bad.
+        ok &= bad[np.minimum(np.searchsorted(bad, partners), bad.size - 1)] != partners
+        ok &= ~_rows_hold(pi, rows, u, y) & ~_rows_hold(pi, rows, x, v)
         accepted = np.flatnonzero(ok)
         if accepted.size:
             # Each good partner may take part in at most one swap per pass.
@@ -241,8 +244,16 @@ def repair_to_simple(
                     key_two[accepted], colliding
                 )
                 accepted = accepted[keep]
-            edges[bad_indices[accepted], 1] = y[accepted]
-            edges[partners[accepted], 1] = v[accepted]
+            bad_stub = 2 * bad[accepted] + 1
+            partner_stub = 2 * partners[accepted] + 1
+            pi[bad_stub], pi[partner_stub] = pi[partner_stub], pi[bad_stub]
+            # Row v trades position 2b + 1 for 2p + 1, row y the reverse.
+            owners = np.concatenate([v[accepted], y[accepted]])
+            moved = np.concatenate([bad_stub, partner_stub])
+            column = np.argmax(rows[owners] == moved[:, None], axis=1)
+            rows[owners, column] = np.concatenate([partner_stub, bad_stub])
+            rows[owners] = np.sort(rows[owners], axis=1)
+        nodes = u
     raise GraphGenerationError(
         f"could not repair pairing to a simple graph within {max_passes} passes"
     )
@@ -299,9 +310,7 @@ def random_regular_graph(
         )
 
     if strategy == "repair":
-        edges = _pairing_edge_array(n, d, rng)
-        edges = repair_to_simple(edges, rng.spawn("repair"))
-        return Graph.from_edge_array(n, edges)
+        return _pairing_graph(n, d, _shuffled_stubs(n, d, rng), rng.spawn("repair"))
 
     if strategy == "networkx":
         import networkx as nx

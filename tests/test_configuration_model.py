@@ -1,23 +1,150 @@
-"""Unit tests for the configuration-model graph generator."""
+"""Unit tests for the configuration-model graph generator.
+
+The simple build (``strategy="repair"``) swap-repairs the pairing's stub
+permutation in place, finding bad edges within each node's row of partners.
+It is held to a reference kept only in this file: the edge-array pairing,
+the global-sort repair over all ``m`` edge keys and
+:meth:`Graph.from_edge_array` that it replaced.  Both must return the same
+CSR arrays and leave the generator in the same state.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import GraphGenerationError
 from repro.core.rng import RandomSource
 from repro.graphs import configuration_model
 from repro.graphs.base import Graph
 from repro.graphs.configuration_model import (
-    _random_pairing,
+    _pairing_graph,
     connected_random_regular_graph,
     pairing_multigraph,
     random_regular_graph,
-    repair_to_simple,
     validate_regular_parameters,
 )
-from repro.graphs.properties import is_connected
+from repro.graphs.properties import component_labels, is_connected
+
+
+# -- the reference: edge-array pairing, global-sort repair ---------------------------
+
+
+def _reference_pairing(n, d, rng):
+    """The pairing as an ``(m, 2)`` node array: a shuffled stub array."""
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    rng.generator.shuffle(stubs)
+    return stubs.reshape(-1, 2)
+
+
+def _reference_repair(edges, rng, max_passes=200):
+    """``(repaired copy, passes)`` of the global-sort double-edge-swap repair."""
+    edges = np.array(edges, dtype=np.int64, copy=True)
+    m = edges.shape[0]
+    key_base = int(edges.max()) + 1
+    generator = rng.generator
+    for passes in range(max_passes):
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        keys = lo * key_base + hi
+        bad = lo == hi
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        duplicate = np.zeros(m, dtype=bool)
+        duplicate[1:] = sorted_keys[1:] == sorted_keys[:-1]
+        bad[order[duplicate]] = True
+        bad_indices = np.flatnonzero(bad)
+        if bad_indices.size == 0:
+            return edges, passes
+        good_keys = sorted_keys[~bad[order]]
+        partners = generator.integers(0, m, size=bad_indices.size)
+        u, v = edges[bad_indices, 0], edges[bad_indices, 1]
+        x, y = edges[partners, 0], edges[partners, 1]
+        key_one = np.minimum(u, y) * key_base + np.maximum(u, y)
+        key_two = np.minimum(x, v) * key_base + np.maximum(x, v)
+        ok = (u != y) & (x != v) & (key_one != key_two)
+        ok &= ~bad[partners]
+        ok &= ~np.isin(key_one, good_keys) & ~np.isin(key_two, good_keys)
+        accepted = np.flatnonzero(ok)
+        if accepted.size:
+            _, first = np.unique(partners[accepted], return_index=True)
+            accepted = accepted[np.sort(first)]
+            proposal_keys = np.concatenate([key_one[accepted], key_two[accepted]])
+            unique_keys, counts = np.unique(proposal_keys, return_counts=True)
+            colliding = unique_keys[counts > 1]
+            if colliding.size:
+                keep = ~np.isin(key_one[accepted], colliding) & ~np.isin(
+                    key_two[accepted], colliding
+                )
+                accepted = accepted[keep]
+            edges[bad_indices[accepted], 1] = y[accepted]
+            edges[partners[accepted], 1] = v[accepted]
+    raise GraphGenerationError(
+        f"could not repair pairing to a simple graph within {max_passes} passes"
+    )
+
+
+def _reference_simple_graph(n, d, rng):
+    edges = _reference_pairing(n, d, rng)
+    repaired, _ = _reference_repair(edges, rng.spawn("repair"))
+    return Graph.from_edge_array(n, repaired)
+
+
+def _reference_connected_graph(n, d, rng, max_attempts=50):
+    for _ in range(max_attempts):
+        candidate = _reference_simple_graph(n, d, rng)
+        if component_labels(candidate)[0] == 1:
+            return candidate
+    raise GraphGenerationError("no connected draw")
+
+
+def _repair_build(n, d, rng):
+    return random_regular_graph(n, d, rng, strategy="repair")
+
+
+def _connected_build(n, d, rng):
+    return connected_random_regular_graph(n, d, rng, strategy="repair")
+
+
+def _build_outcome(build, n, d, seed):
+    """Everything a build leaves behind: CSR arrays, dtypes, edge count and
+    the generator's next draw, or the error message it raised."""
+    rng = RandomSource(seed=seed)
+    try:
+        graph = build(n, d, rng)
+    except GraphGenerationError as error:
+        return str(error)
+    indptr, indices = graph.csr()
+    return (
+        indptr.tolist(),
+        indices.tolist(),
+        indptr.dtype,
+        indices.dtype,
+        graph.edge_count,
+        int(rng.generator.integers(0, 2**62)),
+    )
+
+
+def _pairing_of(edges, d):
+    """The stub permutation whose consecutive positions pair up as ``edges``
+    (each node appearing ``d`` times)."""
+    edges = np.asarray(edges)
+    used = np.zeros(int(edges.max()) + 1, dtype=np.int64)
+    pi = np.empty(edges.size, dtype=np.int32)
+    for position, node in enumerate(edges.ravel().tolist()):
+        pi[position] = node * d + used[node]
+        used[node] += 1
+    assert (used == d).all()
+    return pi
+
+
+def _repair_edges(edges, d, seed):
+    """The repaired build of the pairing of ``edges``: ``(edges, pi, graph)``."""
+    pi = _pairing_of(edges, d)
+    graph = _pairing_graph(pi.size // d, d, pi, RandomSource(seed=seed))
+    return pi.reshape(-1, 2) // d, pi, graph
 
 
 class TestPairingDirectCsrBuild:
@@ -30,8 +157,7 @@ class TestPairingDirectCsrBuild:
         direct = pairing_multigraph(n, d, direct_rng)
 
         reference_rng = RandomSource(seed=seed)
-        stubs = _random_pairing(n, d, reference_rng)
-        reference = Graph.from_edge_array(n, stubs.reshape(-1, 2))
+        reference = Graph.from_edge_array(n, _reference_pairing(n, d, reference_rng))
 
         assert np.array_equal(direct.csr()[0], reference.csr()[0])
         assert np.array_equal(direct.csr()[1], reference.csr()[1])
@@ -102,29 +228,39 @@ class TestPairingMultigraph:
             pairing_multigraph(5, 3, rng)
 
 
-class TestRepairToSimple:
-    def test_repairs_self_loop(self, rng):
-        edges = np.array([[0, 0], [1, 2], [3, 4], [5, 6]])
-        repaired = repair_to_simple(edges, rng)
-        assert all(u != v for u, v in repaired)
+#: Hand-made 2-regular pairings on four nodes.
+SELF_LOOP = [[0, 0], [1, 2], [1, 3], [2, 3]]
+DOUBLE_EDGES = [[0, 1], [0, 1], [2, 3], [2, 3]]
+CYCLE = [[0, 1], [1, 2], [2, 3], [3, 0]]
 
-    def test_repairs_duplicate_edge(self, rng):
-        edges = np.array([[0, 1], [0, 1], [2, 3], [4, 5]])
-        repaired = repair_to_simple(edges, rng)
-        keys = {tuple(sorted(edge)) for edge in repaired.tolist()}
-        assert len(keys) == len(repaired)
 
-    def test_preserves_degree_sequence(self, rng):
-        edges = np.array([[0, 0], [0, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
-        before = np.bincount(edges.flatten(), minlength=6)
-        repaired = repair_to_simple(edges, rng)
-        after = np.bincount(repaired.flatten(), minlength=6)
-        assert np.array_equal(before, after)
+class TestRepairPairing:
+    """The in-place repair on hand-made pairings, against the reference."""
 
-    def test_already_simple_is_unchanged(self, rng):
-        edges = np.array([[0, 1], [2, 3]])
-        repaired = repair_to_simple(edges, rng)
-        assert np.array_equal(repaired, edges)
+    @pytest.mark.parametrize("edges", [SELF_LOOP, DOUBLE_EDGES], ids=["loop", "double"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_repairs_to_simple_like_the_reference(self, edges, seed):
+        repaired, _, _ = _repair_edges(edges, 2, seed)
+        reference, _ = _reference_repair(np.array(edges), RandomSource(seed=seed))
+        assert np.array_equal(repaired, reference)
+        assert all(u != v for u, v in repaired.tolist())
+        assert len({tuple(sorted(edge)) for edge in repaired.tolist()}) == len(edges)
+
+    def test_pairing_stays_a_permutation_and_the_graph_is_its_csr(self):
+        _, pi, graph = _repair_edges(SELF_LOOP, 2, seed=1)
+        assert np.array_equal(np.sort(pi), np.arange(pi.size))
+        # The repair kept its rows current: the CSR is the repaired pairing's.
+        fresh = _pairing_graph(4, 2, pi.copy())
+        assert np.array_equal(graph.csr()[1], fresh.csr()[1])
+
+    def test_already_simple_is_unchanged(self):
+        pi = _pairing_of(CYCLE, 2)
+        snapshot = pi.copy()
+        rng = RandomSource(seed=1)
+        _pairing_graph(4, 2, pi, rng)
+        assert np.array_equal(pi, snapshot)
+        # No pass drew a partner.
+        assert rng.random() == RandomSource(seed=1).random()
 
 
 class TestRandomRegularGraph:
@@ -181,27 +317,72 @@ class TestVectorizedRepair:
         assert all(degree == 12 for degree in graph.degrees().values())
 
     def test_many_bad_edges_converge(self):
-        # A pathological multiset: several loops and duplicate clusters.
+        # A pathological 3-regular pairing: two loops, a triple edge and
+        # two double edges.
         edges = np.array(
-            [[0, 0], [1, 1], [2, 3], [2, 3], [2, 3], [4, 5], [4, 5], [6, 7],
-             [8, 9], [10, 11], [12, 13], [14, 15], [0, 2], [1, 3]]
+            [[0, 0], [0, 1], [1, 1], [2, 3], [2, 3], [2, 3],
+             [4, 5], [4, 5], [4, 6], [5, 7], [6, 7], [6, 7]]
         )
-        before = np.bincount(edges.flatten(), minlength=16)
-        repaired = repair_to_simple(edges, RandomSource(seed=3))
-        after = np.bincount(repaired.flatten(), minlength=16)
-        assert np.array_equal(before, after)
-        assert all(u != v for u, v in repaired)
+        repaired, _, _ = _repair_edges(edges, 3, seed=3)
+        reference, _ = _reference_repair(edges, RandomSource(seed=3))
+        assert np.array_equal(repaired, reference)
+        assert np.array_equal(
+            np.bincount(repaired.ravel(), minlength=8), np.full(8, 3)
+        )
+        assert all(u != v for u, v in repaired.tolist())
         keys = {tuple(sorted(edge)) for edge in repaired.tolist()}
         assert len(keys) == len(repaired)
 
     def test_repair_deterministic_for_same_seed(self):
-        edges = np.array([[0, 0], [1, 2], [1, 2], [3, 4], [5, 6], [0, 3]])
-        one = repair_to_simple(edges, RandomSource(seed=5))
-        two = repair_to_simple(edges, RandomSource(seed=5))
+        one, _, _ = _repair_edges(DOUBLE_EDGES, 2, seed=5)
+        two, _, _ = _repair_edges(DOUBLE_EDGES, 2, seed=5)
         assert np.array_equal(one, two)
 
-    def test_input_array_is_not_mutated(self):
-        edges = np.array([[0, 0], [1, 2], [3, 4], [5, 6]])
-        snapshot = edges.copy()
-        repair_to_simple(edges, RandomSource(seed=1))
-        assert np.array_equal(edges, snapshot)
+
+class TestRepairMatchesReference:
+    """``strategy="repair"`` and the connected builder against the
+    edge-array reference: same CSR arrays, dtypes, edge count and next
+    generator draw (or the same error)."""
+
+    @given(
+        n=st.integers(min_value=17, max_value=400),
+        d=st.sampled_from([3, 4, 8, 16]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_simple_and_connected_builds_match(self, n, d, seed):
+        n += (n * d) % 2
+        assert _build_outcome(_repair_build, n, d, seed) == _build_outcome(
+            _reference_simple_graph, n, d, seed
+        )
+        assert _build_outcome(_connected_build, n, d, seed) == _build_outcome(
+            _reference_connected_graph, n, d, seed
+        )
+
+    def test_dense_pairing_needing_many_passes(self):
+        n, d, seed = 20, 16, 0
+        _, passes = _reference_repair(
+            _reference_pairing(n, d, RandomSource(seed=seed)),
+            RandomSource(seed=seed).spawn("repair"),
+        )
+        assert passes >= 20
+        outcome = _build_outcome(_repair_build, n, d, seed)
+        assert outcome == _build_outcome(_reference_simple_graph, n, d, seed)
+        assert not isinstance(outcome, str)
+
+    def test_exhausted_passes_raise_the_same_error(self):
+        n, d, seed = 18, 16, 1
+        message = "could not repair pairing to a simple graph within 200 passes"
+        assert _build_outcome(_repair_build, n, d, seed) == message
+        assert _build_outcome(_reference_simple_graph, n, d, seed) == message
+        with pytest.raises(GraphGenerationError, match="within 200 passes"):
+            random_regular_graph(n, d, RandomSource(seed=seed), strategy="repair")
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_bad_edge_scan_across_chunks(self, monkeypatch, chunk):
+        # The first pass scans every row in chunks of _BUILD_CHUNK // d rows.
+        monkeypatch.setattr(configuration_model, "_BUILD_CHUNK", chunk)
+        for n, d, seed in [(100, 8, 2008), (257, 4, 7), (64, 16, 1)]:
+            assert _build_outcome(_repair_build, n, d, seed) == _build_outcome(
+                _reference_simple_graph, n, d, seed
+            )

@@ -20,11 +20,7 @@ from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast
 from repro.core.node import StateTable, merge_sorted_disjoint
 from repro.core.rng import RandomSource
-from repro.graphs.configuration_model import (
-    _isin_sorted,
-    pairing_multigraph,
-    random_regular_graph,
-)
+from repro.graphs.configuration_model import pairing_multigraph, random_regular_graph
 from repro.protocols.push import PushProtocol
 from repro.protocols.push_pull import PushPullProtocol
 from repro.protocols.schedule import algorithm1_schedule, algorithm2_schedule
@@ -103,23 +99,6 @@ def test_simple_generation_strategies_agree_on_invariants(n, d, seed):
     assert graph.is_simple()
     assert graph.is_regular()
     assert graph.degree(0) == d
-
-
-@given(
-    keys=st.lists(st.integers(min_value=-50, max_value=50), max_size=40),
-    values=st.lists(st.integers(min_value=-60, max_value=60), max_size=40),
-)
-@example(keys=[], values=[])
-@example(keys=[], values=[3, -1])
-@example(keys=[4, 4, 7], values=[])
-@settings(max_examples=200, deadline=None)
-def test_isin_sorted_matches_np_isin(keys, values):
-    # repair_to_simple's membership test against its sorted good keys.
-    sorted_keys = np.array(sorted(keys), dtype=np.int64)
-    queries = np.array(values, dtype=np.int64)
-    found = _isin_sorted(queries, sorted_keys)
-    assert found.dtype == bool
-    assert np.array_equal(found, np.isin(queries, sorted_keys))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core import rng as rng_module
 from repro.core.rng import RandomSource, derive_seed
 
 
@@ -57,6 +59,66 @@ class TestSpawn:
     def test_spawn_name_records_lineage(self):
         child = RandomSource(seed=5, name="root").spawn("graph", 8)
         assert "graph" in child.name and "8" in child.name
+
+
+class TestLazyGenerator:
+    """A source builds its numpy generator on first use."""
+
+    def test_spawn_only_source_builds_no_generator(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting_default_rng(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(rng_module.np.random, "default_rng", counting_default_rng)
+        # The bulk engine's per-seed root is only spawned from.
+        root = RandomSource(seed=2008, name="engine")
+        children = [root.spawn("protocol"), root.spawn("failures")]
+        assert built == []
+        assert root._generator is None
+        children[0].generator.random()
+        assert built == [children[0].seed]
+
+    def test_lazy_and_eager_sources_draw_the_same_words(self):
+        eager = RandomSource(seed=31)
+        eager.generator  # built before anything else happens
+        lazy = RandomSource(seed=31)
+        lazy.spawn("child")
+        for source in (eager, lazy):
+            assert source.random() == np.random.default_rng(31).random()
+        assert eager.randint(0, 2**31) == lazy.randint(0, 2**31)
+        assert eager.sample_distinct(list(range(50)), 3) == lazy.sample_distinct(
+            list(range(50)), 3
+        )
+        assert eager.generator.bit_generator.state == lazy.generator.bit_generator.state
+
+    def test_equality_does_not_depend_on_having_drawn(self):
+        drawn = RandomSource(seed=3, name="x")
+        drawn.random()
+        assert drawn == RandomSource(seed=3, name="x")
+        assert drawn != RandomSource(seed=3, name="y")
+
+    def test_every_draw_method_builds_the_generator(self):
+        draws = {
+            "random": lambda s: s.random(),
+            "randint": lambda s: s.randint(0, 9),
+            "bernoulli": lambda s: s.bernoulli(0.5),
+            "choice": lambda s: s.choice([1, 2, 3]),
+            "sample_distinct": lambda s: s.sample_distinct([1, 2, 3], 2),
+            "shuffle": lambda s: s.shuffle([1, 2, 3]),
+            "permutation": lambda s: s.permutation(4),
+            "binomial": lambda s: s.binomial(10, 0.5),
+        }
+        for name, draw in draws.items():
+            source = RandomSource(seed=4)
+            draw(source)
+            reference = np.random.default_rng(4)
+            assert source._generator is not None, name
+            assert (
+                source.generator.bit_generator.state != reference.bit_generator.state
+            ), name
 
 
 class TestScalarDraws:
