@@ -1,11 +1,10 @@
-"""Core simulation machinery: RNG, node state, channels, round engine, metrics."""
+"""Core simulation machinery: RNG, node state, round engines, metrics."""
 
 from typing import TYPE_CHECKING
 
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .channels import Channel, ChannelSet
     from .config import SimulationConfig
     from .engine import RoundEngine, RunPlan, plan_run, run_broadcast, run_broadcast_batch
     from .engine_vectorized import (
@@ -32,8 +31,6 @@ __all__ = [
     "NodeState",
     "StateTable",
     "VectorState",
-    "Channel",
-    "ChannelSet",
     "SimulationConfig",
     "RoundEngine",
     "BatchedVectorizedRoundEngine",

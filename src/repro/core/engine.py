@@ -36,13 +36,12 @@ Instantiating :class:`RoundEngine` directly always runs the scalar path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from ..failures.churn import ChurnModel, NoChurn
 from ..failures.message_loss import FailureModel
 from ..graphs.base import Graph
 from ..protocols.base import BroadcastProtocol
-from .channels import ChannelSet
 from .config import SimulationConfig
 from .engine_vectorized import (
     BatchedVectorizedRoundEngine,
@@ -193,8 +192,8 @@ class RoundEngine:
         lost_transmissions = 0
 
         if push_active:
-            for channel in channels:
-                caller_state = states[channel.caller]
+            for caller, callee in channels:
+                caller_state = states[caller]
                 if not caller_state.informed or not protocol.wants_push(
                     caller_state, round_index
                 ):
@@ -202,12 +201,12 @@ class RoundEngine:
                 push_transmissions += 1
                 if self.failure_model.transmission_lost(self._failure_rng):
                     lost_transmissions += 1
-                elif states.contains(channel.callee):
-                    states[channel.callee].deliver(round_index)
+                elif states.contains(callee):
+                    states[callee].deliver(round_index)
 
         if pull_active:
-            for channel in channels:
-                callee_state = states[channel.callee]
+            for caller, callee in channels:
+                callee_state = states[callee]
                 if not callee_state.informed or not protocol.wants_pull(
                     callee_state, round_index
                 ):
@@ -215,14 +214,12 @@ class RoundEngine:
                 pull_transmissions += 1
                 if self.failure_model.transmission_lost(self._failure_rng):
                     lost_transmissions += 1
-                elif states.contains(channel.caller):
-                    states[channel.caller].deliver(round_index)
+                elif states.contains(caller):
+                    states[caller].deliver(round_index)
 
-        if protocol.needs_exchange_hook:
-            for channel in channels:
-                protocol.on_channel_exchange(
-                    states[channel.caller], states[channel.callee], round_index
-                )
+        if protocol.overrides("on_channel_exchange"):
+            for caller, callee in channels:
+                protocol.on_channel_exchange(states[caller], states[callee], round_index)
 
         newly_informed = states.commit_round()
         protocol.on_round_committed(round_index, states, newly_informed)
@@ -244,16 +241,17 @@ class RoundEngine:
         states: StateTable,
         push_active: bool,
         pull_active: bool,
-    ):
-        """Open this round's channels; return ``(ChannelSet, opened_count)``.
+    ) -> Tuple[List[Tuple[int, int]], int]:
+        """Open this round's channels; return ``(channels, opened_count)``.
 
-        ``opened_count`` reflects the full phone-call model (every node calls
-        its fanout), even when the engine skips sampling calls that cannot
-        carry information this round.
+        ``channels`` lists the open channels as ``(caller, callee)`` pairs in
+        the order they were opened.  ``opened_count`` reflects the full
+        phone-call model (every node calls its fanout), even when the engine
+        skips sampling calls that cannot carry information this round.
         """
         graph = self.graph
         protocol = self.protocol
-        channels = ChannelSet()
+        channels: List[Tuple[int, int]] = []
         channels_opened = 0
 
         present = [node for node in graph.iter_nodes() if states.contains(node)]
@@ -290,7 +288,7 @@ class RoundEngine:
                     continue
                 if self.failure_model.channel_fails(self._failure_rng):
                     continue
-                channels.open(node, target)
+                channels.append((node, target))
 
         return channels, channels_opened
 

@@ -8,9 +8,11 @@ operations over the graph's CSR adjacency view.  A single run is its
 ``R = 1`` case: :func:`repro.core.engine.run_broadcast` runs a vectorized
 plan as a one-seed :class:`BatchedVectorizedRoundEngine`.  Each round:
 
-1. the protocol reports who pushes and who answers calls this round — as a
-   sorted *index pool* (``vector_push_samplers``, maintained incrementally by
-   the engine) when it opts into index tracking, or as boolean masks;
+1. the protocol reports who pushes and who answers calls this round: a
+   push-only round reads one sorted *index pool* of pushers
+   (``vector_push_samplers``), a round that pulls reads the push and pull
+   masks, and the channel charge reads the pool of calling nodes
+   (``vector_caller_pool``, ``None`` when every node calls);
 2. each running replication's calls are drawn in *blocks* of at most
    :data:`_BLOCK_CHANNELS` channels, in channel order: uniforms mapped to
    stub offsets for fanout 1, a random-key top-``k`` selection for larger
@@ -32,18 +34,21 @@ plan as a one-seed :class:`BatchedVectorizedRoundEngine`.  Each round:
 
 Active sets and scratch buffers
 -------------------------------
-Protocols with ``uses_index_pools`` never trigger an O(n) flag scan in
-push-only rounds: the engine maintains the sorted informed-index vector by
-merge at each commit, the protocol hands back the relevant pool (informed,
-last round's newly informed, Algorithm 1's active list), and sampling cost is
-proportional to the number of *pushers*, which is what makes the exponential
-growth phase cost O(n) in aggregate rather than O(n · rounds).  A round's
+Push-only rounds sample the pool the protocol hands back and never scan a
+flag plane.  For a protocol that overrides ``vector_push_samplers`` or
+``vector_caller_pool`` (:meth:`BroadcastProtocol.overrides`) the engine
+maintains the sorted informed-index vector by merge at each commit, the
+protocol returns the relevant pool (informed, last round's newly informed,
+Algorithm 1's active list), and sampling cost is proportional to the number
+of *pushers*, which is what makes the exponential growth phase cost O(n) in
+aggregate rather than O(n · rounds).  Other protocols keep no index vectors
+and get the default pool, the indices of their push mask.  A round's
 scratch is one block: push-only rounds never build a caller array (the
 self-loop test compares a block with its own sampler rows), the reused
 fanout-1 scratch buffers hold one block, and all index arrays follow the
 CSR index dtype (int32 below two billion stubs).  Draw *sequences* do not
-depend on the block bounds: pools enumerate exactly the nodes the mask scan
-would, in the same order; fanout-1 blocks draw with
+depend on the block bounds: a pool enumerates exactly the nodes of its
+push mask, in ascending order; fanout-1 blocks draw with
 ``Generator.random(out=...)``, the stream of one ``random(k)`` call; a
 custom target hook is called once per round with every sampler; and on the
 failure stream all channel-failure draws (one byte of mask per channel)
@@ -217,28 +222,26 @@ def vectorization_unsupported_reason(
     """
     if not protocol.supports_vectorized:
         return f"protocol {protocol.name!r} does not implement the bulk hooks"
-    if protocol.needs_exchange_hook:
+    if protocol.overrides("on_channel_exchange"):
         return f"protocol {protocol.name!r} needs the per-channel exchange hook"
     if protocol.memory_window > 0:
         return f"protocol {protocol.name!r} uses the contact-memory mechanism"
     # The bulk engine never builds a StateTable, so protocols that override
     # the StateTable-based lifecycle hooks cannot run on it even if they
     # opted in — guard against a future protocol combining both.
-    if type(protocol).on_round_start is not BroadcastProtocol.on_round_start:
+    if protocol.overrides("on_round_start"):
         return f"protocol {protocol.name!r} overrides the on_round_start hook"
-    if type(protocol).finished is not BroadcastProtocol.finished:
+    if protocol.overrides("finished"):
         return f"protocol {protocol.name!r} overrides the finished() rule"
-    if type(protocol).on_round_committed is not BroadcastProtocol.on_round_committed and (
-        type(protocol).vector_on_round_committed
-        is BroadcastProtocol.vector_on_round_committed
+    if protocol.overrides("on_round_committed") and not protocol.overrides(
+        "vector_on_round_committed"
     ):
         return (
             f"protocol {protocol.name!r} overrides on_round_committed without "
             "a bulk counterpart"
         )
-    if (
-        type(protocol).select_call_targets is not BroadcastProtocol.select_call_targets
-        and not protocol.has_custom_vector_targets
+    if protocol.overrides("select_call_targets") and not protocol.overrides(
+        "vector_call_targets"
     ):
         return (
             f"protocol {protocol.name!r} overrides select_call_targets without "
@@ -761,7 +764,7 @@ class BatchedVectorizedRoundEngine:
             )
         size = _BLOCK_CHANNELS
         starts = range(0, samplers.size, size)
-        if not self.protocol.has_custom_vector_targets:
+        if not self.protocol.overrides("vector_call_targets"):
             return samplers.size, (
                 (block, self._fanout1_callees(block, ((generator, block.size),)))
                 for block in (samplers[i : i + size] for i in starts)
@@ -923,7 +926,9 @@ class BatchedVectorizedRoundEngine:
         protocol.reset()
         self.churn_model.reset()
         state = VectorState(n=n, source=source, batch=batch)
-        if protocol.uses_index_pools:
+        if protocol.overrides("vector_push_samplers") or protocol.overrides(
+            "vector_caller_pool"
+        ):
             state.enable_index_tracking()
         if self._dynamic:
             state.enable_membership()
@@ -1330,7 +1335,7 @@ class BatchedVectorizedRoundEngine:
         push_mask: Optional[np.ndarray] = None
         if push_active and pull_active:
             push_mask = protocol.vector_wants_push(round_index, state)
-        if protocol.has_custom_vector_targets and fanout != 1:
+        if protocol.overrides("vector_call_targets") and fanout != 1:
             raise SimulationError(
                 "custom bulk target selection requires uniform fanout 1"
             )
@@ -1358,37 +1363,23 @@ class BatchedVectorizedRoundEngine:
         Every calling node opens min(fanout, degree) channels per round,
         whether or not its calls can carry information — identical to the
         scalar engine's accounting.  Protocols whose uninformed nodes stay
-        silent report the calling set (as an index pool or a mask) so the
-        charge matches the scalar per-node fanout of 0.
+        silent report the calling set as an index pool, so the charge
+        matches the scalar per-node fanout of 0.
         """
         channel_total, uniform_cost = self._channel_info(fanout)
-        pool = None
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_caller_pool(round_index, state)
-        if pool is not None:
-            if state.batch == 1:
-                charge = (
-                    pool.size * uniform_cost
-                    if uniform_cost is not None
-                    else self._channel_cost_array(fanout)[pool].sum()
-                )
-            else:
-                bounds = VectorState.row_bounds(pool, state.n, state.batch)
-                if uniform_cost is not None:
-                    charge = np.diff(bounds) * uniform_cost
-                else:
-                    cost = self._channel_cost_array(fanout)
-                    sums = np.concatenate(([0], np.cumsum(cost[pool % state.n])))
-                    charge = sums[bounds[1:]] - sums[bounds[:-1]]
-        else:
-            caller_mask = self.protocol.vector_caller_mask(round_index, state)
-            if caller_mask is None:
-                charge = channel_total
-            elif uniform_cost is not None:
-                charge = caller_mask.sum(axis=1) * uniform_cost
-            else:
-                charge = (self._channel_cost_array(fanout) * caller_mask).sum(axis=1)
-        return charge
+        pool = self.protocol.vector_caller_pool(round_index, state)
+        if pool is None:
+            return channel_total
+        if state.batch == 1:
+            if uniform_cost is not None:
+                return pool.size * uniform_cost
+            return self._channel_cost_array(fanout)[pool].sum()
+        bounds = VectorState.row_bounds(pool, state.n, state.batch)
+        if uniform_cost is not None:
+            return np.diff(bounds) * uniform_cost
+        cost = self._channel_cost_array(fanout)
+        sums = np.concatenate(([0], np.cumsum(cost[pool % state.n])))
+        return sums[bounds[1:]] - sums[bounds[:-1]]
 
     def _row_samplers(
         self,
@@ -1401,10 +1392,9 @@ class BatchedVectorizedRoundEngine:
 
         Pull rounds sample every node with a neighbour; push-only rounds
         split the protocol's flat index pool at the row boundaries (stopped
-        rows' entries are never touched) or scan each row's push mask, and
-        drop neighbourless nodes either way.  The pool path hands row 0 a
-        view of its segment; other rows' node ids are the segment minus
-        ``row * n``.
+        rows' entries are never touched) and drop neighbourless nodes.  Row
+        0 gets a view of its segment; other rows' node ids are the segment
+        minus ``row * n``.
         """
         if pull_active:
             samplers = self._nz()
@@ -1412,26 +1402,14 @@ class BatchedVectorizedRoundEngine:
                 for row in running:
                     yield row, samplers
             return
-        pool = None
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_push_samplers(round_index, state)
-        if pool is not None:
-            bounds = VectorState.row_bounds(pool, state.n, state.batch).tolist()
-            for row in running:
-                samplers = pool[bounds[row] : bounds[row + 1]]
-                if row:
-                    samplers = samplers - pool.dtype.type(row * state.n)
-                if not self._all_positive():
-                    samplers = samplers[self._degree_positive[samplers]]
-                if samplers.size:
-                    yield row, samplers
-            return
-        push_mask = self.protocol.vector_wants_push(round_index, state)
+        pool = self.protocol.vector_push_samplers(round_index, state)
+        bounds = VectorState.row_bounds(pool, state.n, state.batch).tolist()
         for row in running:
-            mask = push_mask[row]
+            samplers = pool[bounds[row] : bounds[row + 1]]
+            if row:
+                samplers = samplers - pool.dtype.type(row * state.n)
             if not self._all_positive():
-                mask = mask & self._degree_positive
-            samplers = np.flatnonzero(mask)
+                samplers = samplers[self._degree_positive[samplers]]
             if samplers.size:
                 yield row, samplers
 
@@ -1455,7 +1433,7 @@ class BatchedVectorizedRoundEngine:
         """
         n = state.n
         share = min(self._SCRATCH_MIN_SAMPLERS, _BLOCK_CHANNELS)
-        fanout1 = fanout == 1 and not self.protocol.has_custom_vector_targets
+        fanout1 = fanout == 1 and not self.protocol.overrides("vector_call_targets")
         pieces: List[Tuple[int, np.ndarray, Optional[np.ndarray]]] = []
         packed = 0
         for row, samplers in row_samplers:

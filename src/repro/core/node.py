@@ -7,11 +7,15 @@ the delivery buffer (:meth:`NodeState.deliver`) and the end-of-round commit
 ``t`` only take effect in round ``t + 1``" semantics of the paper explicit.
 
 :class:`VectorState` is the struct-of-arrays counterpart used by the bulk
-engine (:mod:`repro.core.engine_vectorized`): the same four fields —
-informed flag, informed round, active flag, staged delivery — held as
-``(R, n)`` NumPy arrays over all nodes of ``R`` replications (``R = 1`` for
-a single run), so a round is a handful of bulk operations instead of ``n``
-object manipulations.
+engine (:mod:`repro.core.engine_vectorized`): the engine-owned fields —
+informed flag, informed round, staged delivery — held as ``(R, n)`` NumPy
+arrays over all nodes of ``R`` replications (``R = 1`` for a single run), so
+a round is a handful of bulk operations instead of ``n`` object
+manipulations.  Algorithm 1's Phase-4 ``active`` flag has no plane there:
+the protocol keeps its active nodes as a sorted index list and reads the
+flag off the informed round.  Sorted index pools of the informed nodes and
+of last round's commits (:meth:`VectorState.enable_index_tracking`) are kept
+only for protocols that read them.
 """
 
 from __future__ import annotations
@@ -276,9 +280,6 @@ class VectorState:
     informed_round:
         ``int32[R, n]`` — round the node became informed (``0`` for the
         source, ``-1`` while uninformed).
-    active:
-        Algorithm 1's Phase-4 "active" flag, same shape.  Allocated lazily on
-        first access (most protocols never touch it).
     pending:
         A delivery staged this round, cleared by :meth:`commit_round`.  Also
         lazy: the engine commits deliveries directly through
@@ -289,8 +290,10 @@ class VectorState:
     :attr:`informed_flat` — the ascending flat indices ``row * n + node`` of
     all informed nodes — and :attr:`newly_flat` (last round's commits) by
     sorted merge, which is what lets the engine sample pushers in
-    O(informed) instead of scanning all ``R·n`` flags every round.  For
-    ``R = 1`` flat indices are node ids.
+    O(informed) instead of scanning all ``R·n`` flags every round.  The
+    engine enables it for protocols that override a pool hook
+    (``vector_push_samplers`` or ``vector_caller_pool``).  For ``R = 1``
+    flat indices are node ids.
     """
 
     __slots__ = (
@@ -299,7 +302,6 @@ class VectorState:
         "batch",
         "informed",
         "informed_round",
-        "_active",
         "_pending",
         "_informed_count",
         "_track_indices",
@@ -322,10 +324,8 @@ class VectorState:
         # int32 suffices for round numbers; at n = 10⁶ this alone halves the
         # resident state (the old int64 array dominated the footprint).
         self.informed_round = np.full(shape, -1, dtype=np.int32)
-        # `active` and `pending` are allocated on first touch: most protocols
-        # never read the Algorithm-1 active flag, and the engine commits
+        # `pending` is allocated on first touch: the engine commits sparse
         # deliveries without staging through a pending mask.
-        self._active: Optional[np.ndarray] = None
         self._pending: Optional[np.ndarray] = None
         self.informed[:, source] = True
         self.informed_round[:, source] = 0
@@ -336,14 +336,7 @@ class VectorState:
         self._alive: Optional[np.ndarray] = None
         self._alive_count: Optional[int] = None
 
-    # -- lazily allocated flag planes -----------------------------------------
-
-    @property
-    def active(self) -> np.ndarray:
-        """Algorithm 1's Phase-4 flag plane, allocated on first access."""
-        if self._active is None:
-            self._active = np.zeros(self.informed.shape, dtype=bool)
-        return self._active
+    # -- lazily allocated flag plane -------------------------------------------
 
     @property
     def pending(self) -> np.ndarray:
@@ -457,7 +450,7 @@ class VectorState:
         informed_removed = int(np.count_nonzero(self.informed[0][ids]))
         alive[ids] = False
         self._alive_count -= int(ids.size)
-        for plane in (self.informed, self._active, self._pending):
+        for plane in (self.informed, self._pending):
             if plane is not None:
                 plane[0][ids] = False
         self.informed_round[0][ids] = -1
@@ -484,8 +477,6 @@ class VectorState:
         self.informed_round = np.concatenate(
             [self.informed_round, np.full((1, count), -1, dtype=np.int32)], axis=1
         )
-        if self._active is not None:
-            self._active = np.concatenate([self._active, unset], axis=1)
         if self._pending is not None:
             self._pending = np.concatenate([self._pending, unset], axis=1)
         self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
@@ -513,8 +504,6 @@ class VectorState:
         remap[keep] = np.arange(keep.size, dtype=np.int64)
         self.informed = self.informed.take(keep, axis=1)
         self.informed_round = self.informed_round.take(keep, axis=1)
-        if self._active is not None:
-            self._active = self._active.take(keep, axis=1)
         if self._pending is not None:
             self._pending = self._pending.take(keep, axis=1)
         self._alive = np.ones(keep.size, dtype=bool)
@@ -664,8 +653,6 @@ class VectorState:
         keep = np.asarray(keep, dtype=np.int64)
         self.informed = self.informed[keep]
         self.informed_round = self.informed_round[keep]
-        if self._active is not None:
-            self._active = self._active[keep]
         if self._pending is not None:
             self._pending = self._pending[keep]
         self._informed_count = self._informed_count[keep]

@@ -19,6 +19,7 @@ import numpy as np
 from ..core.errors import ConfigurationError
 from ..core.rng import RandomSource
 from .base import Graph
+from .properties import _csr_arrays
 
 __all__ = ["SpectralEstimate", "estimate_second_eigenvalue", "spectral_expansion_profile"]
 
@@ -38,20 +39,6 @@ class SpectralEstimate:
         if self.friedman_bound == 0:
             return float("inf")
         return self.second_eigenvalue / self.friedman_bound
-
-
-def _adjacency_arrays(graph: Graph):
-    """Flatten the adjacency lists into (indptr, indices) CSR-style arrays."""
-    nodes = graph.nodes()
-    index = {node: i for i, node in enumerate(nodes)}
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    indices_list = []
-    for i, node in enumerate(nodes):
-        neighbours = graph.neighbors(node)
-        indptr[i + 1] = indptr[i] + len(neighbours)
-        indices_list.extend(index[v] for v in neighbours)
-    indices = np.array(indices_list, dtype=np.int64)
-    return indptr, indices
 
 
 def _multiply(indptr: np.ndarray, indices: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -91,7 +78,7 @@ def estimate_second_eigenvalue(
     if degree < 2:
         raise ConfigurationError("degree must be at least 2 for a meaningful estimate")
 
-    indptr, indices = _adjacency_arrays(graph)
+    indptr, indices = _csr_arrays(graph)
     n = graph.node_count
     # RandomSource seeds its generator exactly as default_rng(seed) would, so
     # routing through it keeps historical estimates bit-identical.

@@ -1,20 +1,18 @@
-"""VEC001 — capability flags must come with their ``vector_*`` hook methods.
+"""VEC001 — the bulk-engine opt-in flag must come with its ``vector_*`` hooks.
 
-Invariant: the vectorized engines trust the opt-in class flags.
+Invariant: the vectorized engine trusts the opt-in class flag.
 ``supports_vectorized = True`` on a protocol promises the bulk decision hooks
 (``vector_fanout`` / ``vector_wants_push`` / ``vector_wants_pull``) agree
 node-for-node with the scalar ones; the *same flag name* on a churn model
 (any class descending from ``ChurnModel``) promises the bulk membership hook
 ``vector_apply`` instead — the rule selects the contract variant by ancestry.
-``uses_index_pools = True`` promises at least one index-pool hook
-(``vector_push_samplers`` / ``vector_caller_pool``) actually exists,
-otherwise the flag silently buys nothing; and
-``has_custom_vector_targets = True`` promises a ``vector_call_targets``
-implementation.  A flag without its hooks either crashes mid-sweep (the base
-class stubs raise) or — worse — runs a different draw sequence than the
-scalar engine and breaks parity.  The check is structural, at class
-definition level, resolving base classes *by name across the whole linted
-file set* so hooks provided by an intermediate base in another module count.
+The optional protocol hooks (index pools, custom targets) need no flag: the
+engine reads off the class which ones a protocol overrides.  A flag without
+its hooks either crashes mid-sweep (the base class stubs raise) or — worse —
+runs a different draw sequence than the scalar engine and breaks parity.
+The check is structural, at class definition level, resolving base classes
+*by name across the whole linted file set* so hooks provided by an
+intermediate base in another module count.
 
 Raising stubs do not count as implementations, and neither does anything
 defined on the class that *declares* the flag with a ``False`` default (the
@@ -32,27 +30,16 @@ from ..rule import ZONE_PACKAGE, LintContext, Rule, register_rule
 
 __all__ = ["VectorHookContractRule"]
 
-#: flag -> (mode, required method names); ``all`` needs every name, ``any``
-#: needs at least one.
+#: flag -> the method names it requires, every one of them.
 _CONTRACTS = {
-    "supports_vectorized": (
-        "all",
-        ("vector_fanout", "vector_wants_push", "vector_wants_pull"),
-    ),
-    "uses_index_pools": (
-        "any",
-        ("vector_push_samplers", "vector_caller_pool"),
-    ),
-    "has_custom_vector_targets": ("all", ("vector_call_targets",)),
+    "supports_vectorized": ("vector_fanout", "vector_wants_push", "vector_wants_pull"),
 }
 
 #: Contract variants keyed by the ancestor class that re-scopes the flag.
 #: ``supports_vectorized`` on a churn model opts into the vectorized
 #: engine's *membership* surface, whose only hook is ``vector_apply``.
 _SCOPED_CONTRACTS = {
-    "ChurnModel": {
-        "supports_vectorized": ("all", ("vector_apply",)),
-    },
+    "ChurnModel": {"supports_vectorized": ("vector_apply",)},
 }
 
 
@@ -80,12 +67,11 @@ class VectorHookContractRule(Rule):
     id = "VEC001"
     slug = "vector-hook-contract"
     summary = (
-        "a class setting supports_vectorized/uses_index_pools/"
-        "has_custom_vector_targets must concretely define the matching "
-        "vector_* hooks (in itself or a non-abstract base)"
+        "a class setting supports_vectorized must concretely define the "
+        "matching vector_* hooks (in itself or a non-abstract base)"
     )
     hint = (
-        "implement the missing vector_* hook(s) so the bulk engines run the "
+        "implement the missing vector_* hook(s) so the bulk engine runs the "
         "same draw sequence as the scalar path, or drop the capability flag"
     )
     zones = frozenset({ZONE_PACKAGE})
@@ -106,7 +92,7 @@ class VectorHookContractRule(Rule):
             for root_name, overrides in _SCOPED_CONTRACTS.items():
                 if _descends_from(ctx, record, root_name):
                     contracts.update(overrides)
-            for flag, (mode, required) in contracts.items():
+            for flag, required in contracts.items():
                 declared = record.flags.get(flag)
                 if declared is None or declared[0] is not True:
                     continue
@@ -118,22 +104,14 @@ class VectorHookContractRule(Rule):
                         if concrete
                     )
                 missing = [name for name in required if name not in provided]
-                satisfied = (
-                    not missing if mode == "all" else len(missing) < len(required)
-                )
-                if satisfied:
+                if not missing:
                     continue
-                wanted = (
-                    " and ".join(missing)
-                    if mode == "all"
-                    else " or ".join(required)
-                )
                 _, lineno, col = declared
                 yield self.diagnostic(
                     ctx,
                     node,
                     f"class {node.name} sets {flag} = True but defines no "
-                    f"concrete {wanted}",
+                    f"concrete {' and '.join(missing)}",
                     line=lineno,
                     col=col,
                 )

@@ -90,8 +90,7 @@ class Algorithm1(BroadcastProtocol):
         if fanout != 4:
             self.name = f"algorithm1-f{fanout}"
         # Sorted flat indices of Phase-3/4 "active" nodes, maintained by the
-        # bulk commit hook (the index-pool counterpart of the boolean
-        # ``state.active`` plane).  Per-run state, dropped by reset().
+        # bulk commit hook.  Per-run state, dropped by reset().
         self._active_flat: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -136,8 +135,6 @@ class Algorithm1(BroadcastProtocol):
 
     # -- bulk hooks -----------------------------------------------------------------
 
-    uses_index_pools = True
-
     def vector_fanout(self, round_index: int) -> int:
         return self._fanout
 
@@ -148,14 +145,16 @@ class Algorithm1(BroadcastProtocol):
         if phase == 2:
             return state.informed
         if phase == 4:
+            # Active nodes are the ones informed in Phases 3-4, which follow
+            # Phase 2: the mask reads them off the informed round.
+            informed_round = state.informed_round
             return state.informed & (
-                state.active | (state.informed_round == round_index - 1)
+                (informed_round > self.schedule.phase2_end)
+                | (informed_round == round_index - 1)
             )
         return np.zeros(state.shape, dtype=bool)
 
-    def vector_push_samplers(
-        self, round_index: int, state: VectorState
-    ) -> Optional[np.ndarray]:
+    def vector_push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
         phase = self.schedule.phase_of(round_index)
         if phase == 1:
             # Exactly the nodes first informed in the previous round — the
@@ -164,11 +163,13 @@ class Algorithm1(BroadcastProtocol):
         if phase == 2:
             return state.informed_flat
         if phase == 4:
-            # active ∪ newly(r-1): every Phase-4 round is preceded by a
-            # Phase-3/4 round, whose commit already merged its newly informed
-            # nodes into the active list, so the list alone is the push set.
+            # active ∪ newly(r-1).  Until a Phase-3/4 round informs someone
+            # the list is empty and the push set is last round's commits (a
+            # zero-length Phase 3 puts Phase 2 right before Phase 4); after
+            # that, each Phase-3/4 commit merges its newly informed nodes
+            # into the list, so the list alone is the push set.
             if self._active_flat is None:
-                return state.newly_flat[:0]
+                return state.newly_flat
             return self._active_flat
         return state.newly_flat[:0]
 
@@ -181,9 +182,7 @@ class Algorithm1(BroadcastProtocol):
         self, round_index: int, state: VectorState, newly_informed: np.ndarray
     ) -> None:
         if self.schedule.phase_of(round_index) >= 3 and newly_informed.size:
-            # newly_informed holds flat indices (row-major for a batch), so
-            # flip the flag through the flattened view.
-            state.active.reshape(-1)[newly_informed] = True
+            # newly_informed holds sorted flat indices (row-major for a batch).
             if self._active_flat is None:
                 self._active_flat = newly_informed.copy()
             else:

@@ -88,8 +88,6 @@ class Algorithm2(BroadcastProtocol):
 
     # -- bulk hooks -----------------------------------------------------------------
 
-    uses_index_pools = True
-
     def vector_fanout(self, round_index: int) -> int:
         return self._fanout
 
@@ -101,9 +99,7 @@ class Algorithm2(BroadcastProtocol):
             return state.informed
         return np.zeros(state.shape, dtype=bool)
 
-    def vector_push_samplers(
-        self, round_index: int, state: VectorState
-    ) -> Optional[np.ndarray]:
+    def vector_push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
         phase = self.schedule.phase_of(round_index)
         if phase == 1:
             return state.newly_flat

@@ -9,6 +9,17 @@ All protocols in this package are *address-oblivious* in the paper's sense:
 their decisions depend only on the current round number and on when the node
 itself became informed, never on the identity of the node at the other end of
 a channel.
+
+The ``vector_*`` hooks restate the per-node decisions for the bulk engine
+over whole ``(R, n)`` state arrays.  Each round kind has one sender input:
+a push-only round reads the sorted index pool of its pushers
+(:meth:`BroadcastProtocol.vector_push_samplers`, which defaults to the
+indices of the :meth:`~BroadcastProtocol.vector_wants_push` mask), a round
+that pulls reads the push and pull masks, and the channel charge reads the
+pool of calling nodes (:meth:`~BroadcastProtocol.vector_caller_pool`,
+``None`` when every node calls).  Which optional hooks a protocol replaces
+is read off the class (:meth:`BroadcastProtocol.overrides`), not declared
+by flags.
 """
 
 from __future__ import annotations
@@ -41,27 +52,35 @@ class BroadcastProtocol(ABC):
     #: the sequentialised variant of the model uses a non-zero window.
     memory_window: int = 0
 
-    #: Set to True by protocols that need the per-channel exchange hook
-    #: (:meth:`on_channel_exchange`).  The engine skips the hook entirely for
-    #: protocols that leave this False, so the common case pays nothing.
-    needs_exchange_hook: bool = False
-
     #: Opt-in capability flag for the bulk NumPy engine.  A protocol that sets
     #: this True promises that (a) the three ``vector_*`` decision hooks below
     #: are implemented and agree node-for-node with ``fanout`` / ``wants_push``
     #: / ``wants_pull``, (b) its fanout is uniform across nodes within a
     #: round, (c) it does not use the contact-memory mechanism
-    #: (``memory_window == 0``), and a custom ``select_call_targets`` has a
-    #: ``vector_call_targets`` counterpart (flagged via
-    #: ``has_custom_vector_targets``), and
+    #: (``memory_window == 0``) nor the per-channel exchange hook, and a
+    #: custom ``select_call_targets`` has a ``vector_call_targets``
+    #: counterpart, and
     #: (d) it relies on none of the :class:`StateTable`-based lifecycle hooks
     #: the bulk engine never calls: ``on_round_start`` and ``finished`` must
     #: keep their defaults, and an ``on_round_committed`` override needs a
     #: ``vector_on_round_committed`` counterpart.  The dispatch predicate
     #: (:func:`repro.core.engine_vectorized.vectorization_unsupported_reason`,
-    #: consulted by :func:`repro.core.engine.plan_run`) enforces (c) and (d),
-    #: and the plan falls back to the scalar engine when they are violated.
+    #: consulted by :func:`repro.core.engine.plan_run`) enforces (c) and (d)
+    #: with :meth:`overrides`, and the plan falls back to the scalar engine
+    #: when they are violated.
     supports_vectorized: bool = False
+
+    @classmethod
+    def overrides(cls, hook: str) -> bool:
+        """True if this protocol class replaces the interface's ``hook``.
+
+        One identity test decides every optional path: the engines call the
+        exchange hook and a custom target hook only when they are
+        overridden, the bulk engine tracks index pools only for a protocol
+        that overrides a pool hook, and the dispatch predicate refuses a
+        scalar hook override without its bulk counterpart.
+        """
+        return getattr(cls, hook) is not getattr(BroadcastProtocol, hook)
 
     # -- scheduling -----------------------------------------------------------
 
@@ -140,18 +159,6 @@ class BroadcastProtocol(ABC):
 
     # -- bulk (vectorized) hooks ------------------------------------------------
 
-    def vector_caller_mask(self, round_index: int, state: VectorState) -> Optional[np.ndarray]:
-        """Mask of nodes that open channels during ``round_index``, or ``None``.
-
-        ``None`` (the default) means every node opens ``min(fanout, degree)``
-        channels, which is the full phone-call model and what the engines'
-        arithmetic channel accounting assumes.  Protocols whose *uninformed*
-        nodes stay silent (scalar ``fanout`` returns 0 for them — e.g. the
-        quasirandom protocol) return the mask of calling nodes instead so the
-        bulk engine charges channels identically to the scalar engine.
-        """
-        return None
-
     def vector_call_targets(
         self,
         round_index: int,
@@ -173,55 +180,41 @@ class BroadcastProtocol(ABC):
         per-replication ``generator`` for any randomness; ``row`` is the
         replication's state row (0 for a single run) so per-node protocol
         state can be kept per replication.
-        Only consulted when :attr:`has_custom_vector_targets` is True, and
-        only for protocols with uniform fanout 1.
+        Only consulted when a protocol overrides it, and only for protocols
+        with uniform fanout 1.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the bulk target hook"
         )
 
-    #: True if the protocol overrides :meth:`vector_call_targets`; cheap class
-    #: check so engines skip the hook entirely in the common uniform case.
-    has_custom_vector_targets: bool = False
+    def vector_push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
+        """Sorted flat indices of this round's pushers.
 
-    #: Opt-in for the engines' sorted informed-index tracking
-    #: (:meth:`repro.core.node.VectorState.enable_index_tracking`).  Protocols
-    #: that set this True may implement :meth:`vector_push_samplers` /
-    #: :meth:`vector_caller_pool` in terms of ``state.informed_flat`` /
-    #: ``state.newly_flat``, letting push-only rounds sample in O(informed)
-    #: instead of scanning every node's flag.
-    uses_index_pools: bool = False
-
-    def vector_push_samplers(
-        self, round_index: int, state: VectorState
-    ) -> Optional[np.ndarray]:
-        """Sorted flat indices of this round's pushers, or ``None``.
-
-        Index-vector counterpart of :meth:`vector_wants_push`, consulted only
-        in push-only rounds of protocols with :attr:`uses_index_pools`.  The
-        returned array must equal
+        The engine's one input in push-only rounds.  The array must equal
         ``np.flatnonzero(vector_wants_push(...).reshape(-1))`` — same set,
-        ascending order — so the draw sequence is unchanged whichever
-        representation the engine uses.  Protocols typically return a view of
-        an engine-maintained set (``state.informed_flat``,
-        ``state.newly_flat``) or of their own sorted index table; ``None``
-        falls back to the boolean-mask path.  A subclass that overrides
-        :meth:`vector_wants_push` must override this consistently (or return
-        ``None``).
+        ascending order — which is what this default computes, so a
+        protocol with only a mask still runs.  Protocols override it to
+        return a view of an engine-maintained set (``state.informed_flat``,
+        ``state.newly_flat``) or of their own sorted index table; the engine
+        maintains those sets (:meth:`VectorState.enable_index_tracking`)
+        exactly when a protocol overrides this hook or
+        :meth:`vector_caller_pool`.  Push-only rounds then cost O(pushers)
+        instead of an O(R·n) scan.
         """
-        return None
+        return np.flatnonzero(self.vector_wants_push(round_index, state).reshape(-1))
 
     def vector_caller_pool(
         self, round_index: int, state: VectorState
     ) -> Optional[np.ndarray]:
-        """Sorted flat indices of the calling nodes, or ``None``.
+        """Sorted flat indices of the nodes that open channels, or ``None``.
 
-        Index-vector counterpart of :meth:`vector_caller_mask` for channel
-        accounting: when a protocol's callers are exactly an engine-maintained
-        index set (e.g. the quasirandom protocol's informed nodes), returning
-        it lets the engines charge channels with an O(callers) segment sum
-        instead of an O(R·n) mask reduction.  ``None`` (the default) keeps the
-        mask path.  Must describe the same set as :meth:`vector_caller_mask`.
+        ``None`` (the default) means every node opens ``min(fanout, degree)``
+        channels, the full phone-call model the engine charges by
+        arithmetic.  Protocols whose *uninformed* nodes stay silent (scalar
+        ``fanout`` returns 0 for them — e.g. the quasirandom protocol)
+        return the nodes whose scalar fanout is positive, so the bulk engine
+        charges channels as the scalar engine does, with an O(callers)
+        segment sum.
         """
         return None
 
@@ -257,11 +250,11 @@ class BroadcastProtocol(ABC):
 
         Called by the vectorized engine's dynamic-membership mode immediately
         after ``ids`` (sorted, ascending) have been tombstoned in ``state``.
-        The engine already clears the engine-owned planes (informed / active /
-        pending flags and the sorted index pools); protocols that mirror node
-        ids in their *own* structures — Algorithm 1's sorted active set, a
-        pointer table — must drop the departed entries here.  Stateless
-        protocols inherit the no-op.
+        The engine already clears the engine-owned state (the informed and
+        pending flags, the informed round and the sorted index pools);
+        protocols that mirror node ids in their *own* structures — Algorithm
+        1's sorted active set, a pointer table — must drop the departed
+        entries here.  Stateless protocols inherit the no-op.
         """
 
     def vector_compact_nodes(self, remap: np.ndarray, state: VectorState) -> None:
@@ -327,7 +320,7 @@ class BroadcastProtocol(ABC):
     def on_channel_exchange(
         self, caller_state: NodeState, callee_state: NodeState, round_index: int
     ) -> None:
-        """Called once per open channel when :attr:`needs_exchange_hook` is True.
+        """Called once per open channel, by the scalar engine, if overridden.
 
         Runs after the round's transmissions but before deliveries commit, so
         protocols that piggyback metadata on the communication (e.g. the

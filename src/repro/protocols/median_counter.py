@@ -65,7 +65,6 @@ class MedianCounterProtocol(BroadcastProtocol, OptionalHorizonMixin):
     """
 
     name = "median-counter"
-    needs_exchange_hook = True
 
     def __init__(
         self,

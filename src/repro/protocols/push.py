@@ -82,8 +82,6 @@ class PushProtocol(BroadcastProtocol, OptionalHorizonMixin):
 
     # -- bulk hooks -----------------------------------------------------------
 
-    uses_index_pools = True
-
     def vector_fanout(self, round_index: int) -> int:
         return self._fanout
 

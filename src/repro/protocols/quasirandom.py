@@ -36,7 +36,6 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
 
     name = "quasirandom-push"
     supports_vectorized = True
-    has_custom_vector_targets = True
 
     def __init__(
         self,
@@ -101,19 +100,12 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
 
     # -- bulk hooks -----------------------------------------------------------
 
-    uses_index_pools = True
-
     def vector_fanout(self, round_index: int) -> int:
         return 1
 
-    def vector_caller_mask(self, round_index: int, state: VectorState) -> np.ndarray:
-        # Uninformed nodes have fanout 0 in the scalar model, so they must
-        # not be charged channels by the bulk engine either.
-        return state.informed
-
     def vector_caller_pool(self, round_index: int, state: VectorState) -> np.ndarray:
-        # Same set as the caller mask, as the engine-maintained index vector:
-        # channel accounting becomes an O(informed) segment sum.
+        # Uninformed nodes have fanout 0 in the scalar model, so only the
+        # informed nodes are charged channels: an O(informed) segment sum.
         return state.informed_flat
 
     def vector_wants_push(self, round_index: int, state: VectorState) -> np.ndarray:

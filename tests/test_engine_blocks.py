@@ -11,9 +11,9 @@ that a block boundary never moves a draw:
 1. every single run in tiny blocks (7 channels per block, 40 keys per
    top-``k`` chunk) equals its one-row batch and the same run at the
    default bounds, for every protocol, for push-pull with three choices
-   and for push without index pools, on a regular graph, a multigraph
-   with self-loops, and a G(n, p) graph with isolated and saturated
-   nodes, reliable and lossy;
+   and for push on the default pool (its mask's indices), on a regular
+   graph, a multigraph with self-loops, and a G(n, p) graph with isolated
+   and saturated nodes, reliable and lossy;
 2. every row of a four-seed batch equals its single run under three
    sharing bounds, where rows split across blocks, share blocks, and
    repeat within one block (a small k-distinct row's saturated and deep
@@ -35,6 +35,7 @@ from repro.core.node import VectorState
 from repro.core.rng import RandomSource
 from repro.graphs.configuration_model import pairing_multigraph, random_regular_graph
 from repro.graphs.families import gnp_graph
+from repro.protocols.base import BroadcastProtocol
 from repro.protocols.push import PushProtocol
 from repro.protocols.push_pull import PushPullProtocol
 
@@ -48,14 +49,14 @@ from test_engine_batch import PROTOCOL_FACTORIES, assert_bit_identical, run_sign
 
 
 class MaskPushProtocol(PushProtocol):
-    """Push without index pools: both engines scan its push mask."""
+    """Push without its own pool: the default pool scans its push mask."""
 
-    uses_index_pools = False
+    vector_push_samplers = BroadcastProtocol.vector_push_samplers
 
 
 #: Every batchable protocol, plus push-pull with three distinct choices
 #: (top-k blocks whose channels both push and pull) and push-only rounds
-#: whose samplers come from a mask scan.
+#: whose pool is the base-class default, the indices of the push mask.
 BLOCK_PROTOCOLS = {
     **PROTOCOL_FACTORIES,
     "push-pull-3": lambda n: PushPullProtocol(n_estimate=n, fanout=3),
@@ -126,7 +127,9 @@ def test_blocked_single_run_matches_batched_row(
     config = SimulationConfig(engine="vectorized", **FAILURES[failure])
     # A single run is the engine's one-row case, so the tiny-block runs are
     # also held against a run drawn at the default bounds.
-    reference = run_signature(run_broadcast(graph, factory(graph.node_count), seed=3, config=config))
+    reference = run_signature(
+        run_broadcast(graph, factory(graph.node_count), seed=3, config=config)
+    )
     _tiny_blocks(monkeypatch)
     assert_bit_identical(graph, factory, [3], **FAILURES[failure])
     tiny = run_broadcast(graph, factory(graph.node_count), seed=3, config=config)

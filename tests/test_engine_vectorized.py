@@ -58,7 +58,7 @@ PROTOCOL_FANOUTS = {
     "quasirandom": 1,
 }
 
-#: Protocols whose uninformed nodes open no channels (vector_caller_mask),
+#: Protocols whose uninformed nodes open no channels (vector_caller_pool),
 #: so the per-round channel charge tracks the informed count instead of the
 #: full phone-call constant.
 MASKED_CALLER_PROTOCOLS = {"quasirandom"}

@@ -184,8 +184,6 @@ class TestSeedStability:
 _CONTRACT_ROOT = """
 class BroadcastProtocol:
     supports_vectorized = False
-    uses_index_pools = False
-    has_custom_vector_targets = False
 
     def vector_fanout(self, round_index):
         raise NotImplementedError("vectorized hooks not provided")
@@ -277,27 +275,6 @@ class TestVectorHookContract:
     def test_contract_root_itself_clean(self):
         # Declaring the flag False is the interface, not a violation.
         assert lint_one("VEC001", {"src/repro/protocols/base.py": _CONTRACT_ROOT}) == []
-
-    def test_index_pools_any_semantics(self):
-        flagged = _CONTRACT_ROOT + (
-            "\n\nclass Pooled(BroadcastProtocol):\n"
-            "    uses_index_pools = True\n"
-        )
-        ok = flagged + (
-            "    def vector_caller_pool(self, rng):\n"
-            "        return None\n"
-        )
-        assert lint_one("VEC001", {"src/repro/protocols/x.py": flagged})
-        assert lint_one("VEC001", {"src/repro/protocols/x.py": ok}) == []
-
-    def test_custom_targets_contract(self):
-        src = _CONTRACT_ROOT + (
-            "\n\nclass Quasi(BroadcastProtocol):\n"
-            "    has_custom_vector_targets = True\n"
-        )
-        diags = lint_one("VEC001", {"src/repro/protocols/x.py": src})
-        assert len(diags) == 1
-        assert "vector_call_targets" in diags[0].message
 
 
 _CHURN_CONTRACT_ROOT = '''\

@@ -1,0 +1,201 @@
+"""Every round, the bulk engine's sender pools name the sets their references do.
+
+In a push-only round the bulk engine reads one input, the sorted index pool
+of pushers (``vector_push_samplers``); the boolean mask ``vector_wants_push``
+stays an independent reference for it.  The channel charge reads the pool of
+calling nodes (``vector_caller_pool``).  These tests run every vectorizable
+registry protocol, plus Algorithm 1 with a zero-length Phase 3, and check at
+every call that
+
+1. the push pool equals ``np.flatnonzero(vector_wants_push(...).reshape(-1))``;
+2. a caller pool holds exactly the live nodes whose scalar ``fanout`` is
+   positive, and ``None`` only when every live node's is.
+
+The runs cover a simple regular graph, a G(n, p) graph with isolated nodes,
+a three-seed batch on each, and one seed under churn for the protocols with
+dynamic membership; every run goes to the horizon
+(``stop_when_informed=False``).  Protocols are address-oblivious, so the
+scalar fanout is evaluated once per distinct informed round.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.config import SimulationConfig
+from repro.core.engine_vectorized import BatchedVectorizedRoundEngine
+from repro.core.node import NodeState
+from repro.core.rng import RandomSource
+from repro.failures.churn import UniformChurn
+from repro.graphs.configuration_model import random_regular_graph
+from repro.graphs.families import gnp_graph
+from repro.protocols.algorithm1 import Algorithm1
+from repro.protocols.registry import available_protocols, build_protocol
+from repro.protocols.schedule import PhaseSchedule
+
+N = 512
+
+#: Every registry protocol the bulk engine runs, by registry id, plus
+#: Algorithm 1 with Phase 3 of zero length: Phase 2 runs straight into
+#: Phase 4, whose first pushers are Phase 2's last commits.
+PROTOCOLS = {
+    **{
+        name: (lambda n, name=name: build_protocol(name, n))
+        for name in available_protocols()
+        if build_protocol(name, N).supports_vectorized
+    },
+    "algorithm1-no-phase3": lambda n: Algorithm1(
+        n_estimate=n, schedule_override=PhaseSchedule(3, 6, 6, 12)
+    ),
+}
+
+#: Seeds of each run shape: one row, or a three-row batch.
+SHAPES = {"single": [7], "batch": [7, 8, 9]}
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    gnp = gnp_graph(400, 0.012, RandomSource(seed=5))
+    degrees = np.diff(gnp.csr()[0])
+    assert (degrees == 0).any() and degrees[0] > 0
+    return {
+        "regular": random_regular_graph(N, 8, RandomSource(seed=42), strategy="repair"),
+        "gnp": gnp,
+    }
+
+
+def _live(state) -> np.ndarray:
+    """The live nodes of ``state`` as a flat mask."""
+    try:
+        return np.broadcast_to(state.alive, state.shape).reshape(-1)
+    except RuntimeError:  # no churn: every node is live
+        return np.ones(state.informed.size, dtype=bool)
+
+
+def _positive_fanout(protocol, round_index: int, state) -> np.ndarray:
+    """Flat indices of the live nodes whose scalar fanout is positive."""
+    rounds = state.informed_round.reshape(-1)
+    calling = [
+        value
+        for value in np.unique(rounds).tolist()
+        if protocol.fanout(
+            NodeState(
+                node_id=0,
+                informed=value >= 0,
+                informed_round=value if value >= 0 else None,
+            ),
+            round_index,
+        )
+        > 0
+    ]
+    return np.flatnonzero(np.isin(rounds, calling) & _live(state))
+
+
+def _checked_run(graph, protocol, seeds, churn_model=None):
+    """Run ``protocol`` with both pool hooks checked at every call.
+
+    Returns ``(results, push checks, caller checks)``.
+    """
+    counts = {"push": 0, "callers": 0}
+    push_samplers = protocol.vector_push_samplers
+    caller_pool = protocol.vector_caller_pool
+
+    def checked_push_samplers(round_index, state):
+        pool = push_samplers(round_index, state)
+        mask = protocol.vector_wants_push(round_index, state)
+        np.testing.assert_array_equal(
+            pool, np.flatnonzero(mask.reshape(-1)), err_msg=f"push pool, round {round_index}"
+        )
+        counts["push"] += 1
+        return pool
+
+    def checked_caller_pool(round_index, state):
+        pool = caller_pool(round_index, state)
+        calling = _positive_fanout(protocol, round_index, state)
+        if pool is None:
+            assert calling.size == np.count_nonzero(_live(state)), (
+                f"round {round_index}: no caller pool, but some live node stays silent"
+            )
+        else:
+            np.testing.assert_array_equal(
+                pool, calling, err_msg=f"caller pool, round {round_index}"
+            )
+        counts["callers"] += 1
+        return pool
+
+    protocol.vector_push_samplers = checked_push_samplers
+    protocol.vector_caller_pool = checked_caller_pool
+    engine = BatchedVectorizedRoundEngine(
+        graph,
+        protocol,
+        seeds,
+        config=SimulationConfig(stop_when_informed=False),
+        churn_model=churn_model,
+    )
+    return engine.run(), counts["push"], counts["callers"]
+
+
+def _push_only_rounds(protocol) -> int:
+    return sum(
+        protocol.push_round(r) and not protocol.pull_round(r)
+        for r in range(1, protocol.horizon() + 1)
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("graph_name", ["regular", "gnp"])
+@pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
+def test_pools_match_their_references(graphs, protocol_name, graph_name, shape):
+    graph = graphs[graph_name]
+    protocol = PROTOCOLS[protocol_name](graph.node_count)
+    results, push_checks, caller_checks = _checked_run(graph, protocol, SHAPES[shape])
+    rounds = results[0].rounds_executed
+    assert rounds == protocol.horizon()
+    assert caller_checks == rounds
+    assert push_checks == _push_only_rounds(protocol)
+
+
+@pytest.mark.parametrize(
+    "protocol_name",
+    sorted(
+        name
+        for name, factory in PROTOCOLS.items()
+        if factory(N).supports_dynamic_membership
+    ),
+)
+def test_pools_match_their_references_under_churn(graphs, protocol_name):
+    protocol = PROTOCOLS[protocol_name](N)
+    churn = UniformChurn(leave_rate=0.02, join_rate=0.02, target_degree=8)
+    (result,), push_checks, caller_checks = _checked_run(
+        graphs["regular"], protocol, [7], churn_model=churn
+    )
+    assert result.metadata["churn"]["departures"] > 0
+    assert result.metadata["churn"]["arrivals"] > 0
+    assert caller_checks == result.rounds_executed == protocol.horizon()
+    assert push_checks == _push_only_rounds(protocol)
+
+
+def test_zero_length_phase3_pushes_last_phase2_commits(graphs):
+    """Phase 4's first pushers are the nodes Phase 2's last round informed."""
+    protocol = PROTOCOLS["algorithm1-no-phase3"](N)
+    first_phase4 = protocol.schedule.phase2_end + 1
+    seen = {}
+    pool_hook = protocol.vector_push_samplers
+
+    def recording(round_index, state):
+        pool = pool_hook(round_index, state)
+        if round_index == first_phase4:
+            seen["pool"] = pool.copy()
+            seen["newly"] = np.flatnonzero(
+                state.informed_round.reshape(-1) == first_phase4 - 1
+            )
+        return pool
+
+    protocol.vector_push_samplers = recording
+    BatchedVectorizedRoundEngine(
+        graphs["regular"], protocol, [7],
+        config=SimulationConfig(stop_when_informed=False),
+    ).run()
+    assert seen["newly"].size > 0
+    np.testing.assert_array_equal(seen["pool"], seen["newly"])
