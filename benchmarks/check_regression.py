@@ -4,8 +4,10 @@
 Re-measures the micro-benchmark medians (graph generation, including the
 connected n = 32768 and n = 2²⁰ builds with their connectivity check, one
 broadcast per protocol at n = 4096, push and Algorithm 1 at n = 256, where
-the engine's per-round bookkeeping dominates, the 20-seed batched push sweep
-at n = 4096 and Algorithm 1 sweep at n = 32768, and Algorithm 1 under churn)
+the engine's per-round bookkeeping dominates, push, push-pull, Algorithm 1
+and quasirandom at n = 10⁶, where most rounds' rows run from the receiver
+side, the 20-seed batched push sweep at n = 4096 and Algorithm 1 sweep at
+n = 32768, and Algorithm 1 under churn)
 and the tracemalloc peak of the headline allocations (the million-node
 pairing build with its CSR stats, the connected n = 2²⁰ build, million-node
 push, push-pull, Algorithm 1 and quasirandom broadcasts, batched push,
@@ -81,7 +83,35 @@ def median_ms(fn, repetitions: int = 5) -> float:
     return statistics.median(samples)
 
 
-def measure_current() -> dict:
+def million_graph():
+    """The million-node pairing multigraph with its CSR view and stats: what
+    every engine run on a fresh graph pays first."""
+    graph = pairing_multigraph(1_000_000, 8, RandomSource(seed=7))
+    graph.csr()
+    graph.csr_stats()
+    return graph
+
+
+#: The protocols timed and traced at n = 10⁶.
+MILLION_PROTOCOLS = {
+    "push": PushProtocol,
+    "push_pull": PushPullProtocol,
+    "algorithm1": Algorithm1,
+    "quasirandom": QuasirandomPushProtocol,
+}
+
+
+def million_runs(graph_million, config) -> dict:
+    """``protocol name -> one n = 10⁶ broadcast`` on ``graph_million``."""
+    def run(protocol_class):
+        return lambda: run_broadcast(
+            graph_million, protocol_class(n_estimate=1_000_000), seed=11, config=config
+        )
+
+    return {name: run(cls) for name, cls in MILLION_PROTOCOLS.items()}
+
+
+def measure_current(graph_million) -> dict:
     """Re-run every baseline measurement and return name -> median ms."""
     vector = SimulationConfig(engine="vectorized", collect_round_history=False)
     graph = random_regular_graph(N, D, RandomSource(seed=2), strategy="repair")
@@ -134,6 +164,10 @@ def measure_current() -> dict:
             broadcast(lambda: Algorithm1(n_estimate=SMALL_N), on=small),
             repetitions=21,
         ),
+        **{
+            f"{name}_broadcast_1e6": median_ms(run, repetitions=3)
+            for name, run in million_runs(graph_million, vector).items()
+        },
         "batched_push_sweep_20x_4096": median_ms(
             lambda: run_broadcast_batch(
                 graph, PushProtocol(n_estimate=N), SWEEP_SEEDS, config=vector
@@ -163,7 +197,7 @@ def measure_current() -> dict:
     }
 
 
-def measure_memory() -> dict:
+def measure_memory(graph_million) -> dict:
     """Tracemalloc peaks of the headline engine allocations, name -> MB.
 
     Kept separate from the timing pass: tracing every allocation skews
@@ -174,29 +208,13 @@ def measure_memory() -> dict:
     graph_4096.csr()
     graph_4096.csr_stats()
 
-    def million_graph():
-        # What every engine run on a fresh graph pays first.
-        graph = pairing_multigraph(1_000_000, 8, RandomSource(seed=7))
-        graph.csr()
-        graph.csr_stats()
-        return graph
-
     graph_ready_peak = traced_peak_mb(million_graph)
     connected_large_peak = traced_peak_mb(
         lambda: connected_random_regular_graph(LARGE_N, D, RandomSource(seed=1))
     )
-    graph_million = million_graph()
-
-    def million(protocol_class):
-        return lambda: run_broadcast(
-            graph_million, protocol_class(n_estimate=1_000_000), seed=11, config=vector
-        )
-
-    million_runs = {
-        "push_broadcast_1e6_peak": million(PushProtocol),
-        "push_pull_broadcast_1e6_peak": million(PushPullProtocol),
-        "algorithm1_broadcast_1e6_peak": million(Algorithm1),
-        "quasirandom_broadcast_1e6_peak": million(QuasirandomPushProtocol),
+    million_peaks = {
+        f"{name}_broadcast_1e6_peak": run
+        for name, run in million_runs(graph_million, vector).items()
     }
 
     def batched_sweep():
@@ -233,7 +251,7 @@ def measure_memory() -> dict:
             ),
         )
 
-    for run in million_runs.values():  # warm graph-side caches out of the traces
+    for run in million_peaks.values():  # warm graph-side caches out of the traces
         run()
     batched_sweep()
     batched_push_pull()
@@ -242,7 +260,7 @@ def measure_memory() -> dict:
     return {
         "graph_ready_1e6_peak": graph_ready_peak,
         "connected_regular_graph_1048576_peak": connected_large_peak,
-        **{name: traced_peak_mb(run) for name, run in million_runs.items()},
+        **{name: traced_peak_mb(run) for name, run in million_peaks.items()},
         "batched_push_sweep_20x_4096_peak": traced_peak_mb(batched_sweep),
         "batched_push_pull_20x_32768_peak": traced_peak_mb(batched_push_pull),
         "batched_algorithm1_20x_32768_peak": traced_peak_mb(batched_algorithm1),
@@ -264,6 +282,10 @@ def baseline_map(recorded: dict) -> dict:
         "quasirandom_vectorized_4096": baselines["quasirandom_broadcast_4096"]["vectorized"],
         "push_vectorized_256": baselines["push_broadcast_256"]["vectorized"],
         "algorithm1_vectorized_256": baselines["algorithm1_broadcast_256"]["vectorized"],
+        **{
+            f"{name}_broadcast_1e6": baselines[f"{name}_broadcast_1e6"]["ms"]
+            for name in MILLION_PROTOCOLS
+        },
         "batched_push_sweep_20x_4096": baselines["batched_push_sweep_20x_4096"]["batched"],
         "batched_algorithm1_20x_32768": baselines["batched_algorithm1_20x_32768"]["ms"],
         "algorithm1_churn_vectorized_4096": baselines["algorithm1_churn_4096"]["median_ms"],
@@ -301,9 +323,10 @@ def main(argv=None) -> int:
 
     recorded = json.loads(BASELINE_PATH.read_text())
     baselines = baseline_map(recorded)
-    current = measure_current()
+    graph_million = million_graph()
+    current = measure_current(graph_million)
     memory_baselines = memory_baseline_map(recorded)
-    memory_current = measure_memory()
+    memory_current = measure_memory(graph_million)
 
     width = max(
         len(name) for name in list(current) + list(memory_current)

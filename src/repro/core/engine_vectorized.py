@@ -13,7 +13,9 @@ plan as a one-seed :class:`BatchedVectorizedRoundEngine`.  Each round:
    (``vector_push_samplers``), a round that pulls reads the push and pull
    masks, and the channel charge reads the pool of calling nodes
    (``vector_caller_pool``, ``None`` when every node calls);
-2. each running replication's calls are drawn in *blocks* of at most
+2. a running replication whose side that can still change is small runs
+   the round from that side (receiver-side rounds, below); every other
+   replication's calls are drawn in *blocks* of at most
    :data:`_BLOCK_CHANNELS` channels, in channel order: uniforms mapped to
    stub offsets for fanout 1, a random-key top-``k`` selection for larger
    fanouts (each sampler's ``k`` stubs in ascending key order, a full row
@@ -27,10 +29,40 @@ plan as a one-seed :class:`BatchedVectorizedRoundEngine`.  Each round:
 3. each block is filtered, loss-tested (Bernoulli arrays over channels and
    transmissions) and cut down to its still-uninformed receivers before the
    next block is drawn;
-4. only fresh receivers reach the round's one sparse commit
-   (:meth:`VectorState.commit_delivered`, which deduplicates across
+4. only fresh receivers, of both sides, reach the round's one sparse
+   commit (:meth:`VectorState.commit_delivered`, which deduplicates across
    blocks), so "received in round ``t``, effective in ``t + 1``" holds
    exactly as in the scalar engine.
+
+Receiver-side rounds
+--------------------
+Late in a broadcast nearly every call reaches an informed node, and early
+in push-pull nearly every call pulls from an uninformed one.  A static,
+reliable round therefore picks a side per running row from counts the
+engine holds: a row of at least :data:`_RECEIVER_MIN_CHANNELS` channels
+whose small side's node count times the mean degree, times
+:data:`_RECEIVER_RATIO`, is at most its channels evaluates only its
+*candidates*, the callers whose calls can deliver or change a count:
+
+* a push-only round's samplers among ``N(U)``, ``U`` being the row's
+  uninformed nodes;
+* in a round that pulls, the answering side ``N(A)`` plus the pushers
+  (few answer) or the silent side ``N(Ā) ∪ N(U) ∪ U`` (few uninformed);
+* always the nodes with a self-loop stub, so the counts can subtract
+  their self-calls.
+
+The row still draws every random number the sender side draws, from the
+same generators in the same order (every uniform, every top-``k`` key row,
+one target-hook call with ``positions=``), so results, histories and
+generator states do not depend on the side; only the gathers, filters and
+compresses over channels that cannot inform anyone go.  Push transmissions
+are then the pushers' channels minus their self-calls; pull transmissions
+are the candidate channels whose callee answers, or, on the silent side,
+the usable channels minus those whose callee is silent.  Churn (mutable
+CSR, tombstoned callees) and lossy or failing channels (their draws follow
+the usable channels and transmissions in channel order) stay sender-side.
+The private ``_receiver_side`` switch turns the path off for the parity
+tests (``tests/test_engine_receiver_side.py``).
 
 Active sets and scratch buffers
 -------------------------------
@@ -192,6 +224,21 @@ _BLOCK_CHANNELS = 1 << 18
 #: key row up to 2¹¹ wide sorts as integers, the column in these bits.
 _KEY_COLUMN_BITS = 11
 
+#: Fewest channels a row needs before its round may run from the receiver
+#: side: below this, the sender side's few passes cost less than the
+#: receiver side's fixed scans of the row.
+_RECEIVER_MIN_CHANNELS = 1 << 12
+
+#: A row runs from the receiver side when the small side's node count times
+#: the graph's mean degree, times this, is at most the row's channels.
+_RECEIVER_RATIO = 8
+
+#: A receiver-side row ranks its candidates among the samplers by binary
+#: search while they are fewer than the samplers divided by this, and by
+#: reading the candidate mark at every sampler otherwise: one search costs
+#: about as much as 32 to 50 sequential gathers.
+_SEARCH_COST = 32
+
 #: ``(callers, callees)`` of a block, callers broadcastable to callees.
 _ChannelBlock = Tuple[np.ndarray, np.ndarray]
 
@@ -310,12 +357,24 @@ def _tally(counter: np.ndarray, rows: Sequence[int], bounds: Sequence[int]) -> N
         counter[row] += stop - start
 
 
+def _row_stubs(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The stubs of ``nodes``' CSR rows back to back; ``lengths`` are their
+    degrees."""
+    within = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    return indices[np.repeat(indptr[nodes], lengths) + within]
+
+
 def _smallest_key_columns(
     generator: np.random.Generator,
     rows: int,
     width: int,
     fanout: int,
     pad: Optional[np.ndarray],
+    select: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Each row's ``fanout`` columns with the smallest iid uniform keys.
 
@@ -325,11 +384,15 @@ def _smallest_key_columns(
     ``Generator.random`` scales by 2⁻⁵³, with its column in the bits below,
     so one in-place integer row sort orders the keys and breaks exact ties
     by column.  Rows wider than 2¹¹ leave too few bits for the column and
-    argsort the same draws as floats.
+    argsort the same draws as floats.  With ``select`` (row indices) every
+    key is still drawn but only the selected rows are sorted and returned,
+    and ``pad`` covers the selected rows.
     """
     shift = (width - 1).bit_length()
     if shift > _KEY_COLUMN_BITS:
         floats = generator.random((rows, width))
+        if select is not None:
+            floats = floats[select]
         if pad is not None:
             floats[pad] = np.inf
         # argpartition would leave the order within the k to the SIMD
@@ -337,6 +400,8 @@ def _smallest_key_columns(
         return np.argsort(floats, axis=1)[:, :fanout]
     low = np.uint64((1 << shift) - 1)
     keys = generator.bit_generator.random_raw((rows, width))
+    if select is not None:
+        keys = keys[select]
     keys >>= np.uint64(_KEY_COLUMN_BITS - shift)
     keys &= ~low
     keys |= np.arange(width, dtype=np.uint64)
@@ -356,6 +421,7 @@ def _stub_target_blocks(
     indices: np.ndarray,
     degrees: np.ndarray,
     uniform_degree: Optional[int] = None,
+    positions: Optional[np.ndarray] = None,
 ) -> Tuple[int, Iterator[_ChannelBlock]]:
     """Each sampler calls ``min(fanout, degree)`` distinct adjacency stubs.
 
@@ -371,8 +437,12 @@ def _stub_target_blocks(
     tie between keys (about 3·10⁻¹⁵ per row of 8) goes to the lower column.
     The key width is the global max degree and consecutive chunks' keys
     form one stream, so the draws depend neither on the bounds nor on
-    ``uniform_degree``.
+    ``uniform_degree``.  With ``positions`` (ascending indices into
+    ``samplers``) the blocks hold only the calls of ``samplers[positions]``,
+    while every deep sampler's keys are still drawn: the receiver side's
+    stream is the sender side's.
     """
+    deep_at = positions
     if uniform_degree is not None and uniform_degree > fanout:
         # Every sampler is deep and no key row needs padding.
         full_nodes = lengths = samplers[:0]
@@ -385,31 +455,46 @@ def _stub_target_blocks(
         deep_nodes, deep_degrees = samplers[~saturated], sampler_degrees[~saturated]
         max_degree = int(deep_degrees.max()) if deep_nodes.size else 0
     padded = deep_degrees is not None and bool((deep_degrees != max_degree).any())
+    channels = int(lengths.sum()) + deep_nodes.size * fanout
+    if positions is not None and deep_degrees is not None:
+        picked = samplers[positions]
+        full = saturated[positions]
+        full_nodes, lengths = picked[full], sampler_degrees[positions[full]]
+        deep_at = np.searchsorted(deep_nodes, picked[~full])
 
     def blocks() -> Iterator[_ChannelBlock]:
         rows = max(1, _BLOCK_CHANNELS // fanout)
         for start in range(0, full_nodes.size, rows):
             nodes = full_nodes[start : start + rows]
             counts = lengths[start : start + rows]
-            within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            yield (
-                np.repeat(nodes, counts),
-                indices[np.repeat(indptr[nodes], counts) + within],
-            )
+            yield np.repeat(nodes, counts), _row_stubs(indptr, indices, nodes, counts)
         if not deep_nodes.size:
             return
         column = np.arange(max_degree)
         rows = max(1, min(_CHUNK_ENTRIES // max_degree, _BLOCK_CHANNELS // fanout))
-        for start in range(0, deep_nodes.size, rows):
-            nodes = deep_nodes[start : start + rows]
-            pad = column >= deep_degrees[start : start + rows, None] if padded else None
-            chosen = _smallest_key_columns(generator, nodes.size, max_degree, fanout, pad)
-            chosen += indptr[nodes][:, None]
-            yield nodes[:, None], indices[chosen]
+        starts = range(0, deep_nodes.size, rows)
+        if deep_at is not None:
+            cuts = np.searchsorted(deep_at, range(0, deep_nodes.size + rows, rows)).tolist()
+        for chunk, start in enumerate(starts):
+            drawn = min(rows, deep_nodes.size - start)
+            select = None
+            nodes = deep_nodes[start : start + drawn]
+            if padded:
+                widths = deep_degrees[start : start + drawn]
+            if deep_at is not None:
+                select = deep_at[cuts[chunk] : cuts[chunk + 1]] - start
+                nodes = nodes[select]
+                if padded:
+                    widths = widths[select]
+            pad = column >= widths[:, None] if padded else None
+            chosen = _smallest_key_columns(
+                generator, drawn, max_degree, fanout, pad, select
+            )
+            if nodes.size:
+                chosen += indptr[nodes][:, None]
+                yield nodes[:, None], indices[chosen]
 
-    return int(lengths.sum()) + deep_nodes.size * fanout, blocks()
+    return channels, blocks()
 
 
 def _resolve_failure_model(
@@ -521,6 +606,12 @@ class BatchedVectorizedRoundEngine:
     #: Results are bit-identical either way; the parity tests and benches
     #: turn it off to compare.
     _compaction = True
+
+    #: The receiver-side switch: a static, reliable round may run a row from
+    #: the side that can still change (see :meth:`_receiver_rows`).  Results
+    #: and generator states are bit-identical either way; the parity tests
+    #: turn it off to compare.
+    _receiver_side = True
 
     def __init__(
         self,
@@ -687,6 +778,7 @@ class BatchedVectorizedRoundEngine:
         self,
         samplers: np.ndarray,
         draws: Sequence[Tuple[np.random.Generator, int]],
+        picks: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Callees of one uniform stub draw per sampler, via scratch buffers.
 
@@ -697,7 +789,10 @@ class BatchedVectorizedRoundEngine:
         the in-place ``floor(U · d)`` arithmetic produces the same offsets
         as the allocation path.  Called once per delivery block, so the
         scratch stays one block; the result may be a view into the callee
-        scratch buffer (valid until the next call).
+        scratch buffer (valid until the next call).  With ``picks``
+        (ascending indices into ``samplers``) every uniform is still drawn,
+        but only the callees of ``samplers[picks]`` are returned: the
+        receiver side's draw.
         """
         k = samplers.size
         if k < self._SCRATCH_MIN_SAMPLERS:
@@ -709,7 +804,9 @@ class BatchedVectorizedRoundEngine:
         for generator, count in draws:
             start, stop = stop, stop + count
             generator.random(out=uniforms[start:stop])
-        if k < self._SCRATCH_MIN_SAMPLERS:
+        if picks is not None:
+            samplers, uniforms = samplers.take(picks), uniforms.take(picks)
+        if picks is not None or k < self._SCRATCH_MIN_SAMPLERS:
             if self._uniform_degree is not None:
                 offsets = _fanout1_offsets(
                     uniforms, self._uniform_degree, self._indices.dtype
@@ -750,31 +847,53 @@ class BatchedVectorizedRoundEngine:
         fanout: int,
         generator: np.random.Generator,
         row: int,
+        positions: Optional[np.ndarray] = None,
     ) -> Tuple[int, Iterator[_ChannelBlock]]:
         """``(channel count, blocks)`` of one row's calls, in channel order.
 
         Blocks are drawn from ``generator`` as they are consumed.  A custom
         target hook is called here, once, with every sampler (and ``row``),
-        and only its output is cut up.
+        and only its output is cut up.  With ``positions`` (ascending
+        indices into ``samplers``) the blocks hold only the calls of
+        ``samplers[positions]``, while every random number is drawn as
+        without; the count stays the row's.
         """
         if fanout > 1:
             return _stub_target_blocks(
                 generator, samplers, fanout,
                 self._indptr, self._indices, self._degrees, self._uniform_degree,
+                positions,
             )
         size = _BLOCK_CHANNELS
         starts = range(0, samplers.size, size)
         if not self.protocol.overrides("vector_call_targets"):
-            return samplers.size, (
-                (block, self._fanout1_callees(block, ((generator, block.size),)))
-                for block in (samplers[i : i + size] for i in starts)
+            if positions is None:
+                return samplers.size, (
+                    (block, self._fanout1_callees(block, ((generator, block.size),)))
+                    for block in (samplers[i : i + size] for i in starts)
+                )
+            cuts = np.searchsorted(positions, range(0, samplers.size + size, size)).tolist()
+            picked = (
+                (samplers[start : start + size], positions[cuts[i] : cuts[i + 1]] - start)
+                for i, start in enumerate(starts)
             )
+            return samplers.size, (
+                (
+                    block.take(picks),
+                    self._fanout1_callees(block, ((generator, block.size),), picks),
+                )
+                for block, picks in picked
+            )
+        channels = samplers.size
         callees = self.protocol.vector_call_targets(
             round_index, state, samplers, generator,
-            self._indptr, self._indices, self._degrees, row=row,
+            self._indptr, self._indices, self._degrees, row=row, positions=positions,
         )
-        return samplers.size, (
-            (samplers[i : i + size], callees[i : i + size]) for i in starts
+        if positions is not None:
+            samplers = samplers.take(positions)
+        return channels, (
+            (samplers[i : i + size], callees[i : i + size])
+            for i in range(0, samplers.size, size)
         )
 
     def _fill_channel_up(self, generator: np.random.Generator, out: np.ndarray) -> None:
@@ -1340,17 +1459,27 @@ class BatchedVectorizedRoundEngine:
                 "custom bulk target selection requires uniform fanout 1"
             )
         if (push_active or pull_active) and fanout > 0:
+            rows = self._row_samplers(round_index, state, running, pull_active)
+            received: List[np.ndarray] = []
+            if (
+                self._receiver_side
+                and not self._dynamic
+                and self._loss_p == 0.0
+                and self._channel_fail_p == 0.0
+            ):
+                rows = self._receiver_rows(
+                    round_index, state, rows, fanout, push_mask, pull_mask,
+                    counts[:3], received,
+                )
             blocks = self._batch_blocks(
-                round_index,
-                state,
-                self._row_samplers(round_index, state, running, pull_active),
-                fanout,
-                lone=len(running) == 1,
+                round_index, state, rows, fanout, lone=len(running) == 1
             )
             delivered = self._deliver(
                 state, blocks, push_active, push_mask, pull_mask,
                 self._live_failure_gens, counts[:3],
             )
+            if received:
+                delivered = np.concatenate([delivered, *received])
         else:
             delivered = np.empty(0, dtype=state.index_dtype)
         newly_informed = state.commit_delivered(delivered, round_index)
@@ -1505,3 +1634,196 @@ class BatchedVectorizedRoundEngine:
             for row, start, stop in zip(rows, bounds[:-1], bounds[1:]):
                 self._fill_channel_up(self._live_failure_gens[row], channel_up[start:stop])
         return callers, callees, 0, rows, bounds, channel_up
+
+    # -- receiver-side rounds ------------------------------------------------------
+
+    def _receiver_rows(
+        self,
+        round_index: int,
+        state: VectorState,
+        rows: Iterator[Tuple[int, np.ndarray]],
+        fanout: int,
+        push_mask: Optional[np.ndarray],
+        pull_mask: Optional[np.ndarray],
+        tallies: np.ndarray,
+        received: List[np.ndarray],
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Run the rows whose round is cheaper from the receiver side.
+
+        A row qualifies when it has at least :data:`_RECEIVER_MIN_CHANNELS`
+        channels and the side of it that can still change is small: its
+        node count times the mean degree, times :data:`_RECEIVER_RATIO`, is
+        at most the row's channels.  In a push-only round that side is the
+        uninformed nodes; a round that pulls takes the smaller of the
+        informed count (a bound on the answering and pushing nodes) and the
+        uninformed count.  Yields the ``(row, samplers)`` pairs left for the
+        sender side, one at a time as the blocked pipeline asks for them,
+        and appends the fresh receivers (flat indices) found here to
+        ``received``.
+        """
+        n = state.n
+        informed = state.informed_count.tolist()
+        mean_degree = self._indices.size / n
+        if pull_mask is not None:
+            channels = self._channel_info(fanout)[0]
+        per_sampler = fanout
+        if self._uniform_degree is not None:
+            per_sampler = min(fanout, self._uniform_degree)
+        for row, samplers in rows:
+            uninformed = n - informed[row]
+            side = uninformed
+            if pull_mask is None:
+                channels = samplers.size * per_sampler
+            else:
+                side = min(side, informed[row])
+            if (
+                channels < _RECEIVER_MIN_CHANNELS
+                or side * mean_degree * _RECEIVER_RATIO > channels
+            ):
+                yield row, samplers
+                continue
+            answering = pull_mask is not None and self._pull_side_answers(
+                informed[row], uninformed
+            )
+            hits = self._receive(
+                round_index, state, row, samplers, fanout, answering,
+                push_mask, pull_mask, tallies,
+            )
+            if hits.size:
+                received.append(hits)
+
+    @staticmethod
+    def _pull_side_answers(informed: int, uninformed: int) -> bool:
+        """Whether a receiver-side pull round starts from the answering side.
+
+        The answering and pushing nodes are informed, so the informed count
+        bounds that side; the silent side grows with the uninformed count.
+        """
+        return informed <= uninformed
+
+    def _receive(
+        self,
+        round_index: int,
+        state: VectorState,
+        row: int,
+        samplers: np.ndarray,
+        fanout: int,
+        answering: bool,
+        push_mask: Optional[np.ndarray],
+        pull_mask: Optional[np.ndarray],
+        tallies: np.ndarray,
+    ) -> np.ndarray:
+        """One row's round from the receiver side; returns its fresh receivers.
+
+        Only the *candidates'* calls are evaluated: the samplers whose calls
+        can deliver or change a count.  In a push-only round those are the
+        samplers among ``N(U)``, ``U`` being the row's uninformed nodes.  A
+        round that pulls takes the answering side ``N(A)`` plus the pushers,
+        or the silent side ``N(Ā) ∪ N(U) ∪ U``.  The nodes with a self-loop
+        stub are always candidates, so the counts can subtract their
+        self-calls.  Every random number of the row is still drawn
+        (:meth:`_channel_blocks` with ``positions``), so the row's stream
+        and generator state match the sender side's, and the tallies are
+        counted: push transmissions are the pushers' channels minus their
+        self-calls, pull transmissions the candidate channels whose callee
+        answers (answering side) or all usable channels minus those whose
+        callee is silent (silent side).  Static, reliable rounds only: no
+        channel is lost, and the CSR cannot change.
+        """
+        informed = state.informed[row]
+        push_row = None if push_mask is None else push_mask[row]
+        pull_row = None if pull_mask is None else pull_mask[row]
+        mark = np.zeros(state.n, dtype=bool)
+        if pull_row is None:
+            mark[self._neighbour_stubs(np.flatnonzero(~informed))] = True
+        elif answering:
+            mark[self._neighbour_stubs(np.flatnonzero(pull_row))] = True
+            if push_row is not None:
+                np.logical_or(mark, push_row, out=mark)
+        else:
+            silent = np.flatnonzero(~(pull_row & informed))
+            mark[self._neighbour_stubs(silent)] = True
+            mark[silent] = True
+        mark[self.graph.self_loop_nodes()] = True
+        if pull_row is not None and self._all_positive():
+            # A pull round's samplers are every node: a rank is a node id.
+            positions = np.flatnonzero(mark)
+        elif np.count_nonzero(mark) * _SEARCH_COST < samplers.size:
+            nodes = np.flatnonzero(mark).astype(samplers.dtype)
+            positions = np.searchsorted(samplers, nodes)
+            inside = positions < samplers.size
+            inside[inside] = samplers[positions[inside]] == nodes[inside]
+            positions = positions[inside]
+        else:
+            # Block by block: a take copies int32 indices to int64 first.
+            positions = np.concatenate([
+                np.flatnonzero(mark.take(samplers[start : start + _BLOCK_CHANNELS]))
+                + start
+                for start in range(0, samplers.size, _BLOCK_CHANNELS)
+            ])
+
+        channels, blocks = self._channel_blocks(
+            round_index, state, samplers, fanout,
+            self._live_protocol_gens[row], row, positions,
+        )
+        self_calls = pushing_self_calls = pushes = answers = silences = 0
+        fresh: List[np.ndarray] = []
+        for callers, callees in blocks:
+            if callers.shape != callees.shape:
+                callers = np.broadcast_to(callers, callees.shape).reshape(-1)
+                callees = callees.reshape(-1)
+            if self._has_self_loops:
+                usable = callees != callers
+                looped = usable.size - np.count_nonzero(usable)
+                if looped:
+                    self_calls += looped
+                    if push_row is not None:
+                        pushing_self_calls += np.count_nonzero(
+                            push_row.take(callers.compress(~usable))
+                        )
+                    callers = callers.compress(usable)
+                    callees = callees.compress(usable)
+            receivers = callees
+            if pull_row is not None:
+                answer = pull_row.take(callees)
+                answered = np.count_nonzero(answer)
+                answers += answered
+                silences += answer.size - answered
+                pulled = callers.compress(answer)
+                fresh.append(pulled.compress(~informed.take(pulled)))
+                receivers = None
+                if push_row is not None:
+                    sending = push_row.take(callers)
+                    pushes += np.count_nonzero(sending)
+                    receivers = callees.compress(sending)
+            if receivers is not None:
+                fresh.append(receivers.compress(~informed.take(receivers)))
+
+        push_tx, pull_tx, _ = tallies
+        if pull_row is None:
+            push_tx[row] += channels - self_calls
+        elif answering:
+            push_tx[row] += pushes
+            pull_tx[row] += answers
+        else:
+            pull_tx[row] += channels - self_calls - silences
+            if push_row is not None:
+                push_tx[row] += self._push_channels(push_row, fanout) - pushing_self_calls
+        hits = np.concatenate(fresh) if fresh else samplers[:0]
+        if row:
+            hits = np.add(hits, row * state.n, dtype=state.index_dtype)
+        return hits
+
+    def _neighbour_stubs(self, nodes: np.ndarray) -> np.ndarray:
+        """The stubs of ``nodes``' CSR rows: each node's neighbours, repeated."""
+        degree = self._uniform_degree
+        if degree:
+            return self._indices.reshape(-1, degree)[nodes].reshape(-1)
+        return _row_stubs(self._indptr, self._indices, nodes, self._degrees[nodes])
+
+    def _push_channels(self, push_row: np.ndarray, fanout: int) -> int:
+        """Channels the pushers of one row open: ``min(degree, fanout)`` each."""
+        uniform_cost = self._channel_info(fanout)[1]
+        if uniform_cost is not None:
+            return np.count_nonzero(push_row) * uniform_cost
+        return int(self._channel_cost_array(fanout)[push_row].sum())

@@ -58,10 +58,12 @@ class Graph:
         # of list-building time.
         self._lazy_n: Optional[int] = None
         self._csr_stats: Optional[Tuple[bool, Optional[int]]] = None
+        self._loop_nodes: Optional[np.ndarray] = None
 
     def _invalidate_csr(self) -> None:
         self._csr_cache = None
         self._csr_stats = None
+        self._loop_nodes = None
 
     def _materialise(self) -> None:
         """Build the adjacency dict of a bulk-constructed graph on demand."""
@@ -391,31 +393,42 @@ class Graph:
         graph, invalidated together with it on mutation — instead of being
         recomputed by every engine construction in a per-seed loop.
 
-        The self-loop check walks the nodes in blocks of
-        :attr:`_STATS_BLOCK_NODES`, comparing each block's stubs against
-        their owners, and stops at the first loop.  Its scratch is one
-        block's owner array, not one entry per stub.
+        The self-loop check reads :meth:`self_loop_nodes`.
         """
         if self._csr_stats is None:
-            indptr, indices = self.csr()
-            degrees = np.diff(indptr)
-            n = degrees.size
-            has_loops = False
-            for start in range(0, n, self._STATS_BLOCK_NODES):
-                stop = min(start + self._STATS_BLOCK_NODES, n)
-                owners = np.repeat(
-                    np.arange(start, stop, dtype=indices.dtype), degrees[start:stop]
-                )
-                if (indices[indptr[start] : indptr[stop]] == owners).any():
-                    has_loops = True
-                    break
+            degrees = np.diff(self.csr()[0])
             uniform = (
                 int(degrees[0])
                 if degrees.size and (degrees == degrees[0]).all()
                 else None
             )
-            self._csr_stats = (has_loops, uniform)
+            self._csr_stats = (bool(self.self_loop_nodes().size), uniform)
         return self._csr_stats
+
+    def self_loop_nodes(self) -> np.ndarray:
+        """Ascending ids of the nodes with a self-loop stub, cached with the CSR.
+
+        In the CSR index dtype.  The scan walks the nodes in blocks of
+        :attr:`_STATS_BLOCK_NODES`, comparing each block's stubs against
+        their owners, so its scratch is one block's owner array, not one
+        entry per stub.
+        """
+        if self._loop_nodes is None:
+            indptr, indices = self.csr()
+            degrees = np.diff(indptr)
+            found = [indices[:0]]
+            for start in range(0, degrees.size, self._STATS_BLOCK_NODES):
+                stop = min(start + self._STATS_BLOCK_NODES, degrees.size)
+                owners = np.repeat(
+                    np.arange(start, stop, dtype=indices.dtype), degrees[start:stop]
+                )
+                owners = owners[indices[indptr[start] : indptr[stop]] == owners]
+                # Owners ascend, so a node's loop stubs are adjacent.
+                first = np.ones(owners.size, dtype=bool)
+                np.not_equal(owners[1:], owners[:-1], out=first[1:])
+                found.append(owners[first])
+            self._loop_nodes = np.concatenate(found)
+        return self._loop_nodes
 
     # -- conversions -------------------------------------------------------------
 

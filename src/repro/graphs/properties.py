@@ -83,6 +83,11 @@ def _csr_arrays(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+#: Nodes per block when :func:`component_labels` collects the forward
+#: edges, and edges per block of its passes.
+_LABEL_BLOCK = 1 << 16
+
+
 def component_labels(graph: Graph) -> Tuple[int, np.ndarray]:
     """``(count, labels)``: the connected components as an integer labelling.
 
@@ -102,29 +107,53 @@ def component_labels(graph: Graph) -> Tuple[int, np.ndarray]:
     component drop out of the working set as soon as they stop crossing.
     The surviving roots are the component minima.  Random regular graphs
     settle in a handful of passes.
+
+    The scratch is two edge arrays.  Each edge is stored once, in its
+    ``(smaller, larger)`` orientation, collected from the CSR rows block by
+    block.  The first pass starts from the identity labelling, so it hooks
+    every edge without reading a label.  Later passes overwrite each kept
+    edge with its endpoints' roots, block by block: a node's root after a
+    pass is its old root's, so the contracted edge crosses exactly when the
+    original one would.
     """
     indptr, indices = _csr_arrays(graph)
     n = indptr.size - 1
     dtype = indices.dtype
     labels = np.arange(n, dtype=dtype)
-    owners = np.repeat(labels, np.diff(indptr))
-    # Every edge appears once per endpoint; one orientation suffices, and
-    # self-loops never join two components.
-    forward = owners < indices
-    src, dst = owners[forward], indices[forward]
-    while src.size:
-        lo, hi = labels[src], labels[dst]
-        crossing = lo != hi
-        if not crossing.any():
-            break
-        src, dst = src[crossing], dst[crossing]
-        lo, hi = lo[crossing], hi[crossing]
-        np.minimum.at(labels, np.maximum(lo, hi), np.minimum(lo, hi))
+    # Every non-loop edge has exactly one stub whose owner is the smaller
+    # end; self-loops never join two components.
+    low = np.empty(indices.size // 2, dtype=dtype)
+    high = np.empty_like(low)
+    size = 0
+    degrees = np.diff(indptr)
+    for start in range(0, n, _LABEL_BLOCK):
+        stop = min(start + _LABEL_BLOCK, n)
+        owners = np.repeat(labels[start:stop], degrees[start:stop])
+        stubs = indices[indptr[start] : indptr[stop]]
+        forward = owners < stubs
+        count = int(np.count_nonzero(forward))
+        low[size : size + count] = owners[forward]
+        high[size : size + count] = stubs[forward]
+        size += count
+    low, high = low[:size], high[:size]
+    while size:
+        np.minimum.at(labels, high, low)
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
+        size = 0
+        for start in range(0, low.size, _LABEL_BLOCK):
+            ends = labels.take(low[start : start + _LABEL_BLOCK])
+            others = labels.take(high[start : start + _LABEL_BLOCK])
+            crossing = ends != others
+            count = int(np.count_nonzero(crossing))
+            ends, others = ends[crossing], others[crossing]
+            np.minimum(ends, others, out=low[size : size + count])
+            np.maximum(ends, others, out=high[size : size + count])
+            size += count
+        low, high = low[:size], high[:size]
     roots = labels == np.arange(n, dtype=dtype)
     component_of_root = np.cumsum(roots, dtype=dtype) - 1
     return int(np.count_nonzero(roots)), component_of_root[labels]

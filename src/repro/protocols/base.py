@@ -169,6 +169,7 @@ class BroadcastProtocol(ABC):
         indices: np.ndarray,
         degrees: np.ndarray,
         row: int = 0,
+        positions: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Bulk counterpart of a custom :meth:`select_call_targets` (fanout 1).
 
@@ -182,6 +183,13 @@ class BroadcastProtocol(ABC):
         state can be kept per replication.
         Only consulted when a protocol overrides it, and only for protocols
         with uniform fanout 1.
+
+        ``positions`` (ascending indices into ``samplers``) asks for the
+        callees of ``samplers[positions]`` only, in that order: the engine
+        passes it when it works a round from the receiver side.  The call
+        must still do everything a call without it does (advance every
+        sampler's state, draw every random number, in the same order), so
+        the run does not depend on which side the engine took.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the bulk target hook"

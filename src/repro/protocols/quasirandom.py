@@ -133,13 +133,16 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
         indices: np.ndarray,
         degrees: np.ndarray,
         row: int = 0,
+        positions: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Advance each sampler's cursor and gather its CSR list entry.
 
         Nodes sampling for the first time draw a uniform starting offset in
         one batched ``integers`` call; everyone else follows the cyclic list
         deterministically, so a round costs a couple of gathers regardless of
-        how many nodes are pushing.
+        how many nodes are pushing.  With ``positions`` every cursor still
+        advances, but only the entries of ``samplers[positions]`` are
+        gathered.
         """
         table = self._pointer_table
         if table is None or table.shape != state.shape:
@@ -154,6 +157,10 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
         if fresh.any():
             pointers[fresh] = generator.integers(0, sampler_degrees[fresh])
         cursors[samplers] = pointers + 1
+        if positions is not None:
+            samplers = samplers[positions]
+            pointers = pointers[positions]
+            sampler_degrees = sampler_degrees[positions]
         return indices[indptr[samplers] + pointers % sampler_degrees]
 
     def describe(self) -> dict:

@@ -12,7 +12,9 @@ suite pins that check four ways:
 2. the d = 1 failure path, which reports the last draw's component count;
 3. a **differential test** of the labeller against networkx on graphs with
    self-loops, parallel edges, isolated nodes, many components and sparse
-   ids;
+   ids, and a hypothesis differential against the full-edge-array labeller
+   it replaced (kept here as ``_reference_component_labels``), over random
+   multigraphs and disconnected G(n, p) graphs at small block bounds;
 4. the build never materialises adjacency lists and, like ``import repro``
    and a bundled spec run, never imports networkx.
 """
@@ -29,12 +31,17 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import GraphGenerationError
 from repro.core.rng import RandomSource
 from repro.graphs.base import Graph
+from repro.graphs import properties
 from repro.graphs.configuration_model import connected_random_regular_graph
+from repro.graphs.families import gnp_graph
 from repro.graphs.properties import (
+    _csr_arrays,
     component_labels,
     connected_components,
     is_connected,
@@ -205,6 +212,83 @@ def test_component_labels_on_large_shuffled_path_and_matching():
     count, labels = component_labels(matching)
     assert count == n // 2
     assert np.array_equal(labels[perm[0::2]], labels[perm[1::2]])
+
+
+def _reference_component_labels(graph: Graph):
+    """The labeller before its scratch was bounded: whole-edge-array passes."""
+    indptr, indices = _csr_arrays(graph)
+    n = indptr.size - 1
+    dtype = indices.dtype
+    labels = np.arange(n, dtype=dtype)
+    owners = np.repeat(labels, np.diff(indptr))
+    forward = owners < indices
+    src, dst = owners[forward], indices[forward]
+    while src.size:
+        lo, hi = labels[src], labels[dst]
+        crossing = lo != hi
+        if not crossing.any():
+            break
+        src, dst = src[crossing], dst[crossing]
+        lo, hi = lo[crossing], hi[crossing]
+        np.minimum.at(labels, np.maximum(lo, hi), np.minimum(lo, hi))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    roots = labels == np.arange(n, dtype=dtype)
+    component_of_root = np.cumsum(roots, dtype=dtype) - 1
+    return int(np.count_nonzero(roots)), component_of_root[labels]
+
+
+def _assert_labels_match_reference(graph: Graph) -> None:
+    count, labels = component_labels(graph)
+    expected_count, expected = _reference_component_labels(graph)
+    assert count == expected_count
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_component_labels_match_the_full_edge_array_labeller(name, monkeypatch):
+    monkeypatch.setattr(properties, "_LABEL_BLOCK", 2)
+    _assert_labels_match_reference(FIXTURES[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    edges=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)), max_size=120),
+    block=st.sampled_from([1, 3, 16, 1 << 16]),
+)
+def test_component_labels_match_reference_on_random_multigraphs(n, edges, block):
+    edges = [(u % n, v % n) for u, v in edges]
+    graph = Graph.from_edge_array(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    saved = properties._LABEL_BLOCK
+    properties._LABEL_BLOCK = block
+    try:
+        _assert_labels_match_reference(graph)
+    finally:
+        properties._LABEL_BLOCK = saved
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    mean_degree=st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.5, 2.5]),
+    seed=st.integers(0, 2**16),
+    block=st.sampled_from([1, 7, 1 << 16]),
+)
+def test_component_labels_match_reference_on_disconnected_gnp(
+    n, mean_degree, seed, block
+):
+    graph = gnp_graph(n, min(1.0, mean_degree / n), RandomSource(seed=seed))
+    saved = properties._LABEL_BLOCK
+    properties._LABEL_BLOCK = block
+    try:
+        _assert_labels_match_reference(graph)
+    finally:
+        properties._LABEL_BLOCK = saved
 
 
 def test_connected_build_stays_lazy(monkeypatch):
