@@ -31,7 +31,7 @@ def test_generate_regular_graph_4096(benchmark):
 
 @pytest.mark.perf
 def test_pairing_multigraph_million_nodes(benchmark):
-    """The raw pairing draw at n = 10^6 (direct permutation-inverse CSR build).
+    """The raw pairing draw at n = 10^6 (one in-place sort of packed keys).
 
     This is the construction path of the million-node broadcast benches; the
     build avoids the O(m log m) stable argsort over the 2m stubs entirely

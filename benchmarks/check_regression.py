@@ -14,7 +14,10 @@ push, push-pull, Algorithm 1 and quasirandom broadcasts, batched push,
 push-pull and Algorithm 1 sweeps, churn at n = 10⁵), and fails — exit code
 1 — if any of them regressed beyond its factor over the recorded baseline.
 Every timing is gated against a baseline recorded with this script's own
-statistic, the median of its repetitions.
+statistic, the median of its repetitions.  It also prints the minor page
+faults of each n = 10⁶ run in a fresh process that builds the graph and
+runs the four protocols in ``bcast_1e6``'s order, ungated: the count
+depends on the allocator's state, which earlier frees in the process move.
 
 Timings are compared at ``--tolerance``: a coarse tripwire for "someone made
 the hot path 2× slower", generous enough to absorb runner jitter.  Memory
@@ -35,7 +38,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -109,6 +114,31 @@ def million_runs(graph_million, config) -> dict:
         )
 
     return {name: run(cls) for name, cls in MILLION_PROTOCOLS.items()}
+
+
+def million_faults() -> dict:
+    """``protocol name -> minor page faults`` of one n = 10⁶ run each, after
+    the graph build, in this process."""
+    vector = SimulationConfig(engine="vectorized", collect_round_history=False)
+    faults = {}
+    for name, run in million_runs(million_graph(), vector).items():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run()
+        faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return faults
+
+
+def fresh_process_faults() -> dict:
+    """:func:`million_faults` in a fresh interpreter."""
+    code = "import json, check_regression; print(json.dumps(check_regression.million_faults()))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).resolve().parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(result.stdout)
 
 
 def measure_current(graph_million) -> dict:
@@ -349,6 +379,11 @@ def main(argv=None) -> int:
             marker = "  << REGRESSION"
             regressions.append((name, base, now, ratio))
         print(f"{name:<{width}}  {base:>8.1f}MB  {now:>8.1f}MB  {ratio:5.2f}x{marker}")
+
+    print(
+        "\nminor page faults per n = 10^6 run in a fresh process (not gated): "
+        + ", ".join(f"{name} {count}" for name, count in fresh_process_faults().items())
+    )
 
     limits = (
         f"{args.tolerance:.1f}x (timings) / {MEMORY_TOLERANCE}x (memory) "

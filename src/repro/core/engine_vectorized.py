@@ -76,9 +76,14 @@ of *pushers*, which is what makes the exponential growth phase cost O(n) in
 aggregate rather than O(n · rounds).  Other protocols keep no index vectors
 and get the default pool, the indices of their push mask.  A round's
 scratch is one block: push-only rounds never build a caller array (the
-self-loop test compares a block with its own sampler rows), the reused
-fanout-1 scratch buffers hold one block, and all index arrays follow the
-CSR index dtype (int32 below two billion stubs).  Draw *sequences* do not
+self-loop test compares a block with its own sampler rows), and all index
+arrays follow the CSR index dtype (int32 below two billion stubs).
+Block-sized temporaries live in named buffers reused from round to round
+(:meth:`BatchedVectorizedRoundEngine._scratch`), and the hot takes convert
+their int32 indices into an ``intp`` scratch (``_gather``): a block
+allocated afresh every round comes back as fresh pages, a page fault per
+4 KiB, whenever the allocator has handed that memory back to the system.
+Draw *sequences* do not
 depend on the block bounds: a pool enumerates exactly the nodes of its
 push mask, in ascending order; fanout-1 blocks draw with
 ``Generator.random(out=...)``, the stream of one ``random(k)`` call; a
@@ -212,9 +217,10 @@ __all__ = [
 ]
 
 #: Upper bound on random keys materialised per sampling chunk (rows × max
-#: degree): 2¹⁹ 64-bit keys, 4 MiB, so the k-distinct path's scratch stays
-#: a few chunk-sized arrays whatever the sampler count.
-_CHUNK_ENTRIES = 1 << 19
+#: degree): 2¹⁸ 64-bit keys, 2 MiB, so the k-distinct path's scratch stays
+#: a few chunk-sized arrays whatever the sampler count, small enough for the
+#: allocator to recycle from chunk to chunk.
+_CHUNK_ENTRIES = 1 << 18
 
 #: Upper bound on channels per delivery block (and per top-``k`` chunk).  A
 #: round's sampling and delivery scratch is one block.
@@ -672,20 +678,22 @@ class BatchedVectorizedRoundEngine:
         # over a regular graph touches none of them, which keeps the
         # engine's own footprint out of the peak.
         self._invalidate_topology_caches()
-        # Fanout-1 scratch buffers (allocated lazily at first use, reused
-        # every round, at most one delivery block long): uniforms, stub
-        # offsets, gather positions, callees.
-        self._scratch_uniform: Optional[np.ndarray] = None
-        self._scratch_offset: Optional[np.ndarray] = None
-        self._scratch_position: Optional[np.ndarray] = None
-        self._scratch_callee: Optional[np.ndarray] = None
+        # Scratch buffers by name (see _scratch), reused every round.
+        self._buffers: dict = {}
 
     # -- lazy CSR-derived caches ---------------------------------------------------
 
     @property
     def _degrees(self) -> np.ndarray:
         if self._degrees_array is None:
-            self._degrees_array = np.diff(self._indptr)
+            if self._uniform_degree is not None:
+                # A read-only broadcast: every run would otherwise build
+                # (and fault in) an n-entry array of one value.
+                self._degrees_array = np.broadcast_to(
+                    self._indptr.dtype.type(self._uniform_degree), (self._n,)
+                )
+            else:
+                self._degrees_array = np.diff(self._indptr)
         return self._degrees_array
 
     @property
@@ -748,24 +756,53 @@ class BatchedVectorizedRoundEngine:
             self._channel_cost_cache[fanout] = cached
         return cached
 
-    # -- fanout-1 scratch sampling -------------------------------------------------
+    # -- scratch buffers -------------------------------------------------------
 
-    def _ensure_scratch(self, capacity: int) -> None:
-        current = self._scratch_uniform
-        if current is not None and current.size >= capacity:
-            return
-        # Free before reallocating so the old and new generation of buffers
-        # never coexist (the growth pattern is geometric anyway — sampler
-        # counts roughly double per round during the growth phase).
-        self._scratch_uniform = None
-        self._scratch_offset = None
-        self._scratch_position = None
-        self._scratch_callee = None
-        idx_dtype = self._indices.dtype
-        self._scratch_uniform = np.empty(capacity, dtype=np.float64)
-        self._scratch_offset = np.empty(capacity, dtype=idx_dtype)
-        self._scratch_position = np.empty(capacity, dtype=idx_dtype)
-        self._scratch_callee = np.empty(capacity, dtype=idx_dtype)
+    def _scratch(self, name: str, size: int, dtype) -> np.ndarray:
+        """The first ``size`` entries of the reused buffer ``(name, dtype)``.
+
+        A buffer grows to the largest size asked for (freed before it is
+        reallocated, so two generations never coexist) and lives as long as
+        the engine.  Its contents are valid until the next call for the
+        same name and dtype.  Block-sized temporaries allocated afresh every
+        round come back as fresh pages whenever the allocator has handed
+        large blocks back to the system: a page fault per 4 KiB.
+        """
+        key = (name, np.dtype(dtype))
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < size:
+            self._buffers[key] = None
+            buffer = self._buffers[key] = np.empty(size, dtype=dtype)
+        return buffer[:size]
+
+    def _gather(self, plane: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """``plane.take(indices)``, through scratch for a block-sized take.
+
+        ``ndarray.take`` first copies non-``intp`` indices (the CSR's int32)
+        to a fresh ``intp`` array.  Past :attr:`_SCRATCH_MIN_SAMPLERS`
+        entries the indices are converted that many at a time into the
+        ``"intp"`` scratch and the result lands in the ``"gather"``
+        scratch, valid until the next call.  ``mode="clip"`` selects what
+        the default mode would, since every index is in range, and lets
+        ``out`` be written without a buffer.
+        """
+        step = self._SCRATCH_MIN_SAMPLERS
+        if indices.size < step:
+            return plane.take(indices)
+        flat = indices.reshape(-1)
+        out = self._scratch("gather", flat.size, plane.dtype)
+        index = self._scratch("intp", step, np.intp)
+        for start in range(0, flat.size, step):
+            part = index[: min(step, flat.size - start)]
+            np.copyto(part, flat[start : start + step])
+            np.take(plane, part, out=out[start : start + step], mode="clip")
+        return out.reshape(indices.shape)
+
+    def _uninformed(self, informed: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The entries of ``nodes`` whose flag in ``informed`` is clear."""
+        keep = self._gather(informed, nodes)
+        np.logical_not(keep, out=keep)
+        return nodes.compress(keep)
 
     #: Below this sampler count the plain allocation path beats the scratch
     #: pipeline (whose extra view/out bookkeeping costs ~10 µs per round,
@@ -798,8 +835,7 @@ class BatchedVectorizedRoundEngine:
         if k < self._SCRATCH_MIN_SAMPLERS:
             uniforms = np.empty(k)
         else:
-            self._ensure_scratch(k)
-            uniforms = self._scratch_uniform[:k]
+            uniforms = self._scratch("uniform", k, np.float64)
         stop = 0
         for generator, count in draws:
             start, stop = stop, stop + count
@@ -816,26 +852,27 @@ class BatchedVectorizedRoundEngine:
                 uniforms, self._degrees[samplers], self._indices.dtype
             )
             return self._indices[self._indptr[samplers] + offsets]
-        offsets = self._scratch_offset[:k]
-        positions = self._scratch_position[:k]
+        idx_dtype = self._indices.dtype
+        offsets = self._scratch("offset", k, idx_dtype)
+        # Once the offsets are out, the uniforms' buffer holds the gather
+        # positions as intp, which the final take reads without a copy.
+        positions = uniforms.view(np.intp)
         if self._uniform_degree is not None:
             degree = self._uniform_degree
             np.multiply(uniforms, degree, out=uniforms)
             np.copyto(offsets, uniforms, casting="unsafe")  # trunc == floor ≥ 0
             np.minimum(offsets, degree - 1, out=offsets)
-            np.multiply(samplers, degree, out=positions, casting="unsafe")
-            np.add(positions, offsets, out=positions)
+            np.multiply(samplers, degree, out=positions)
         else:
-            sampler_degrees = self._degrees[samplers]
+            sampler_degrees = self._gather(self._degrees, samplers)
             np.multiply(uniforms, sampler_degrees, out=uniforms)
             np.copyto(offsets, uniforms, casting="unsafe")
             np.subtract(sampler_degrees, 1, out=sampler_degrees)
             np.minimum(offsets, sampler_degrees, out=offsets)
-            np.take(self._indptr, samplers, out=positions)
-            np.add(positions, offsets, out=positions)
-        callees = self._scratch_callee[:k]
-        np.take(self._indices, positions, out=callees)
-        return callees
+            positions[...] = self._gather(self._indptr, samplers)
+        np.add(positions, offsets, out=positions)
+        callees = self._scratch("callee", k, idx_dtype)
+        return np.take(self._indices, positions, out=callees, mode="clip")
 
     # -- blocked delivery ----------------------------------------------------------
 
@@ -964,7 +1001,7 @@ class BatchedVectorizedRoundEngine:
         def keep_fresh(receivers, base, rows, bounds) -> None:
             if receivers.size == 0:
                 return
-            keep = informed[base:].take(receivers)
+            keep = self._gather(informed[base:], receivers)
             np.logical_not(keep, out=keep)
             if loss_p > 0.0:
                 survived = np.empty(receivers.size, dtype=bool)
@@ -1011,13 +1048,13 @@ class BatchedVectorizedRoundEngine:
             if push_active:
                 receivers, push_bounds = callees, bounds
                 if pull_active:
-                    sending = push_plane[base:].take(callers)
+                    sending = self._gather(push_plane[base:], callers)
                     receivers = callees.compress(sending)
                     push_bounds = _kept_bounds(bounds, sending, receivers.size)
                 _tally(push_tx, rows, push_bounds)
                 keep_fresh(receivers, base, rows, push_bounds)
             if pull_active:
-                answering = pull_plane[base:].take(callees)
+                answering = self._gather(pull_plane[base:], callees)
                 receivers = callers.compress(answering)
                 pull_bounds = _kept_bounds(bounds, answering, receivers.size)
                 _tally(pull_tx, rows, pull_bounds)
@@ -1733,7 +1770,8 @@ class BatchedVectorizedRoundEngine:
         informed = state.informed[row]
         push_row = None if push_mask is None else push_mask[row]
         pull_row = None if pull_mask is None else pull_mask[row]
-        mark = np.zeros(state.n, dtype=bool)
+        mark = self._scratch("mark", state.n, bool)
+        mark.fill(False)
         if pull_row is None:
             mark[self._neighbour_stubs(np.flatnonzero(~informed))] = True
         elif answering:
@@ -1757,7 +1795,7 @@ class BatchedVectorizedRoundEngine:
         else:
             # Block by block: a take copies int32 indices to int64 first.
             positions = np.concatenate([
-                np.flatnonzero(mark.take(samplers[start : start + _BLOCK_CHANNELS]))
+                np.flatnonzero(self._gather(mark, samplers[start : start + _BLOCK_CHANNELS]))
                 + start
                 for start in range(0, samplers.size, _BLOCK_CHANNELS)
             ])
@@ -1785,19 +1823,19 @@ class BatchedVectorizedRoundEngine:
                     callees = callees.compress(usable)
             receivers = callees
             if pull_row is not None:
-                answer = pull_row.take(callees)
+                answer = self._gather(pull_row, callees)
                 answered = np.count_nonzero(answer)
                 answers += answered
                 silences += answer.size - answered
                 pulled = callers.compress(answer)
-                fresh.append(pulled.compress(~informed.take(pulled)))
+                fresh.append(self._uninformed(informed, pulled))
                 receivers = None
                 if push_row is not None:
-                    sending = push_row.take(callers)
+                    sending = self._gather(push_row, callers)
                     pushes += np.count_nonzero(sending)
                     receivers = callees.compress(sending)
             if receivers is not None:
-                fresh.append(receivers.compress(~informed.take(receivers)))
+                fresh.append(self._uninformed(informed, receivers))
 
         push_tx, pull_tx, _ = tallies
         if pull_row is None:

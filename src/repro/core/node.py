@@ -40,9 +40,10 @@ def merge_sorted_disjoint(base: np.ndarray, newly: np.ndarray) -> np.ndarray:
     One stable sort of the two runs back to back, in ``base.dtype``: NumPy's
     stable sort is a timsort, which finds the two sorted runs and merges
     them in O(base + newly) without a mask the size of the result.  The
-    values are distinct, so the result is the unique sorted union.  The
-    engines and phase protocols use this to grow their sorted active sets
-    incrementally instead of re-scanning a boolean plane every round.
+    values are distinct, so the result is the unique sorted union.  Phase
+    protocols use this to grow their sorted active sets incrementally
+    instead of re-scanning a boolean plane every round; the state's own
+    informed pool merges the same way, in place in its buffer.
     """
     if newly.size == 0:
         return base
@@ -293,7 +294,10 @@ class VectorState:
     O(informed) instead of scanning all ``R·n`` flags every round.  The
     engine enables it for protocols that override a pool hook
     (``vector_push_samplers`` or ``vector_caller_pool``).  For ``R = 1``
-    flat indices are node ids.
+    flat indices are node ids.  On large states ``informed_flat`` is a view
+    of a buffer with room for all ``R·n`` indices, which each commit appends
+    to and re-sorts in place: a view read in one round is stale after the
+    next commit.
     """
 
     __slots__ = (
@@ -307,6 +311,7 @@ class VectorState:
         "_track_indices",
         "_informed_flat",
         "_newly_flat",
+        "_pool",
         "_alive",
         "_alive_count",
     )
@@ -333,6 +338,9 @@ class VectorState:
         self._track_indices = False
         self._informed_flat: Optional[np.ndarray] = None
         self._newly_flat: Optional[np.ndarray] = None
+        # The buffer informed_flat is a prefix of, once merges append to it;
+        # None while informed_flat is an array of its own.
+        self._pool: Optional[np.ndarray] = None
         self._alive: Optional[np.ndarray] = None
         self._alive_count: Optional[int] = None
 
@@ -400,8 +408,21 @@ class VectorState:
             self._informed_flat = np.flatnonzero(
                 self.informed.reshape(-1)
             ).astype(self.index_dtype, copy=False)
-        else:
-            self._informed_flat = merge_sorted_disjoint(self._informed_flat, newly)
+            return
+        # Append in place and merge the two sorted runs with one stable sort
+        # (see merge_sorted_disjoint).  The buffer has room for every flat
+        # index (only its written prefix becomes resident), so no round
+        # allocates a pool-sized array and the pool never exists twice.
+        count = self._informed_flat.size
+        size = count + newly.size
+        if self._pool is None or self._pool.size < size:
+            pool = np.empty(self.informed.size, dtype=self.index_dtype)
+            pool[:count] = self._informed_flat
+            self._pool = pool
+        merged = self._pool[:size]
+        merged[count:] = newly
+        merged.sort(kind="stable")
+        self._informed_flat = merged
 
     # -- dynamic membership (tombstone masks; one-row states only) -------------
 
@@ -458,6 +479,7 @@ class VectorState:
         if self._track_indices:
             self._informed_flat = remove_sorted_values(self._informed_flat, ids)
             self._newly_flat = remove_sorted_values(self._newly_flat, ids)
+            self._pool = None
         return informed_removed
 
     def grow_nodes(self, count: int) -> np.ndarray:
@@ -515,6 +537,7 @@ class VectorState:
             dtype = self.index_dtype
             self._informed_flat = remap[self._informed_flat].astype(dtype, copy=False)
             self._newly_flat = remap[self._newly_flat].astype(dtype, copy=False)
+            self._pool = None
         self.source = int(remap[self.source]) if 0 <= self.source < old_n else -1
         return remap
 
@@ -664,3 +687,4 @@ class VectorState:
             self._newly_flat = self.compact_flat_indices(
                 self._newly_flat, keep, self.n, old_batch
             )
+            self._pool = None

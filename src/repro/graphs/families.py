@@ -47,10 +47,14 @@ def gnp_graph(n: int, p: float, rng: RandomSource) -> Graph:
         raise GraphGenerationError(f"G(n,p) needs n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise GraphGenerationError(f"edge probability must be in [0, 1], got {p}")
+    seed = rng.randint(0, 2**31 - 1)
+    graph = Graph(range(n))
+    if 1.0 - p == 1.0:
+        # No edge: networkx would divide by log(1 - p) == 0 for 0 < p < ~1e-16.
+        return graph
     import networkx as nx
 
-    nx_graph = nx.fast_gnp_random_graph(n, p, seed=rng.randint(0, 2**31 - 1))
-    graph = Graph(range(n))
+    nx_graph = nx.fast_gnp_random_graph(n, p, seed=seed)
     for u, v in nx_graph.edges():
         graph.add_edge(u, v)
     return graph

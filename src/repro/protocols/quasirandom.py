@@ -10,10 +10,13 @@ algorithm: it also avoids re-calling recent partners, but via list order
 rather than memory or multiple simultaneous choices.
 
 The protocol's only randomness is one starting offset per node, which makes
-it a natural bulk-array candidate: the per-node cursor lives in an integer
-pointer table shaped like the engine state (``(R, n)``, one row per
-replication), advanced by a vectorized gather into the CSR
-adjacency ``indices``.  The scalar engine keeps the original per-node dict.
+it a natural bulk-array candidate.  A node that first pushes in round
+``t0`` from offset ``s`` pushes in round ``t`` to list entry
+``(s + t - t0) mod degree``, so the bulk hook keeps one integer per node,
+``s - t0``, in a table shaped like the engine state (``(R, n)``, one row
+per replication) and reads every cursor in closed form: nothing advances a
+cursor, and a round writes only its newly informed nodes.  The scalar
+engine keeps the original per-node dict.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from ..core.rng import RandomSource
 from .base import BroadcastProtocol, OptionalHorizonMixin
 
 __all__ = ["QuasirandomPushProtocol"]
+
+#: Samplers per pass of the bulk hook's gathers: bounds their scratch at a
+#: few hundred KiB whatever the pool size.
+_GATHER_CHUNK = 1 << 15
 
 
 class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
@@ -53,14 +60,17 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
         # Per-node pointer into the neighbour list; created lazily when the
         # node first selects a target after becoming informed.  The scalar
         # engine uses the dict, the bulk engine the array table (shaped like
-        # the engine state, -1 marking "not started yet").  Both are per-run
-        # state and are dropped by reset().
+        # the engine state; an entry is the pointer minus the round, see
+        # vector_call_targets) and a callee buffer reused across one-row
+        # rounds.  All are per-run state and are dropped by reset().
         self._pointers: Dict[int, int] = {}
         self._pointer_table: Optional[np.ndarray] = None
+        self._callees: Optional[np.ndarray] = None
 
     def reset(self) -> None:
         self._pointers = {}
         self._pointer_table = None
+        self._callees = None
 
     def horizon(self) -> int:
         return self._horizon
@@ -135,33 +145,70 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
         row: int = 0,
         positions: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Advance each sampler's cursor and gather its CSR list entry.
+        """Each sampler's cursor entry of its CSR list, in closed form.
 
-        Nodes sampling for the first time draw a uniform starting offset in
-        one batched ``integers`` call; everyone else follows the cyclic list
-        deterministically, so a round costs a couple of gathers regardless of
-        how many nodes are pushing.  With ``positions`` every cursor still
-        advances, but only the entries of ``samplers[positions]`` are
-        gathered.
+        The engine passes the informed pool minus isolated nodes as
+        ``samplers``, so the nodes sampling for the first time are last
+        round's commits, ``state.newly_flat``: a commit is a delivered call,
+        so it has a neighbour, and round 1's source is asked only when it
+        has one (otherwise it has no sampler).  They draw
+        their starting offsets ``s`` in one batched ``integers`` call, in
+        ascending order, and the table keeps ``s - round_index``; a node's
+        pointer in round ``t`` is then ``table + t``, the cursor the scalar
+        engine advances by one per round.  A call writes only the fresh
+        nodes and gathers only what it returns, so with ``positions`` it
+        costs O(newly + asked).  With one state row the callees are a view
+        of a buffer the next call overwrites (the engine consumes a round's
+        callees before the next round).
         """
         table = self._pointer_table
         if table is None or table.shape != state.shape:
-            # int32 cursors: values stay below horizon + degree, and the
-            # table is the protocol's only (R, n) footprint.
-            table = np.full(state.shape, -1, dtype=np.int32)
+            # int32: an entry lies in (-horizon, degree), and the table is
+            # the protocol's only (R, n) footprint.
+            table = np.zeros(state.shape, dtype=np.int32)
             self._pointer_table = table
-        cursors = table[row]
-        sampler_degrees = degrees[samplers]
-        pointers = cursors[samplers]
-        fresh = pointers < 0
-        if fresh.any():
-            pointers[fresh] = generator.integers(0, sampler_degrees[fresh])
-        cursors[samplers] = pointers + 1
+        bases = table[row]
+        fresh = state.newly_flat
+        if state.batch > 1:
+            base = row * state.n
+            fresh = fresh[fresh.searchsorted(base) : fresh.searchsorted(base + state.n)]
+            fresh = fresh - fresh.dtype.type(base)
+        if fresh.size:
+            starts = generator.integers(0, degrees[fresh])
+            starts -= round_index
+            bases[fresh] = starts
         if positions is not None:
             samplers = samplers[positions]
-            pointers = pointers[positions]
-            sampler_degrees = sampler_degrees[positions]
-        return indices[indptr[samplers] + pointers % sampler_degrees]
+        if samplers.size <= _GATHER_CHUNK:
+            return self._entries(bases, round_index, samplers, indptr, indices, degrees)
+        if state.batch > 1:
+            callees = np.empty(samplers.size, dtype=indices.dtype)
+        else:
+            if self._callees is None or self._callees.size < samplers.size:
+                self._callees = np.empty(state.n, dtype=indices.dtype)
+            callees = self._callees[: samplers.size]
+        for start in range(0, samplers.size, _GATHER_CHUNK):
+            nodes = samplers[start : start + _GATHER_CHUNK]
+            callees[start : start + nodes.size] = self._entries(
+                bases, round_index, nodes, indptr, indices, degrees
+            )
+        return callees
+
+    @staticmethod
+    def _entries(
+        bases: np.ndarray,
+        round_index: int,
+        nodes: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        degrees: np.ndarray,
+    ) -> np.ndarray:
+        """The list entry each of ``nodes`` calls in ``round_index``."""
+        pointers = bases[nodes]
+        pointers += round_index
+        pointers %= degrees[nodes]
+        pointers += indptr[nodes]
+        return indices[pointers]
 
     def describe(self) -> dict:
         description = super().describe()

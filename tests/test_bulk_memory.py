@@ -42,6 +42,7 @@ from repro.core.engine import run_broadcast, run_broadcast_batch
 from repro.core.engine_vectorized import _stub_target_blocks
 from repro.core.rng import RandomSource
 from repro.failures.message_loss import IndependentLoss
+from repro.graphs import configuration_model
 from repro.graphs.base import Graph
 from repro.graphs.configuration_model import pairing_multigraph
 from repro.protocols.algorithm1 import Algorithm1
@@ -232,9 +233,9 @@ def test_csr_stats_matches_one_shot_formula(monkeypatch, name, block_nodes):
 
 
 def test_pairing_build_peak_is_bounded_by_its_output():
-    # Besides the index-dtype permutation the build owns one work buffer
-    # that becomes ``indices`` (~2.0x); an int64 permutation plus its int32
-    # copy measured 2.7x, full-size temporaries ~4.5x.
+    # The build's one buffer of 64-bit keys becomes ``indices`` (~2.0x); an
+    # int64 permutation plus its int32 copy measured 2.7x, full-size
+    # temporaries ~4.5x.
     n, d = 1 << 19, 8
     peak, graph = _traced_peak_bytes(
         lambda: pairing_multigraph(n, d, RandomSource(seed=7))
@@ -242,6 +243,18 @@ def test_pairing_build_peak_is_bounded_by_its_output():
     indptr, indices = graph.csr()
     csr_bytes = indptr.nbytes + indices.nbytes
     assert peak <= 2.25 * csr_bytes, peak / csr_bytes
+
+
+def test_pairing_build_peak_per_stub(monkeypatch):
+    # The packed build holds 8 bytes per stub and chunk scratch; without
+    # room for the partner in the key it keeps each position's node too.
+    n, d = 1 << 17, 8
+    pairing_multigraph(4, 2, RandomSource(seed=7))  # first-use imports, untraced
+    peak, _ = _traced_peak_bytes(lambda: pairing_multigraph(n, d, RandomSource(seed=7)))
+    assert peak < 9 * n * d, peak / (n * d)
+    monkeypatch.setattr(configuration_model, "_KEY_BITS", 0)
+    peak, _ = _traced_peak_bytes(lambda: pairing_multigraph(n, d, RandomSource(seed=7)))
+    assert 12 * n * d <= peak < 13 * n * d, peak / (n * d)
 
 
 @pytest.mark.parametrize("n, d", [(300, 8), (1 << 12, 3), (1 << 15, 16)])

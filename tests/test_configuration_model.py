@@ -1,11 +1,14 @@
 """Unit tests for the configuration-model graph generator.
 
-The simple build (``strategy="repair"``) swap-repairs the pairing's stub
-permutation in place, finding bad edges within each node's row of partners.
-It is held to a reference kept only in this file: the edge-array pairing,
-the global-sort repair over all ``m`` edge keys and
-:meth:`Graph.from_edge_array` that it replaced.  Both must return the same
-CSR arrays and leave the generator in the same state.
+Both pairing builds sort one buffer of 64-bit keys into the CSR.  The
+multigraph packs each position's partner into its key when the key fits
+(the *pack* branch); the simple build (``strategy="repair"``), and any
+graph too wide to pack, keeps each position's node aside, swap-repairs it
+in place within each node's row of partners and gathers the partners (the
+*no-pack* branch).  Both are held to a reference kept only in this file:
+the edge-array pairing, the global-sort repair over all ``m`` edge keys and
+:meth:`Graph.from_edge_array` that they replaced.  They must return the
+same CSR arrays and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -128,11 +131,11 @@ def _build_outcome(build, n, d, seed):
 
 
 def _pairing_of(edges, d):
-    """The stub permutation whose consecutive positions pair up as ``edges``
-    (each node appearing ``d`` times)."""
+    """The ``uint64`` stub permutation whose consecutive positions pair up as
+    ``edges`` (each node appearing ``d`` times)."""
     edges = np.asarray(edges)
     used = np.zeros(int(edges.max()) + 1, dtype=np.int64)
-    pi = np.empty(edges.size, dtype=np.int32)
+    pi = np.empty(edges.size, dtype=np.uint64)
     for position, node in enumerate(edges.ravel().tolist()):
         pi[position] = node * d + used[node]
         used[node] += 1
@@ -141,15 +144,26 @@ def _pairing_of(edges, d):
 
 
 def _repair_edges(edges, d, seed):
-    """The repaired build of the pairing of ``edges``: ``(edges, pi, graph)``."""
-    pi = _pairing_of(edges, d)
-    graph = _pairing_graph(pi.size // d, d, pi, RandomSource(seed=seed))
-    return pi.reshape(-1, 2) // d, pi, graph
+    """The repaired build of the pairing of ``edges``."""
+    edges = np.asarray(edges)
+    return _pairing_graph(edges.size // d, d, _pairing_of(edges, d), RandomSource(seed=seed))
+
+
+def _csr_equal(graph, other):
+    return all(
+        np.array_equal(mine, theirs) and mine.dtype == theirs.dtype
+        for mine, theirs in zip(graph.csr(), other.csr())
+    )
+
+
+def _no_pack(monkeypatch):
+    """Force every multigraph onto the no-pack branch."""
+    monkeypatch.setattr(configuration_model, "_KEY_BITS", 0)
 
 
 class TestPairingDirectCsrBuild:
-    """The permutation-inverse CSR build must match the edge-array build bit
-    for bit: same CSR arrays, same generator stream afterwards."""
+    """The sorted-key CSR build must match the edge-array build bit for bit:
+    same CSR arrays, same generator stream afterwards, on both branches."""
 
     @staticmethod
     def _assert_matches_edge_array_build(seed, n, d):
@@ -164,21 +178,51 @@ class TestPairingDirectCsrBuild:
         assert direct.csr()[1].dtype == reference.csr()[1].dtype
         assert direct.edge_count == reference.edge_count
         # Both paths must consume the identical amount of randomness.
-        probe = 2**31
-        assert direct_rng.generator.integers(0, probe) == reference_rng.generator.integers(0, probe)
+        assert (
+            direct_rng.generator.bit_generator.state
+            == reference_rng.generator.bit_generator.state
+        )
 
     @pytest.mark.parametrize("seed", [1, 7, 2008])
     @pytest.mark.parametrize("n,d", [(2, 1), (64, 3), (100, 4), (501, 6), (256, 16)])
     def test_bit_identical_to_edge_array_build(self, seed, n, d):
         self._assert_matches_edge_array_build(seed, n, d)
 
+    @pytest.mark.parametrize("seed", [1, 7, 2008])
+    @pytest.mark.parametrize("n,d", [(2, 1), (64, 3), (501, 6), (256, 16)])
+    def test_no_pack_branch_bit_identical(self, monkeypatch, seed, n, d):
+        _no_pack(monkeypatch)
+        self._assert_matches_edge_array_build(seed, n, d)
+
     # 400 and 3006 stubs: one exact chunk, full chunks plus a partial last
-    # one, and one stub per chunk.
+    # one, and one stub (the packing: one edge) per chunk.
+    @pytest.mark.parametrize("pack", [True, False], ids=["pack", "no-pack"])
     @pytest.mark.parametrize("chunk", [1, 7, 64, 400])
     @pytest.mark.parametrize("n,d", [(100, 4), (501, 6)])
-    def test_bit_identical_across_build_chunks(self, monkeypatch, chunk, n, d):
+    def test_bit_identical_across_build_chunks(self, monkeypatch, pack, chunk, n, d):
         monkeypatch.setattr(configuration_model, "_BUILD_CHUNK", chunk)
+        if not pack:
+            _no_pack(monkeypatch)
         self._assert_matches_edge_array_build(2008, n, d)
+
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        d=st.sampled_from([1, 2, 3, 4, 8, 16]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        pack=st.booleans(),
+        chunk=st.sampled_from([1, 2, 5, 1 << 15]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_grid_matches_edge_array_build(self, n, d, seed, pack, chunk):
+        # Every n and d the pairing admits, one-edge graphs included (n = 2,
+        # d = 1: a one-edge chunk whose partner swap must not alias).
+        n = max(n, d + 1)
+        n += (n * d) % 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(configuration_model, "_BUILD_CHUNK", chunk)
+            if not pack:
+                _no_pack(patch)
+            self._assert_matches_edge_array_build(seed, n, d)
 
     def test_materialised_adjacency_matches_csr(self):
         graph = pairing_multigraph(50, 4, RandomSource(seed=5))
@@ -240,25 +284,23 @@ class TestRepairPairing:
     @pytest.mark.parametrize("edges", [SELF_LOOP, DOUBLE_EDGES], ids=["loop", "double"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_repairs_to_simple_like_the_reference(self, edges, seed):
-        repaired, _, _ = _repair_edges(edges, 2, seed)
+        graph = _repair_edges(edges, 2, seed)
         reference, _ = _reference_repair(np.array(edges), RandomSource(seed=seed))
-        assert np.array_equal(repaired, reference)
-        assert all(u != v for u, v in repaired.tolist())
-        assert len({tuple(sorted(edge)) for edge in repaired.tolist()}) == len(edges)
+        assert _csr_equal(graph, Graph.from_edge_array(4, reference))
+        assert all(u != v for u, v in reference.tolist())
+        assert len({tuple(sorted(edge)) for edge in reference.tolist()}) == len(edges)
 
-    def test_pairing_stays_a_permutation_and_the_graph_is_its_csr(self):
-        _, pi, graph = _repair_edges(SELF_LOOP, 2, seed=1)
-        assert np.array_equal(np.sort(pi), np.arange(pi.size))
+    def test_degrees_kept_and_the_graph_is_the_repaired_pairings_csr(self):
+        graph = _repair_edges(SELF_LOOP, 2, seed=1)
+        reference, _ = _reference_repair(np.array(SELF_LOOP), RandomSource(seed=1))
+        assert np.array_equal(np.bincount(reference.ravel()), np.full(4, 2))
         # The repair kept its rows current: the CSR is the repaired pairing's.
-        fresh = _pairing_graph(4, 2, pi.copy())
-        assert np.array_equal(graph.csr()[1], fresh.csr()[1])
+        assert _csr_equal(graph, _pairing_graph(4, 2, _pairing_of(reference, 2)))
 
     def test_already_simple_is_unchanged(self):
-        pi = _pairing_of(CYCLE, 2)
-        snapshot = pi.copy()
         rng = RandomSource(seed=1)
-        _pairing_graph(4, 2, pi, rng)
-        assert np.array_equal(pi, snapshot)
+        graph = _pairing_graph(4, 2, _pairing_of(CYCLE, 2), rng)
+        assert _csr_equal(graph, _pairing_graph(4, 2, _pairing_of(CYCLE, 2)))
         # No pass drew a partner.
         assert rng.random() == RandomSource(seed=1).random()
 
@@ -323,20 +365,16 @@ class TestVectorizedRepair:
             [[0, 0], [0, 1], [1, 1], [2, 3], [2, 3], [2, 3],
              [4, 5], [4, 5], [4, 6], [5, 7], [6, 7], [6, 7]]
         )
-        repaired, _, _ = _repair_edges(edges, 3, seed=3)
+        graph = _repair_edges(edges, 3, seed=3)
         reference, _ = _reference_repair(edges, RandomSource(seed=3))
-        assert np.array_equal(repaired, reference)
-        assert np.array_equal(
-            np.bincount(repaired.ravel(), minlength=8), np.full(8, 3)
-        )
-        assert all(u != v for u, v in repaired.tolist())
-        keys = {tuple(sorted(edge)) for edge in repaired.tolist()}
-        assert len(keys) == len(repaired)
+        assert _csr_equal(graph, Graph.from_edge_array(8, reference))
+        assert graph.is_simple()
+        assert all(degree == 3 for degree in graph.degrees().values())
 
     def test_repair_deterministic_for_same_seed(self):
-        one, _, _ = _repair_edges(DOUBLE_EDGES, 2, seed=5)
-        two, _, _ = _repair_edges(DOUBLE_EDGES, 2, seed=5)
-        assert np.array_equal(one, two)
+        one = _repair_edges(DOUBLE_EDGES, 2, seed=5)
+        two = _repair_edges(DOUBLE_EDGES, 2, seed=5)
+        assert _csr_equal(one, two)
 
 
 class TestRepairMatchesReference:

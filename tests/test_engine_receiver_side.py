@@ -248,32 +248,99 @@ def test_self_loop_nodes_are_cached_with_the_csr(graphs, monkeypatch):
 
 
 def test_quasirandom_positions_advance_every_cursor(graphs):
+    # The hook is driven the way the engine drives it: index tracking on,
+    # the informed pool (nodes with a neighbour) as samplers, one commit per
+    # round, so each round's fresh starts are the last commit's nodes.
     graph = graphs["multigraph"]
     indptr, indices = graph.csr()
     degrees = np.diff(indptr)
-    state = VectorState(n=graph.node_count, source=0)
-    samplers = np.arange(0, graph.node_count, 3, dtype=indices.dtype)
-    positions = np.array([0, 5, 6, samplers.size - 1])
+    n = graph.node_count
     outcomes = []
-    for asked in (None, positions):
-        protocol = QuasirandomPushProtocol(n_estimate=graph.node_count)
+    for ask in (False, True):
+        protocol = QuasirandomPushProtocol(n_estimate=n)
         generator = RandomSource(seed=11).generator
-        rounds = [
-            protocol.vector_call_targets(
+        state = VectorState(n=n, source=0)
+        state.enable_index_tracking()
+        rounds = []
+        for round_index in (1, 2, 3):
+            samplers = state.informed_flat
+            samplers = samplers[degrees[samplers] > 0]
+            positions = None
+            if ask:
+                positions = np.unique(np.minimum([0, 5, 6, samplers.size - 1], samplers.size - 1))
+            callees = protocol.vector_call_targets(
                 round_index, state, samplers, generator, indptr, indices, degrees,
-                positions=asked,
+                positions=positions,
             )
-            for round_index in (1, 2, 3)
-        ]
+            rounds.append((positions, callees.copy()))
+            delivered = np.arange(round_index, n, 4 + round_index, dtype=state.index_dtype)
+            state.commit_delivered(delivered, round_index)
         outcomes.append(
             (rounds, protocol._pointer_table.copy(), generator.bit_generator.state)
         )
     (whole, table, drawn), (picked, picked_table, picked_drawn) = outcomes
-    assert [callees[positions].tolist() for callees in whole] == [
-        callees.tolist() for callees in picked
+    assert [callees[positions].tolist() for (_, callees), (positions, _) in zip(whole, picked)] == [
+        callees.tolist() for _, callees in picked
     ]
     assert np.array_equal(table, picked_table)
     assert drawn == picked_drawn
+
+
+def _advancing_cursor_targets(table, samplers, generator, indptr, indices, degrees):
+    """The hook the closed form replaced: a cursor per node (-1 until its
+    first call) that each call reads and advances by one."""
+    sampler_degrees = degrees[samplers]
+    pointers = table[samplers]
+    fresh = pointers < 0
+    if fresh.any():
+        pointers[fresh] = generator.integers(0, sampler_degrees[fresh])
+    table[samplers] = pointers + 1
+    return indices[indptr[samplers] + pointers % sampler_degrees]
+
+
+@pytest.mark.parametrize("seeds", [[11], [11, 12, 13]], ids=["single", "batch"])
+@pytest.mark.parametrize("graph_name", ["multigraph", "gnp"])
+def test_quasirandom_closed_form_matches_advancing_cursors(graphs, graph_name, seeds):
+    # Driven as the engine drives it: each round, every row with a sampler
+    # asks once with its informed pool minus isolated nodes, and the row's
+    # callees are committed.  The closed form must call whom the advancing
+    # cursors call and draw the same starts.
+    graph = graphs[graph_name]
+    indptr, indices = graph.csr()
+    degrees = np.diff(indptr)
+    n = graph.node_count
+    protocol = QuasirandomPushProtocol(n_estimate=n)
+    state = VectorState(n=n, source=0, batch=len(seeds))
+    state.enable_index_tracking()
+    closed = [RandomSource(seed=seed).generator for seed in seeds]
+    advancing = [RandomSource(seed=seed).generator for seed in seeds]
+    cursors = np.full((len(seeds), n), -1, dtype=np.int64)
+    for round_index in range(1, 15):
+        bounds = VectorState.row_bounds(state.informed_flat, n, state.batch).tolist()
+        delivered = []
+        for row in range(len(seeds)):
+            samplers = state.informed_flat[bounds[row] : bounds[row + 1]] - row * n
+            samplers = samplers[degrees[samplers] > 0]
+            if not samplers.size:
+                continue
+            callees = protocol.vector_call_targets(
+                round_index, state, samplers, closed[row], indptr, indices, degrees,
+                row=row,
+            )
+            expected = _advancing_cursor_targets(
+                cursors[row], samplers, advancing[row], indptr, indices, degrees
+            )
+            assert callees.tolist() == expected.tolist(), (round_index, row)
+            delivered.append(callees + row * n)
+        if delivered:
+            state.commit_delivered(
+                np.concatenate(delivered).astype(state.index_dtype), round_index
+            )
+        else:
+            state.commit_delivered(np.empty(0, dtype=state.index_dtype), round_index)
+    assert state.informed_count.min() > 1
+    for mine, theirs in zip(closed, advancing):
+        assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("protocol_name", ["algorithm1", "push-pull-3"])

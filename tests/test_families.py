@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import GraphGenerationError
+from repro.core.rng import RandomSource
 from repro.graphs.families import (
     complete_graph,
     gnp_graph,
@@ -41,6 +42,14 @@ class TestGnpGraph:
     def test_invalid_probability(self, rng):
         with pytest.raises(GraphGenerationError):
             gnp_graph(10, 1.5, rng)
+
+    def test_tiny_probability_is_an_edgeless_draw(self):
+        # 1 - p rounds to 1: networkx's geometric skip would divide by zero.
+        tiny, zero = RandomSource(seed=0), RandomSource(seed=0)
+        graph = gnp_graph(2, 4.3e-94, tiny)
+        assert graph.node_count == 2 and graph.edge_count == 0
+        assert gnp_graph(2, 0.0, zero).edge_count == 0
+        assert tiny.generator.bit_generator.state == zero.generator.bit_generator.state
 
     def test_edge_count_roughly_matches_expectation(self, rng):
         graph = gnp_graph(200, 0.1, rng)

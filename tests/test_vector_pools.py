@@ -15,7 +15,9 @@ The runs cover a simple regular graph, a G(n, p) graph with isolated nodes,
 a three-seed batch on each, and one seed under churn for the protocols with
 dynamic membership; every run goes to the horizon
 (``stop_when_informed=False``).  Protocols are address-oblivious, so the
-scalar fanout is evaluated once per distinct informed round.
+scalar fanout is evaluated once per distinct informed round.  A last test
+forces the large-state pool, a buffer each commit appends to in place, and
+checks it the same way across row compaction and churn eviction.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.engine_vectorized import BatchedVectorizedRoundEngine
-from repro.core.node import NodeState
+from repro.core.node import NodeState, VectorState
 from repro.core.rng import RandomSource
 from repro.failures.churn import UniformChurn
 from repro.graphs.configuration_model import random_regular_graph
@@ -33,6 +35,8 @@ from repro.graphs.families import gnp_graph
 from repro.protocols.algorithm1 import Algorithm1
 from repro.protocols.registry import available_protocols, build_protocol
 from repro.protocols.schedule import PhaseSchedule
+
+from test_engine_batch import run_signature
 
 N = 512
 
@@ -92,7 +96,7 @@ def _positive_fanout(protocol, round_index: int, state) -> np.ndarray:
     return np.flatnonzero(np.isin(rounds, calling) & _live(state))
 
 
-def _checked_run(graph, protocol, seeds, churn_model=None):
+def _checked_run(graph, protocol, seeds, churn_model=None, stop=False):
     """Run ``protocol`` with both pool hooks checked at every call.
 
     Returns ``(results, push checks, caller checks)``.
@@ -130,7 +134,7 @@ def _checked_run(graph, protocol, seeds, churn_model=None):
         graph,
         protocol,
         seeds,
-        config=SimulationConfig(stop_when_informed=False),
+        config=SimulationConfig(stop_when_informed=stop),
         churn_model=churn_model,
     )
     return engine.run(), counts["push"], counts["callers"]
@@ -174,6 +178,57 @@ def test_pools_match_their_references_under_churn(graphs, protocol_name):
     assert result.metadata["churn"]["arrivals"] > 0
     assert caller_checks == result.rounds_executed == protocol.horizon()
     assert push_checks == _push_only_rounds(protocol)
+
+
+@pytest.mark.parametrize("protocol_name", ["push", "quasirandom-push", "algorithm1"])
+def test_in_place_pool_across_compaction_and_eviction(monkeypatch, graphs, protocol_name):
+    """Large states keep ``informed_flat`` in a buffer each commit appends to
+    in place; row compaction and churn eviction replace that buffer.  The
+    scan limit is patched to 0 so tier-1 states take that path, and the
+    results must equal the scan path's."""
+    graph = graphs["regular"]
+    factory = PROTOCOLS[protocol_name]
+    runs = [dict(seeds=[7, 8, 9], stop=True)]
+    if factory(N).supports_dynamic_membership:
+        runs.append(dict(seeds=[7], churn=True))
+
+    def run_all():
+        return [
+            [
+                run_signature(result)
+                for result in _checked_run(
+                    graph, factory(N), run["seeds"], stop=run.get("stop", False),
+                    churn_model=UniformChurn(
+                        leave_rate=0.02, join_rate=0.02, target_degree=8
+                    ) if run.get("churn") else None,
+                )[0]
+            ]
+            for run in runs
+        ]
+
+    reference = run_all()
+    monkeypatch.setattr(VectorState, "_REBUILD_SCAN_LIMIT", 0)
+    seen = {"in_buffer": 0, "compact_rows": 0, "remove_nodes": 0}
+    record = VectorState._record_newly
+
+    def recording(state, newly):
+        record(state, newly)
+        if state._pool is not None:
+            assert state.informed_flat.base is state._pool
+            seen["in_buffer"] += 1
+
+    monkeypatch.setattr(VectorState, "_record_newly", recording)
+    for name in ("compact_rows", "remove_nodes"):
+        def replacing(state, *args, method=getattr(VectorState, name), name=name):
+            result = method(state, *args)
+            assert state._pool is None
+            seen[name] += 1
+            return result
+
+        monkeypatch.setattr(VectorState, name, replacing)
+    assert run_all() == reference
+    assert seen["in_buffer"] > 0 and seen["compact_rows"] > 0
+    assert seen["remove_nodes"] > 0 or len(runs) == 1
 
 
 def test_zero_length_phase3_pushes_last_phase2_commits(graphs):
