@@ -178,7 +178,6 @@ class RoundEngine:
             self.churn_model.apply(round_index, graph, states, self._churn_rng)
 
         informed_before = states.informed_count
-        protocol.on_round_start(round_index, states)
 
         push_active = protocol.push_round(round_index)
         pull_active = protocol.pull_round(round_index)

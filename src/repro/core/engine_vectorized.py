@@ -13,24 +13,24 @@ plan as a one-seed :class:`BatchedVectorizedRoundEngine`.  Each round:
    (``vector_push_samplers``), a round that pulls reads the push and pull
    masks, and the channel charge reads the pool of calling nodes
    (``vector_caller_pool``, ``None`` when every node calls);
-2. a running replication whose side that can still change is small runs
-   the round from that side (receiver-side rounds, below); every other
-   replication's calls are drawn in *blocks* of at most
-   :data:`_BLOCK_CHANNELS` channels, in channel order: uniforms mapped to
-   stub offsets for fanout 1, a random-key top-``k`` selection for larger
-   fanouts (each sampler's ``k`` stubs in ascending key order, a full row
-   sort, so loss draws line up on every machine), or a slice of a custom
-   target hook's output.  A top-``k`` key is the 53-bit integer that
-   ``Generator.random`` would scale to a float, read from the same stream
-   word by ``bit_generator.random_raw``, with the stub's column packed into
-   the low bits: rows up to 2¹¹ stubs wide sort in place as ``uint64`` and
-   an exact tie goes to the lower column on every machine.  Wider rows
-   argsort the same draws as floats, whose exact ties order by platform;
+2. every running replication's calls are drawn in *blocks* of at most
+   :data:`_BLOCK_CHANNELS` channels, in channel order (a replication that
+   runs from the receiver side, below, keeps only its candidates' calls):
+   uniforms mapped to stub offsets for fanout 1, a random-key top-``k``
+   selection for larger fanouts (each sampler's ``k`` stubs in ascending
+   key order, a full row sort, so loss draws line up on every machine), or
+   a slice of a custom target hook's output.  A top-``k`` key is the
+   53-bit integer that ``Generator.random`` would scale to a float, read
+   from the same stream word by ``bit_generator.random_raw``, with the
+   stub's column packed into the low bits: rows up to 2¹¹ stubs wide sort
+   in place as ``uint64`` and an exact tie goes to the lower column on
+   every machine.  Wider rows argsort the same draws as floats, whose
+   exact ties order by platform;
 3. each block is filtered, loss-tested (Bernoulli arrays over channels and
    transmissions) and cut down to its still-uninformed receivers before the
    next block is drawn;
-4. only fresh receivers, of both sides, reach the round's one sparse
-   commit (:meth:`VectorState.commit_delivered`, which deduplicates across
+4. only fresh receivers reach the round's one commit
+   (:meth:`VectorState.commit_delivered`, which deduplicates across
    blocks), so "received in round ``t``, effective in ``t + 1``" holds
    exactly as in the scalar engine.
 
@@ -54,13 +54,16 @@ whose small side's node count times the mean degree, times
 The row still draws every random number the sender side draws, from the
 same generators in the same order (every uniform, every top-``k`` key row,
 one target-hook call with ``positions=``), so results, histories and
-generator states do not depend on the side; only the gathers, filters and
-compresses over channels that cannot inform anyone go.  Push transmissions
-are then the pushers' channels minus their self-calls; pull transmissions
-are the candidate channels whose callee answers, or, on the silent side,
-the usable channels minus those whose callee is silent.  Churn (mutable
-CSR, tombstoned callees) and lossy or failing channels (their draws follow
-the usable channels and transmissions in channel order) stay sender-side.
+generator states do not depend on the side.  The candidates' calls go
+through the round's one block body like any other row's.  Every other call
+is usable and informs no one, so its transmissions are counted instead:
+a push-only round adds the non-candidates' channels as pushes; the
+answering side adds nothing, since every caller of an answering node and
+every pusher is a candidate; the silent side adds the non-candidates'
+channels as pulls and the non-candidate pushers' channels as pushes.
+Churn (mutable CSR, tombstoned callees) and lossy or failing channels
+(their draws follow the usable channels and transmissions in channel
+order) stay sender-side.
 The private ``_receiver_side`` switch turns the path off for the parity
 tests (``tests/test_engine_receiver_side.py``).
 
@@ -282,8 +285,6 @@ def vectorization_unsupported_reason(
     # The bulk engine never builds a StateTable, so protocols that override
     # the StateTable-based lifecycle hooks cannot run on it even if they
     # opted in — guard against a future protocol combining both.
-    if protocol.overrides("on_round_start"):
-        return f"protocol {protocol.name!r} overrides the on_round_start hook"
     if protocol.overrides("finished"):
         return f"protocol {protocol.name!r} overrides the finished() rule"
     if protocol.overrides("on_round_committed") and not protocol.overrides(
@@ -321,27 +322,6 @@ def vectorization_unsupported_reason(
     if graph is not None and not graph.has_contiguous_ids():
         return "graph node ids are not contiguous 0..n-1 (CSR export impossible)"
     return None
-
-
-def _fanout1_offsets(
-    uniforms: np.ndarray, sampler_degrees, dtype: np.dtype
-) -> np.ndarray:
-    """Uniform stub offsets from pre-drawn uniforms (``floor(U · d)``).
-
-    A batch of uniforms is ~2× faster to generate than per-element bounded
-    integers and ``floor(U · d)`` is uniform over ``[0, d)`` up to an
-    O(2⁻⁵³) float bias; the clip guards the half-ulp rounding edge where
-    ``U · d`` could land exactly on ``d``.  ``sampler_degrees`` may be a
-    per-sampler array or a scalar (regular graphs).  Every replication
-    draws its ``k`` uniforms per round, in one call or block by block, and
-    maps them through this arithmetic, which is what keeps a batch row's
-    stream identical to a single run's.  ``dtype`` is the CSR
-    index dtype: an offset never exceeds a degree, so it fits wherever the
-    stub positions do.
-    """
-    offsets = (uniforms * sampler_degrees).astype(dtype)
-    np.minimum(offsets, np.asarray(sampler_degrees) - 1, out=offsets)
-    return offsets
 
 
 def _kept_bounds(bounds: Sequence[int], keep: np.ndarray, kept: int) -> Sequence[int]:
@@ -614,7 +594,7 @@ class BatchedVectorizedRoundEngine:
     _compaction = True
 
     #: The receiver-side switch: a static, reliable round may run a row from
-    #: the side that can still change (see :meth:`_receiver_rows`).  Results
+    #: the side that can still change (see :meth:`_receiver_positions`).  Results
     #: and generator states are bit-identical either way; the parity tests
     #: turn it off to compare.
     _receiver_side = True
@@ -775,6 +755,14 @@ class BatchedVectorizedRoundEngine:
             buffer = self._buffers[key] = np.empty(size, dtype=dtype)
         return buffer[:size]
 
+    #: Below this many entries :meth:`_gather` takes with a plain ``take``:
+    #: the scratch conversion's extra calls cost more than the int64 index
+    #: copy they save (forcing it read 1.015–1.075× slower on 5- and
+    #: 20-seed batches at n ≤ 8192).  It is also the row-sharing bound:
+    #: rows with fewer channels share delivery blocks, where per-call
+    #: overhead would dominate too.
+    _SCRATCH_MIN_SAMPLERS = 1 << 15
+
     def _gather(self, plane: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """``plane.take(indices)``, through scratch for a block-sized take.
 
@@ -798,19 +786,6 @@ class BatchedVectorizedRoundEngine:
             np.take(plane, part, out=out[start : start + step], mode="clip")
         return out.reshape(indices.shape)
 
-    def _uninformed(self, informed: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """The entries of ``nodes`` whose flag in ``informed`` is clear."""
-        keep = self._gather(informed, nodes)
-        np.logical_not(keep, out=keep)
-        return nodes.compress(keep)
-
-    #: Below this sampler count the plain allocation path beats the scratch
-    #: pipeline (whose extra view/out bookkeeping costs ~10 µs per round,
-    #: which dominates when the arrays themselves are only a few KB).  It is
-    #: also the row-sharing bound: rows with fewer channels share delivery
-    #: blocks, where per-call overhead would dominate too.
-    _SCRATCH_MIN_SAMPLERS = 1 << 15
-
     def _fanout1_callees(
         self,
         samplers: np.ndarray,
@@ -822,38 +797,27 @@ class BatchedVectorizedRoundEngine:
         ``draws`` lists ``(generator, count)`` pairs whose uniforms fill
         consecutive slices of the samplers: one pair for a block of one row,
         one per row for a block that rows share.  ``generator.random(out=...)``
-        draws each slice as the stream of one ``random(count)`` call, and
-        the in-place ``floor(U · d)`` arithmetic produces the same offsets
-        as the allocation path.  Called once per delivery block, so the
-        scratch stays one block; the result may be a view into the callee
-        scratch buffer (valid until the next call).  With ``picks``
-        (ascending indices into ``samplers``) every uniform is still drawn,
-        but only the callees of ``samplers[picks]`` are returned: the
-        receiver side's draw.
+        draws each slice as the stream of one ``random(count)`` call, so a
+        batch row's stream is its single run's whatever the block bounds.
+        A sampler of degree ``d`` calls its stub ``floor(U · d)``: a batch of
+        uniforms is about twice as fast to draw as bounded integers, the
+        offset is uniform over ``[0, d)`` up to an O(2⁻⁵³) float bias, and a
+        clip to ``d - 1`` guards the rounding edge where ``U · d`` lands on
+        ``d``.  Called once per delivery block, so the scratch stays one
+        block; the result is a view into the callee scratch buffer (valid
+        until the next call).  With ``picks`` (ascending indices into
+        ``samplers``) every uniform is still drawn, but only the callees of
+        ``samplers[picks]`` are returned: the receiver side's draw.
         """
-        k = samplers.size
-        if k < self._SCRATCH_MIN_SAMPLERS:
-            uniforms = np.empty(k)
-        else:
-            uniforms = self._scratch("uniform", k, np.float64)
+        uniforms = self._scratch("uniform", samplers.size, np.float64)
         stop = 0
         for generator, count in draws:
             start, stop = stop, stop + count
             generator.random(out=uniforms[start:stop])
         if picks is not None:
             samplers, uniforms = samplers.take(picks), uniforms.take(picks)
-        if picks is not None or k < self._SCRATCH_MIN_SAMPLERS:
-            if self._uniform_degree is not None:
-                offsets = _fanout1_offsets(
-                    uniforms, self._uniform_degree, self._indices.dtype
-                )
-                return self._indices[samplers * self._uniform_degree + offsets]
-            offsets = _fanout1_offsets(
-                uniforms, self._degrees[samplers], self._indices.dtype
-            )
-            return self._indices[self._indptr[samplers] + offsets]
         idx_dtype = self._indices.dtype
-        offsets = self._scratch("offset", k, idx_dtype)
+        offsets = self._scratch("offset", samplers.size, idx_dtype)
         # Once the offsets are out, the uniforms' buffer holds the gather
         # positions as intp, which the final take reads without a copy.
         positions = uniforms.view(np.intp)
@@ -871,7 +835,7 @@ class BatchedVectorizedRoundEngine:
             np.minimum(offsets, sampler_degrees, out=offsets)
             positions[...] = self._gather(self._indptr, samplers)
         np.add(positions, offsets, out=positions)
-        callees = self._scratch("callee", k, idx_dtype)
+        callees = self._scratch("callee", samplers.size, idx_dtype)
         return np.take(self._indices, positions, out=callees, mode="clip")
 
     # -- blocked delivery ----------------------------------------------------------
@@ -1438,28 +1402,18 @@ class BatchedVectorizedRoundEngine:
         """
         keep = np.flatnonzero(state.alive)
         indptr = self._indptr
-        indices = self._indices
         remap = state.compact_nodes(keep)
         lengths = np.diff(indptr)[keep]
-        total = int(lengths.sum())
         new_indptr = np.zeros(keep.size + 1, dtype=indptr.dtype)
         np.cumsum(lengths, out=new_indptr[1:])
-        if total:
-            starts = np.repeat(indptr[keep], lengths)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(lengths) - lengths, lengths
-            )
-            values = indices[starts + within]
-            # Dead targets (stale ids and prior -1 sentinels) all map to -1:
-            # remap already carries -1 for dropped ids, so only the -1
-            # entries themselves need the index guard.
-            sentinel = values < 0
-            safe = np.where(sentinel, 0, values)
-            mapped = remap[safe].astype(indices.dtype, copy=False)
-            mapped[sentinel] = -1
-            self._indices = mapped
-        else:
-            self._indices = np.empty(0, dtype=indices.dtype)
+        values = _row_stubs(indptr, self._indices, keep, lengths)
+        # Dead targets (stale ids and prior -1 sentinels) all map to -1:
+        # remap already carries -1 for dropped ids, so only the -1 entries
+        # themselves need the index guard.
+        sentinel = values < 0
+        mapped = remap[np.where(sentinel, 0, values)].astype(values.dtype, copy=False)
+        mapped[sentinel] = -1
+        self._indices = mapped
         self._indptr = new_indptr
         self._n = keep.size
         self.protocol.vector_compact_nodes(remap, state)
@@ -1496,27 +1450,23 @@ class BatchedVectorizedRoundEngine:
                 "custom bulk target selection requires uniform fanout 1"
             )
         if (push_active or pull_active) and fanout > 0:
-            rows = self._row_samplers(round_index, state, running, pull_active)
-            received: List[np.ndarray] = []
+            receiver = None
             if (
                 self._receiver_side
                 and not self._dynamic
                 and self._loss_p == 0.0
                 and self._channel_fail_p == 0.0
             ):
-                rows = self._receiver_rows(
-                    round_index, state, rows, fanout, push_mask, pull_mask,
-                    counts[:3], received,
-                )
+                receiver = (push_mask, pull_mask, counts[:3])
             blocks = self._batch_blocks(
-                round_index, state, rows, fanout, lone=len(running) == 1
+                round_index, state,
+                self._row_samplers(round_index, state, running, pull_active),
+                fanout, len(running) == 1, receiver,
             )
             delivered = self._deliver(
                 state, blocks, push_active, push_mask, pull_mask,
                 self._live_failure_gens, counts[:3],
             )
-            if received:
-                delivered = np.concatenate([delivered, *received])
         else:
             delivered = np.empty(0, dtype=state.index_dtype)
         newly_informed = state.commit_delivered(delivered, round_index)
@@ -1586,16 +1536,21 @@ class BatchedVectorizedRoundEngine:
         row_samplers: Iterator[Tuple[int, np.ndarray]],
         fanout: int,
         lone: bool,
+        receiver: Optional[Tuple[Optional[np.ndarray], Optional[np.ndarray], np.ndarray]],
     ) -> Iterator[_DeliveryBlock]:
         """Delivery blocks of every running row's channels, in ascending row order.
 
         Each row draws from its own generators.  A row with at least
-        :attr:`_SCRATCH_MIN_SAMPLERS` channels, or the ``lone`` running row,
-        is delivered in blocks of its own at the scalar offset ``row * n``.
-        Smaller rows are packed whole into shared blocks of flat indices, so
-        small-``n`` sweeps still pay one gather, filter and loss pass per
-        block rather than per row.  A row never straddles two shared blocks,
-        which keeps its channel-failure draws ahead of its loss draws.
+        :attr:`_SCRATCH_MIN_SAMPLERS` channels, the ``lone`` running row, or
+        a row that runs from the receiver side is delivered in blocks of its
+        own at the scalar offset ``row * n``.  Smaller rows are packed whole
+        into shared blocks of flat indices, so small-``n`` sweeps still pay
+        one gather, filter and loss pass per block rather than per row.  A
+        row never straddles two shared blocks, which keeps its
+        channel-failure draws ahead of its loss draws.  ``receiver`` is
+        ``(push_mask, pull_mask, tallies)`` in a round whose rows may run
+        from the receiver side (:meth:`_receiver_positions` picks the side
+        row by row), ``None`` otherwise.
         """
         n = state.n
         share = min(self._SCRATCH_MIN_SAMPLERS, _BLOCK_CHANNELS)
@@ -1603,15 +1558,21 @@ class BatchedVectorizedRoundEngine:
         pieces: List[Tuple[int, np.ndarray, Optional[np.ndarray]]] = []
         packed = 0
         for row, samplers in row_samplers:
-            if fanout1 and samplers.size < share and not lone:
+            positions = None
+            if receiver is not None:
+                positions = self._receiver_positions(
+                    state, row, samplers, fanout, *receiver
+                )
+            own = lone or positions is not None
+            if fanout1 and samplers.size < share and not own:
                 # Drawn by the shared block's one gather.
                 channels, blocks = samplers.size, None
             else:
                 channels, blocks = self._channel_blocks(
                     round_index, state, samplers, fanout,
-                    self._live_protocol_gens[row], row,
+                    self._live_protocol_gens[row], row, positions,
                 )
-            if channels >= share or lone:
+            if channels >= share or own:
                 if pieces:
                     yield self._shared_block(pieces, state)
                     pieces, packed = [], 0
@@ -1674,18 +1635,18 @@ class BatchedVectorizedRoundEngine:
 
     # -- receiver-side rounds ------------------------------------------------------
 
-    def _receiver_rows(
+    def _receiver_positions(
         self,
-        round_index: int,
         state: VectorState,
-        rows: Iterator[Tuple[int, np.ndarray]],
+        row: int,
+        samplers: np.ndarray,
         fanout: int,
         push_mask: Optional[np.ndarray],
         pull_mask: Optional[np.ndarray],
         tallies: np.ndarray,
-        received: List[np.ndarray],
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Run the rows whose round is cheaper from the receiver side.
+    ) -> Optional[np.ndarray]:
+        """The candidates' ascending positions in ``samplers`` when the row
+        runs from the receiver side this round, else ``None``.
 
         A row qualifies when it has at least :data:`_RECEIVER_MIN_CHANNELS`
         channels and the side of it that can still change is small: its
@@ -1693,93 +1654,46 @@ class BatchedVectorizedRoundEngine:
         at most the row's channels.  In a push-only round that side is the
         uninformed nodes; a round that pulls takes the smaller of the
         informed count (a bound on the answering and pushing nodes) and the
-        uninformed count.  Yields the ``(row, samplers)`` pairs left for the
-        sender side, one at a time as the blocked pipeline asks for them,
-        and appends the fresh receivers (flat indices) found here to
-        ``received``.
+        uninformed count, and :meth:`_pull_side_answers` picks the side.
+
+        The candidates are the samplers whose calls can deliver or change a
+        count: in a push-only round the samplers among ``N(U)``, ``U`` being
+        the row's uninformed nodes; in a round that pulls the answering side
+        ``N(A)`` plus the pushers, or the silent side ``N(Ā) ∪ N(U) ∪ U``;
+        always the nodes with a self-loop stub, so every self-call is a
+        candidate's.  Every other call is usable and informs no one: its
+        transmissions are added to ``tallies`` here, by counting, and the
+        block body sees only the candidates' calls.  Static, reliable rounds
+        only: no channel is lost, and the CSR cannot change.
         """
-        n = state.n
-        informed = state.informed_count.tolist()
-        mean_degree = self._indices.size / n
-        if pull_mask is not None:
+        if pull_mask is None:
+            degree = self._uniform_degree
+            channels = samplers.size * (fanout if degree is None else min(fanout, degree))
+        else:
             channels = self._channel_info(fanout)[0]
-        per_sampler = fanout
-        if self._uniform_degree is not None:
-            per_sampler = min(fanout, self._uniform_degree)
-        for row, samplers in rows:
-            uninformed = n - informed[row]
-            side = uninformed
-            if pull_mask is None:
-                channels = samplers.size * per_sampler
-            else:
-                side = min(side, informed[row])
-            if (
-                channels < _RECEIVER_MIN_CHANNELS
-                or side * mean_degree * _RECEIVER_RATIO > channels
-            ):
-                yield row, samplers
-                continue
-            answering = pull_mask is not None and self._pull_side_answers(
-                informed[row], uninformed
-            )
-            hits = self._receive(
-                round_index, state, row, samplers, fanout, answering,
-                push_mask, pull_mask, tallies,
-            )
-            if hits.size:
-                received.append(hits)
-
-    @staticmethod
-    def _pull_side_answers(informed: int, uninformed: int) -> bool:
-        """Whether a receiver-side pull round starts from the answering side.
-
-        The answering and pushing nodes are informed, so the informed count
-        bounds that side; the silent side grows with the uninformed count.
-        """
-        return informed <= uninformed
-
-    def _receive(
-        self,
-        round_index: int,
-        state: VectorState,
-        row: int,
-        samplers: np.ndarray,
-        fanout: int,
-        answering: bool,
-        push_mask: Optional[np.ndarray],
-        pull_mask: Optional[np.ndarray],
-        tallies: np.ndarray,
-    ) -> np.ndarray:
-        """One row's round from the receiver side; returns its fresh receivers.
-
-        Only the *candidates'* calls are evaluated: the samplers whose calls
-        can deliver or change a count.  In a push-only round those are the
-        samplers among ``N(U)``, ``U`` being the row's uninformed nodes.  A
-        round that pulls takes the answering side ``N(A)`` plus the pushers,
-        or the silent side ``N(Ā) ∪ N(U) ∪ U``.  The nodes with a self-loop
-        stub are always candidates, so the counts can subtract their
-        self-calls.  Every random number of the row is still drawn
-        (:meth:`_channel_blocks` with ``positions``), so the row's stream
-        and generator state match the sender side's, and the tallies are
-        counted: push transmissions are the pushers' channels minus their
-        self-calls, pull transmissions the candidate channels whose callee
-        answers (answering side) or all usable channels minus those whose
-        callee is silent (silent side).  Static, reliable rounds only: no
-        channel is lost, and the CSR cannot change.
-        """
-        informed = state.informed[row]
+        if channels < _RECEIVER_MIN_CHANNELS:
+            return None
+        n = state.n
+        informed = int(state.informed_count[row])
+        uninformed = n - informed
+        side = uninformed if pull_mask is None else min(informed, uninformed)
+        # side × mean degree × ratio > channels, in integers.
+        if side * self._indices.size * _RECEIVER_RATIO > channels * n:
+            return None
+        informed_row = state.informed[row]
         push_row = None if push_mask is None else push_mask[row]
         pull_row = None if pull_mask is None else pull_mask[row]
-        mark = self._scratch("mark", state.n, bool)
+        answering = pull_row is not None and self._pull_side_answers(informed, uninformed)
+        mark = self._scratch("mark", n, bool)
         mark.fill(False)
         if pull_row is None:
-            mark[self._neighbour_stubs(np.flatnonzero(~informed))] = True
+            mark[self._neighbour_stubs(np.flatnonzero(~informed_row))] = True
         elif answering:
             mark[self._neighbour_stubs(np.flatnonzero(pull_row))] = True
             if push_row is not None:
                 np.logical_or(mark, push_row, out=mark)
         else:
-            silent = np.flatnonzero(~(pull_row & informed))
+            silent = np.flatnonzero(~(pull_row & informed_row))
             mark[self._neighbour_stubs(silent)] = True
             mark[silent] = True
         mark[self.graph.self_loop_nodes()] = True
@@ -1800,57 +1714,26 @@ class BatchedVectorizedRoundEngine:
                 for start in range(0, samplers.size, _BLOCK_CHANNELS)
             ])
 
-        channels, blocks = self._channel_blocks(
-            round_index, state, samplers, fanout,
-            self._live_protocol_gens[row], row, positions,
-        )
-        self_calls = pushing_self_calls = pushes = answers = silences = 0
-        fresh: List[np.ndarray] = []
-        for callers, callees in blocks:
-            if callers.shape != callees.shape:
-                callers = np.broadcast_to(callers, callees.shape).reshape(-1)
-                callees = callees.reshape(-1)
-            if self._has_self_loops:
-                usable = callees != callers
-                looped = usable.size - np.count_nonzero(usable)
-                if looped:
-                    self_calls += looped
-                    if push_row is not None:
-                        pushing_self_calls += np.count_nonzero(
-                            push_row.take(callers.compress(~usable))
-                        )
-                    callers = callers.compress(usable)
-                    callees = callees.compress(usable)
-            receivers = callees
-            if pull_row is not None:
-                answer = self._gather(pull_row, callees)
-                answered = np.count_nonzero(answer)
-                answers += answered
-                silences += answer.size - answered
-                pulled = callers.compress(answer)
-                fresh.append(self._uninformed(informed, pulled))
-                receivers = None
-                if push_row is not None:
-                    sending = self._gather(push_row, callers)
-                    pushes += np.count_nonzero(sending)
-                    receivers = callees.compress(sending)
-            if receivers is not None:
-                fresh.append(self._uninformed(informed, receivers))
-
         push_tx, pull_tx, _ = tallies
         if pull_row is None:
-            push_tx[row] += channels - self_calls
-        elif answering:
-            push_tx[row] += pushes
-            pull_tx[row] += answers
-        else:
-            pull_tx[row] += channels - self_calls - silences
+            candidates = samplers.take(positions)
+            push_tx[row] += self._calls(samplers, fanout) - self._calls(candidates, fanout)
+        elif not answering:
+            candidates = samplers.take(positions)
+            pull_tx[row] += channels - self._calls(candidates, fanout)
             if push_row is not None:
-                push_tx[row] += self._push_channels(push_row, fanout) - pushing_self_calls
-        hits = np.concatenate(fresh) if fresh else samplers[:0]
-        if row:
-            hits = np.add(hits, row * state.n, dtype=state.index_dtype)
-        return hits
+                pushers = candidates.compress(push_row.take(candidates))
+                push_tx[row] += self._calls(push_row, fanout) - self._calls(pushers, fanout)
+        return positions
+
+    @staticmethod
+    def _pull_side_answers(informed: int, uninformed: int) -> bool:
+        """Whether a receiver-side pull round starts from the answering side.
+
+        The answering and pushing nodes are informed, so the informed count
+        bounds that side; the silent side grows with the uninformed count.
+        """
+        return informed <= uninformed
 
     def _neighbour_stubs(self, nodes: np.ndarray) -> np.ndarray:
         """The stubs of ``nodes``' CSR rows: each node's neighbours, repeated."""
@@ -1859,9 +1742,11 @@ class BatchedVectorizedRoundEngine:
             return self._indices.reshape(-1, degree)[nodes].reshape(-1)
         return _row_stubs(self._indptr, self._indices, nodes, self._degrees[nodes])
 
-    def _push_channels(self, push_row: np.ndarray, fanout: int) -> int:
-        """Channels the pushers of one row open: ``min(degree, fanout)`` each."""
+    def _calls(self, nodes: np.ndarray, fanout: int) -> int:
+        """Channels ``nodes`` (ids, or a mask over all nodes) open this
+        round: ``min(degree, fanout)`` each."""
         uniform_cost = self._channel_info(fanout)[1]
-        if uniform_cost is not None:
-            return np.count_nonzero(push_row) * uniform_cost
-        return int(self._channel_cost_array(fanout)[push_row].sum())
+        if uniform_cost is None:
+            return int(self._channel_cost_array(fanout)[nodes].sum())
+        count = np.count_nonzero(nodes) if nodes.dtype == bool else nodes.size
+        return count * uniform_cost

@@ -8,12 +8,13 @@ the delivery buffer (:meth:`NodeState.deliver`) and the end-of-round commit
 
 :class:`VectorState` is the struct-of-arrays counterpart used by the bulk
 engine (:mod:`repro.core.engine_vectorized`): the engine-owned fields —
-informed flag, informed round, staged delivery — held as ``(R, n)`` NumPy
-arrays over all nodes of ``R`` replications (``R = 1`` for a single run), so
-a round is a handful of bulk operations instead of ``n`` object
-manipulations.  Algorithm 1's Phase-4 ``active`` flag has no plane there:
-the protocol keeps its active nodes as a sorted index list and reads the
-flag off the informed round.  Sorted index pools of the informed nodes and
+informed flag and informed round — held as ``(R, n)`` NumPy arrays over all
+nodes of ``R`` replications (``R = 1`` for a single run), so a round is a
+handful of bulk operations instead of ``n`` object manipulations, and its
+deliveries commit in one call (:meth:`VectorState.commit_delivered`).
+Algorithm 1's Phase-4 ``active`` flag has no plane there: the protocol
+keeps its active nodes as a sorted index list and reads the flag off the
+informed round.  Sorted index pools of the informed nodes and
 of last round's commits (:meth:`VectorState.enable_index_tracking`) are kept
 only for protocols that read them.
 """
@@ -260,9 +261,10 @@ class VectorState:
 
     The bulk engine's counterpart of :class:`StateTable`: one boolean array
     per flag instead of one :class:`NodeState` object per node.  The commit
-    discipline is identical — deliveries stage into :attr:`pending` during a
-    round and only promote at :meth:`commit_round` — so "a node cannot
-    forward a message in the round it receives it" holds bit-for-bit.
+    discipline is identical — a round's deliveries reach the flags only
+    through :meth:`commit_delivered`, once, after every channel of the
+    round — so "a node cannot forward a message in the round it receives
+    it" holds bit-for-bit.
 
     Every array has the shape ``(R, n)``: one row per replication, every row
     starting from the same source, ``R = batch`` (1 for a single run).
@@ -281,23 +283,18 @@ class VectorState:
     informed_round:
         ``int32[R, n]`` — round the node became informed (``0`` for the
         source, ``-1`` while uninformed).
-    pending:
-        A delivery staged this round, cleared by :meth:`commit_round`.  Also
-        lazy: the engine commits deliveries directly through
-        :meth:`commit_delivered` and only falls back to the pending plane for
-        dense rounds.
 
     With :meth:`enable_index_tracking` the state additionally maintains
     :attr:`informed_flat` — the ascending flat indices ``row * n + node`` of
-    all informed nodes — and :attr:`newly_flat` (last round's commits) by
-    sorted merge, which is what lets the engine sample pushers in
-    O(informed) instead of scanning all ``R·n`` flags every round.  The
-    engine enables it for protocols that override a pool hook
-    (``vector_push_samplers`` or ``vector_caller_pool``).  For ``R = 1``
-    flat indices are node ids.  On large states ``informed_flat`` is a view
-    of a buffer with room for all ``R·n`` indices, which each commit appends
-    to and re-sorts in place: a view read in one round is stale after the
-    next commit.
+    all informed nodes — and :attr:`newly_flat` (last round's commits),
+    which is what lets the engine sample pushers in O(informed) instead of
+    scanning all ``R·n`` flags every round.  The engine enables it for
+    protocols that override a pool hook (``vector_push_samplers`` or
+    ``vector_caller_pool``).  For ``R = 1`` flat indices are node ids.
+    Once a commit informs a node, ``informed_flat`` is a view of a buffer
+    with room for all ``R·n`` indices, which each commit appends to and
+    re-sorts in place: a view read in one round is stale after the next
+    commit.
     """
 
     __slots__ = (
@@ -306,7 +303,7 @@ class VectorState:
         "batch",
         "informed",
         "informed_round",
-        "_pending",
+        "_mark",
         "_informed_count",
         "_track_indices",
         "_informed_flat",
@@ -329,9 +326,9 @@ class VectorState:
         # int32 suffices for round numbers; at n = 10⁶ this alone halves the
         # resident state (the old int64 array dominated the footprint).
         self.informed_round = np.full(shape, -1, dtype=np.int32)
-        # `pending` is allocated on first touch: the engine commits sparse
-        # deliveries without staging through a pending mask.
-        self._pending: Optional[np.ndarray] = None
+        # The dense commit's mask: allocated on first use, all False between
+        # commits, dropped whenever the state changes shape.
+        self._mark: Optional[np.ndarray] = None
         self.informed[:, source] = True
         self.informed_round[:, source] = 0
         self._informed_count = np.ones(batch, dtype=np.int64)
@@ -344,15 +341,6 @@ class VectorState:
         self._alive: Optional[np.ndarray] = None
         self._alive_count: Optional[int] = None
 
-    # -- lazily allocated flag plane -------------------------------------------
-
-    @property
-    def pending(self) -> np.ndarray:
-        """The staged-delivery plane, allocated on first access."""
-        if self._pending is None:
-            self._pending = np.zeros(self.informed.shape, dtype=bool)
-        return self._pending
-
     # -- sorted informed-index tracking (the engine's active set) --------------
 
     @property
@@ -364,9 +352,11 @@ class VectorState:
         """Maintain the sorted flat-index vector of informed nodes.
 
         ``informed_flat`` then always equals
-        ``np.flatnonzero(informed.reshape(-1))`` (ascending), updated by an
-        O(informed + newly) sorted merge at every commit instead of an O(R·n)
-        scan per round; ``newly_flat`` holds the indices committed by the most
+        ``np.flatnonzero(informed.reshape(-1))`` (ascending).  Each commit
+        appends its newly informed indices to the buffer ``informed_flat``
+        is a prefix of and merges the two sorted runs with one in-place
+        stable sort, O(informed + newly), instead of an O(R·n) scan per
+        round; ``newly_flat`` holds the indices committed by the most
         recent round (initially the source entries, which is exactly the
         "pushes in round 1" set of the phase-structured protocols).
         """
@@ -389,25 +379,11 @@ class VectorState:
             raise RuntimeError("enable_index_tracking() has not been called")
         return self._newly_flat
 
-    #: Below this state size a full boolean scan rebuilds ``informed_flat``
-    #: faster than the sorted merge's bookkeeping (a handful of fancy-index
-    #: passes); above it the merge's O(informed) beats O(total)-per-round
-    #: scans during the growth phase and avoids the int64 ``flatnonzero``
-    #: output spiking the peak at million-node scale (the limit sits below
-    #: n = 10⁶ on purpose).
-    _REBUILD_SCAN_LIMIT = 1 << 19
-
     def _record_newly(self, newly: np.ndarray) -> None:
         if not self._track_indices:
             return
-        newly = newly.astype(self.index_dtype, copy=False)
         self._newly_flat = newly
         if newly.size == 0:
-            return
-        if self.informed.size <= self._REBUILD_SCAN_LIMIT:
-            self._informed_flat = np.flatnonzero(
-                self.informed.reshape(-1)
-            ).astype(self.index_dtype, copy=False)
             return
         # Append in place and merge the two sorted runs with one stable sort
         # (see merge_sorted_disjoint).  The buffer has room for every flat
@@ -471,9 +447,7 @@ class VectorState:
         informed_removed = int(np.count_nonzero(self.informed[0][ids]))
         alive[ids] = False
         self._alive_count -= int(ids.size)
-        for plane in (self.informed, self._pending):
-            if plane is not None:
-                plane[0][ids] = False
+        self.informed[0][ids] = False
         self.informed_round[0][ids] = -1
         self._informed_count[0] -= informed_removed
         if self._track_indices:
@@ -499,8 +473,7 @@ class VectorState:
         self.informed_round = np.concatenate(
             [self.informed_round, np.full((1, count), -1, dtype=np.int32)], axis=1
         )
-        if self._pending is not None:
-            self._pending = np.concatenate([self._pending, unset], axis=1)
+        self._mark = None
         self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
         self._alive_count += count
         self.n = old_n + count
@@ -526,8 +499,7 @@ class VectorState:
         remap[keep] = np.arange(keep.size, dtype=np.int64)
         self.informed = self.informed.take(keep, axis=1)
         self.informed_round = self.informed_round.take(keep, axis=1)
-        if self._pending is not None:
-            self._pending = self._pending.take(keep, axis=1)
+        self._mark = None
         self._alive = np.ones(keep.size, dtype=bool)
         self._alive_count = int(keep.size)
         self.n = int(keep.size)
@@ -553,68 +525,42 @@ class VectorState:
         """Informed nodes per replication, ``int64[R]``."""
         return self._informed_count
 
-    @property
-    def uninformed_count(self) -> np.ndarray:
-        """Uninformed *live* nodes per replication, ``int64[R]``."""
-        return self.alive_count - self._informed_count
-
-    def all_informed(self) -> np.ndarray:
-        """Whether every live node is informed, per replication."""
-        return self._informed_count == self.alive_count
-
     # -- round lifecycle -------------------------------------------------------
 
-    def commit_round(self, round_index: int) -> np.ndarray:
-        """Promote all staged deliveries; return the flat ids newly informed.
+    def commit_delivered(self, delivered: np.ndarray, round_index: int) -> np.ndarray:
+        """Commit a round's deliveries; return the flat ids newly informed.
 
-        The returned indices address ``informed.reshape(-1)`` and encode
-        ``row * n + node`` (plain node ids for ``R = 1``).  Hooks that flip
-        per-node flags should therefore index through ``array.reshape(-1)``
-        (a view for these contiguous arrays).
+        ``delivered`` holds flat indices ``row * n + node`` (plain node ids
+        for ``R = 1``) and may repeat an index or name an informed node.
+        The returned indices are the distinct uninformed ones, ascending, in
+        :attr:`index_dtype`; they address ``informed.reshape(-1)``, so hooks
+        that flip per-node flags should index through ``array.reshape(-1)``
+        (a view for these contiguous arrays).  A sparse delivery set is
+        deduplicated by sorting (``O(k log k)``); one of at least a quarter
+        of the state is marked into a mask and scanned (``O(R·n)``).
         """
-        newly = np.flatnonzero(self.pending & ~self.informed)
-        newly = newly.astype(self.index_dtype, copy=False)
+        flat_informed = self.informed.reshape(-1)
+        if delivered.size * 4 >= flat_informed.size:
+            if self._mark is None:
+                self._mark = np.zeros(flat_informed.size, dtype=bool)
+            mark = self._mark
+            mark[delivered] = True
+            np.greater(mark, flat_informed, out=mark)  # delivered and uninformed
+            newly = np.flatnonzero(mark).astype(self.index_dtype, copy=False)
+            mark.fill(False)
+        else:
+            newly = delivered[~flat_informed[delivered]]
+            newly = newly.astype(self.index_dtype, copy=False)
+            newly.sort()
+            if newly.size > 1:
+                keep = np.empty(newly.size, dtype=bool)
+                keep[0] = True
+                np.not_equal(newly[1:], newly[:-1], out=keep[1:])
+                newly = newly[keep]
         if newly.size:
-            self.informed.reshape(-1)[newly] = True
+            flat_informed[newly] = True
             self.informed_round.reshape(-1)[newly] = round_index
             self._count_newly(newly)
-        self.pending.fill(False)
-        self._record_newly(newly)
-        return newly
-
-    def commit_delivered(self, delivered: np.ndarray, round_index: int) -> np.ndarray:
-        """Commit a round's deliveries given directly as flat indices.
-
-        Equivalent to staging ``delivered`` into :attr:`pending` and calling
-        :meth:`commit_round` (same newly-informed set, in the same ascending
-        order) — the engine's commit path.  Sparse delivery sets are
-        deduplicated by sorting (``O(k log k)``), dense ones via the pending
-        mask (``O(R·n)``); the crossover keeps the commit cheap both in early
-        rounds (tiny ``k``) and in the endgame (few live replications).
-        """
-        total = self.informed.size
-        if delivered.size * 4 >= total or total <= self._REBUILD_SCAN_LIMIT:
-            # Dense commits: when the delivery set is a sizeable fraction of
-            # the state — or the state is small enough that whole-plane
-            # passes are trivially cheap — the pending-mask path beats the
-            # sparse sort's per-call bookkeeping.
-            self.pending.reshape(-1)[delivered] = True
-            return self.commit_round(round_index)
-        flat_informed = self.informed.reshape(-1)
-        newly = delivered[~flat_informed[delivered]]
-        newly = newly.astype(self.index_dtype, copy=False)
-        if newly.size == 0:
-            self._record_newly(newly)
-            return newly
-        newly = np.sort(newly)
-        if newly.size > 1:
-            keep = np.empty(newly.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(newly[1:], newly[:-1], out=keep[1:])
-            newly = newly[keep]
-        flat_informed[newly] = True
-        self.informed_round.reshape(-1)[newly] = round_index
-        self._count_newly(newly)
         self._record_newly(newly)
         return newly
 
@@ -676,8 +622,7 @@ class VectorState:
         keep = np.asarray(keep, dtype=np.int64)
         self.informed = self.informed[keep]
         self.informed_round = self.informed_round[keep]
-        if self._pending is not None:
-            self._pending = self._pending[keep]
+        self._mark = None
         self._informed_count = self._informed_count[keep]
         self.batch = int(keep.size)
         if self._track_indices:

@@ -207,14 +207,6 @@ class _SplicingChurnBase(ChurnModel):
             joined.append(joiner)
         return joined
 
-    def _scalar_depart_candidates(self, graph: Graph, states: StateTable) -> List[int]:
-        return [
-            node
-            for node in graph.iter_nodes()
-            if states.contains(node)
-            and not (self.protect_source and node == states.source)
-        ]
-
     @staticmethod
     def _scalar_depart(graph: Graph, states: StateTable, nodes) -> List[int]:
         departed: List[int] = []

@@ -61,8 +61,8 @@ class BroadcastProtocol(ABC):
     #: custom ``select_call_targets`` has a ``vector_call_targets``
     #: counterpart, and
     #: (d) it relies on none of the :class:`StateTable`-based lifecycle hooks
-    #: the bulk engine never calls: ``on_round_start`` and ``finished`` must
-    #: keep their defaults, and an ``on_round_committed`` override needs a
+    #: the bulk engine never calls: ``finished`` must keep its default,
+    #: and an ``on_round_committed`` override needs a
     #: ``vector_on_round_committed`` counterpart.  The dispatch predicate
     #: (:func:`repro.core.engine_vectorized.vectorization_unsupported_reason`,
     #: consulted by :func:`repro.core.engine.plan_run`) enforces (c) and (d)
@@ -321,9 +321,6 @@ class BroadcastProtocol(ABC):
         quasirandom pointer table — must override this and clear it; stateless
         protocols inherit the no-op.
         """
-
-    def on_round_start(self, round_index: int, states: StateTable) -> None:
-        """Called before any channel is opened in ``round_index``."""
 
     def on_channel_exchange(
         self, caller_state: NodeState, callee_state: NodeState, round_index: int

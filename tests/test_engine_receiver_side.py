@@ -16,7 +16,8 @@ off):
    each side of a pull round in turn: equal results with per-round history
    and equal end states of every row's protocol and failure generators;
 2. the same at the default rule on a graph large enough for it to fire,
-   where a run mixes sender- and receiver-side rounds;
+   where a run mixes sender- and receiver-side rounds, and a 20-seed batch
+   there still makes one block-body call and one commit per round;
 3. with the path forced on, no commit ever receives an informed node;
 4. lossy, channel-failure and churn runs never enter the path;
 5. the graph's cached self-loop list and the quasirandom target hook's
@@ -80,15 +81,17 @@ def _run(graph, factory, seeds, stop=True, **config_kwargs):
 
 def _count_entries(monkeypatch):
     """Count the receiver-side row-rounds, and the pull rounds among them."""
-    receive = BatchedVectorizedRoundEngine._receive
+    pick = BatchedVectorizedRoundEngine._receiver_positions
     entered = {"rows": 0, "pull": 0}
 
     def spy(engine, *args):
-        entered["rows"] += 1
-        entered["pull"] += args[-2] is not None
-        return receive(engine, *args)
+        positions = pick(engine, *args)
+        if positions is not None:
+            entered["rows"] += 1
+            entered["pull"] += args[-2] is not None
+        return positions
 
-    monkeypatch.setattr(BatchedVectorizedRoundEngine, "_receive", spy)
+    monkeypatch.setattr(BatchedVectorizedRoundEngine, "_receiver_positions", spy)
     return entered
 
 
@@ -162,6 +165,63 @@ def test_default_rule_takes_both_sides_of_pull_rounds(monkeypatch, large_graph):
     )
     _run(large_graph, BLOCK_PROTOCOLS["push-pull"], [3])
     assert True in sides and False in sides
+
+
+@pytest.mark.parametrize(
+    "protocol_name, mixed_round",
+    [("push", True), ("push-pull", True), ("algorithm1", False)],
+)
+def test_batch_rows_take_both_sides_through_one_deliver(
+    monkeypatch, large_graph, protocol_name, mixed_round
+):
+    # Twenty rows at the default rule take both sides over the run (push
+    # and push-pull also within one round), and every round that draws
+    # channels still goes through one block body call and one commit.
+    graph = large_graph
+    factory = BLOCK_PROTOCOLS[protocol_name]
+    seeds = list(range(20))
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchedVectorizedRoundEngine, "_receiver_side", False)
+        reference = _run(graph, factory, seeds)
+    engine_class = BatchedVectorizedRoundEngine
+    run_round, deliver = engine_class._run_round, engine_class._deliver
+    pick, commit = engine_class._receiver_positions, VectorState.commit_delivered
+    rounds = []
+
+    def round_spy(engine, round_index, state, running):
+        protocol = engine.protocol
+        draws = protocol.vector_fanout(round_index) > 0 and (
+            protocol.push_round(round_index) or protocol.pull_round(round_index)
+        )
+        rounds.append({"draws": draws, "deliver": 0, "commit": 0, "sides": set()})
+        return run_round(engine, round_index, state, running)
+
+    def deliver_spy(engine, *args):
+        rounds[-1]["deliver"] += 1
+        return deliver(engine, *args)
+
+    def pick_spy(engine, *args):
+        positions = pick(engine, *args)
+        rounds[-1]["sides"].add(positions is not None)
+        return positions
+
+    def commit_spy(state, *args):
+        rounds[-1]["commit"] += 1
+        return commit(state, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_class, "_run_round", round_spy)
+        patch.setattr(engine_class, "_deliver", deliver_spy)
+        patch.setattr(engine_class, "_receiver_positions", pick_spy)
+        patch.setattr(VectorState, "commit_delivered", commit_spy)
+        assert _run(graph, factory, seeds) == reference
+    assert rounds
+    for round_index, seen in enumerate(rounds, start=1):
+        assert seen["commit"] == 1, round_index
+        assert seen["deliver"] == int(seen["draws"]), round_index
+    assert set().union(*(seen["sides"] for seen in rounds)) == {True, False}
+    if mixed_round:
+        assert any(seen["sides"] == {True, False} for seen in rounds)
 
 
 def _watch_commits(monkeypatch):

@@ -16,6 +16,7 @@ check three layers:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
@@ -178,21 +179,17 @@ class TestDispatch:
         # A protocol may opt in to the bulk hooks but still override a
         # StateTable-based lifecycle hook the vectorized engine never calls;
         # dispatch must then fall back to the scalar engine.
-        class EagerStart(PushProtocol):
-            def on_round_start(self, round_index, states):
-                pass
-
         class EarlyFinish(PushProtocol):
             def finished(self, round_index, states):
                 return round_index >= 2
 
-        for protocol in (EagerStart(n_estimate=256), EarlyFinish(n_estimate=256)):
-            reason = vectorization_unsupported_reason(
-                regular_graph, protocol, SimulationConfig()
-            )
-            assert reason is not None
-            result = run_broadcast(regular_graph, protocol, seed=1)
-            assert result.metadata["engine"] == "scalar"
+        protocol = EarlyFinish(n_estimate=256)
+        reason = vectorization_unsupported_reason(
+            regular_graph, protocol, SimulationConfig()
+        )
+        assert reason is not None
+        result = run_broadcast(regular_graph, protocol, seed=1)
+        assert result.metadata["engine"] == "scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +470,69 @@ class TestVectorState:
         assert state.informed_count.tolist() == [1]
         assert state.informed[0, 2]
         assert state.informed_round[0, 2] == 0
-        assert not state.all_informed().any()
+        assert np.flatnonzero(state.informed).tolist() == [2]
 
     def test_invalid_source_rejected(self):
         with pytest.raises(ValueError):
             VectorState(n=3, source=3)
 
-    def test_commit_round_promotes_pending(self):
+    def test_commit_delivered_promotes_deliveries(self):
         state = VectorState(n=4, source=0)
-        state.pending[0, [1, 3]] = True
-        newly = state.commit_round(round_index=7)
-        assert sorted(newly.tolist()) == [1, 3]
+        state.enable_membership()
+        newly = state.commit_delivered(
+            np.array([3, 1], dtype=state.index_dtype), round_index=7
+        )
+        assert newly.tolist() == [1, 3]
         assert state.informed_count.tolist() == [3]
         assert state.informed_round[0, 1] == state.informed_round[0, 3] == 7
-        assert not state.pending.any()
+        # Nothing stays staged: after node 1 departs (its flag cleared), a
+        # later commit promotes only its own entries.
+        state.remove_nodes(np.array([1]))
+        newly = state.commit_delivered(
+            np.array([2], dtype=state.index_dtype), round_index=8
+        )
+        assert newly.tolist() == [2]
+        assert state.informed_round[0].tolist() == [0, -1, 8, 7]
 
     def test_commit_ignores_already_informed(self):
         state = VectorState(n=3, source=0)
-        state.pending[0, [0, 1]] = True
-        newly = state.commit_round(round_index=1)
+        newly = state.commit_delivered(
+            np.array([0, 1], dtype=state.index_dtype), round_index=1
+        )
         assert newly.tolist() == [1]
         assert state.informed_round[0, 0] == 0
         assert state.informed_count.tolist() == [2]
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sorted", "marked"])
+    def test_batched_commit_on_both_sides_of_the_dense_rule(self, dense):
+        # Three rows of 40 nodes: a delivery set of at least 30 entries (a
+        # quarter of the state) is marked into a mask, a smaller one sorted.
+        # Every round repeats entries and names informed nodes (the sources
+        # and earlier commits); the result must not depend on the side.
+        n, batch = 40, 3
+        state = VectorState(n=n, source=5, batch=batch)
+        state.enable_index_tracking()
+        generator = np.random.default_rng(11)
+        informed_round = np.full(n * batch, -1)
+        informed_round[[5, n + 5, 2 * n + 5]] = 0
+        for round_index in (1, 2, 3):
+            drawn = generator.integers(0, n * batch, 24 if dense else 10)
+            earlier = np.flatnonzero(informed_round >= 0)[:6]
+            delivered = np.concatenate([drawn, drawn[:4], earlier]).astype(
+                state.index_dtype
+            )
+            generator.shuffle(delivered)
+            assert (delivered.size * 4 >= state.informed.size) == dense
+            expected = sorted(
+                set(delivered.tolist()) - set(np.flatnonzero(informed_round >= 0).tolist())
+            )
+            newly = state.commit_delivered(delivered, round_index)
+            assert newly.dtype == state.index_dtype
+            assert newly.tolist() == expected
+            informed_round[expected] = round_index
+            assert state.informed_round.reshape(-1).tolist() == informed_round.tolist()
+            assert state.informed_count.tolist() == [
+                int(np.count_nonzero(row >= 0)) for row in informed_round.reshape(batch, n)
+            ]
+            assert state.informed_flat.tolist() == np.flatnonzero(informed_round >= 0).tolist()
+            assert state.newly_flat.tolist() == expected

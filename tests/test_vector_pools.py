@@ -182,10 +182,10 @@ def test_pools_match_their_references_under_churn(graphs, protocol_name):
 
 @pytest.mark.parametrize("protocol_name", ["push", "quasirandom-push", "algorithm1"])
 def test_in_place_pool_across_compaction_and_eviction(monkeypatch, graphs, protocol_name):
-    """Large states keep ``informed_flat`` in a buffer each commit appends to
-    in place; row compaction and churn eviction replace that buffer.  The
-    scan limit is patched to 0 so tier-1 states take that path, and the
-    results must equal the scan path's."""
+    """``informed_flat`` lives in a buffer each commit appends to in place;
+    row compaction and churn eviction replace that buffer.  Every pool is
+    checked against its mask each round (``_checked_run``), and the results
+    must not move when the buffer is watched."""
     graph = graphs["regular"]
     factory = PROTOCOLS[protocol_name]
     runs = [dict(seeds=[7, 8, 9], stop=True)]
@@ -207,7 +207,6 @@ def test_in_place_pool_across_compaction_and_eviction(monkeypatch, graphs, proto
         ]
 
     reference = run_all()
-    monkeypatch.setattr(VectorState, "_REBUILD_SCAN_LIMIT", 0)
     seen = {"in_buffer": 0, "compact_rows": 0, "remove_nodes": 0}
     record = VectorState._record_newly
 
