@@ -7,7 +7,7 @@ broadcast per protocol at n = 4096, push and Algorithm 1 at n = 256, where
 the engine's per-round bookkeeping dominates, push, push-pull, Algorithm 1
 and quasirandom at n = 10⁶, where most rounds' rows run from the receiver
 side, the 20-seed batched push sweep at n = 4096 and Algorithm 1 sweep at
-n = 32768, and Algorithm 1 under churn)
+n = 32768, and Algorithm 1 under churn at n = 4096 and n = 10⁵)
 and the tracemalloc peak of the headline allocations (the million-node
 pairing build with its CSR stats, the connected n = 2²⁰ build, million-node
 push, push-pull, Algorithm 1 and quasirandom broadcasts, batched push,
@@ -116,6 +116,25 @@ def million_runs(graph_million, config) -> dict:
     return {name: run(cls) for name, cls in MILLION_PROTOCOLS.items()}
 
 
+def churn_graph():
+    """The n = 10⁵ pairing multigraph of the churn entries, CSR and stats ready."""
+    graph = pairing_multigraph(100_000, 8, RandomSource(seed=7))
+    graph.csr()
+    graph.csr_stats()
+    return graph
+
+
+def churn_run(graph, config):
+    """One Algorithm 1 broadcast on ``graph`` under uniform 1% churn."""
+    return lambda: run_broadcast(
+        graph,
+        Algorithm1(n_estimate=graph.node_count),
+        seed=11,
+        config=config,
+        churn_model=UniformChurn(leave_rate=0.01, join_rate=0.01, target_degree=8),
+    )
+
+
 def million_faults() -> dict:
     """``protocol name -> minor page faults`` of one n = 10⁶ run each, after
     the graph build, in this process."""
@@ -150,6 +169,7 @@ def measure_current(graph_million) -> dict:
     small.csr()
     sweep_graph = connected_random_regular_graph(SWEEP_N, D, RandomSource(seed=1))
     sweep_graph.csr()
+    churn_100k = churn_run(churn_graph(), vector)
 
     def broadcast(protocol_factory, on=graph):
         return lambda: run_broadcast(on, protocol_factory(), seed=3, config=vector)
@@ -224,6 +244,9 @@ def measure_current(graph_million) -> dict:
                 ),
             )
         ),
+        # The E8 regime at scale: joins, departures and node compactions
+        # are most of the run.
+        "churn_broadcast_1e5": median_ms(churn_100k),
     }
 
 
@@ -266,20 +289,7 @@ def measure_memory(graph_million) -> dict:
             graph_32768, Algorithm1(n_estimate=SWEEP_N), SWEEP_SEEDS, config=vector
         )
 
-    graph_100k = pairing_multigraph(100_000, 8, RandomSource(seed=7))
-    graph_100k.csr()
-    graph_100k.csr_stats()
-
-    def churn_100k():
-        run_broadcast(
-            graph_100k,
-            Algorithm1(n_estimate=100_000),
-            seed=11,
-            config=vector,
-            churn_model=UniformChurn(
-                leave_rate=0.01, join_rate=0.01, target_degree=8
-            ),
-        )
+    churn_100k = churn_run(churn_graph(), vector)
 
     for run in million_peaks.values():  # warm graph-side caches out of the traces
         run()
@@ -319,6 +329,7 @@ def baseline_map(recorded: dict) -> dict:
         "batched_push_sweep_20x_4096": baselines["batched_push_sweep_20x_4096"]["batched"],
         "batched_algorithm1_20x_32768": baselines["batched_algorithm1_20x_32768"]["ms"],
         "algorithm1_churn_vectorized_4096": baselines["algorithm1_churn_4096"]["median_ms"],
+        "churn_broadcast_1e5": baselines["churn_broadcast_1e5"]["ms"],
     }
 
 

@@ -184,6 +184,19 @@ informed count, through a narrow mutation surface (:class:`VectorChurnOps`):
   protocol-held pools remap through
   :meth:`BroadcastProtocol.vector_compact_nodes`.
 
+A churn round costs what changed in it; only node compaction rebuilds.
+The private CSR, the state planes (and the dense commit's mask) and the
+node-axis caches (degrees, ``degree > 0``, each fanout's cost array, the
+live sampler list of :meth:`_nz`) are prefixes of buffers reserved with an
+eighth of room to spare (:func:`repro.core.node._extended`), so a join
+writes only its joiners' entries and extends each cache that exists.  A
+departure updates the aggregates the engine keeps: the sampler list and the
+informed pool lose the leavers in place, and each channel total subtracts
+their costs.  The join finds each drawn stub's owner by id in a kept prefix
+of live stub counts over all ids (dead and neighbourless ids own empty
+ranges), searching the positions in ascending order; joins append to the
+prefix and departures lower it.
+
 Every random decision on this path — the churn models' draws and the
 engine's sampling — depends only on live-node *positions* (rank in ascending
 id order), live counts, and per-row stub counts, all invariant under the
@@ -210,7 +223,7 @@ from ..protocols.base import BroadcastProtocol
 from .config import SimulationConfig
 from .errors import SimulationError
 from .metrics import RoundRecord, RunResult
-from .node import VectorState
+from .node import VectorState, _extended, remove_sorted_values
 from .rng import RandomSource
 
 __all__ = [
@@ -348,10 +361,11 @@ def _row_stubs(
 ) -> np.ndarray:
     """The stubs of ``nodes``' CSR rows back to back; ``lengths`` are their
     degrees."""
-    within = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
-    return indices[np.repeat(indptr[nodes], lengths) + within]
+    # Entry j sits at j plus its row's start in indptr minus its row's start
+    # here: one int64 array of shifts, the entry numbers added in place.
+    positions = np.repeat(indptr[nodes] - (np.cumsum(lengths) - lengths), lengths)
+    positions += np.arange(positions.size)
+    return indices[positions]
 
 
 def _smallest_key_columns(
@@ -658,8 +672,19 @@ class BatchedVectorizedRoundEngine:
         # over a regular graph touches none of them, which keeps the
         # engine's own footprint out of the peak.
         self._invalidate_topology_caches()
-        # Scratch buffers by name (see _scratch), reused every round.
+        # Scratch buffers by name (see _scratch), reused every round; each
+        # name's dtype is resolved here, once.
         self._buffers: dict = {}
+        index = self._indices.dtype
+        self._scratch_dtypes = {
+            "uniform": np.dtype(np.float64),
+            "offset": index,
+            "callee": index,
+            "intp": np.dtype(np.intp),
+            "mark": np.dtype(bool),
+            "gather": np.dtype(bool),
+            "gather-index": self._indptr.dtype,
+        }
 
     # -- lazy CSR-derived caches ---------------------------------------------------
 
@@ -689,19 +714,19 @@ class BatchedVectorizedRoundEngine:
 
     def _nz(self) -> np.ndarray:
         """The nodes with a neighbour (a pull round's samplers), ascending,
-        in CSR index dtype; under churn only live nodes, since dead rows
-        are tombstones that must never sample."""
+        in CSR index dtype: the graph's cached, read-only list
+        (:meth:`Graph.non_isolated_nodes`), or under churn the engine's own
+        list of the live ones, since dead rows are tombstones that must
+        never sample.  Joins append to that list and departures remove
+        from it in place (:meth:`_join_nodes`, :meth:`_depart_nodes`)."""
         if self._nz_cache is None:
             if self._dynamic:
                 nodes = self._state.alive
                 if not self._all_positive():
                     nodes = nodes & self._degree_positive
-                nodes = np.flatnonzero(nodes)
-            elif self._all_positive():
-                nodes = np.arange(self._n, dtype=self._indices.dtype)
+                self._nz_cache = np.flatnonzero(nodes).astype(self._indices.dtype, copy=False)
             else:
-                nodes = np.flatnonzero(self._degree_positive)
-            self._nz_cache = nodes.astype(self._indices.dtype, copy=False)
+                self._nz_cache = self.graph.non_isolated_nodes()
         return self._nz_cache
 
     def _channel_info(self, fanout: int) -> Tuple[int, Optional[int]]:
@@ -738,21 +763,23 @@ class BatchedVectorizedRoundEngine:
 
     # -- scratch buffers -------------------------------------------------------
 
-    def _scratch(self, name: str, size: int, dtype) -> np.ndarray:
-        """The first ``size`` entries of the reused buffer ``(name, dtype)``.
+    def _scratch(self, name: str, size: int) -> np.ndarray:
+        """The first ``size`` entries of the reused buffer ``name``.
 
         A buffer grows to the largest size asked for (freed before it is
         reallocated, so two generations never coexist) and lives as long as
-        the engine.  Its contents are valid until the next call for the
-        same name and dtype.  Block-sized temporaries allocated afresh every
+        the engine; its dtype is the name's, fixed at construction, so a
+        lookup is one dict get.  Its contents are valid until the next call
+        for the same name.  Block-sized temporaries allocated afresh every
         round come back as fresh pages whenever the allocator has handed
         large blocks back to the system: a page fault per 4 KiB.
         """
-        key = (name, np.dtype(dtype))
-        buffer = self._buffers.get(key)
+        buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
-            self._buffers[key] = None
-            buffer = self._buffers[key] = np.empty(size, dtype=dtype)
+            self._buffers[name] = None
+            buffer = self._buffers[name] = np.empty(
+                size, dtype=self._scratch_dtypes[name]
+            )
         return buffer[:size]
 
     #: Below this many entries :meth:`_gather` takes with a plain ``take``:
@@ -772,14 +799,15 @@ class BatchedVectorizedRoundEngine:
         ``"intp"`` scratch and the result lands in the ``"gather"``
         scratch, valid until the next call.  ``mode="clip"`` selects what
         the default mode would, since every index is in range, and lets
-        ``out`` be written without a buffer.
+        ``out`` be written without a buffer.  A boolean plane's result lands
+        in ``"gather"``, a degree or offset plane's in ``"gather-index"``.
         """
         step = self._SCRATCH_MIN_SAMPLERS
         if indices.size < step:
             return plane.take(indices)
         flat = indices.reshape(-1)
-        out = self._scratch("gather", flat.size, plane.dtype)
-        index = self._scratch("intp", step, np.intp)
+        out = self._scratch("gather" if plane.dtype.kind == "b" else "gather-index", flat.size)
+        index = self._scratch("intp", step)
         for start in range(0, flat.size, step):
             part = index[: min(step, flat.size - start)]
             np.copyto(part, flat[start : start + step])
@@ -809,15 +837,14 @@ class BatchedVectorizedRoundEngine:
         ``samplers``) every uniform is still drawn, but only the callees of
         ``samplers[picks]`` are returned: the receiver side's draw.
         """
-        uniforms = self._scratch("uniform", samplers.size, np.float64)
+        uniforms = self._scratch("uniform", samplers.size)
         stop = 0
         for generator, count in draws:
             start, stop = stop, stop + count
             generator.random(out=uniforms[start:stop])
         if picks is not None:
             samplers, uniforms = samplers.take(picks), uniforms.take(picks)
-        idx_dtype = self._indices.dtype
-        offsets = self._scratch("offset", samplers.size, idx_dtype)
+        offsets = self._scratch("offset", samplers.size)
         # Once the offsets are out, the uniforms' buffer holds the gather
         # positions as intp, which the final take reads without a copy.
         positions = uniforms.view(np.intp)
@@ -835,7 +862,7 @@ class BatchedVectorizedRoundEngine:
             np.minimum(offsets, sampler_degrees, out=offsets)
             positions[...] = self._gather(self._indptr, samplers)
         np.add(positions, offsets, out=positions)
-        callees = self._scratch("callee", samplers.size, idx_dtype)
+        callees = self._scratch("callee", samplers.size)
         return np.take(self._indices, positions, out=callees, mode="clip")
 
     # -- blocked delivery ----------------------------------------------------------
@@ -1213,11 +1240,12 @@ class BatchedVectorizedRoundEngine:
         The caller's graph is never mutated on this path — departures
         tombstone rows, joins append — so re-running the engine (or running
         many seeds over one graph) needs no ``graph.copy()``; each run
-        restarts from the graph's pristine CSR here.
+        restarts from the graph's pristine CSR here, copied into buffers
+        with room for joins (:func:`~repro.core.node._extended`).
         """
         indptr, indices = self.graph.csr()
-        self._indptr = np.array(indptr, copy=True)
-        self._indices = np.array(indices, copy=True)
+        self._indptr = _extended(indptr[:0].copy(), indptr)
+        self._indices = _extended(indices[:0].copy(), indices)
         self._n = self._indptr.size - 1
         # Joiner degrees differ from the seed graph's, so the regular-graph
         # shortcuts no longer hold; everything runs off per-row stub counts.
@@ -1238,6 +1266,8 @@ class BatchedVectorizedRoundEngine:
         self._all_degrees_positive = (
             None if self._uniform_degree is None else self._uniform_degree > 0
         )
+        # The join's live-stub prefix (see _join_nodes).
+        self._cum = None
 
     def _apply_churn(self, round_index: int, state: VectorState) -> None:
         """Run the churn model's bulk hook, then compact if enough ids died."""
@@ -1255,9 +1285,17 @@ class BatchedVectorizedRoundEngine:
         state.remove_nodes(ids)
         self.protocol.vector_remove_nodes(ids, state)
         # Degrees and cost arrays are untouched (tombstone rows keep their
-        # stubs); only the live-node aggregates change.
-        self._nz_cache = None
-        self._channel_info_cache = {}
+        # stubs); the live aggregates that exist lose the leavers' shares.
+        if self._nz_cache is not None:
+            self._nz_cache = remove_sorted_values(self._nz_cache, ids, in_place=True)
+        for fanout, (total, _) in self._channel_info_cache.items():
+            left = int(self._channel_cost_array(fanout)[ids].sum())
+            self._channel_info_cache[fanout] = (total - left, None)
+        if self._cum is not None:
+            # Every prefix from the first leaver on drops the leavers' stubs
+            # up to it.
+            lost = np.cumsum(self._degrees[ids], dtype=np.int64)
+            self._cum[ids[0] :] -= np.repeat(lost, np.diff(ids, append=self._n))
 
     def _join_nodes(
         self,
@@ -1272,25 +1310,32 @@ class BatchedVectorizedRoundEngine:
         splices = max(1, int(target_degree) // 2)
         # Snapshot the live stub space *before* growing: stub positions are
         # (live-rank, offset) pairs, invariant under compaction renumbering.
-        alive_nodes = np.flatnonzero(state.alive)
+        # cum[i] counts the live stubs of the ids up to i, so dead and
+        # neighbourless ids own empty ranges and the owner of position p is
+        # the first id whose count exceeds p.  It is kept between rounds:
+        # joins append to it, departures lower it, compaction drops it.
+        if self._cum is None:
+            self._cum = np.cumsum(np.where(state.alive, self._degrees, 0), dtype=np.int64)
+        cum = self._cum
         base_n = state.n
-        degrees = self._degrees
-        live_degrees = degrees[alive_nodes].astype(np.int64, copy=False)
-        cum = np.cumsum(live_degrees)
         total_stubs = int(cum[-1]) if cum.size else 0
 
         new_ids = state.grow_nodes(count)
         indptr = self._indptr
         indices = self._indices
+        degrees = self._degrees
         made = np.zeros(count * splices, dtype=bool)
-        tail = np.empty(0, dtype=indices.dtype)
+        tail = indices[:0]
         if total_stubs > 0:
             uniforms = generator.random(count * splices)
             positions = (uniforms * total_stubs).astype(np.int64)
             np.minimum(positions, total_stubs - 1, out=positions)
-            owner_rank = np.searchsorted(cum, positions, side="right")
-            owners = alive_nodes[owner_rank]
-            offsets = positions - (cum[owner_rank] - live_degrees[owner_rank])
+            # A binary search walks the prefix about twice as fast over
+            # ascending positions.
+            order = positions.argsort()
+            owners = np.empty_like(positions)
+            owners[order] = np.searchsorted(cum, positions[order], side="right")
+            offsets = positions - (cum[owners] - degrees[owners])
             stub_pos = indptr[owners].astype(np.int64) + offsets
             partners = indices[stub_pos].astype(np.int64)
             joiners = (base_n + np.arange(made.size) // splices).astype(indices.dtype)
@@ -1304,16 +1349,32 @@ class BatchedVectorizedRoundEngine:
                 indices.dtype
             ).reshape(-1)
 
-        lengths = 2 * np.count_nonzero(made.reshape(count, splices), axis=1)
-        new_indptr = np.empty(indptr.size + count, dtype=indptr.dtype)
-        new_indptr[: indptr.size] = indptr
-        np.cumsum(lengths, out=new_indptr[indptr.size :])
-        new_indptr[indptr.size :] += indptr[-1]
-        if tail.size:
-            self._indices = np.concatenate([indices, tail])
-        self._indptr = new_indptr
-        self._n = new_indptr.size - 1
-        self._invalidate_topology_caches()
+        # The joiners' rows and cache entries go after everyone else's: only
+        # the arrays that exist grow, and none is rebuilt.
+        lengths = (2 * np.count_nonzero(made.reshape(count, splices), axis=1)).astype(
+            indptr.dtype
+        )
+        stubs = np.cumsum(lengths, dtype=np.int64)
+        self._indptr = _extended(indptr, indptr[-1] + stubs)
+        self._indices = _extended(indices, tail)
+        self._n = self._indptr.size - 1
+        self._cum = _extended(cum, total_stubs + stubs)
+        self._degrees_array = _extended(degrees, lengths)
+        positive = lengths > 0
+        if self._degree_positive_array is not None:
+            self._degree_positive_array = _extended(self._degree_positive_array, positive)
+        if self._all_degrees_positive:
+            self._all_degrees_positive = bool(positive.all())
+        for fanout, cost in self._channel_cost_cache.items():
+            joined = np.minimum(lengths, fanout)
+            self._channel_cost_cache[fanout] = _extended(cost, joined)
+            if fanout in self._channel_info_cache:
+                total, _ = self._channel_info_cache[fanout]
+                self._channel_info_cache[fanout] = (total + int(joined.sum()), None)
+        if self._nz_cache is not None:
+            self._nz_cache = _extended(
+                self._nz_cache, new_ids[positive].astype(self._nz_cache.dtype)
+            )
         return new_ids.tolist()
 
     def _splice_draws(
@@ -1402,8 +1463,11 @@ class BatchedVectorizedRoundEngine:
         """
         keep = np.flatnonzero(state.alive)
         indptr = self._indptr
+        lengths = self._degrees[keep]
+        # Every node-axis cache is rebuilt from the new CSR; dropping them
+        # first keeps them out of the compaction's peak.
+        self._invalidate_topology_caches()
         remap = state.compact_nodes(keep)
-        lengths = np.diff(indptr)[keep]
         new_indptr = np.zeros(keep.size + 1, dtype=indptr.dtype)
         np.cumsum(lengths, out=new_indptr[1:])
         values = _row_stubs(indptr, self._indices, keep, lengths)
@@ -1417,7 +1481,6 @@ class BatchedVectorizedRoundEngine:
         self._indptr = new_indptr
         self._n = keep.size
         self.protocol.vector_compact_nodes(remap, state)
-        self._invalidate_topology_caches()
         self._node_compactions += 1
 
     # -- round mechanics -------------------------------------------------------------
@@ -1451,11 +1514,15 @@ class BatchedVectorizedRoundEngine:
             )
         if (push_active or pull_active) and fanout > 0:
             receiver = None
+            # No row opens more than n · min(fanout, degree) channels, so
+            # below the floor no row's rule need be asked.
+            cost = fanout if self._uniform_degree is None else min(fanout, self._uniform_degree)
             if (
                 self._receiver_side
                 and not self._dynamic
                 and self._loss_p == 0.0
                 and self._channel_fail_p == 0.0
+                and state.n * cost >= _RECEIVER_MIN_CHANNELS
             ):
                 receiver = (push_mask, pull_mask, counts[:3])
             blocks = self._batch_blocks(
@@ -1684,7 +1751,7 @@ class BatchedVectorizedRoundEngine:
         push_row = None if push_mask is None else push_mask[row]
         pull_row = None if pull_mask is None else pull_mask[row]
         answering = pull_row is not None and self._pull_side_answers(informed, uninformed)
-        mark = self._scratch("mark", n, bool)
+        mark = self._scratch("mark", n)
         mark.fill(False)
         if pull_row is None:
             mark[self._neighbour_stubs(np.flatnonzero(~informed_row))] = True

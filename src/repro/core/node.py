@@ -53,12 +53,17 @@ def merge_sorted_disjoint(base: np.ndarray, newly: np.ndarray) -> np.ndarray:
     return merged
 
 
-def remove_sorted_values(base: np.ndarray, drop: np.ndarray) -> np.ndarray:
+def remove_sorted_values(
+    base: np.ndarray, drop: np.ndarray, in_place: bool = False
+) -> np.ndarray:
     """Remove the values of sorted ``drop`` from sorted ``base``.
 
     O(drop · log base) via binary search — values of ``drop`` absent from
     ``base`` are ignored.  The membership layer uses this to evict departed
     node ids from the engines' sorted index pools without rescanning them.
+    With ``in_place`` the kept values move to the front of ``base`` and the
+    result is a prefix view of it, so a prefix of a reserved buffer
+    (:func:`_extended`) stays one.
     """
     if base.size == 0 or drop.size == 0:
         return base
@@ -70,7 +75,41 @@ def remove_sorted_values(base: np.ndarray, drop: np.ndarray) -> np.ndarray:
         return base
     keep = np.ones(base.size, dtype=bool)
     keep[hits] = False
-    return base[keep]
+    if not in_place:
+        return base[keep]
+    kept = base.size - hits.size
+    base[:kept] = base[keep]
+    return base[:kept]
+
+
+def _capacity(size: int) -> int:
+    """Entries a growing buffer reserves for ``size``: an eighth more, so
+    that appends reallocate geometrically while the slack stays small."""
+    return size + (size >> 3)
+
+
+def _extended(array: np.ndarray, values: np.ndarray, room: int = 0) -> np.ndarray:
+    """``array`` with ``values`` appended on its last axis.
+
+    ``array`` is an array of its own or a prefix view this function (or an
+    in-place :func:`remove_sorted_values`) returned, whose ``base`` is then a
+    buffer its owner reserved.  The values are written into that buffer
+    while it has room, and otherwise into a new one that starts with a copy
+    of ``array`` and holds ``room`` entries, or an eighth more than needed
+    (:func:`_capacity`) when ``room`` is too small.  The result is the
+    buffer's prefix; of a ``(1, capacity)`` buffer that view is
+    C-contiguous, so its ``reshape(-1)`` is a view too.
+    """
+    used = array.shape[-1]
+    size = used + values.shape[-1]
+    buffer = array.base
+    if buffer is None or buffer.shape[-1] < size:
+        capacity = room if size <= room else _capacity(size)
+        buffer = np.empty((*array.shape[:-1], capacity), dtype=array.dtype)
+        buffer[..., :used] = array
+    grown = buffer[..., :size]
+    grown[..., used:] = values
+    return grown
 
 
 @dataclass
@@ -293,8 +332,12 @@ class VectorState:
     ``vector_caller_pool``).  For ``R = 1`` flat indices are node ids.
     Once a commit informs a node, ``informed_flat`` is a view of a buffer
     with room for all ``R·n`` indices, which each commit appends to and
-    re-sorts in place: a view read in one round is stale after the next
-    commit.
+    re-sorts in place and a departure evicts from in place: a view read in
+    one round is stale after the next commit.
+
+    Under dynamic membership (:meth:`enable_membership`) the planes are
+    prefixes of buffers reserved with room to spare, so a join writes only
+    its own entries.
     """
 
     __slots__ = (
@@ -327,7 +370,7 @@ class VectorState:
         # resident state (the old int64 array dominated the footprint).
         self.informed_round = np.full(shape, -1, dtype=np.int32)
         # The dense commit's mask: allocated on first use, all False between
-        # commits, dropped whenever the state changes shape.
+        # commits, extended by joins and dropped by every other shape change.
         self._mark: Optional[np.ndarray] = None
         self.informed[:, source] = True
         self.informed_round[:, source] = 0
@@ -335,8 +378,8 @@ class VectorState:
         self._track_indices = False
         self._informed_flat: Optional[np.ndarray] = None
         self._newly_flat: Optional[np.ndarray] = None
-        # The buffer informed_flat is a prefix of, once merges append to it;
-        # None while informed_flat is an array of its own.
+        # The buffer informed_flat is a prefix of, once merges append to it
+        # (see _extended); None while informed_flat is an array of its own.
         self._pool: Optional[np.ndarray] = None
         self._alive: Optional[np.ndarray] = None
         self._alive_count: Optional[int] = None
@@ -388,17 +431,13 @@ class VectorState:
         # Append in place and merge the two sorted runs with one stable sort
         # (see merge_sorted_disjoint).  The buffer has room for every flat
         # index (only its written prefix becomes resident), so no round
-        # allocates a pool-sized array and the pool never exists twice.
-        count = self._informed_flat.size
-        size = count + newly.size
-        if self._pool is None or self._pool.size < size:
-            pool = np.empty(self.informed.size, dtype=self.index_dtype)
-            pool[:count] = self._informed_flat
-            self._pool = pool
-        merged = self._pool[:size]
-        merged[count:] = newly
+        # allocates a pool-sized array and the pool never exists twice;
+        # under membership it has an eighth more, for the ids joins add.
+        room = self.informed.size if self._alive is None else _capacity(self.n)
+        merged = _extended(self._informed_flat, newly, room)
         merged.sort(kind="stable")
         self._informed_flat = merged
+        self._pool = merged.base
 
     # -- dynamic membership (tombstone masks; one-row states only) -------------
 
@@ -436,8 +475,9 @@ class VectorState:
 
         Clears every per-node flag and evicts the ids from the sorted index
         pools, so a departed node can neither push, pull, nor count as
-        informed from this point on.  Returns how many of the removed nodes
-        were informed (the engine's informed-count bookkeeping).
+        informed from this point on; the informed pool keeps its buffer.
+        Returns how many of the removed nodes were informed (the engine's
+        informed-count bookkeeping).
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
@@ -451,9 +491,10 @@ class VectorState:
         self.informed_round[0][ids] = -1
         self._informed_count[0] -= informed_removed
         if self._track_indices:
-            self._informed_flat = remove_sorted_values(self._informed_flat, ids)
+            self._informed_flat = remove_sorted_values(
+                self._informed_flat, ids, in_place=self._pool is not None
+            )
             self._newly_flat = remove_sorted_values(self._newly_flat, ids)
-            self._pool = None
         return informed_removed
 
     def grow_nodes(self, count: int) -> np.ndarray:
@@ -461,20 +502,22 @@ class VectorState:
 
         New ids are always the tail of the id space (``n .. n+count-1``), so
         sorted pools stay sorted and the engine's CSR rows can be appended in
-        the same order.
+        the same order.  The planes (and the dense commit's mask) are
+        prefixes of reserved buffers (:func:`_extended`), so a join writes
+        only the joiners' entries and reallocates geometrically.
         """
         if self._alive is None:
             raise RuntimeError("enable_membership() has not been called")
         if count <= 0:
             return np.empty(0, dtype=np.int64)
         old_n = self.n
-        unset = np.zeros((1, count), dtype=bool)
-        self.informed = np.concatenate([self.informed, unset], axis=1)
-        self.informed_round = np.concatenate(
-            [self.informed_round, np.full((1, count), -1, dtype=np.int32)], axis=1
+        self.informed = _extended(self.informed, np.zeros((1, count), dtype=bool))
+        self.informed_round = _extended(
+            self.informed_round, np.full((1, count), -1, dtype=np.int32)
         )
-        self._mark = None
-        self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
+        if self._mark is not None:
+            self._mark = _extended(self._mark, np.zeros(count, dtype=bool))
+        self._alive = _extended(self._alive, np.ones(count, dtype=bool))
         self._alive_count += count
         self.n = old_n + count
         return np.arange(old_n, self.n, dtype=np.int64)

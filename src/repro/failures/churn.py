@@ -228,7 +228,7 @@ class _SplicingChurnBase(ChurnModel):
             return []
         departed = candidates[picks]
         ops.depart(departed)
-        return [int(node) for node in departed]
+        return departed.tolist()
 
 
 class UniformChurn(_SplicingChurnBase):
@@ -377,7 +377,7 @@ class BurstChurn(ChurnModel):
         if picks.size:
             chosen = candidates[picks]
             ops.depart(chosen)
-            departed = [int(node) for node in chosen]
+            departed = chosen.tolist()
         return ChurnEvent(round_index=round_index, departed=departed)
 
     def describe(self) -> dict:
@@ -525,7 +525,7 @@ class AdversarialChurn(_SplicingChurnBase):
             if picks.size:
                 chosen = candidates[picks]
                 ops.depart(chosen)
-                departed = [int(node) for node in chosen]
+                departed = chosen.tolist()
         joined: List[int] = []
         if arrivals:
             joined = ops.join(arrivals, self.target_degree, rng.generator)

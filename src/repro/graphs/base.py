@@ -59,11 +59,13 @@ class Graph:
         self._lazy_n: Optional[int] = None
         self._csr_stats: Optional[Tuple[bool, Optional[int]]] = None
         self._loop_nodes: Optional[np.ndarray] = None
+        self._non_isolated: Optional[np.ndarray] = None
 
     def _invalidate_csr(self) -> None:
         self._csr_cache = None
         self._csr_stats = None
         self._loop_nodes = None
+        self._non_isolated = None
 
     def _materialise(self) -> None:
         """Build the adjacency dict of a bulk-constructed graph on demand."""
@@ -429,6 +431,24 @@ class Graph:
                 found.append(owners[first])
             self._loop_nodes = np.concatenate(found)
         return self._loop_nodes
+
+    def non_isolated_nodes(self) -> np.ndarray:
+        """Ascending ids of the nodes with at least one stub, cached with the CSR.
+
+        In the CSR index dtype and read-only: every bulk engine run on the
+        graph samples a pull round from this list, so it is built (and its
+        pages faulted in) once per graph rather than once per run.
+        """
+        if self._non_isolated is None:
+            indptr, indices = self.csr()
+            uniform = self.csr_stats()[1]
+            if uniform is None:
+                nodes = np.flatnonzero(np.diff(indptr)).astype(indices.dtype, copy=False)
+            else:
+                nodes = np.arange(indptr.size - 1 if uniform else 0, dtype=indices.dtype)
+            nodes.flags.writeable = False
+            self._non_isolated = nodes
+        return self._non_isolated
 
     # -- conversions -------------------------------------------------------------
 

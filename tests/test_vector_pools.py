@@ -183,9 +183,11 @@ def test_pools_match_their_references_under_churn(graphs, protocol_name):
 @pytest.mark.parametrize("protocol_name", ["push", "quasirandom-push", "algorithm1"])
 def test_in_place_pool_across_compaction_and_eviction(monkeypatch, graphs, protocol_name):
     """``informed_flat`` lives in a buffer each commit appends to in place;
-    row compaction and churn eviction replace that buffer.  Every pool is
-    checked against its mask each round (``_checked_run``), and the results
-    must not move when the buffer is watched."""
+    row compaction replaces that buffer, and churn eviction removes the
+    departed ids inside it, so ``informed_flat`` stays a prefix of the same
+    buffer.  Every pool is checked against its mask each round
+    (``_checked_run``), and the results must not move when the buffer is
+    watched."""
     graph = graphs["regular"]
     factory = PROTOCOLS[protocol_name]
     runs = [dict(seeds=[7, 8, 9], stop=True)]
@@ -217,14 +219,27 @@ def test_in_place_pool_across_compaction_and_eviction(monkeypatch, graphs, proto
             seen["in_buffer"] += 1
 
     monkeypatch.setattr(VectorState, "_record_newly", recording)
-    for name in ("compact_rows", "remove_nodes"):
-        def replacing(state, *args, method=getattr(VectorState, name), name=name):
-            result = method(state, *args)
-            assert state._pool is None
-            seen[name] += 1
-            return result
+    compact_rows = VectorState.compact_rows
 
-        monkeypatch.setattr(VectorState, name, replacing)
+    def replacing(state, *args):
+        result = compact_rows(state, *args)
+        assert state._pool is None
+        seen["compact_rows"] += 1
+        return result
+
+    remove_nodes = VectorState.remove_nodes
+
+    def evicting(state, *args):
+        pool = state._pool
+        result = remove_nodes(state, *args)
+        assert state._pool is pool
+        if pool is not None:
+            assert state.informed_flat.base is pool
+            seen["remove_nodes"] += 1
+        return result
+
+    monkeypatch.setattr(VectorState, "compact_rows", replacing)
+    monkeypatch.setattr(VectorState, "remove_nodes", evicting)
     assert run_all() == reference
     assert seen["in_buffer"] > 0 and seen["compact_rows"] > 0
     assert seen["remove_nodes"] > 0 or len(runs) == 1
