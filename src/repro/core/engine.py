@@ -36,7 +36,9 @@ Instantiating :class:`RoundEngine` directly always runs the scalar path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..failures.churn import ChurnModel, NoChurn
 from ..failures.message_loss import FailureModel
@@ -53,7 +55,110 @@ from .metrics import RoundRecord, RunResult
 from .node import StateTable
 from .rng import RandomSource
 
-__all__ = ["RoundEngine", "RunPlan", "plan_run", "run_broadcast", "run_broadcast_batch"]
+__all__ = [
+    "RoundEngine",
+    "RunPlan",
+    "ScalarChurnOps",
+    "plan_run",
+    "run_broadcast",
+    "run_broadcast_batch",
+]
+
+
+def _ascending(ids: Iterable[int]) -> np.ndarray:
+    return np.array(sorted(ids), dtype=np.int64)
+
+
+class ScalarChurnOps:
+    """The membership surface the scalar engine hands to ``ChurnModel.vector_apply``.
+
+    The scalar counterpart of
+    :class:`~repro.core.engine_vectorized.VectorChurnOps`, over the run's
+    :class:`Graph` and :class:`StateTable`: a departure cuts the node and its
+    edges out of both, and a joiner splices into edges drawn from the graph
+    as it stands.  The joiner-id counter lives on the :class:`StateTable`
+    (``next_joiner_id``), so a surface holds nothing beyond its round.
+    """
+
+    __slots__ = ("_graph", "_states", "_round_index")
+
+    def __init__(self, graph: Graph, states: StateTable, round_index: int) -> None:
+        self._graph = graph
+        self._states = states
+        self._round_index = round_index
+
+    # -- queries ---------------------------------------------------------------
+
+    def _live(self) -> List[int]:
+        states = self._states
+        return [node for node in self._graph.iter_nodes() if states.contains(node)]
+
+    @property
+    def live_count(self) -> int:
+        """Number of live nodes right now."""
+        return len(self._live())
+
+    @property
+    def source(self) -> int:
+        """Id of the broadcast source (``-1`` if it departed)."""
+        states = self._states
+        return states.source if states.contains(states.source) else -1
+
+    def live_nodes(self) -> np.ndarray:
+        """Ascending ids of all live nodes."""
+        return _ascending(self._live())
+
+    def informed_nodes(self) -> np.ndarray:
+        """Ascending ids of informed nodes."""
+        return _ascending(state.node_id for state in self._states if state.informed)
+
+    def newly_informed_nodes(self) -> np.ndarray:
+        """Ascending ids of nodes informed exactly last round (the frontier)."""
+        last = self._round_index - 1
+        return _ascending(
+            state.node_id for state in self._states if state.newly_informed_in(last)
+        )
+
+    # -- mutators --------------------------------------------------------------
+
+    def depart(self, ids: np.ndarray) -> None:
+        """Remove the nodes in ``ids`` and their edges from the network."""
+        for node in np.asarray(ids, dtype=np.int64).tolist():
+            self._graph.remove_node(node)
+            self._states.remove_node(node)
+
+    def join(
+        self, count: int, target_degree: int, generator: np.random.Generator
+    ) -> List[int]:
+        """Add ``count`` fresh nodes by stub-stealing splices; return their ids.
+
+        Each joiner reads the graph's edges as they stand and splits
+        ``max(1, target_degree // 2)`` of them, drawing each with one
+        ``generator.integers(0, len(edges))``.  A draw that is a self-loop,
+        touches the joiner or was already split is skipped.
+        """
+        graph, states = self._graph, self._states
+        splices = max(1, target_degree // 2)
+        joined: List[int] = []
+        for _ in range(count):
+            if states.next_joiner_id is None:
+                states.next_joiner_id = (max(graph.iter_nodes()) + 1) if len(graph) else 0
+            joiner = states.next_joiner_id
+            states.next_joiner_id += 1
+            graph.add_node(joiner)
+            edges = graph.edges()
+            for _ in range(splices if edges else 0):
+                u, v = edges[int(generator.integers(0, len(edges)))]
+                if u == joiner or v == joiner or u == v:
+                    continue
+                if not graph.has_edge(u, v):
+                    continue
+                graph.remove_edge(u, v)
+                graph.add_edge(u, joiner)
+                graph.add_edge(joiner, v)
+            states.add_node(joiner)
+            joined.append(joiner)
+        return joined
 
 
 class RoundEngine:
@@ -75,7 +180,8 @@ class RoundEngine:
     failure_model:
         Overrides the loss probabilities in ``config`` when supplied.
     churn_model:
-        Membership changes applied at the start of every round.
+        Membership changes applied at the start of every round, through a
+        :class:`ScalarChurnOps` over ``graph`` and the run's state table.
     """
 
     def __init__(
@@ -106,7 +212,7 @@ class RoundEngine:
 
         n_initial = self.graph.node_count
         self.protocol.reset()
-        self.churn_model.reset()
+        self._departures = self._arrivals = 0
         states = StateTable(n=n_initial, source=source)
         horizon = self.protocol.horizon()
         if self.config.max_rounds is not None:
@@ -144,12 +250,24 @@ class RoundEngine:
             if self.protocol.finished(round_index, states):
                 break
 
-        success = states.all_informed()
+        metadata = {
+            "protocol": self.protocol.describe(),
+            "failure_model": self.failure_model.describe(),
+            "churn_model": self.churn_model.describe(),
+            "final_node_count": self.graph.node_count,
+            "engine": "scalar",
+        }
+        if not isinstance(self.churn_model, NoChurn):
+            metadata["churn"] = {
+                "departures": self._departures,
+                "arrivals": self._arrivals,
+                "node_compactions": 0,
+            }
         return RunResult(
             n=n_initial,
             protocol=self.protocol.name,
             source=source,
-            success=success,
+            success=states.all_informed(),
             rounds_executed=rounds_executed,
             rounds_to_completion=rounds_to_completion,
             total_push_transmissions=totals["push"],
@@ -159,13 +277,7 @@ class RoundEngine:
             final_informed=states.informed_count,
             history=history,
             phase_transmissions=phase_transmissions,
-            metadata={
-                "protocol": self.protocol.describe(),
-                "failure_model": self.failure_model.describe(),
-                "churn_model": self.churn_model.describe(),
-                "final_node_count": self.graph.node_count,
-                "engine": "scalar",
-            },
+            metadata=metadata,
         )
 
     # -- round mechanics -------------------------------------------------------------
@@ -175,7 +287,11 @@ class RoundEngine:
         protocol = self.protocol
 
         if not isinstance(self.churn_model, NoChurn):
-            self.churn_model.apply(round_index, graph, states, self._churn_rng)
+            event = self.churn_model.vector_apply(
+                round_index, ScalarChurnOps(graph, states, round_index), self._churn_rng
+            )
+            self._departures += event.departures
+            self._arrivals += event.arrivals
 
         informed_before = states.informed_count
 

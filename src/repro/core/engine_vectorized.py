@@ -136,10 +136,9 @@ nothing the scalar engine offers beyond aggregates is requested:
 
 * the protocol opts in (``supports_vectorized``) and needs neither the
   per-channel exchange hook nor the contact-memory mechanism;
-* churn, when present, is a model that opted into the bulk membership hook
-  (``ChurnModel.supports_vectorized`` / ``vector_apply``) driving a protocol
-  that opted into dynamic membership
-  (``BroadcastProtocol.supports_dynamic_membership``);
+* churn, when present, drives a protocol that opted into dynamic
+  membership (``BroadcastProtocol.supports_dynamic_membership``); every
+  churn model runs on both engines through its one hook, ``vector_apply``;
 * the failure model is ``ReliableDelivery`` or ``IndependentLoss`` (arbitrary
   strategy objects cannot be batched);
 * the graph's node ids are contiguous ``0..n-1``.
@@ -156,9 +155,9 @@ churn runs per seed.
 
 Dynamic membership (vectorized churn)
 -------------------------------------
-With an opted-in churn model the one-seed engine switches to *dynamic
-mode*: it copies the graph's CSR into private mutable arrays (the caller's
-graph object is never touched), enables tombstone masks on the state
+With a churn model the one-seed engine switches to *dynamic mode*: it
+copies the graph's CSR into private mutable arrays (the caller's graph
+object is never touched), enables tombstone masks on the state
 (:meth:`VectorState.enable_membership`), and applies the churn model's
 ``vector_apply`` at the top of every round, before the round reads its
 informed count, through a narrow mutation surface (:class:`VectorChurnOps`):
@@ -284,10 +283,10 @@ def vectorization_unsupported_reason(
 ) -> Optional[str]:
     """Why one seed of this run cannot use the bulk engine, or ``None``.
 
-    Churn is admissible for models and protocols that opted into the
-    dynamic-membership hooks.  ``graph`` is ``None`` when it is not built
-    yet (a dry run); the contiguous-ids check, which every registry family
-    passes, is then skipped.
+    Churn is admissible for protocols that opted into dynamic membership;
+    every churn model runs on both engines.  ``graph`` is ``None`` when it
+    is not built yet (a dry run); the contiguous-ids check, which every
+    registry family passes, is then skipped.
     """
     if not protocol.supports_vectorized:
         return f"protocol {protocol.name!r} does not implement the bulk hooks"
@@ -314,17 +313,15 @@ def vectorization_unsupported_reason(
             f"protocol {protocol.name!r} overrides select_call_targets without "
             "a bulk counterpart"
         )
-    if churn_model is not None and not isinstance(churn_model, NoChurn):
-        if not getattr(churn_model, "supports_vectorized", False):
-            return (
-                f"churn model {type(churn_model).__name__} does not implement "
-                "the bulk membership hook (vector_apply)"
-            )
-        if not protocol.supports_dynamic_membership:
-            return (
-                f"protocol {protocol.name!r} does not support dynamic "
-                "membership (departures/joins mid-broadcast)"
-            )
+    if (
+        churn_model is not None
+        and not isinstance(churn_model, NoChurn)
+        and not protocol.supports_dynamic_membership
+    ):
+        return (
+            f"protocol {protocol.name!r} does not support dynamic "
+            "membership (departures/joins mid-broadcast)"
+        )
     if failure_model is not None and not isinstance(
         failure_model, (ReliableDelivery, IndependentLoss)
     ):
@@ -512,14 +509,15 @@ def _resolve_failure_model(
 
 
 class VectorChurnOps:
-    """The membership-mutation surface handed to ``ChurnModel.vector_apply``.
+    """The membership surface the bulk engine hands to ``ChurnModel.vector_apply``.
 
     A thin, per-round view over the engine's dynamic-membership machinery:
     ascending live-id queries plus the two mutators (bulk departures and
-    stub-stealing joins).  Churn models draw their own randomness from the
-    engine's dedicated ``"churn"`` stream and must keep every draw a function
-    of live *positions*, counts, and degrees only (renumbering invariance —
-    see :mod:`repro.failures.churn`).
+    stub-stealing joins).  :class:`repro.core.engine.ScalarChurnOps` is the
+    scalar engine's implementation of the same surface.  Churn models draw
+    their own randomness from the engine's dedicated ``"churn"`` stream and
+    must keep every draw a function of live *positions*, counts, and degrees
+    only (renumbering invariance — see :mod:`repro.failures.churn`).
     """
 
     __slots__ = ("_engine", "_state", "_round_index")
@@ -1071,7 +1069,6 @@ class BatchedVectorizedRoundEngine:
         protocol = self.protocol
         config = self.config
         protocol.reset()
-        self.churn_model.reset()
         state = VectorState(n=n, source=source, batch=batch)
         if protocol.overrides("vector_push_samplers") or protocol.overrides(
             "vector_caller_pool"

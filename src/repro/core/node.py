@@ -207,6 +207,9 @@ class StateTable:
         self._informed_count = 1
         self._dropped_pending_deliveries = 0
         self.source = source
+        #: The id the next churn joiner takes: one past the largest id at
+        #: the run's first join, then counting up (``None`` before it).
+        self.next_joiner_id: Optional[int] = None
 
     # -- element access -------------------------------------------------------
 

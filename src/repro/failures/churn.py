@@ -16,32 +16,35 @@ with their edges; the overlay maintenance layer (:mod:`repro.p2p.overlay`) is
 responsible for longer-term repair, while this module models the transient
 disruption.
 
-Two execution surfaces
+One step, two surfaces
 ----------------------
 
-Every model implements the scalar hook :meth:`ChurnModel.apply` (mutate a
+Each model writes its membership step once, as
+:meth:`ChurnModel.vector_apply`, against a narrow membership surface:
+``live_count`` and ``source``, the ascending id views ``live_nodes()``,
+``informed_nodes()`` and ``newly_informed_nodes()``, and the mutators
+``depart(ids)`` and ``join(count, target_degree, generator)``.  Each engine
+runs that one step through its own surface.  The scalar engine's
+``ScalarChurnOps`` (:mod:`repro.core.engine`) edits its
 :class:`~repro.graphs.base.Graph` and :class:`~repro.core.node.StateTable`
-object by object).  Models that additionally set
-``supports_vectorized = True`` implement :meth:`ChurnModel.vector_apply`,
-which expresses the same membership step as bulk edits against the vectorized
-engine's membership surface (``VectorChurnOps`` in
-:mod:`repro.core.engine_vectorized`): ascending live-id views, batched
-departures, and stub-stealing joins as CSR splices.  The two surfaces draw
-from independently derived RNG streams and agree *statistically*, not
-draw-for-draw — the vectorized path keeps departed nodes' stubs as tombstones
-(filtered at call time) where the scalar path deletes edges outright.
+object by object: a departure deletes the node's edges, and each joiner
+splices into edges drawn from the graph as it stands.  The bulk engine's
+``VectorChurnOps`` (:mod:`repro.core.engine_vectorized`) keeps departed
+nodes' stubs as tombstones (filtered at call time) and splices a round's
+joiners into its CSR in one batch.  The surfaces hold membership
+differently and draw joins differently, so the engines agree
+*statistically*, not draw-for-draw.
 
-Vectorized draws must be *renumbering invariant*: every random decision may
-depend only on live-node **positions** (rank in ascending id order), live
-counts, and per-node degrees — never on raw id values — so that the engine's
+Draws must be *renumbering invariant*: every random decision may depend
+only on live-node **positions** (rank in ascending id order), live counts,
+and per-node degrees — never on raw id values — so that the bulk engine's
 threshold-triggered node compaction (which renumbers ids) cannot change the
 draw sequence.  The helpers here follow that discipline; custom models must
 too, or the compaction-on/off bit-parity contract breaks.
 
-Models are instances and may be reused across runs: :meth:`ChurnModel.reset`
-is invoked by every engine before round 1 (the same lifecycle contract as
-``BroadcastProtocol.reset``) and must clear any per-run state — e.g.
-:class:`UniformChurn`'s joiner-id allocator.
+A model holds no per-run state: the scalar engine keeps its joiner-id
+counter on the run's :class:`~repro.core.node.StateTable`, so one instance
+serves any number of runs.
 """
 
 from __future__ import annotations
@@ -52,9 +55,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.errors import ConfigurationError
-from ..core.node import StateTable
 from ..core.rng import RandomSource
-from ..graphs.base import Graph
 
 __all__ = [
     "ChurnEvent",
@@ -106,45 +107,25 @@ def _sorted_distinct_positions(
 class ChurnModel:
     """Interface for per-round network membership changes.
 
-    Class attributes
-    ----------------
-    supports_vectorized:
-        Declares that :meth:`vector_apply` is implemented, making the model
-        admissible on the vectorized engine's dynamic-membership fast path.
-        The flag-requires-hook contract is enforced by lint rule VEC001.
+    A model implements one hook, :meth:`vector_apply`, and runs on both
+    engines.
     """
-
-    supports_vectorized = False
-
-    def reset(self) -> None:
-        """Clear per-run state.  Every engine calls this once before round 1.
-
-        Models are plain reusable instances (a batch loop runs many
-        broadcasts through one model), so anything accumulated during a run —
-        id allocators, round counters — must be re-initialised here.
-        """
-
-    def apply(
-        self, round_index: int, graph: Graph, states: StateTable, rng: RandomSource
-    ) -> ChurnEvent:
-        """Mutate ``graph`` and ``states`` for ``round_index``; report what changed."""
-        return ChurnEvent(round_index=round_index)
 
     def vector_apply(
         self, round_index: int, ops, rng: RandomSource
     ) -> ChurnEvent:
-        """Apply this round's membership step through the bulk surface.
+        """Apply this round's membership step through ``ops``; report what changed.
 
-        ``ops`` is the engine's ``VectorChurnOps``: ``live_count`` /
-        ``source`` properties, ``live_nodes()`` / ``informed_nodes()`` /
-        ``newly_informed_nodes()`` ascending-id views, and the mutators
-        ``depart(ids)`` and ``join(count, target_degree, generator)``.
-        Implementations must follow the renumbering-invariant draw discipline
-        described in the module docstring.
+        ``ops`` is the engine's membership surface (``ScalarChurnOps`` or
+        ``VectorChurnOps``): ``live_count`` / ``source`` properties,
+        ``live_nodes()`` / ``informed_nodes()`` / ``newly_informed_nodes()``
+        ascending int64 id arrays, and the mutators ``depart(ids)`` and
+        ``join(count, target_degree, generator)``.  ``rng`` is the run's
+        churn stream.  Implementations must follow the renumbering-invariant
+        draw discipline described in the module docstring.  The default
+        changes nothing.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the vectorized bulk hook"
-        )
+        return ChurnEvent(round_index=round_index)
 
     def describe(self) -> dict:
         return {"model": type(self).__name__}
@@ -154,81 +135,47 @@ class NoChurn(ChurnModel):
     """The default: the network does not change during the broadcast."""
 
 
+class _Candidates:
+    """Ascending departure candidates less the protected source, uncopied.
+
+    The source is skipped by its rank: positions are drawn over the
+    candidates without it, and every position at or past that rank shifts up
+    by one.
+    """
+
+    __slots__ = ("ids", "skip", "size")
+
+    def __init__(self, ids: np.ndarray, ops, protect_source: bool) -> None:
+        self.ids = ids
+        self.skip = -1
+        if protect_source:
+            # -1 once the source departed: never a candidate.
+            source = ops.source
+            rank = int(np.searchsorted(ids, source))
+            if rank < ids.size and ids[rank] == source:
+                self.skip = rank
+        self.size = int(ids.size) - (self.skip >= 0)
+
+    def depart(self, ops, generator: np.random.Generator, count: int) -> List[int]:
+        """Depart ``count`` distinct candidates drawn uniformly; return their ids."""
+        picks = _sorted_distinct_positions(generator, self.size, count)
+        if picks.size == 0:
+            return []
+        if self.skip >= 0:
+            picks[np.searchsorted(picks, self.skip) :] += 1
+        departed = self.ids[picks]
+        ops.depart(departed)
+        return departed.tolist()
+
+
 class _SplicingChurnBase(ChurnModel):
-    """Shared machinery for models that wire joiners in by stub stealing."""
+    """Shared validation for models that wire joiners in by stub stealing."""
 
     def __init__(self, target_degree: int, protect_source: bool) -> None:
         if target_degree < 2:
             raise ConfigurationError(f"target_degree must be >= 2, got {target_degree}")
         self.target_degree = target_degree
         self.protect_source = protect_source
-        self._next_node_id: Optional[int] = None
-
-    def reset(self) -> None:
-        # A reused instance must re-derive the first fresh joiner id from the
-        # *current* run's graph; carrying the allocator across runs leaks
-        # ever-growing ids into later runs (and breaks re-run determinism).
-        self._next_node_id = None
-
-    # -- scalar helpers --------------------------------------------------------
-
-    def _allocate_node_id(self, graph: Graph) -> int:
-        if self._next_node_id is None:
-            self._next_node_id = (max(graph.iter_nodes()) + 1) if len(graph) else 0
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        return node_id
-
-    def _splice_joiner(self, graph: Graph, joiner: int, rng: RandomSource) -> None:
-        """Wire ``joiner`` into the overlay by splitting random existing edges."""
-        graph.add_node(joiner)
-        edges = graph.edges()
-        if not edges:
-            return
-        splices = max(1, self.target_degree // 2)
-        for _ in range(splices):
-            u, v = edges[rng.randint(0, len(edges))]
-            if u == joiner or v == joiner or u == v:
-                continue
-            if not graph.has_edge(u, v):
-                continue
-            graph.remove_edge(u, v)
-            graph.add_edge(u, joiner)
-            graph.add_edge(joiner, v)
-
-    def _scalar_join(
-        self, graph: Graph, states: StateTable, rng: RandomSource, arrivals: int
-    ) -> List[int]:
-        joined: List[int] = []
-        for _ in range(arrivals):
-            joiner = self._allocate_node_id(graph)
-            self._splice_joiner(graph, joiner, rng)
-            states.add_node(joiner)
-            joined.append(joiner)
-        return joined
-
-    @staticmethod
-    def _scalar_depart(graph: Graph, states: StateTable, nodes) -> List[int]:
-        departed: List[int] = []
-        for node in nodes:
-            graph.remove_node(node)
-            states.remove_node(node)
-            departed.append(node)
-        return departed
-
-    # -- vectorized helpers ----------------------------------------------------
-
-    def _vector_depart_from(
-        self, ops, rng: RandomSource, candidates: np.ndarray, count: int
-    ) -> List[int]:
-        if self.protect_source:
-            candidates = candidates[candidates != ops.source]
-        picks = _sorted_distinct_positions(rng.generator, int(candidates.size), count)
-        if picks.size == 0:
-            return []
-        departed = candidates[picks]
-        ops.depart(departed)
-        return departed.tolist()
 
 
 class UniformChurn(_SplicingChurnBase):
@@ -251,8 +198,6 @@ class UniformChurn(_SplicingChurnBase):
         experiments model a burst of churn early in the broadcast.
     """
 
-    supports_vectorized = True
-
     def __init__(
         self,
         leave_rate: float,
@@ -270,29 +215,6 @@ class UniformChurn(_SplicingChurnBase):
         self.join_rate = join_rate
         self.max_rounds = max_rounds
 
-    # -- main hooks -------------------------------------------------------------
-
-    def apply(
-        self, round_index: int, graph: Graph, states: StateTable, rng: RandomSource
-    ) -> ChurnEvent:
-        if self.max_rounds is not None and round_index > self.max_rounds:
-            return ChurnEvent(round_index=round_index)
-
-        current_nodes = [node for node in graph.iter_nodes() if states.contains(node)]
-        departures = rng.binomial(len(current_nodes), self.leave_rate)
-        arrivals = rng.binomial(len(current_nodes), self.join_rate)
-
-        candidates = [
-            node
-            for node in current_nodes
-            if not (self.protect_source and node == states.source)
-        ]
-        departed = self._scalar_depart(
-            graph, states, rng.sample_distinct(candidates, departures)
-        )
-        joined = self._scalar_join(graph, states, rng, arrivals)
-        return ChurnEvent(round_index=round_index, departed=departed, joined=joined)
-
     def vector_apply(
         self, round_index: int, ops, rng: RandomSource
     ) -> ChurnEvent:
@@ -305,9 +227,8 @@ class UniformChurn(_SplicingChurnBase):
 
         departed: List[int] = []
         if departures:
-            departed = self._vector_depart_from(
-                ops, rng, ops.live_nodes(), departures
-            )
+            pool = _Candidates(ops.live_nodes(), ops, self.protect_source)
+            departed = pool.depart(ops, rng.generator, departures)
         joined: List[int] = []
         if arrivals:
             joined = ops.join(arrivals, self.target_degree, rng.generator)
@@ -333,8 +254,6 @@ class BurstChurn(ChurnModel):
     leave; no joins.
     """
 
-    supports_vectorized = True
-
     def __init__(
         self, at_round: int, fraction: float, protect_source: bool = True
     ) -> None:
@@ -346,38 +265,13 @@ class BurstChurn(ChurnModel):
         self.fraction = fraction
         self.protect_source = protect_source
 
-    def apply(
-        self, round_index: int, graph: Graph, states: StateTable, rng: RandomSource
-    ) -> ChurnEvent:
-        if round_index != self.at_round:
-            return ChurnEvent(round_index=round_index)
-        candidates = [
-            node
-            for node in graph.iter_nodes()
-            if states.contains(node)
-            and not (self.protect_source and node == states.source)
-        ]
-        count = int(self.fraction * len(candidates))
-        departed = _SplicingChurnBase._scalar_depart(
-            graph, states, rng.sample_distinct(candidates, count)
-        )
-        return ChurnEvent(round_index=round_index, departed=departed)
-
     def vector_apply(
         self, round_index: int, ops, rng: RandomSource
     ) -> ChurnEvent:
         if round_index != self.at_round:
             return ChurnEvent(round_index=round_index)
-        candidates = ops.live_nodes()
-        if self.protect_source:
-            candidates = candidates[candidates != ops.source]
-        count = int(self.fraction * int(candidates.size))
-        picks = _sorted_distinct_positions(rng.generator, int(candidates.size), count)
-        departed: List[int] = []
-        if picks.size:
-            chosen = candidates[picks]
-            ops.depart(chosen)
-            departed = chosen.tolist()
+        pool = _Candidates(ops.live_nodes(), ops, self.protect_source)
+        departed = pool.depart(ops, rng.generator, int(self.fraction * pool.size))
         return ChurnEvent(round_index=round_index, departed=departed)
 
     def describe(self) -> dict:
@@ -397,8 +291,6 @@ class FlashCrowd(_SplicingChurnBase):
     arriving mid-broadcast, diluting the informed fraction in one step.
     """
 
-    supports_vectorized = True
-
     def __init__(
         self, at_round: int, fraction: float, target_degree: int = 8
     ) -> None:
@@ -409,16 +301,6 @@ class FlashCrowd(_SplicingChurnBase):
         super().__init__(target_degree=target_degree, protect_source=True)
         self.at_round = at_round
         self.fraction = fraction
-
-    def apply(
-        self, round_index: int, graph: Graph, states: StateTable, rng: RandomSource
-    ) -> ChurnEvent:
-        if round_index != self.at_round:
-            return ChurnEvent(round_index=round_index)
-        current = sum(1 for node in graph.iter_nodes() if states.contains(node))
-        arrivals = int(self.fraction * current)
-        joined = self._scalar_join(graph, states, rng, arrivals)
-        return ChurnEvent(round_index=round_index, joined=joined)
 
     def vector_apply(
         self, round_index: int, ops, rng: RandomSource
@@ -450,8 +332,6 @@ class AdversarialChurn(_SplicingChurnBase):
     size up while the rumour is suppressed.
     """
 
-    supports_vectorized = True
-
     TARGETS = ("informed", "newly-informed")
 
     def __init__(
@@ -477,55 +357,19 @@ class AdversarialChurn(_SplicingChurnBase):
         self.target = target
         self.max_rounds = max_rounds
 
-    def _scalar_targets(self, states: StateTable, round_index: int) -> List[int]:
-        if self.target == "informed":
-            chosen = [s.node_id for s in states if s.informed]
-        else:
-            chosen = [
-                s.node_id for s in states if s.newly_informed_in(round_index - 1)
-            ]
-        chosen.sort()
-        if self.protect_source:
-            chosen = [node for node in chosen if node != states.source]
-        return chosen
-
-    def apply(
-        self, round_index: int, graph: Graph, states: StateTable, rng: RandomSource
-    ) -> ChurnEvent:
-        if self.max_rounds is not None and round_index > self.max_rounds:
-            return ChurnEvent(round_index=round_index)
-        current = sum(1 for node in graph.iter_nodes() if states.contains(node))
-        candidates = self._scalar_targets(states, round_index)
-        departures = rng.binomial(len(candidates), self.leave_rate)
-        arrivals = rng.binomial(current, self.join_rate)
-        departed = self._scalar_depart(
-            graph, states, rng.sample_distinct(candidates, departures)
-        )
-        joined = self._scalar_join(graph, states, rng, arrivals)
-        return ChurnEvent(round_index=round_index, departed=departed, joined=joined)
-
     def vector_apply(
         self, round_index: int, ops, rng: RandomSource
     ) -> ChurnEvent:
         if self.max_rounds is not None and round_index > self.max_rounds:
             return ChurnEvent(round_index=round_index)
         if self.target == "informed":
-            candidates = ops.informed_nodes()
+            targets = ops.informed_nodes()
         else:
-            candidates = ops.newly_informed_nodes()
-        if self.protect_source:
-            candidates = candidates[candidates != ops.source]
-        departures = rng.binomial(int(candidates.size), self.leave_rate)
+            targets = ops.newly_informed_nodes()
+        pool = _Candidates(targets, ops, self.protect_source)
+        departures = rng.binomial(pool.size, self.leave_rate)
         arrivals = rng.binomial(ops.live_count, self.join_rate)
-        departed: List[int] = []
-        if departures:
-            picks = _sorted_distinct_positions(
-                rng.generator, int(candidates.size), departures
-            )
-            if picks.size:
-                chosen = candidates[picks]
-                ops.depart(chosen)
-                departed = chosen.tolist()
+        departed = pool.depart(ops, rng.generator, departures)
         joined: List[int] = []
         if arrivals:
             joined = ops.join(arrivals, self.target_degree, rng.generator)

@@ -23,24 +23,31 @@ text|json] [--baseline file.json] [--write-baseline file.json]``.  CI runs
 it next to the parity tripwires; a finding fails the build unless it carries
 a ``# lint: disable=RULE-ID -- reason`` annotation or is covered by the
 committed baseline.  See ``docs/API.md`` §11 for the rule catalogue.
+
+The package re-exports lazily, so importing it (or the CLI hook in
+:mod:`repro.lint.cli`) loads no rule: the built-in rules register when the
+rule table is first read through :func:`~repro.lint.rule.all_rules` or
+:func:`~repro.lint.rule.rules_by_id`.
 """
 
-from __future__ import annotations
+from typing import TYPE_CHECKING
 
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .diagnostics import (
-    LINT_SCHEMA_VERSION,
-    Diagnostic,
-    LintReport,
-    parse_report,
-    render_json,
-    render_text,
-)
-from .engine import DEFAULT_TARGETS, Linter, classify_zone
-from .rule import LINT_RULES, Rule, all_rules, register_rule
+from .._lazy import lazy_exports
 
-# Importing the rules package registers every built-in rule.
-from . import rules  # noqa: F401
+if TYPE_CHECKING:
+    from .baseline import apply_baseline, load_baseline, write_baseline
+    from .diagnostics import (
+        LINT_SCHEMA_VERSION,
+        Diagnostic,
+        LintReport,
+        parse_report,
+        render_json,
+        render_text,
+    )
+    from .engine import DEFAULT_TARGETS, Linter, classify_zone
+    from .rule import LINT_RULES, Rule, all_rules, register_rule
+
+__getattr__, __dir__ = lazy_exports(__name__)
 
 __all__ = [
     "LINT_SCHEMA_VERSION",

@@ -12,14 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import List
-
-from ..core.errors import ConfigurationError
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .diagnostics import render_json, render_text
-from .engine import DEFAULT_TARGETS, Linter
-from .rule import LINT_RULES, all_rules, rules_by_id
 
 __all__ = ["add_lint_parser", "run_lint"]
 
@@ -41,9 +33,8 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         help=(
-            "files or directories to lint (default: "
-            + ", ".join(DEFAULT_TARGETS)
-            + " under --root)"
+            "files or directories to lint (default: the package, benchmarks "
+            "and examples under --root)"
         ),
     )
     lint.add_argument(
@@ -85,16 +76,21 @@ def add_lint_parser(subparsers) -> argparse.ArgumentParser:
     return lint
 
 
-def _list_rules() -> int:
-    for rule in all_rules():
-        print(f"{rule.id} ({rule.slug}): {rule.summary}")
-    return 0
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute the ``lint`` sub-command; returns the process exit code."""
+    # Imported here, so building the CLI parser loads no rule.
+    from pathlib import Path
+
+    from ..core.errors import ConfigurationError
+    from .baseline import apply_baseline, load_baseline, write_baseline
+    from .diagnostics import render_json, render_text
+    from .engine import DEFAULT_TARGETS, Linter
+    from .rule import LINT_RULES, all_rules, rules_by_id
+
     if args.list_rules:
-        return _list_rules()
+        for rule in all_rules():
+            print(f"{rule.id} ({rule.slug}): {rule.summary}")
+        return 0
 
     try:
         rules = (
@@ -113,7 +109,7 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
 
     if args.paths:
-        targets: List[Path] = [Path(part) for part in args.paths]
+        targets = [Path(part) for part in args.paths]
         for target in targets:
             candidate = target if target.is_absolute() else root / target
             if not candidate.exists():

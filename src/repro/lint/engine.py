@@ -30,9 +30,6 @@ from .rule import (
 )
 from .suppressions import collect_suppressions, is_suppressed
 
-# Ensure the built-in rules are registered before all_rules() is consulted.
-from . import rules as _builtin_rules  # noqa: F401  (import for side effect)
-
 __all__ = ["Linter", "classify_zone", "DEFAULT_TARGETS", "SYNTAX_RULE_ID"]
 
 #: Directories linted when the CLI is given no explicit paths.

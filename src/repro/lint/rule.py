@@ -3,7 +3,9 @@
 Rules are registered in ``LINT_RULES`` — the same :class:`repro.core.registry.
 Registry` mechanism that backs protocols, graph families, and failure models —
 so discovery (``repro lint --list-rules``), selection (``--rules SEED001``),
-and docs cross-checking all run off one table.  Each rule declares:
+and docs cross-checking all run off one table.  The built-in rules register
+when :func:`all_rules` or :func:`rules_by_id` is first called.  Each rule
+declares:
 
 * ``id`` — the stable diagnostic id (``RNG001``) printed in findings and
   accepted by suppression comments and ``--rules``;
@@ -250,11 +252,18 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
+def _load_builtin_rules() -> None:
+    """Import the rules package, which registers every built-in rule."""
+    from . import rules  # noqa: F401
+
+
 def all_rules() -> List[Rule]:
     """One instance of every registered rule, sorted by id."""
+    _load_builtin_rules()
     return [LINT_RULES.entry(name).builder() for name in LINT_RULES.names()]
 
 
 def rules_by_id(ids: List[str]) -> List[Rule]:
     """Instances for ``ids``; unknown ids raise ``ConfigurationError``."""
+    _load_builtin_rules()
     return [LINT_RULES.entry(rule_id).builder() for rule_id in ids]

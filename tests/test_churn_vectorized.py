@@ -12,8 +12,8 @@ The vectorized engine's churn mode promises three robustness contracts:
    represented differently (tombstoned CSR rows vs real graph surgery), so
    scalar and vectorized runs only agree in distribution on the E8
    observables;
-3. **lifecycle hygiene** — churn models are reset per run, so reusing a
-   model instance (or an engine) can never leak joined-node ids between
+3. **lifecycle hygiene** — churn models hold no per-run state, so reusing
+   a model instance (or an engine) can never leak joined-node ids between
    runs.
 """
 
@@ -197,21 +197,18 @@ class TestDispatch:
             )
 
     def test_forced_vectorized_batch_names_the_per_seed_obstacle(self):
-        class ScalarOnlyChurn(UniformChurn):
-            supports_vectorized = False
-
         with pytest.raises(SimulationError) as raised:
             run_broadcast_batch(
                 graph=_graph(n=64, d=4),
-                protocol=Algorithm1(n_estimate=64),
+                protocol=QuasirandomPushProtocol(n_estimate=64),
                 seeds=[1, 2],
                 config=SimulationConfig(engine="vectorized"),
-                churn_model=ScalarOnlyChurn(
+                churn_model=UniformChurn(
                     leave_rate=0.02, join_rate=0.02, target_degree=4
                 ),
             )
         message = str(raised.value)
-        assert "ScalarOnlyChurn does not implement the bulk membership hook" in message
+        assert "'quasirandom-push' does not support dynamic membership" in message
         assert "batched" not in message
 
     def test_forced_vectorized_raises_for_non_dynamic_protocol(self):
@@ -226,36 +223,18 @@ class TestDispatch:
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle hygiene (the _next_node_id reuse leak)
+# Lifecycle hygiene (a reused model must not leak joined ids)
 # ---------------------------------------------------------------------------
 
 
 class TestChurnModelLifecycle:
-    def test_reset_clears_join_id_counter(self):
-        # max_rounds bounds the growth: unchecked 50% joins per round make
-        # the broadcast chase an exponentially growing network.
-        model = UniformChurn(
-            leave_rate=0.0, join_rate=0.5, target_degree=4, max_rounds=3
-        )
-        run_broadcast(
-            graph=_graph(n=32, d=4),
-            protocol=Algorithm1(n_estimate=32),
-            seed=1,
-            config=SimulationConfig(engine="scalar"),
-            churn_model=model,
-        )
-        # Joins happened, so the scalar join-id counter advanced past n.
-        assert model._next_node_id is not None and model._next_node_id > 32
-        model.reset()
-        assert model._next_node_id is None
-
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_model_instance_reuse_is_bit_identical(self, engine):
         """Regression: a reused model must not leak joined ids between runs.
 
-        Before the ``reset()`` lifecycle hook, ``UniformChurn`` kept its
-        join-id counter across runs, so the second run on a fresh graph
-        handed out wrong node ids and diverged.
+        ``UniformChurn`` once kept the scalar join-id counter across runs,
+        so the second run on a fresh graph handed out wrong node ids and
+        diverged; the counter now lives on the run's ``StateTable``.
         """
         model = UniformChurn(leave_rate=0.02, join_rate=0.1, target_degree=4)
         runs = []
@@ -331,6 +310,31 @@ class TestScalarStatisticalParity:
         assert result.metadata["final_node_count"] == (
             128 - churn["departures"] + churn["arrivals"]
         )
+
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_churned_runs_report_the_counters_on_both_engines(self, engine):
+        graph = _graph(n=128)
+        result = run_broadcast(
+            graph=graph.copy() if engine == "scalar" else graph,
+            protocol=Algorithm1(n_estimate=128),
+            seed=2,
+            config=SimulationConfig(engine=engine),
+            churn_model=UniformChurn(leave_rate=0.05, join_rate=0.05, target_degree=8),
+        )
+        assert result.metadata["engine"] == engine
+        churn = result.metadata["churn"]
+        assert set(churn) >= {"departures", "arrivals", "node_compactions"}
+        assert churn["departures"] > 0 and churn["arrivals"] > 0
+        assert result.metadata["final_node_count"] == (
+            128 - churn["departures"] + churn["arrivals"]
+        )
+        static = run_broadcast(
+            graph=graph,
+            protocol=Algorithm1(n_estimate=128),
+            seed=2,
+            config=SimulationConfig(engine=engine),
+        )
+        assert "churn" not in static.metadata
 
 
 # ---------------------------------------------------------------------------

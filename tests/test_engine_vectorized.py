@@ -106,20 +106,6 @@ class TestDispatch:
         assert result.metadata["engine"] == "vectorized"
         assert result.metadata["churn"]["departures"] >= 0
 
-    def test_churn_without_bulk_hook_falls_back_to_scalar(self, regular_graph):
-        class ScalarOnlyChurn(UniformChurn):
-            supports_vectorized = False
-
-        result = run_broadcast(
-            regular_graph.copy(),
-            PushProtocol(n_estimate=256),
-            seed=1,
-            churn_model=ScalarOnlyChurn(
-                leave_rate=0.01, join_rate=0.01, target_degree=8
-            ),
-        )
-        assert result.metadata["engine"] == "scalar"
-
     def test_churn_without_dynamic_protocol_falls_back_to_scalar(self, regular_graph):
         result = run_broadcast(
             regular_graph.copy(),

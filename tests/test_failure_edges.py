@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import ScalarChurnOps
 from repro.core.errors import ConfigurationError
 from repro.core.node import StateTable
 from repro.core.rng import RandomSource
@@ -136,6 +137,13 @@ class TestIndependentLossExtremes:
         assert model.transmission_lost(rng) is False
 
 
+def churn_step(churn, round_index, graph, states, rng):
+    """One round of ``churn`` through the scalar engine's membership surface."""
+    return churn.vector_apply(
+        round_index, ScalarChurnOps(graph, states, round_index), rng
+    )
+
+
 class TestChurnOnTinyGraphs:
     def _churn(self, **overrides):
         defaults = dict(leave_rate=0.5, join_rate=0.5, target_degree=2)
@@ -150,7 +158,7 @@ class TestChurnOnTinyGraphs:
         churn = self._churn(leave_rate=0.9, join_rate=0.0)
         rng = RandomSource(seed=21)
         for round_index in range(1, 20):
-            event = churn.apply(round_index, graph, states, rng)
+            event = churn_step(churn, round_index, graph, states, rng)
             assert event.departed == []  # the only candidate is protected
             assert 0 in graph
             assert states.contains(0)
@@ -164,7 +172,7 @@ class TestChurnOnTinyGraphs:
         rng = RandomSource(seed=22)
         # ~1.9x growth per round compounds fast; 10 rounds is plenty.
         for round_index in range(1, 10):
-            event = churn.apply(round_index, graph, states, rng)
+            event = churn_step(churn, round_index, graph, states, rng)
             for joiner in event.joined:
                 assert joiner in graph
                 assert states.contains(joiner)
@@ -177,7 +185,7 @@ class TestChurnOnTinyGraphs:
         churn = self._churn(leave_rate=0.99, join_rate=0.0)
         rng = RandomSource(seed=23)
         for round_index in range(1, 30):
-            churn.apply(round_index, graph, states, rng)
+            churn_step(churn, round_index, graph, states, rng)
         assert 0 in graph and states.contains(0)
         assert len(graph) >= 1
 
@@ -190,7 +198,7 @@ class TestChurnOnTinyGraphs:
         churn = self._churn(leave_rate=0.6, join_rate=0.6)
         rng = RandomSource(seed=24)
         for round_index in range(1, 50):
-            churn.apply(round_index, graph, states, rng)
+            churn_step(churn, round_index, graph, states, rng)
             assert sorted(graph.iter_nodes()) == sorted(
                 node.node_id for node in states
             )
@@ -208,7 +216,7 @@ class TestChurnOnTinyGraphs:
             rng = RandomSource(seed=25)
             trace = []
             for round_index in range(1, 30):
-                event = churn.apply(round_index, graph, states, rng)
+                event = churn_step(churn, round_index, graph, states, rng)
                 trace.append((event.departed, event.joined))
             return trace, sorted(graph.iter_nodes())
 
@@ -230,10 +238,10 @@ class TestChurnOnTinyGraphs:
         churn = self._churn(leave_rate=0.6, join_rate=0.6, max_rounds=2)
         rng = RandomSource(seed=26)
         for round_index in range(1, 3):
-            churn.apply(round_index, graph, states, rng)
+            churn_step(churn, round_index, graph, states, rng)
         frozen = sorted(graph.iter_nodes())
         for round_index in range(3, 20):
-            event = churn.apply(round_index, graph, states, rng)
+            event = churn_step(churn, round_index, graph, states, rng)
             assert event.departed == [] and event.joined == []
         assert sorted(graph.iter_nodes()) == frozen
 
@@ -246,7 +254,7 @@ class TestAdversarialAndBurstEdges:
         rng = RandomSource(seed=31)
         removed_by_round = {}
         for round_index in range(1, 6):
-            event = churn.apply(round_index, graph, states, rng)
+            event = churn_step(churn, round_index, graph, states, rng)
             removed_by_round[round_index] = len(event.departed)
         # Everything except the protected source goes at round 3, nothing
         # before or after.
@@ -257,7 +265,7 @@ class TestAdversarialAndBurstEdges:
         graph = Graph(range(1))
         states = StateTable(n=1, source=0)
         churn = BurstChurn(at_round=1, fraction=1.0)
-        event = churn.apply(1, graph, states, RandomSource(seed=32))
+        event = churn_step(churn, 1, graph, states, RandomSource(seed=32))
         assert event.departed == []
         assert 0 in graph
 
@@ -265,7 +273,7 @@ class TestAdversarialAndBurstEdges:
         graph = Graph.from_edges(2, [(0, 1)])
         states = StateTable(n=2, source=0)
         churn = BurstChurn(at_round=1, fraction=1.0, protect_source=False)
-        event = churn.apply(1, graph, states, RandomSource(seed=33))
+        event = churn_step(churn, 1, graph, states, RandomSource(seed=33))
         assert sorted(event.departed) == [0, 1]
         assert len(graph) == 0
 
@@ -275,7 +283,7 @@ class TestAdversarialAndBurstEdges:
         states[1].deliver(1)
         states.commit_round()
         churn = AdversarialChurn(leave_rate=1.0, target="informed")
-        event = churn.apply(2, graph, states, RandomSource(seed=34))
+        event = churn_step(churn, 2, graph, states, RandomSource(seed=34))
         # Node 1 is informed and unprotected; 0 is informed but the source;
         # 2 and 3 are uninformed and therefore never candidates.
         assert event.departed == [1]
@@ -287,10 +295,10 @@ class TestAdversarialAndBurstEdges:
         states.commit_round()
         churn = AdversarialChurn(leave_rate=1.0, target="newly-informed")
         # Round 2: node 1 was informed in round 1 -> the only target.
-        event = churn.apply(2, graph, states, RandomSource(seed=35))
+        event = churn_step(churn, 2, graph, states, RandomSource(seed=35))
         assert event.departed == [1]
         # Round 3: nobody was informed in round 2, so nothing to remove.
-        event = churn.apply(3, graph, states, RandomSource(seed=35))
+        event = churn_step(churn, 3, graph, states, RandomSource(seed=35))
         assert event.departed == []
 
     def test_adversarial_on_singleton_graph_is_a_no_op(self):
@@ -298,7 +306,7 @@ class TestAdversarialAndBurstEdges:
         states = StateTable(n=1, source=0)
         churn = AdversarialChurn(leave_rate=1.0, target="informed")
         for round_index in range(1, 5):
-            event = churn.apply(round_index, graph, states, RandomSource(seed=36))
+            event = churn_step(churn, round_index, graph, states, RandomSource(seed=36))
             assert event.departed == []
         assert 0 in graph
 
@@ -309,7 +317,7 @@ class TestAdversarialAndBurstEdges:
             states[node].deliver(1)
         states.commit_round()
         churn = AdversarialChurn(leave_rate=1.0, target="informed", max_rounds=1)
-        event = churn.apply(2, graph, states, RandomSource(seed=37))
+        event = churn_step(churn, 2, graph, states, RandomSource(seed=37))
         assert event.departed == []
         assert len(graph) == 4
 

@@ -32,9 +32,9 @@ PACKAGES = sorted(
 )
 #: Names a package binds itself rather than re-exporting from a submodule.
 OWN_NAMES = {"repro": {"__version__"}}
-#: ``repro.lint`` imports its rules package to register every rule, and a lint
-#: run executes all of its modules, so these two inits stay eager.
-EAGER_PACKAGES = {"repro.lint", "repro.lint.rules"}
+#: Importing ``repro.lint.rules`` registers every built-in rule, so that init
+#: stays eager.
+EAGER_PACKAGES = {"repro.lint.rules"}
 
 
 def _run(script: str, cwd: Path) -> subprocess.CompletedProcess:

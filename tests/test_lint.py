@@ -277,77 +277,17 @@ class TestVectorHookContract:
         assert lint_one("VEC001", {"src/repro/protocols/base.py": _CONTRACT_ROOT}) == []
 
 
-_CHURN_CONTRACT_ROOT = '''\
-class ChurnModel:
-    """Fake contract root mirroring repro.failures.churn.ChurnModel."""
-
-    supports_vectorized = False
-
-    def vector_apply(self, round_index, ops, rng):
-        raise NotImplementedError("bulk hook not provided")
-'''
-
-
 class TestChurnModelContract:
-    """VEC001's scoped contract for ChurnModel descendants.
+    """VEC001 and churn models.
 
-    A churn model opting into the vectorized engine promises the single bulk
-    hook ``vector_apply`` — not the protocol triple.  The rule must pick the
-    contract by class ancestry, not by file location.
+    A churn model has one membership hook, ``vector_apply``, which both
+    engines call, and no capability flag: VEC001 owes it nothing.  The
+    protocol contract must not count ``vector_apply`` as a protocol hook.
     """
 
-    def test_flag_without_vector_apply_flagged(self):
-        src = _CHURN_CONTRACT_ROOT + (
-            "\n\nclass Bursty(ChurnModel):\n"
-            "    supports_vectorized = True\n"
-        )
-        diags = lint_one("VEC001", {"src/repro/failures/x.py": src})
-        assert len(diags) == 1
-        assert "vector_apply" in diags[0].message
-        # The protocol triple must not be demanded of a churn model.
-        assert "vector_fanout" not in diags[0].message
-
-    def test_flag_with_vector_apply_clean(self):
-        src = _CHURN_CONTRACT_ROOT + (
-            "\n\nclass Bursty(ChurnModel):\n"
-            "    supports_vectorized = True\n"
-            "    def vector_apply(self, round_index, ops, rng):\n"
-            "        return None\n"
-        )
-        assert lint_one("VEC001", {"src/repro/failures/x.py": src}) == []
-
-    def test_inherited_raising_stub_does_not_satisfy(self):
-        src = _CHURN_CONTRACT_ROOT + (
-            "\n\nclass Base(ChurnModel):\n"
-            "    def vector_apply(self, round_index, ops, rng):\n"
-            "        raise NotImplementedError\n"
-            "\n\nclass Bursty(Base):\n"
-            "    supports_vectorized = True\n"
-        )
-        diags = lint_one("VEC001", {"src/repro/failures/x.py": src})
-        assert len(diags) == 1
-        assert "vector_apply" in diags[0].message
-
-    def test_hook_via_intermediate_base_clean(self):
-        src = _CHURN_CONTRACT_ROOT + (
-            "\n\nclass SplicingBase(ChurnModel):\n"
-            "    def vector_apply(self, round_index, ops, rng):\n"
-            "        return ops\n"
-            "\n\nclass Bursty(SplicingBase):\n"
-            "    supports_vectorized = True\n"
-        )
-        assert lint_one("VEC001", {"src/repro/failures/x.py": src}) == []
-
-    def test_contract_root_itself_clean(self):
-        assert (
-            lint_one("VEC001", {"src/repro/failures/churn.py": _CHURN_CONTRACT_ROOT})
-            == []
-        )
-
     def test_protocol_contract_unaffected_by_churn_overlay(self):
-        # A protocol subclass in the same codebase still owes the full
-        # protocol triple; the churn overlay applies only to ChurnModel
-        # descendants.
+        # A protocol subclass that defines the churn hook still owes the
+        # full protocol triple.
         src = _CONTRACT_ROOT + (
             "\n\nclass Fast(BroadcastProtocol):\n"
             "    supports_vectorized = True\n"

@@ -28,6 +28,7 @@ from repro.failures.churn import UniformChurn
 from repro.graphs.configuration_model import random_regular_graph
 from repro.protocols.algorithm1 import Algorithm1
 from repro.protocols.push import PushProtocol
+from repro.protocols.quasirandom import QuasirandomPushProtocol
 from repro.protocols.sequential import SequentialAlgorithm1
 from repro.spec import ScenarioSpec, load_spec, run_spec
 
@@ -35,17 +36,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC_FILES = sorted((ROOT / "examples" / "specs").glob("*.json"))
 
 
-class ScalarOnlyChurn(UniformChurn):
-    supports_vectorized = False
-
-
 @pytest.fixture(scope="module")
 def graph():
     return random_regular_graph(128, 4, RandomSource(seed=5, name="graph"))
 
 
-def _churn(model=UniformChurn):
-    return model(leave_rate=0.02, join_rate=0.02, target_degree=4)
+def _churn():
+    return UniformChurn(leave_rate=0.02, join_rate=0.02, target_degree=4)
 
 
 def _plan(graph, protocol=None, engine="auto", churn=None, seeds=(1, 2, 3), batch=True):
@@ -103,7 +100,9 @@ class TestRules:
 
     @pytest.mark.parametrize("engine", ["auto", "scalar"])
     def test_scalar_churn_copies_the_graph(self, graph, engine):
-        plan = _plan(graph, engine=engine, churn=_churn(ScalarOnlyChurn))
+        # Quasirandom push does not support dynamic membership.
+        static = QuasirandomPushProtocol(n_estimate=128)
+        plan = _plan(graph, protocol=static, engine=engine, churn=_churn())
         assert (plan.engine, plan.batched, plan.copy_graph) == ("scalar", False, True)
 
     def test_without_a_graph_n_is_unknown(self):
@@ -128,10 +127,10 @@ class TestEntryPointsExecuteThePlan:
         nodes = sorted(graph.iter_nodes())
         results = repeat_broadcast(
             graph=graph,
-            protocol_factory=lambda n: Algorithm1(n_estimate=n),
+            protocol_factory=lambda n: QuasirandomPushProtocol(n_estimate=n),
             n_estimate=128,
             seeds=[1, 2],
-            churn_factory=lambda: _churn(ScalarOnlyChurn),
+            churn_factory=_churn,
         )
         assert all(r.metadata["engine"] == "scalar" for r in results)
         assert graph.edge_count == edges and sorted(graph.iter_nodes()) == nodes

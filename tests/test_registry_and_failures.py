@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import ScalarChurnOps
 from repro.core.errors import ConfigurationError
 from repro.core.node import StateTable
 from repro.core.rng import RandomSource
@@ -105,10 +106,17 @@ class TestEstimateError:
             estimate_grid(-1)
 
 
+def churn_step(churn, round_index, graph, states, rng):
+    """One round of ``churn`` through the scalar engine's membership surface."""
+    return churn.vector_apply(
+        round_index, ScalarChurnOps(graph, states, round_index), rng
+    )
+
+
 class TestChurnModels:
     def test_no_churn_is_a_noop(self, rng, small_regular_graph):
         states = StateTable(n=small_regular_graph.node_count, source=0)
-        event = NoChurn().apply(1, small_regular_graph, states, rng)
+        event = churn_step(NoChurn(), 1, small_regular_graph, states, rng)
         assert event.departures == 0 and event.arrivals == 0
 
     def test_uniform_churn_changes_membership(self):
@@ -116,7 +124,7 @@ class TestChurnModels:
         graph = random_regular_graph(128, 6, rng.spawn("graph"))
         states = StateTable(n=128, source=0)
         churn = UniformChurn(leave_rate=0.1, join_rate=0.1, target_degree=6)
-        event = churn.apply(1, graph, states, rng.spawn("churn"))
+        event = churn_step(churn, 1, graph, states, rng.spawn("churn"))
         assert isinstance(event, ChurnEvent)
         assert event.departures > 0 or event.arrivals > 0
         assert graph.node_count == 128 - event.departures + event.arrivals
@@ -128,7 +136,7 @@ class TestChurnModels:
         states = StateTable(n=32, source=0)
         churn = UniformChurn(leave_rate=0.9, join_rate=0.0, target_degree=4)
         for round_index in range(1, 4):
-            churn.apply(round_index, graph, states, rng.spawn(f"churn-{round_index}"))
+            churn_step(churn, round_index, graph, states, rng.spawn(f"churn-{round_index}"))
         assert states.contains(0)
         assert 0 in graph
 
@@ -137,7 +145,7 @@ class TestChurnModels:
         graph = random_regular_graph(64, 6, rng.spawn("graph"))
         states = StateTable(n=64, source=0)
         churn = UniformChurn(leave_rate=0.0, join_rate=0.2, target_degree=6)
-        event = churn.apply(1, graph, states, rng.spawn("churn"))
+        event = churn_step(churn, 1, graph, states, rng.spawn("churn"))
         assert event.arrivals > 0
         for joiner in event.joined:
             assert graph.degree(joiner) > 0
@@ -148,8 +156,8 @@ class TestChurnModels:
         graph = random_regular_graph(32, 4, rng.spawn("graph"))
         states = StateTable(n=32, source=0)
         churn = UniformChurn(leave_rate=0.5, join_rate=0.5, target_degree=4, max_rounds=1)
-        churn.apply(1, graph, states, rng.spawn("round1"))
-        later = churn.apply(2, graph, states, rng.spawn("round2"))
+        churn_step(churn, 1, graph, states, rng.spawn("round1"))
+        later = churn_step(churn, 2, graph, states, rng.spawn("round2"))
         assert later.departures == 0 and later.arrivals == 0
 
     def test_invalid_rates(self):
